@@ -5,12 +5,18 @@
 //! Rambus-derived DRAM array model with PTM 22 nm transistors. This crate
 //! rebuilds that layer from scratch:
 //!
-//! * [`matrix`] — dense LU solver,
+//! * [`matrix`] — pattern-aware LU: partial pivoting that visits only the
+//!   positions a row/column bitset pattern marks as possibly nonzero, so a
+//!   solve costs about its nonzeros' worth of multiply-adds (a few hundred
+//!   for a subarray netlist) instead of n³/3, and returns dense
+//!   elimination's solution bit for bit,
 //! * [`devices`] — resistor/capacitor/MOSFET (square-law, symmetric
 //!   source/drain) companion models,
 //! * [`netlist`] — circuit construction,
 //! * [`transient`] — backward-Euler + Newton–Raphson transient engine
-//!   with externally slewable sources (wordlines, sense enables, ...),
+//!   with externally slewable sources (wordlines, sense enables, ...); the
+//!   linear stamps are cached per step size, so a Newton iteration only
+//!   copies them, stamps the MOSFETs and solves,
 //! * [`dram`] — subarray netlists for the open-bitline baseline and
 //!   CLR-DRAM's max-capacity / high-performance topologies (Figures 4–6),
 //! * [`scenario`] — ACT → restore → PRE and write-recovery state machines

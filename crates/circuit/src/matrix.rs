@@ -1,19 +1,65 @@
-//! Dense LU factorization with partial pivoting, sized for MNA systems of
-//! a few dozen unknowns.
+//! Pattern-aware LU factorization with partial pivoting, sized for MNA
+//! systems of a few dozen unknowns.
+//!
+//! Values live in a dense row-major array. Next to it, every row and every
+//! column keeps a bitset of the positions that can be nonzero: a superset
+//! of the true pattern, with the row and column bitsets always exact
+//! transposes of each other. Stamping marks positions. Elimination visits
+//! only the rows that can be nonzero in the pivot column and the columns
+//! that can be nonzero in the pivot row, marks the fill-in it creates, and
+//! carries the bits along on row swaps; back substitution walks U's row
+//! patterns.
+//!
+//! # Cost
+//!
+//! A solve costs about the sum over pivots of (rows below × columns to the
+//! right) in the pattern, plus a handful of word operations per pivot and
+//! per swap — it scales with the nonzeros and their fill-in, not with n³.
+//! The subarray netlists of [`crate::dram`] (about 33 unknowns and 100
+//! nonzeros) factor in about 230 multiply-adds, against about 12,000 for
+//! dense elimination.
+//!
+//! # Bit identity with dense elimination
+//!
+//! The pivot rule is dense partial pivoting's: the first strict maximum
+//! `|a|` at or below the diagonal. Every operation that is skipped is
+//! `x − f·0` (an update by a zero of the pivot row), `s − 0·b` (a zero of
+//! U in back substitution), or the update of the pivot column itself,
+//! which is never read again. For finite values the first two leave a
+//! nonzero `x` or `s` unchanged, and every kept term is summed in the same
+//! order as the dense loop. The solution therefore equals dense
+//! elimination's bit for bit, up to the sign of a zero, and the singular
+//! verdicts agree. `tests/prop.rs` checks both against the dense loop on
+//! random sparse systems.
 
-/// A dense square matrix in row-major order.
-#[derive(Debug, Clone, PartialEq)]
+/// A square matrix: dense row-major values plus row and column nonzero
+/// patterns.
+#[derive(Debug, Clone)]
 pub struct Matrix {
     n: usize,
+    /// 64-bit words per row or column bitset.
+    words: usize,
     a: Vec<f64>,
+    /// Bit `c` of row `r`'s words is set if `(r, c)` can be nonzero.
+    rows: Vec<u64>,
+    /// Bit `r` of column `c`'s words is set if `(r, c)` can be nonzero.
+    cols: Vec<u64>,
 }
+
+/// Singular-pivot threshold: a column whose largest candidate pivot is
+/// below this in magnitude makes the system singular.
+const PIVOT_MIN: f64 = 1e-30;
 
 impl Matrix {
     /// Creates an `n × n` zero matrix.
     pub fn zeros(n: usize) -> Self {
+        let words = n.div_ceil(64);
         Matrix {
             n,
+            words,
             a: vec![0.0; n * n],
+            rows: vec![0; n * words],
+            cols: vec![0; n * words],
         }
     }
 
@@ -28,81 +74,232 @@ impl Matrix {
         self.a[r * self.n + c]
     }
 
-    /// Element setter.
+    /// Element setter; marks `(r, c)` as possibly nonzero.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
+        self.mark(r, c);
         self.a[r * self.n + c] = v;
     }
 
-    /// Adds `v` to element `(r, c)` — the stamping primitive.
+    /// Adds `v` to element `(r, c)` — the stamping primitive. Marks
+    /// `(r, c)` as possibly nonzero.
     #[inline]
     pub fn add(&mut self, r: usize, c: usize, v: f64) {
+        self.mark(r, c);
         self.a[r * self.n + c] += v;
     }
 
-    /// Zeroes every element (for re-stamping each Newton iteration).
+    /// Zeroes every element and the pattern.
     pub fn clear(&mut self) {
-        self.a.iter_mut().for_each(|x| *x = 0.0);
+        self.a.fill(0.0);
+        self.rows.fill(0);
+        self.cols.fill(0);
+    }
+
+    /// Makes `self` a copy of `other`, reusing `self`'s storage.
+    pub(crate) fn copy_from(&mut self, other: &Matrix) {
+        self.n = other.n;
+        self.words = other.words;
+        self.a.clone_from(&other.a);
+        self.rows.clone_from(&other.rows);
+        self.cols.clone_from(&other.cols);
+    }
+
+    /// Marks `(r, c)` as possibly nonzero and returns its slot: the
+    /// position [`Matrix::add_at`] adds to, in this matrix and in every
+    /// copy of it made by [`Matrix::copy_from`]. Stamping loops that touch
+    /// the same positions every iteration take their slots once.
+    pub(crate) fn slot(&mut self, r: usize, c: usize) -> usize {
+        self.mark(r, c);
+        r * self.n + c
+    }
+
+    /// Adds `v` at a slot from [`Matrix::slot`].
+    #[inline]
+    pub(crate) fn add_at(&mut self, slot: usize, v: f64) {
+        debug_assert!(
+            test(bits(&self.rows, slot / self.n, self.words), slot % self.n),
+            "slot {slot} was never marked"
+        );
+        self.a[slot] += v;
+    }
+
+    #[inline]
+    fn mark(&mut self, r: usize, c: usize) {
+        let w = self.words;
+        self.rows[r * w + c / 64] |= 1 << (c % 64);
+        self.cols[c * w + r / 64] |= 1 << (r % 64);
     }
 
     /// Solves `A·x = b` in place (`b` becomes `x`) via LU with partial
-    /// pivoting. `A` is destroyed.
+    /// pivoting over the nonzero pattern. `A` is destroyed.
     ///
     /// Returns `false` if the matrix is numerically singular.
     pub fn solve_in_place(&mut self, b: &mut [f64]) -> bool {
+        assert_eq!(b.len(), self.n, "rhs dimension mismatch");
+        // One word per bitset (n ≤ 64) is the common case; its own
+        // instance lets the compiler fold the word loops away.
+        if self.words == 1 {
+            self.factor_solve::<1>(b)
+        } else {
+            self.factor_solve::<0>(b)
+        }
+    }
+
+    /// [`Matrix::solve_in_place`] over bitsets of `W` words (`W = 0`: the
+    /// matrix's own word count). Bitsets are walked one copied word at a
+    /// time ([`ones`]), so the loops may mark fill-in while they walk.
+    fn factor_solve<const W: usize>(&mut self, b: &mut [f64]) -> bool {
         let n = self.n;
-        assert_eq!(b.len(), n, "rhs dimension mismatch");
+        let w = if W == 0 { self.words } else { W };
         for k in 0..n {
-            // Pivot.
+            let right = k + 1;
+            // Pivot: the first strict maximum |a| at or below the diagonal.
             let mut p = k;
-            let mut max = self.get(k, k).abs();
-            for r in (k + 1)..n {
-                let v = self.get(r, k).abs();
-                if v > max {
-                    max = v;
-                    p = r;
+            let mut max = self.a[k * n + k].abs();
+            for j in right / 64..w {
+                for r in ones(bits(&self.cols, k, w), j, right) {
+                    let v = self.a[r * n + k].abs();
+                    if v > max {
+                        max = v;
+                        p = r;
+                    }
                 }
             }
-            if max < 1e-30 {
+            if max < PIVOT_MIN {
                 return false;
             }
             if p != k {
-                for c in 0..n {
-                    let t = self.get(k, c);
-                    self.set(k, c, self.get(p, c));
-                    self.set(p, c, t);
-                }
+                self.swap_rows::<W>(k, p);
                 b.swap(k, p);
             }
-            // Eliminate.
-            let pivot = self.get(k, k);
-            for r in (k + 1)..n {
-                let f = self.get(r, k) / pivot;
-                if f == 0.0 {
-                    continue;
+            // Eliminate below the pivot over the pivot row's columns right
+            // of k; column k itself is never read again.
+            let pivot = self.a[k * n + k];
+            let bk = b[k];
+            for j in right / 64..w {
+                let mut updated = 0u64;
+                for r in ones(bits(&self.cols, k, w), j, right) {
+                    let f = self.a[r * n + k] / pivot;
+                    if f == 0.0 {
+                        continue;
+                    }
+                    for i in right / 64..w {
+                        for c in ones(bits(&self.rows, k, w), i, right) {
+                            self.a[r * n + c] -= f * self.a[k * n + c];
+                        }
+                    }
+                    b[r] -= f * bk;
+                    updated |= 1 << (r % 64);
                 }
-                for c in k..n {
-                    let v = self.get(r, c) - f * self.get(k, c);
-                    self.set(r, c, v);
+                // Fill-in: the updated rows take the pivot row's pattern.
+                let updated_rows = Ones {
+                    word: updated,
+                    base: j * 64,
+                };
+                for i in right / 64..w {
+                    let upper = ones(bits(&self.rows, k, w), i, right);
+                    for r in updated_rows {
+                        self.rows[r * w + i] |= upper.word;
+                    }
+                    for c in upper {
+                        self.cols[c * w + j] |= updated;
+                    }
                 }
-                b[r] -= f * b[k];
             }
         }
-        // Back substitution.
+        // Back substitution over U's pattern.
         for k in (0..n).rev() {
+            let right = k + 1;
             let mut s = b[k];
-            for (c, &bc) in b.iter().enumerate().take(n).skip(k + 1) {
-                s -= self.get(k, c) * bc;
+            for i in right / 64..w {
+                for c in ones(bits(&self.rows, k, w), i, right) {
+                    s -= self.a[k * n + c] * b[c];
+                }
             }
-            b[k] = s / self.get(k, k);
+            b[k] = s / self.a[k * n + k];
         }
         true
+    }
+
+    /// Swaps rows `k` and `p` with their patterns (`W` as in
+    /// [`Matrix::factor_solve`]).
+    fn swap_rows<const W: usize>(&mut self, k: usize, p: usize) {
+        let n = self.n;
+        let w = if W == 0 { self.words } else { W };
+        for i in 0..w {
+            let either = Ones {
+                word: self.rows[k * w + i] | self.rows[p * w + i],
+                base: i * 64,
+            };
+            for c in either {
+                self.a.swap(k * n + c, p * n + c);
+                let col = &mut self.cols[c * w..(c + 1) * w];
+                if test(col, k) != test(col, p) {
+                    col[k / 64] ^= 1 << (k % 64);
+                    col[p / 64] ^= 1 << (p % 64);
+                }
+            }
+            self.rows.swap(k * w + i, p * w + i);
+        }
+    }
+}
+
+/// Bitset `i` of a row-major table of `w`-word bitsets.
+#[inline]
+fn bits(table: &[u64], i: usize, w: usize) -> &[u64] {
+    &table[i * w..(i + 1) * w]
+}
+
+fn test(set: &[u64], i: usize) -> bool {
+    set[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// The set positions at or above `from` in word `i` of bitset `set`
+/// (`i >= from / 64`). The word is copied, so `set` is free again.
+#[inline]
+fn ones(set: &[u64], i: usize, from: usize) -> Ones {
+    let mask = if i == from / 64 {
+        !0u64 << (from % 64)
+    } else {
+        !0
+    };
+    Ones {
+        word: set[i] & mask,
+        base: i * 64,
+    }
+}
+
+/// The set bits of one bitset word as positions, lowest first.
+#[derive(Debug, Clone, Copy)]
+struct Ones {
+    word: u64,
+    /// Position of the word's bit 0.
+    base: usize,
+}
+
+impl Iterator for Ones {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.word == 0 {
+            return None;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of positions marked as possibly nonzero.
+    fn pattern_len(m: &Matrix) -> usize {
+        m.rows.iter().map(|w| w.count_ones() as usize).sum()
+    }
 
     #[test]
     fn solves_identity() {
@@ -157,7 +354,43 @@ mod tests {
         m.add(0, 0, 2.0);
         m.add(0, 0, 3.0);
         assert_eq!(m.get(0, 0), 5.0);
+        assert_eq!(pattern_len(&m), 1);
         m.clear();
         assert_eq!(m.get(0, 0), 0.0);
+        assert_eq!(pattern_len(&m), 0);
+    }
+
+    /// Row and column bitsets stay exact transposes through swaps and
+    /// fill-in, across a word boundary.
+    #[test]
+    fn patterns_stay_transposed_across_words() {
+        let n = 70;
+        let mut m = Matrix::zeros(n);
+        // An arrow matrix with a zero (0, 0): row 0 swaps with row 69,
+        // whose last-column entry then fills column 69 of every row below.
+        for i in 1..n {
+            m.set(i, i, 4.0);
+            m.set(0, i, 1.0);
+            m.set(i, 0, 1.0);
+        }
+        m.set(n - 1, 0, 9.0);
+        let mut b = vec![1.0; n];
+        let mut factored = m.clone();
+        assert!(factored.solve_in_place(&mut b));
+        let w = factored.words;
+        for r in 0..n {
+            for c in 0..n {
+                assert_eq!(
+                    test(bits(&factored.rows, r, w), c),
+                    test(bits(&factored.cols, c, w), r),
+                    "({r}, {c})"
+                );
+            }
+        }
+        // The solution satisfies the original system.
+        for r in 0..n {
+            let lhs: f64 = (0..n).map(|c| m.get(r, c) * b[c]).sum();
+            assert!((lhs - 1.0).abs() < 1e-9, "row {r}: {lhs}");
+        }
     }
 }

@@ -5,9 +5,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dram::Topology;
 use crate::params::{CircuitParams, MosParams};
-use crate::timing::{measure_mode, ModeTimings, Table1Measurement};
+use crate::timing::{measure_table1, ModeTimings, Table1Measurement};
 
 /// Relative component variation (1σ = 5 %, clamped to ±3σ).
 const SIGMA: f64 = 0.05;
@@ -43,6 +42,8 @@ pub fn perturb(p: &CircuitParams, rng: &mut StdRng) -> CircuitParams {
     }
 }
 
+/// Element-wise maximum. `f64::max` would drop a NaN, which is why
+/// [`measure_table1`] rejects non-finite timings first.
 fn worst(a: ModeTimings, b: ModeTimings) -> ModeTimings {
     ModeTimings {
         t_rcd_ns: a.t_rcd_ns.max(b.t_rcd_ns),
@@ -57,18 +58,13 @@ fn worst(a: ModeTimings, b: ModeTimings) -> ModeTimings {
 /// # Panics
 ///
 /// Panics if any iteration fails to sense correctly — the §7.1 criterion
-/// ("every single iteration reads the correct value").
+/// ("every single iteration reads the correct value") — or fails to reach
+/// a timing threshold within the simulation limit.
 pub fn worst_case_table1(p: &CircuitParams, iterations: usize, seed: u64) -> Table1Measurement {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut acc: Option<Table1Measurement> = None;
     for _ in 0..iterations {
-        let sample = perturb(p, &mut rng);
-        let t = Table1Measurement {
-            baseline: measure_mode(Topology::OpenBitlineBaseline, &sample, false),
-            max_capacity: measure_mode(Topology::ClrMaxCapacity, &sample, false),
-            hp_no_et: measure_mode(Topology::ClrHighPerformance, &sample, false),
-            hp_et: measure_mode(Topology::ClrHighPerformance, &sample, true),
-        };
+        let t = measure_table1(&perturb(p, &mut rng));
         acc = Some(match acc {
             None => t,
             Some(prev) => Table1Measurement {
@@ -95,6 +91,18 @@ mod tests {
         let b = perturb(&p, &mut rng2);
         assert_eq!(a, b);
         assert!((a.c_cell / p.c_cell - 1.0).abs() < 0.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "timed out")]
+    fn a_sample_that_times_out_fails_the_worst_case() {
+        // No cell restores past VDD, so the full-restoration phases run
+        // into the simulation limit and leave NaN timings.
+        let p = CircuitParams {
+            full_restore_frac: 1.01,
+            ..CircuitParams::default_22nm()
+        };
+        worst_case_table1(&p, 1, 3);
     }
 
     #[test]

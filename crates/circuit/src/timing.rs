@@ -47,31 +47,64 @@ impl Table1Measurement {
 
 /// Measures one topology at the given stored-'1' level; `early_termination`
 /// picks which restoration target defines tRAS/tWR.
+///
+/// # Panics
+///
+/// Panics if the cell fails to sense, or if a timing of either
+/// restoration target is not finite — a phase hit the simulation limit
+/// before its threshold. §7.1 requires every run to succeed.
 pub fn measure_mode(topology: Topology, p: &CircuitParams, early_termination: bool) -> ModeTimings {
+    let (full, et) = measure_targets(topology, p);
+    if early_termination {
+        et
+    } else {
+        full
+    }
+}
+
+/// Measures one topology with one activate/precharge run and one
+/// write-recovery run, and reads both restoration targets off them:
+/// `(full restoration, early termination)`. The two differ only in tRAS
+/// and tWR. Panics as [`measure_mode`] does.
+pub(crate) fn measure_targets(topology: Topology, p: &CircuitParams) -> (ModeTimings, ModeTimings) {
     let v0 = initial_cell_voltage(p, 64.0);
     let sub = build(topology, p);
     let act = run_act_pre(&sub, p, ActPreOptions::nominal(v0));
     assert!(act.sense_correct, "{topology:?} failed to sense");
     let (wr_full, wr_et) = run_write_recovery(&sub, p, v0);
-    ModeTimings {
+    let full = ModeTimings {
         t_rcd_ns: act.t_rcd_ns,
-        t_ras_ns: if early_termination {
-            act.t_ras_et_ns
-        } else {
-            act.t_ras_full_ns
-        },
+        t_ras_ns: act.t_ras_full_ns,
         t_rp_ns: act.t_rp_ns,
-        t_wr_ns: if early_termination { wr_et } else { wr_full },
+        t_wr_ns: wr_full,
+    };
+    let et = ModeTimings {
+        t_ras_ns: act.t_ras_et_ns,
+        t_wr_ns: wr_et,
+        ..full
+    };
+    // A phase that never crossed its threshold leaves NaN.
+    for m in [full, et] {
+        let finite = [m.t_rcd_ns, m.t_ras_ns, m.t_rp_ns, m.t_wr_ns]
+            .iter()
+            .all(|t| t.is_finite());
+        assert!(finite, "{topology:?} timed out before a threshold: {m:?}");
     }
+    (full, et)
 }
 
 /// Measures the full Table 1 with nominal (non-Monte-Carlo) parameters.
+/// The high-performance topology is simulated once for both of its
+/// columns.
 pub fn measure_table1(p: &CircuitParams) -> Table1Measurement {
+    let baseline = measure_mode(Topology::OpenBitlineBaseline, p, false);
+    let max_capacity = measure_mode(Topology::ClrMaxCapacity, p, false);
+    let (hp_no_et, hp_et) = measure_targets(Topology::ClrHighPerformance, p);
     Table1Measurement {
-        baseline: measure_mode(Topology::OpenBitlineBaseline, p, false),
-        max_capacity: measure_mode(Topology::ClrMaxCapacity, p, false),
-        hp_no_et: measure_mode(Topology::ClrHighPerformance, p, false),
-        hp_et: measure_mode(Topology::ClrHighPerformance, p, true),
+        baseline,
+        max_capacity,
+        hp_no_et,
+        hp_et,
     }
 }
 

@@ -4,8 +4,19 @@
 //! connected driven source (classic MNA). Scenario logic interacts with
 //! the running simulation through slewable sources — the same way a DRAM
 //! control FSM drives wordlines, sense enables, and precharge gates.
+//!
+//! The linear part of the system (resistors, capacitor companions, source
+//! incidences) depends only on the step size and on which sources are
+//! connected, so it is stamped once into a cached base matrix, rebuilt
+//! when either changes. A step computes the capacitor history once; each
+//! Newton iteration copies the base, adds the MOSFET terms at slots taken
+//! when the base was built, and solves in buffers the engine owns, without
+//! allocating. Every matrix element is still summed in the order a full
+//! re-stamp would use — resistors, capacitors, then MOSFETs in netlist
+//! order — and the source incidences sit where nothing else stamps, so the
+//! iterates match a per-iteration re-stamp bit for bit.
 
-use crate::devices::GMIN;
+use crate::devices::{Node, GMIN};
 use crate::matrix::Matrix;
 use crate::netlist::{Netlist, SourceId};
 
@@ -17,6 +28,99 @@ pub struct Transient {
     t_ns: f64,
     dt_ns: f64,
     newton_iters_last: usize,
+    /// The linear stamp for the last step size; `None` after the set of
+    /// connected sources changes.
+    linear: Option<LinearStamp>,
+    /// Jacobian of the current Newton iteration (destroyed by the solve).
+    g: Matrix,
+    /// Capacitor history right-hand side of the current step.
+    hist: Vec<f64>,
+    /// Right-hand side of the current iteration; the solve turns it into
+    /// the new unknowns.
+    x: Vec<f64>,
+    /// Node voltages of the current Newton iterate.
+    v_iter: Vec<f64>,
+}
+
+/// Resistor conductances, capacitor `C/dt` companions and source
+/// incidences for one step size and one set of connected sources, with
+/// the MOSFET positions reserved.
+#[derive(Debug, Clone)]
+struct LinearStamp {
+    dt_ns: f64,
+    /// Connected sources; `connected[j]` owns branch unknown `nodes − 1 + j`.
+    connected: Vec<usize>,
+    /// Where each MOSFET stamps, in netlist order.
+    mosfets: Vec<MosStamp>,
+    g: Matrix,
+}
+
+/// Where one MOSFET stamps: its drain and source unknowns, and the matrix
+/// slots of its ten Jacobian terms in stamping order — GMIN across the
+/// channel (dd, ss, ds, sd), then the drain row and the source row, each
+/// over (d, g, s). `None` marks a ground terminal.
+#[derive(Debug, Clone)]
+struct MosStamp {
+    d: Option<usize>,
+    s: Option<usize>,
+    slots: [Option<usize>; 10],
+}
+
+impl LinearStamp {
+    fn new(net: &Netlist, dt_ns: f64) -> Self {
+        let nodes = net.nodes();
+        let connected: Vec<usize> = net
+            .sources
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.connected)
+            .map(|(i, _)| i)
+            .collect();
+        let mut g = Matrix::zeros(nodes - 1 + connected.len());
+        for r in &net.resistors {
+            stamp_conductance(&mut g, unknown(r.a), unknown(r.b), 1.0 / r.ohms);
+        }
+        let dt_s = dt_ns * 1e-9;
+        for c in &net.capacitors {
+            stamp_conductance(&mut g, unknown(c.a), unknown(c.b), c.farads / dt_s);
+        }
+        for (j, &si) in connected.iter().enumerate() {
+            let br = nodes - 1 + j;
+            let node = unknown(net.sources[si].node).expect("sources never drive ground");
+            g.add(br, node, 1.0);
+            g.add(node, br, 1.0);
+        }
+        let mosfets = net
+            .mosfets
+            .iter()
+            .map(|m| {
+                let (d, gate, s) = (unknown(m.d), unknown(m.g), unknown(m.s));
+                let mut slot = |r: Option<usize>, c: Option<usize>| Some(g.slot(r?, c?));
+                MosStamp {
+                    d,
+                    s,
+                    slots: [
+                        slot(d, d),
+                        slot(s, s),
+                        slot(d, s),
+                        slot(s, d),
+                        slot(d, d),
+                        slot(d, gate),
+                        slot(d, s),
+                        slot(s, d),
+                        slot(s, gate),
+                        slot(s, s),
+                    ],
+                }
+            })
+            .collect();
+        LinearStamp {
+            dt_ns,
+            connected,
+            mosfets,
+            g,
+        }
+    }
 }
 
 /// Newton convergence tolerance (volts).
@@ -44,6 +148,11 @@ impl Transient {
             t_ns: 0.0,
             dt_ns,
             newton_iters_last: 0,
+            linear: None,
+            g: Matrix::zeros(0),
+            hist: Vec::new(),
+            x: Vec::new(),
+            v_iter: Vec::new(),
         }
     }
 
@@ -78,7 +187,11 @@ impl Transient {
 
     /// Connects or disconnects a source (disconnected = floating node).
     pub fn set_connected(&mut self, id: SourceId, connected: bool) {
-        self.net.sources[id.0].connected = connected;
+        let s = &mut self.net.sources[id.0];
+        if s.connected != connected {
+            s.connected = connected;
+            self.linear = None;
+        }
     }
 
     /// Present value of a source.
@@ -148,98 +261,90 @@ impl Transient {
     }
 
     /// One backward-Euler step of `dt`; returns convergence success.
+    ///
+    /// On failure the node voltages are left as they were.
     fn solve_step(&mut self, dt: f64) -> bool {
-        let nodes = self.net.nodes();
-        let connected: Vec<usize> = self
-            .net
-            .sources
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.connected)
-            .map(|(i, _)| i)
-            .collect();
-        let n = (nodes - 1) + connected.len();
-        let mut g = Matrix::zeros(n);
-        let mut rhs = vec![0.0; n];
-        // Unknown indices: node k (k ≥ 1) → k − 1; source branch j →
-        // nodes − 1 + j.
-        let idx = |node: usize| -> Option<usize> {
-            if node == 0 {
-                None
-            } else {
-                Some(node - 1)
-            }
-        };
+        if self.linear.as_ref().is_none_or(|l| l.dt_ns != dt) {
+            self.linear = Some(LinearStamp::new(&self.net, dt));
+        }
+        let Transient {
+            net,
+            v,
+            linear,
+            g,
+            hist,
+            x,
+            v_iter,
+            ..
+        } = self;
+        let linear = linear.as_ref().expect("stamped above");
+        let nodes = net.nodes();
 
-        let v_prev = self.v.clone();
-        let mut v = self.v.clone();
+        // Backward-Euler history current of every capacitor, from the
+        // voltages at the start of the step.
         let dt_s = dt * 1e-9;
+        hist.clear();
+        hist.resize(linear.g.n(), 0.0);
+        for c in &net.capacitors {
+            let h = c.farads / dt_s * (v[c.a] - v[c.b]);
+            if let Some(a) = unknown(c.a) {
+                hist[a] += h;
+            }
+            if let Some(b) = unknown(c.b) {
+                hist[b] -= h;
+            }
+        }
 
+        v_iter.clone_from(v);
         let mut iters = 0;
         loop {
             iters += 1;
-            g.clear();
-            rhs.iter_mut().for_each(|x| *x = 0.0);
-
-            for r in &self.net.resistors {
-                let cond = 1.0 / r.ohms;
-                stamp_conductance(&mut g, idx(r.a), idx(r.b), cond);
-            }
-            for c in &self.net.capacitors {
-                let gc = c.farads / dt_s;
-                stamp_conductance(&mut g, idx(c.a), idx(c.b), gc);
-                let hist = gc * (v_prev[c.a] - v_prev[c.b]);
-                if let Some(a) = idx(c.a) {
-                    rhs[a] += hist;
-                }
-                if let Some(b) = idx(c.b) {
-                    rhs[b] -= hist;
-                }
-            }
-            for m in &self.net.mosfets {
-                let lin = m.linearize(v[m.d], v[m.g], v[m.s]);
-                stamp_conductance(&mut g, idx(m.d), idx(m.s), GMIN);
-                // Jacobian rows for KCL at d (+I) and s (−I).
-                let partials = [(m.d, lin.di_dvd), (m.g, lin.di_dvg), (m.s, lin.di_dvs)];
-                let i_lin =
-                    lin.ids - lin.di_dvd * v[m.d] - lin.di_dvg * v[m.g] - lin.di_dvs * v[m.s];
-                if let Some(d) = idx(m.d) {
-                    for &(node, dp) in &partials {
-                        if let Some(x) = idx(node) {
-                            g.add(d, x, dp);
-                        }
+            g.copy_from(&linear.g);
+            x.clone_from(hist);
+            for (m, stamp) in net.mosfets.iter().zip(&linear.mosfets) {
+                let (vd, vg, vs) = (v_iter[m.d], v_iter[m.g], v_iter[m.s]);
+                let lin = m.linearize(vd, vg, vs);
+                // GMIN across the channel, then the Jacobian rows for KCL
+                // at d (+I) and s (−I).
+                let terms = [
+                    GMIN,
+                    GMIN,
+                    -GMIN,
+                    -GMIN,
+                    lin.di_dvd,
+                    lin.di_dvg,
+                    lin.di_dvs,
+                    -lin.di_dvd,
+                    -lin.di_dvg,
+                    -lin.di_dvs,
+                ];
+                for (&slot, term) in stamp.slots.iter().zip(terms) {
+                    if let Some(slot) = slot {
+                        g.add_at(slot, term);
                     }
-                    rhs[d] -= i_lin;
                 }
-                if let Some(s) = idx(m.s) {
-                    for &(node, dp) in &partials {
-                        if let Some(x) = idx(node) {
-                            g.add(s, x, -dp);
-                        }
-                    }
-                    rhs[s] += i_lin;
+                let i_lin = lin.ids - lin.di_dvd * vd - lin.di_dvg * vg - lin.di_dvs * vs;
+                if let Some(d) = stamp.d {
+                    x[d] -= i_lin;
+                }
+                if let Some(s) = stamp.s {
+                    x[s] += i_lin;
                 }
             }
-            for (j, &si) in connected.iter().enumerate() {
-                let s = &self.net.sources[si];
-                let br = nodes - 1 + j;
-                let node = idx(s.node).expect("sources never drive ground");
-                g.add(br, node, 1.0);
-                g.add(node, br, 1.0);
-                rhs[br] = s.value;
+            for (j, &si) in linear.connected.iter().enumerate() {
+                x[nodes - 1 + j] = net.sources[si].value;
             }
 
-            let mut x = rhs.clone();
-            if !g.solve_in_place(&mut x) {
+            if !g.solve_in_place(x) {
                 return false;
             }
             // Damped update + convergence check.
             let mut max_delta: f64 = 0.0;
             for node in 1..nodes {
                 let newv = x[node - 1];
-                let delta = (newv - v[node]).clamp(-DAMP_V, DAMP_V);
+                let delta = (newv - v_iter[node]).clamp(-DAMP_V, DAMP_V);
                 max_delta = max_delta.max(delta.abs());
-                v[node] += delta;
+                v_iter[node] += delta;
             }
             if max_delta < TOL_V {
                 break;
@@ -249,9 +354,15 @@ impl Transient {
             }
         }
         self.newton_iters_last = iters;
-        self.v = v;
+        std::mem::swap(&mut self.v, &mut self.v_iter);
         true
     }
+}
+
+/// Unknown index of a node: node k (k ≥ 1) → k − 1; ground has none.
+/// Source branch j is unknown `nodes − 1 + j`.
+fn unknown(node: Node) -> Option<usize> {
+    node.checked_sub(1)
 }
 
 fn stamp_conductance(g: &mut Matrix, a: Option<usize>, b: Option<usize>, cond: f64) {

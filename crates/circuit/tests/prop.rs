@@ -5,6 +5,140 @@ use clr_circuit::netlist::Netlist;
 use clr_circuit::params::{CircuitParams, MosParams};
 use clr_circuit::transient::Transient;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+/// The dense LU that `Matrix::solve_in_place` replaced, kept as its
+/// oracle: partial pivoting on the first strict maximum `|a|`, whole-row
+/// swaps, and elimination over every column from the pivot's on.
+fn dense_solve(a: &mut [f64], n: usize, b: &mut [f64]) -> bool {
+    for k in 0..n {
+        let mut p = k;
+        let mut max = a[k * n + k].abs();
+        for r in (k + 1)..n {
+            let v = a[r * n + k].abs();
+            if v > max {
+                max = v;
+                p = r;
+            }
+        }
+        if max < 1e-30 {
+            return false;
+        }
+        if p != k {
+            for c in 0..n {
+                a.swap(k * n + c, p * n + c);
+            }
+            b.swap(k, p);
+        }
+        let pivot = a[k * n + k];
+        for r in (k + 1)..n {
+            let f = a[r * n + k] / pivot;
+            if f == 0.0 {
+                continue;
+            }
+            for c in k..n {
+                a[r * n + c] -= f * a[k * n + c];
+            }
+            b[r] -= f * b[k];
+        }
+    }
+    for k in (0..n).rev() {
+        let mut s = b[k];
+        for c in (k + 1)..n {
+            s -= a[k * n + c] * b[c];
+        }
+        b[k] = s / a[k * n + k];
+    }
+    true
+}
+
+/// A random MNA-like system of `n` unknowns as a dense row-major array
+/// plus right-hand side: conductances between node pairs and to ground,
+/// capacitor companions on the diagonal, asymmetric transistor-like
+/// terms, and voltage-source branch rows with zero diagonals, which force
+/// row swaps. Some draws leave an unknown unconnected, repeat a row, or
+/// drive one node from two sources, which makes the system singular.
+fn mna_system(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let log_uniform = |rng: &mut StdRng, lo: f64, hi: f64| {
+        let e: f64 = rng.gen_range(f64::ln(lo)..f64::ln(hi));
+        e.exp()
+    };
+    let branches = rng.gen_range(0..=n / 3);
+    let nodes = n - branches;
+    let mut a = vec![0.0; n * n];
+    for _ in 0..rng.gen_range(0..=2 * nodes) {
+        let g = log_uniform(&mut rng, 1e-6, 1e-2);
+        let (i, j) = (rng.gen_range(0..nodes), rng.gen_range(0..=nodes));
+        a[i * n + i] += g;
+        if j < nodes && j != i {
+            a[j * n + j] += g;
+            a[i * n + j] -= g;
+            a[j * n + i] -= g;
+        }
+    }
+    for i in 0..nodes {
+        if rng.gen_bool(0.95) {
+            a[i * n + i] += log_uniform(&mut rng, 1e-4, 1e-1);
+        }
+    }
+    for _ in 0..rng.gen_range(0..=nodes) {
+        let (d, g, s) = (
+            rng.gen_range(0..nodes),
+            rng.gen_range(0..nodes),
+            rng.gen_range(0..nodes),
+        );
+        let gm = rng.gen_range(-1e-3..1e-3);
+        a[d * n + g] += gm;
+        a[s * n + g] -= gm;
+    }
+    let all: Vec<usize> = (0..nodes).collect();
+    let mut driven: Vec<usize> = all.choose_multiple(&mut rng, branches).copied().collect();
+    if branches > 1 && rng.gen_bool(0.05) {
+        driven[1] = driven[0];
+    }
+    for (j, &node) in driven.iter().enumerate() {
+        let br = nodes + j;
+        a[br * n + node] = 1.0;
+        a[node * n + br] = 1.0;
+    }
+    if rng.gen_bool(0.1) {
+        let i = rng.gen_range(0..n);
+        for k in 0..n {
+            a[i * n + k] = 0.0;
+            a[k * n + i] = 0.0;
+        }
+    }
+    if n > 1 && rng.gen_bool(0.1) {
+        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        for k in 0..n {
+            a[j * n + k] = a[i * n + k];
+        }
+    }
+    let b = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    (a, b)
+}
+
+/// Solves `mna_system(n, seed)` with the pattern-aware solver and with the
+/// dense oracle: `(pattern verdict, pattern x, dense verdict, dense x)`.
+/// The pattern solver's matrix also marks a few explicit zeros, since its
+/// pattern may be any superset of the nonzeros.
+fn solve_both(n: usize, seed: u64) -> (bool, Vec<f64>, bool, Vec<f64>) {
+    let (a, b) = mna_system(n, seed);
+    let mut m = Matrix::zeros(n);
+    for (i, &v) in a.iter().enumerate() {
+        if v != 0.0 || i % 7 == 0 {
+            m.set(i / n, i % n, v);
+        }
+    }
+    let mut x = b.clone();
+    let ok = m.solve_in_place(&mut x);
+    let (mut dense, mut x_dense) = (a, b);
+    let dense_ok = dense_solve(&mut dense, n, &mut x_dense);
+    (ok, x, dense_ok, x_dense)
+}
 
 proptest! {
     /// LU solves diagonally-dominant systems to small residuals.
@@ -35,9 +169,30 @@ proptest! {
             }
         }
         let mut solved = b.clone();
-        prop_assert!(m.clone_for_test().solve_in_place(&mut solved));
+        prop_assert!(m.clone().solve_in_place(&mut solved));
         for (s, t) in solved.iter().zip(&x_true) {
             prop_assert!((s - t).abs() < 1e-8, "{} vs {}", s, t);
+        }
+    }
+
+    /// The pattern-aware LU returns exactly the dense loop's solution and
+    /// singular verdict on MNA-like sparse systems.
+    #[test]
+    fn pattern_lu_matches_dense_oracle(n in 1usize..=48, seed in any::<u64>()) {
+        let (ok, x, dense_ok, x_dense) = solve_both(n, seed);
+        prop_assert_eq!(ok, dense_ok);
+        if ok {
+            prop_assert_eq!(x, x_dense);
+        }
+    }
+
+    /// The same past one 64-bit pattern word per row and column.
+    #[test]
+    fn pattern_lu_matches_dense_oracle_across_words(n in 60usize..=140, seed in any::<u64>()) {
+        let (ok, x, dense_ok, x_dense) = solve_both(n, seed);
+        prop_assert_eq!(ok, dense_ok);
+        if ok {
+            prop_assert_eq!(x, x_dense);
         }
     }
 
@@ -109,8 +264,6 @@ proptest! {
     #[test]
     fn perturbation_stays_in_band(seed in 0u64..5000) {
         use clr_circuit::montecarlo::perturb;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let p = CircuitParams::default_22nm();
         let mut rng = StdRng::seed_from_u64(seed);
         let q = perturb(&p, &mut rng);
@@ -127,13 +280,26 @@ proptest! {
     }
 }
 
-/// Test-only helper: `Matrix` clone (kept out of the public API).
-trait CloneForTest {
-    fn clone_for_test(&self) -> Matrix;
-}
-
-impl CloneForTest for Matrix {
-    fn clone_for_test(&self) -> Matrix {
-        self.clone()
+/// The generator reaches both verdicts and the zero diagonals that force
+/// row swaps, so the oracle comparison covers them.
+#[test]
+fn mna_systems_cover_swaps_and_singular_cases() {
+    let (mut singular, mut solved, mut zero_diagonal) = (0, 0, 0);
+    for seed in 0..200 {
+        let n = 24;
+        let (a, _) = mna_system(n, seed);
+        if (0..n).any(|i| a[i * n + i] == 0.0) {
+            zero_diagonal += 1;
+        }
+        let (ok, _, dense_ok, _) = solve_both(n, seed);
+        assert_eq!(ok, dense_ok, "seed {seed}");
+        if ok {
+            solved += 1;
+        } else {
+            singular += 1;
+        }
     }
+    assert!(singular >= 10, "{singular} singular of 200");
+    assert!(solved >= 100, "{solved} solved of 200");
+    assert!(zero_diagonal >= 100, "{zero_diagonal} with a zero diagonal");
 }
