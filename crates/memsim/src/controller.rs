@@ -1175,9 +1175,7 @@ impl MemoryController {
             // its bank's row buffer, so its remaining commands outrank
             // demand: finishing eagerly bounds how long the bank blocks
             // demand to the job's own execution time, instead of letting
-            // a saturated bus hold the bank hostage indefinitely. Under
-            // deadline-boosted priority, overdue job starts also outrank
-            // demand.
+            // a saturated bus hold the bank hostage indefinitely.
             let migration_work = self.migration.pending_jobs() > 0;
             if migration_work {
                 issued = self.serve_migration(now, false, u64::MAX);
@@ -1352,9 +1350,7 @@ impl MemoryController {
     /// command satisfies the timing engine, the rate limiter (job starts
     /// only), and the start-eligibility rules (`None` when no migration
     /// work is pending). Like the queue bound, every input is constant
-    /// across a dead window — the only time-varying eligibility, a
-    /// deadline-boosted start on an open bank, is priced by its deadline
-    /// cycle — so the value is an exact event bound.
+    /// across a dead window, so the value is an exact event bound.
     fn migration_next_ready(&self) -> Option<u64> {
         if self.migration.pending_jobs() == 0 {
             return None;
@@ -1372,48 +1368,22 @@ impl MemoryController {
                 // burst waiting for unread data, a completion waiting for
                 // the couple point) has no command; the event that
                 // releases it is priced on the other bank.
-                if let Some(nc) = self.migration.next_command(b, open, self.cycle) {
+                if let Some(nc) = self.migration.next_command(b, open) {
                     fold(
                         self.engine
                             .earliest(nc.command, self.bank_target(b, nc.mode)),
                     );
                 }
-            } else if let Some((_row, from)) = self.migration.queued_start(b) {
-                let demand_free =
-                    !self.read_lanes.has_entries(b) && !self.write_lanes.has_entries(b);
-                match open {
-                    None if demand_free => {
-                        let target = self.bank_target(b, from);
-                        fold(self.engine.earliest(Command::Act, target).max(rate_gate));
-                    }
-                    None => {
-                        // Queued demand owns the bank; the start waits
-                        // for the queue to drain (every removal is an
-                        // event) or for its deadline boost.
-                        if let Some(at) = self.migration.boosted_start_at(b) {
-                            let target = self.bank_target(b, from);
-                            let t = self
-                                .engine
-                                .earliest(Command::Act, target)
-                                .max(at)
-                                .max(rate_gate);
-                            fold(t);
-                        }
-                    }
-                    Some((_, mode)) => {
-                        // The start waits for the bank to close (demand
-                        // PRE or timeout close — both events), unless a
-                        // deadline boost lets it force the close.
-                        if let Some(at) = self.migration.boosted_start_at(b) {
-                            let target = self.bank_target(b, mode);
-                            let t = self
-                                .engine
-                                .earliest(Command::Pre, target)
-                                .max(at)
-                                .max(rate_gate);
-                            fold(t);
-                        }
-                    }
+            } else if open.is_none()
+                && !self.read_lanes.has_entries(b)
+                && !self.write_lanes.has_entries(b)
+            {
+                // A start needs a closed bank no demand is queued for;
+                // otherwise it waits for the bank to close (demand PRE or
+                // timeout close) or the queue to drain — all events.
+                if let Some((_row, from)) = self.migration.queued_start(b) {
+                    let target = self.bank_target(b, from);
+                    fold(self.engine.earliest(Command::Act, target).max(rate_gate));
                 }
             }
         }
@@ -1517,17 +1487,17 @@ impl MemoryController {
     /// Issues one background-migration command if any bank's next
     /// migration step is engine-ready (and, for job starts, the rate
     /// limiter allows it). With `idle_slot` false, only jobs demand is
-    /// waiting on — and overdue (deadline-boosted) starts — are
-    /// eligible; in idle slots (`demand_ready` carries the scheduling
-    /// pass's next-ready bound) phase-start ACTs are additionally
-    /// tRRD-shadow-gated so relocation never delays an imminent demand
-    /// activate. Banks are visited round-robin so one bank's backlog
-    /// cannot starve the rest. Returns whether a command issued.
+    /// waiting on are eligible; in idle slots (`demand_ready` carries the
+    /// scheduling pass's next-ready bound) phase-start ACTs are
+    /// additionally tRRD-shadow-gated so relocation never delays an
+    /// imminent demand activate. Banks are visited round-robin so one
+    /// bank's backlog cannot starve the rest. Returns whether a command
+    /// issued.
     fn serve_migration(&mut self, now: u64, idle_slot: bool, demand_ready: u64) -> bool {
         let n = self.banks.len();
         let start = self.migration.rr_start();
-        // The rate limiter is global and applies to every start (overdue
-        // or not), so when it is closed only busy banks merit a look.
+        // The rate limiter is global and applies to every start, so when
+        // it is closed only busy banks merit a look.
         let start_blocked = self.migration.rate_gate(now) > now;
         for k in 0..n {
             let b = (start + k) % n;
@@ -1564,21 +1534,16 @@ impl MemoryController {
                 {
                     continue;
                 }
-            }
-            if !busy {
-                // A start: must be allowed in this slot, target a bank
-                // demand is not using (unless overdue under deadline
-                // boost), and pass the rate limiter.
-                let overdue = self.migration.is_overdue_start(b, now);
-                if !idle_slot && !overdue {
-                    continue;
-                }
-                if !overdue && (self.read_lanes.has_entries(b) || self.write_lanes.has_entries(b)) {
-                    continue;
-                }
+            } else if !idle_slot
+                || self.read_lanes.has_entries(b)
+                || self.write_lanes.has_entries(b)
+            {
+                // A start must take an idle slot on a bank demand is not
+                // using (and pass the rate limiter, checked above).
+                continue;
             }
             let open = self.banks[b].open_row.map(|r| (r, self.banks[b].open_mode));
-            let Some(nc) = self.migration.next_command(b, open, now) else {
+            let Some(nc) = self.migration.next_command(b, open) else {
                 continue;
             };
             if idle_slot
@@ -1611,7 +1576,7 @@ impl MemoryController {
                     let closed = self.banks[b].precharge();
                     self.engine.issue(Command::Pre, target, now);
                     self.stats.record_migration_pre(closed);
-                    let step = self.migration.note_pre(b, now);
+                    let step = self.migration.note_pre(b);
                     match step {
                         MigrationStep::Couple { row, to } => {
                             // The couple point: the row's mode flips here;

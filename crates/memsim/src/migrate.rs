@@ -23,23 +23,25 @@
 //! cell already holds the stored bit — and is applied immediately, as in
 //! the stall model.
 //!
-//! # Placement: one bank or two
+//! # One job, two sides
 //!
-//! Where the destination frame lives is the
-//! [`DestinationPicker`](crate::frames::DestinationPicker)'s call. With
-//! the legacy **same-bank** placement the two phases serialize on one
-//! row buffer and the write-back ACT additionally waits for a
-//! write-drain episode. With a **cross-bank** destination the job spans
-//! *two* banks: the destination's ACT issues while the read-out is still
-//! streaming (its ACT/tRCD window hides under the read bursts), write
-//! bursts are released as soon as the data they carry has been read
-//! (`wr_remaining > rd_remaining`), and the couple point still gates the
-//! completion so the mode flip always precedes it. Row blocking is
-//! two-bank: the source row blocks until the couple point (reads stay
-//! servable during read-out — the data sits intact in the row buffer),
-//! the destination row blocks until the job completes, and each bank
-//! blocks demand entirely only while the job holds *that bank's* row
-//! buffer.
+//! Every job is a *read-out side* on its owning bank and a *write-back
+//! side* on the bank of its destination frame, which the
+//! [`DestinationPicker`](crate::frames::DestinationPicker) chooses. Under
+//! **same-bank** placement both sides share the owning bank's row
+//! buffer: the read-out's commands come first until its PRE (the couple
+//! point), only then does the write-back ACT the destination frame, and
+//! the controller lets that ACT wait for a write-drain episode. Under
+//! **cross-bank** placement the sides run on two banks and overlap: the
+//! destination's ACT issues while the read-out is still streaming (its
+//! ACT/tRCD window hides under the read bursts). Either way, write
+//! bursts are released only once the data they carry has been read
+//! (`wr_remaining > rd_remaining`), and the couple point gates the
+//! completion so the mode flip always precedes it. The source row
+//! blocks until the couple point (reads stay servable during read-out —
+//! the data sits intact in the row buffer), the destination row blocks
+//! until the job completes, and a bank blocks demand entirely only while
+//! one of the job's sides holds that bank's row buffer.
 //!
 //! Beyond couplings, the engine executes the capacity directory's
 //! whole-row frame moves ([`JobKind`]): same-channel **evacuations**
@@ -54,14 +56,11 @@
 //! Jobs queue per owning bank and at most one migration role (job source
 //! *or* destination) is in flight per bank. Under
 //! [`RelocationMode::Background`] a job *starts* only on a cycle where
-//! no demand command could issue, on a bank with no queued demand,
-//! outside the tRRD shadow of imminent demand activates; once a phase's
-//! ACT has issued, the burst train finishes contiguously, and a job that
-//! demand is actually waiting on finishes at demand priority. Same-bank
-//! write-back phases preferentially ride write-drain episodes. Under
-//! [`RelocationMode::DeadlineBoosted`] a job that has waited longer
-//! than its deadline may also start ahead of demand. An optional
-//! [`MigrationRate`] caps job starts per cycle window.
+//! no demand command could issue, on a closed bank with no queued
+//! demand, outside the tRRD shadow of imminent demand activates; once a
+//! side's ACT has issued, the burst train finishes contiguously, and a
+//! job that demand is actually waiting on finishes at demand priority.
+//! An optional [`MigrationRate`] caps job starts per cycle window.
 //!
 //! The engine is driven by the controller, which owns all protocol state;
 //! this module tracks job progress and answers two questions the
@@ -92,14 +91,6 @@ pub enum RelocationMode {
     /// only in idle bank slots; an in-flight job finishes eagerly so its
     /// bank unblocks quickly.
     Background,
-    /// Background migration, but a job that has been pending longer than
-    /// `deadline_cycles` may also *start* ahead of demand until the
-    /// backlog is on time again.
-    DeadlineBoosted {
-        /// Pending age (in DRAM cycles, from dispatch) past which
-        /// migration job starts take priority over demand.
-        deadline_cycles: u64,
-    },
 }
 
 /// Rate limit on background-migration bandwidth: at most `max_starts`
@@ -123,7 +114,7 @@ pub struct MigrationRate {
 pub struct RelocationConfig {
     /// The relocation realization.
     pub mode: RelocationMode,
-    /// Optional migration-bandwidth cap (background modes only).
+    /// Optional migration-bandwidth cap (background mode only).
     pub rate: Option<MigrationRate>,
 }
 
@@ -159,8 +150,7 @@ impl RelocationConfig {
         }
     }
 
-    /// Whether this configuration migrates in the background (any
-    /// non-stall mode).
+    /// Whether this configuration migrates in the background.
     pub fn is_background(&self) -> bool {
         self.mode != RelocationMode::Stall
     }
@@ -173,15 +163,6 @@ impl Default for RelocationConfig {
             rate: None,
         }
     }
-}
-
-/// Which half of the data movement a same-bank job is executing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobPhase {
-    /// ACT in the old mode, RD bursts, PRE — then the couple point.
-    ReadOut,
-    /// ACT in the new mode, WR bursts, PRE — then the job is complete.
-    WriteBack,
 }
 
 /// What a migration job moves and why — the capacity directory's job
@@ -205,33 +186,35 @@ pub enum JobKind {
     FillIn,
 }
 
-/// Per-side execution state of a job.
+/// Execution state of a job's two sides: the read-out on the owning
+/// bank and the write-back on the destination frame's bank.
 #[derive(Debug, Clone, Copy)]
-enum JobState {
-    /// Legacy same-bank coupling: strictly sequential phases on one
-    /// bank's row buffer.
-    SameBank {
-        phase: JobPhase,
-        /// Whether the current phase's ACT has issued.
-        opened: bool,
-        /// Column bursts remaining in the current phase.
-        remaining: u32,
-    },
-    /// A job whose read-out and write-back sides live on different banks
-    /// (or that has only one side): the sides progress concurrently.
-    TwoBank {
-        /// Whether the read-out ACT has issued.
-        src_opened: bool,
-        /// RD bursts remaining.
-        rd_remaining: u32,
-        /// Whether the read-out side finished (its PRE issued) — for
-        /// [`JobKind::FillIn`] true from dispatch.
-        src_done: bool,
-        /// Whether the write-back ACT has issued.
-        dest_opened: bool,
-        /// WR bursts remaining.
-        wr_remaining: u32,
-    },
+struct JobState {
+    /// Whether the read-out ACT has issued.
+    src_opened: bool,
+    /// RD bursts remaining.
+    rd_remaining: u32,
+    /// Whether the read-out side finished (its PRE issued) — for
+    /// [`JobKind::FillIn`], which has no read-out, true from dispatch.
+    src_done: bool,
+    /// Whether the write-back ACT has issued.
+    dest_opened: bool,
+    /// WR bursts remaining.
+    wr_remaining: u32,
+}
+
+impl JobState {
+    /// A job that reads `rd` bursts out and writes `wr` bursts back
+    /// (`rd == 0`: no read-out side).
+    fn new(rd: u32, wr: u32) -> Self {
+        JobState {
+            src_opened: false,
+            rd_remaining: rd,
+            src_done: rd == 0,
+            dest_opened: false,
+            wr_remaining: wr,
+        }
+    }
 }
 
 /// One row's relocation, decomposed into commands.
@@ -252,25 +235,16 @@ pub struct MigrationJob {
     /// Mode after the transition (couplings only; frame moves keep
     /// max-capacity).
     pub to: RowMode,
-    /// Cycle the job was dispatched (drives the deadline boost).
+    /// Cycle the job was dispatched, for end-to-end job latency.
     pub dispatched_at: u64,
     state: JobState,
 }
 
 impl MigrationJob {
-    /// The bank the destination side runs on, when it differs from the
-    /// owning bank.
-    fn cross_dest_bank(&self, owning: usize) -> Option<usize> {
-        if self.dest_bank == u32::MAX || self.dest_bank as usize == owning {
-            None
-        } else {
-            Some(self.dest_bank as usize)
-        }
-    }
-
-    /// Whether the job has a read-out side still to run.
-    fn has_src_side(&self) -> bool {
-        !matches!(self.kind, JobKind::FillIn)
+    /// The bank the write-back side runs on (`None` for an
+    /// evacuate-out, whose data leaves the channel).
+    fn write_bank(&self) -> Option<usize> {
+        (self.dest_bank != u32::MAX).then_some(self.dest_bank as usize)
     }
 }
 
@@ -280,8 +254,8 @@ impl MigrationJob {
 pub struct NextMigrationCommand {
     /// The command.
     pub command: Command,
-    /// Row the command targets (the job row for ACT/RD/WR; the bank's
-    /// open row for a starting PRE).
+    /// Row the command targets (the source row or destination frame for
+    /// an ACT; the bank's open row otherwise).
     pub row: u32,
     /// Mode governing the command's timings.
     pub mode: RowMode,
@@ -469,12 +443,10 @@ pub struct MigrationEngine {
     bursts_per_phase: u32,
     queues: JobArena,
     active: Vec<Option<MigrationJob>>,
-    /// For banks serving as the *destination* side of an active two-bank
-    /// job: the owning bank.
+    /// For banks serving as the *destination* side of an active job: the
+    /// owning bank (the bank itself for same-bank couplings and
+    /// fill-ins).
     dest_of: Vec<Option<usize>>,
-    /// Banks with an in-flight migration role (job source or
-    /// destination).
-    busy: Vec<bool>,
     /// Banks whose in-flight role currently *holds the row buffer* (its
     /// side's ACT has issued): the whole bank blocks demand. Otherwise
     /// only the migrating row blocks (see `row_block`).
@@ -526,7 +498,6 @@ impl MigrationEngine {
             queues: JobArena::new(banks),
             active: vec![None; banks],
             dest_of: vec![None; banks],
-            busy: vec![false; banks],
             held: vec![false; banks],
             row_block: vec![u32::MAX; banks],
             readout_src: vec![u32::MAX; banks],
@@ -571,7 +542,7 @@ impl MigrationEngine {
     /// Whether bank `b` has an in-flight migration role (job source or
     /// destination; started, not complete).
     pub fn is_busy(&self, bank: usize) -> bool {
-        self.busy[bank]
+        self.active[bank].is_some() || self.dest_of[bank].is_some()
     }
 
     /// Whether bank `b` has any migration work to consider at all — an
@@ -579,7 +550,7 @@ impl MigrationEngine {
     /// the controller's per-tick scans can skip workless banks before
     /// paying any eligibility or timing checks.
     pub fn bank_has_work(&self, bank: usize) -> bool {
-        self.busy[bank] || self.active[bank].is_some() || !self.queues.is_empty(bank)
+        self.is_busy(bank) || !self.queues.is_empty(bank)
     }
 
     /// Whether bank `b`'s in-flight role is mid-burst-train (its side's
@@ -592,23 +563,20 @@ impl MigrationEngine {
         self.held[bank]
     }
 
-    /// Whether bank `b`'s in-flight *same-bank* job is waiting to open
-    /// its write-back phase. The controller aligns these with
-    /// write-drain episodes: a WR burst train injected while the rank
-    /// serves reads pays a write→read turnaround that blocks the whole
-    /// rank, but during a drain the bus is already turned around for
-    /// writes. Cross-bank destinations are exempt — hiding the
-    /// destination ACT under the read-out is the point of the placement.
+    /// Whether bank `b`'s in-flight *same-bank* coupling has passed its
+    /// couple point and is waiting to open its write-back side. The
+    /// controller aligns these with write-drain episodes: a WR burst
+    /// train injected while the rank serves reads pays a write→read
+    /// turnaround that blocks the whole rank, but during a drain the bus
+    /// is already turned around for writes. Cross-bank destinations are
+    /// exempt — hiding the destination ACT under the read-out is the
+    /// point of the placement — and so are fill-ins.
     pub fn pending_writeback_act(&self, bank: usize) -> bool {
         self.active[bank].is_some_and(|j| {
-            matches!(
-                j.state,
-                JobState::SameBank {
-                    opened: false,
-                    phase: JobPhase::WriteBack,
-                    ..
-                }
-            )
+            j.kind == JobKind::Couple
+                && j.dest_bank as usize == bank
+                && j.state.src_done
+                && !j.state.dest_opened
         })
     }
 
@@ -675,10 +643,10 @@ impl MigrationEngine {
     }
 
     /// Dispatches one coupling job with an explicit destination bank:
-    /// `dest_bank == bank` is the legacy serialized placement, anything
-    /// else the overlapped two-bank execution. Returns `false` (and does
-    /// nothing) if either row already has a pending role or the
-    /// coordinates are degenerate.
+    /// with `dest_bank == bank` the job's two sides serialize on one row
+    /// buffer, anything else is the overlapped two-bank execution.
+    /// Returns `false` (and does nothing) if either row already has a
+    /// pending role or the coordinates are degenerate.
     #[allow(clippy::too_many_arguments)]
     pub fn dispatch_couple(
         &mut self,
@@ -696,21 +664,6 @@ impl MigrationEngine {
         {
             return false;
         }
-        let state = if dest_bank == bank {
-            JobState::SameBank {
-                phase: JobPhase::ReadOut,
-                opened: false,
-                remaining: self.bursts_per_phase,
-            }
-        } else {
-            JobState::TwoBank {
-                src_opened: false,
-                rd_remaining: self.bursts_per_phase,
-                src_done: false,
-                dest_opened: false,
-                wr_remaining: self.bursts_per_phase,
-            }
-        };
         self.enqueue_job(
             bank,
             MigrationJob {
@@ -721,7 +674,7 @@ impl MigrationEngine {
                 from,
                 to,
                 dispatched_at: now,
-                state,
+                state: JobState::new(self.bursts_per_phase, self.bursts_per_phase),
             },
         );
         true
@@ -745,6 +698,7 @@ impl MigrationEngine {
         {
             return false;
         }
+        let bursts = self.bursts_per_frame_move();
         self.enqueue_job(
             bank,
             MigrationJob {
@@ -755,13 +709,7 @@ impl MigrationEngine {
                 from: RowMode::MaxCapacity,
                 to: RowMode::MaxCapacity,
                 dispatched_at: now,
-                state: JobState::TwoBank {
-                    src_opened: false,
-                    rd_remaining: self.bursts_per_frame_move(),
-                    src_done: false,
-                    dest_opened: false,
-                    wr_remaining: self.bursts_per_frame_move(),
-                },
+                state: JobState::new(bursts, bursts),
             },
         );
         true
@@ -786,13 +734,7 @@ impl MigrationEngine {
                 from: RowMode::MaxCapacity,
                 to: RowMode::MaxCapacity,
                 dispatched_at: now,
-                state: JobState::TwoBank {
-                    src_opened: false,
-                    rd_remaining: self.bursts_per_frame_move(),
-                    src_done: false,
-                    dest_opened: false,
-                    wr_remaining: 0,
-                },
+                state: JobState::new(self.bursts_per_frame_move(), 0),
             },
         );
         true
@@ -828,13 +770,7 @@ impl MigrationEngine {
                 from: RowMode::MaxCapacity,
                 to: RowMode::MaxCapacity,
                 dispatched_at: now,
-                state: JobState::TwoBank {
-                    src_opened: false,
-                    rd_remaining: 0,
-                    src_done: true,
-                    dest_opened: false,
-                    wr_remaining: self.bursts_per_frame_move(),
-                },
+                state: JobState::new(0, self.bursts_per_frame_move()),
             },
         );
         true
@@ -842,8 +778,8 @@ impl MigrationEngine {
 
     fn enqueue_job(&mut self, bank: usize, job: MigrationJob) {
         self.reserved.insert((bank as u32, job.row));
-        if job.dest_bank != u32::MAX {
-            self.reserved.insert((job.dest_bank, job.dest));
+        if let Some(db) = job.write_bank() {
+            self.reserved.insert((db as u32, job.dest));
         }
         // The capacity directory's frame moves are few and system-wide
         // (a stuck move pins reservations on two channels), so they jump
@@ -856,31 +792,15 @@ impl MigrationEngine {
         self.pending_jobs += 1;
     }
 
-    /// Whether bank `b` has a queued (not yet started) job past the
-    /// deadline-boost threshold at `now` (always `false` outside
-    /// [`RelocationMode::DeadlineBoosted`]).
-    pub fn is_overdue_start(&self, bank: usize, now: u64) -> bool {
-        let RelocationMode::DeadlineBoosted { deadline_cycles } = self.cfg.mode else {
-            return false;
-        };
-        if self.start_blocked(bank) {
-            return false;
-        }
-        self.queues
-            .front(bank)
-            .is_some_and(|j| now.saturating_sub(j.dispatched_at) >= deadline_cycles)
-    }
-
     /// Whether the front job of `bank`'s queue cannot start because a
     /// migration role already occupies one of its banks.
     fn start_blocked(&self, bank: usize) -> bool {
-        if self.active[bank].is_some() || self.dest_of[bank].is_some() {
-            return true;
-        }
-        self.queues.front(bank).is_some_and(|j| {
-            j.cross_dest_bank(bank)
-                .is_some_and(|db| self.active[db].is_some() || self.dest_of[db].is_some())
-        })
+        self.is_busy(bank)
+            || self
+                .queues
+                .front(bank)
+                .and_then(MigrationJob::write_bank)
+                .is_some_and(|db| self.is_busy(db))
     }
 
     /// The first command of a queued job: the read-out ACT of its
@@ -904,22 +824,6 @@ impl MigrationEngine {
         self.queues.front(bank).map(Self::start_target)
     }
 
-    /// The cycle from which a queued job on `bank` may start *despite
-    /// demand* (an open row, or queued demand entries): never under pure
-    /// background — the start waits for a demand-free closed bank — and
-    /// the job's deadline under [`RelocationMode::DeadlineBoosted`].
-    pub fn boosted_start_at(&self, bank: usize) -> Option<u64> {
-        let RelocationMode::DeadlineBoosted { deadline_cycles } = self.cfg.mode else {
-            return None;
-        };
-        if self.start_blocked(bank) {
-            return None;
-        }
-        self.queues
-            .front(bank)
-            .map(|j| j.dispatched_at.saturating_add(deadline_cycles))
-    }
-
     /// The earliest cycle ≥ `now` at which the rate limiter permits a
     /// migration job to *start* (`now` itself when unlimited or under
     /// budget, the next window boundary when the current window's starts
@@ -936,466 +840,242 @@ impl MigrationEngine {
         }
     }
 
-    /// The read-out-side command of an in-flight job on its owning bank,
-    /// `None` once that side is done.
-    fn src_side_command(
-        job: &MigrationJob,
-        open: Option<(u32, RowMode)>,
-    ) -> Option<NextMigrationCommand> {
-        match job.state {
-            JobState::SameBank {
-                phase,
-                opened,
-                remaining,
-            } => {
-                // Legacy sequential walk, verbatim.
-                let cmd = if !opened {
-                    // Between phases the bank is released to demand; if a
-                    // demand row is open when the next phase is due, it is
-                    // closed first.
-                    if let Some((row, mode)) = open {
-                        NextMigrationCommand {
-                            command: Command::Pre,
-                            row,
-                            mode,
-                        }
-                    } else {
-                        // Read-out activates the source in its old mode; the
-                        // write-back activates the (max-capacity) destination
-                        // frame.
-                        let (row, mode) = match phase {
-                            JobPhase::ReadOut => (job.row, job.from),
-                            JobPhase::WriteBack => (job.dest, RowMode::MaxCapacity),
-                        };
-                        NextMigrationCommand {
-                            command: Command::Act,
-                            row,
-                            mode,
-                        }
-                    }
-                } else if remaining > 0 {
-                    let command = match phase {
-                        JobPhase::ReadOut => Command::Rd,
-                        JobPhase::WriteBack => Command::Wr,
-                    };
-                    let (row, mode) = open.expect("in-flight job holds the bank open");
-                    NextMigrationCommand { command, row, mode }
-                } else {
-                    let (row, mode) = open.expect("in-flight job holds the bank open");
-                    NextMigrationCommand {
-                        command: Command::Pre,
-                        row,
-                        mode,
-                    }
-                };
-                Some(cmd)
-            }
-            JobState::TwoBank {
-                src_opened,
-                rd_remaining,
-                src_done,
-                ..
-            } => {
-                if src_done || !job.has_src_side() {
-                    return None;
-                }
-                let cmd = if !src_opened {
-                    if let Some((row, mode)) = open {
-                        // A demand row (or refresh leftover) occupies the
-                        // buffer; close it before (re-)activating.
-                        NextMigrationCommand {
-                            command: Command::Pre,
-                            row,
-                            mode,
-                        }
-                    } else {
-                        NextMigrationCommand {
-                            command: Command::Act,
-                            row: job.row,
-                            mode: job.from,
-                        }
-                    }
-                } else if rd_remaining > 0 {
-                    let (row, mode) = open.expect("read-out holds the bank open");
-                    NextMigrationCommand {
-                        command: Command::Rd,
-                        row,
-                        mode,
-                    }
-                } else {
-                    let (row, mode) = open.expect("read-out holds the bank open");
-                    NextMigrationCommand {
-                        command: Command::Pre,
-                        row,
-                        mode,
-                    }
-                };
-                Some(cmd)
-            }
+    /// The in-flight job side that issues on `bank`, as `(owning bank,
+    /// whether it is the read-out side)`: the bank's own job until its
+    /// read-out PRE, else the write-back side of the job whose
+    /// destination frame lives here — for a same-bank coupling, the same
+    /// job once its read-out is done. `None` for a bank without a role,
+    /// and for a cross-bank owner past its read-out.
+    fn role(&self, bank: usize) -> Option<(usize, bool)> {
+        if self.active[bank].is_some_and(|j| !j.state.src_done) {
+            return Some((bank, true));
+        }
+        self.dest_of[bank].map(|owner| (owner, false))
+    }
+
+    /// The flag recording whether the ACT of one side (read-out when
+    /// `src`) of `owner`'s active job has issued.
+    fn opened_mut(&mut self, owner: usize, src: bool) -> &mut bool {
+        let state = &mut self.active[owner].as_mut().expect("active owner").state;
+        if src {
+            &mut state.src_opened
+        } else {
+            &mut state.dest_opened
         }
     }
 
-    /// The write-back-side command of an in-flight two-bank job on its
-    /// destination bank. `None` while the side is blocked on unread data
-    /// or on the couple point — both released by source-side events.
+    /// One side's next command on its bank: the side's ACT of `act` on a
+    /// closed bank, a PRE of whatever row occupies the buffer (a demand
+    /// row, or a refresh leftover) ahead of that ACT, and `then` on the
+    /// side's own row once it holds the buffer.
+    fn side_command(
+        opened: bool,
+        act: (u32, RowMode),
+        then: Command,
+        open: Option<(u32, RowMode)>,
+    ) -> NextMigrationCommand {
+        let (command, (row, mode)) = match (opened, open) {
+            (false, None) => (Command::Act, act),
+            (false, Some(occupant)) => (Command::Pre, occupant),
+            (true, own) => (then, own.expect("an opened side holds its bank open")),
+        };
+        NextMigrationCommand { command, row, mode }
+    }
+
+    /// The read-out side's next command: ACT the source in its old
+    /// mode, stream the RD bursts, PRE (the couple point, for
+    /// couplings).
+    fn src_side_command(job: &MigrationJob, open: Option<(u32, RowMode)>) -> NextMigrationCommand {
+        let s = job.state;
+        let then = if s.rd_remaining > 0 {
+            Command::Rd
+        } else {
+            Command::Pre
+        };
+        Self::side_command(s.src_opened, (job.row, job.from), then, open)
+    }
+
+    /// The write-back side's next command: ACT the (max-capacity)
+    /// destination frame, stream the WR bursts, PRE. `None` while the
+    /// side is blocked on unread data or on the couple point — both
+    /// released by read-out events.
     fn dest_side_command(
         job: &MigrationJob,
         open: Option<(u32, RowMode)>,
     ) -> Option<NextMigrationCommand> {
-        let JobState::TwoBank {
-            rd_remaining,
-            src_done,
-            dest_opened,
-            wr_remaining,
-            ..
-        } = job.state
-        else {
-            return None;
-        };
-        if !dest_opened {
-            return Some(match open {
-                // A demand row occupies the destination's buffer; close
-                // it first.
-                Some((row, mode)) => NextMigrationCommand {
-                    command: Command::Pre,
-                    row,
-                    mode,
-                },
-                // The write-back ACT may issue any time from the job's
-                // start: hiding its ACT/tRCD window under the read-out is
-                // the overlap this placement buys.
-                None => NextMigrationCommand {
-                    command: Command::Act,
-                    row: job.dest,
-                    mode: RowMode::MaxCapacity,
-                },
-            });
-        }
-        if wr_remaining > 0 {
+        let s = job.state;
+        let (then, ready) = if s.wr_remaining > 0 {
             // A write burst may only carry data that has been read:
             // wr_remaining must stay strictly behind rd_remaining.
-            if wr_remaining > rd_remaining {
-                let (row, mode) = open.expect("write-back holds the bank open");
-                return Some(NextMigrationCommand {
-                    command: Command::Wr,
-                    row,
-                    mode,
-                });
-            }
+            (Command::Wr, s.wr_remaining > s.rd_remaining)
+        } else {
+            // All data written: completion must not outrun the
+            // read-out's PRE (the couple point, for couplings).
+            (Command::Pre, s.src_done)
+        };
+        if s.dest_opened && !ready {
             return None;
         }
-        if !src_done {
-            // All data written but the source has not precharged (the
-            // couple point, for couplings): completion must not outrun
-            // it.
-            return None;
-        }
-        let (row, mode) = open.expect("write-back holds the bank open");
-        Some(NextMigrationCommand {
-            command: Command::Pre,
-            row,
-            mode,
-        })
+        // Otherwise the write-back ACT may issue any time its bank is
+        // free: on another bank from the job's start — hiding its
+        // ACT/tRCD window under the read-out is the overlap a cross-bank
+        // placement buys — and on the owning bank after the read-out.
+        Some(Self::side_command(
+            s.dest_opened,
+            (job.dest, RowMode::MaxCapacity),
+            then,
+            open,
+        ))
     }
 
     /// The command migration would issue next on `bank`, given the bank's
-    /// open row/mode (`None` when the bank has no migration work it may
-    /// progress at `now`). Pure bookkeeping: timing readiness is the
-    /// controller's engine's call. A queued job starts with ACT on a
-    /// closed bank, and may start by precharging an open bank only once
-    /// overdue under deadline-boosted priority.
+    /// open row/mode (`None` when the bank has no migration command to
+    /// issue). Pure bookkeeping: timing readiness is the controller's
+    /// engine's call. A queued job starts with its first ACT, on a
+    /// closed bank only — an open bank is demand territory.
     pub fn next_command(
         &self,
         bank: usize,
         open: Option<(u32, RowMode)>,
-        now: u64,
     ) -> Option<NextMigrationCommand> {
-        if let Some(job) = self.active[bank].as_ref() {
-            if let Some(cmd) = Self::src_side_command(job, open) {
-                return Some(cmd);
-            }
-            // The source side is done (or absent). If this bank doubles
-            // as the job's destination (fill-in), the dest lookup below
-            // serves it; a cross-bank owner has nothing more to issue
-            // here.
+        if let Some((owner, src)) = self.role(bank) {
+            let job = self.active[owner].as_ref().expect("active owner");
+            return if src {
+                Some(Self::src_side_command(job, open))
+            } else {
+                Self::dest_side_command(job, open)
+            };
         }
-        if let Some(owner) = self.dest_of[bank] {
-            let job = self.active[owner]
-                .as_ref()
-                .expect("dest role implies an active owner");
-            return Self::dest_side_command(job, open);
-        }
-        if self.active[bank].is_some() {
+        if self.active[bank].is_some() || open.is_some() {
             return None;
         }
-        let (srow, smode) = self.queued_start(bank)?;
-        match open {
-            // An open bank is demand territory: only an overdue job under
-            // deadline boost may close it to start.
-            Some((row, mode)) => {
-                if self.is_overdue_start(bank, now) {
-                    Some(NextMigrationCommand {
-                        command: Command::Pre,
-                        row,
-                        mode,
-                    })
-                } else {
-                    None
-                }
-            }
-            None => Some(NextMigrationCommand {
-                command: Command::Act,
-                row: srow,
-                mode: smode,
-            }),
-        }
+        let (row, mode) = self.queued_start(bank)?;
+        Some(NextMigrationCommand {
+            command: Command::Act,
+            row,
+            mode,
+        })
     }
 
     /// Records that a migration ACT issued on `bank` (installs the
     /// owning job as active first if it was still queued).
     pub fn note_act(&mut self, bank: usize, now: u64) {
         self.bump(bank);
-        if self.active[bank].is_none() && self.dest_of[bank].is_none() {
+        if !self.is_busy(bank) {
             self.start(bank, now);
         }
-        // Source side?
-        if let Some(job) = self.active[bank].as_mut() {
-            match &mut job.state {
-                JobState::SameBank { opened, .. } => {
-                    debug_assert!(!*opened, "double ACT within a phase");
-                    *opened = true;
-                    self.held[bank] = true;
-                    return;
-                }
-                JobState::TwoBank {
-                    src_opened,
-                    src_done,
-                    ..
-                } if !*src_done && job.kind != JobKind::FillIn => {
-                    debug_assert!(!*src_opened, "double read-out ACT");
-                    *src_opened = true;
-                    self.held[bank] = true;
-                    return;
-                }
-                _ => {}
-            }
-        }
-        // Destination side.
-        let owner = self.dest_of[bank].expect("ACT requires a migration role");
-        let job = self.active[owner].as_mut().expect("active owner");
-        let JobState::TwoBank { dest_opened, .. } = &mut job.state else {
-            unreachable!("dest role is only taken by two-bank jobs");
-        };
-        debug_assert!(!*dest_opened, "double write-back ACT");
-        *dest_opened = true;
+        let (owner, src) = self.role(bank).expect("ACT requires a migration role");
+        let opened = self.opened_mut(owner, src);
+        debug_assert!(!*opened, "double ACT on one side");
+        *opened = true;
         self.held[bank] = true;
     }
 
     /// Records that a migration column burst issued on `bank`.
     pub fn note_column(&mut self, bank: usize, _now: u64) {
         self.bump(bank);
-        if let Some(job) = self.active[bank].as_mut() {
-            match &mut job.state {
-                JobState::SameBank {
-                    opened, remaining, ..
-                } => {
-                    debug_assert!(*opened && *remaining > 0);
-                    *remaining -= 1;
-                    return;
-                }
-                JobState::TwoBank {
-                    src_opened,
-                    rd_remaining,
-                    src_done,
-                    ..
-                } if !*src_done && job.kind != JobKind::FillIn => {
-                    debug_assert!(*src_opened && *rd_remaining > 0);
-                    *rd_remaining -= 1;
-                    return;
-                }
-                _ => {}
-            }
+        let (owner, src) = self.role(bank).expect("column requires a migration role");
+        let s = &mut self.active[owner].as_mut().expect("active owner").state;
+        if src {
+            debug_assert!(s.src_opened && s.rd_remaining > 0);
+            s.rd_remaining -= 1;
+        } else {
+            debug_assert!(s.dest_opened && s.wr_remaining > s.rd_remaining);
+            s.wr_remaining -= 1;
         }
-        let owner = self.dest_of[bank].expect("column requires a migration role");
-        let job = self.active[owner].as_mut().expect("active owner");
-        let JobState::TwoBank {
-            dest_opened,
-            wr_remaining,
-            rd_remaining,
-            ..
-        } = &mut job.state
-        else {
-            unreachable!("dest role is only taken by two-bank jobs");
-        };
-        debug_assert!(*dest_opened && *wr_remaining > *rd_remaining);
-        *wr_remaining -= 1;
     }
 
-    /// Records that a migration PRE issued on `bank`: a starting PRE
-    /// that closes a demand row (job still queued), a side's
-    /// phase-ending PRE, or a demand-row close before a side's
-    /// (re-)ACT. Returns the resulting step so the controller can apply
-    /// couple points, completions, and placement bookkeeping.
-    pub fn note_pre(&mut self, bank: usize, now: u64) -> MigrationStep {
+    /// Records that a migration PRE issued on `bank`: a side's closing
+    /// PRE, or a demand-row close ahead of a side's (re-)ACT. Returns
+    /// the resulting step so the controller can apply couple points,
+    /// completions, and placement bookkeeping.
+    pub fn note_pre(&mut self, bank: usize) -> MigrationStep {
         self.bump(bank);
-        if self.active[bank].is_none() && self.dest_of[bank].is_none() {
-            // Starting PRE: the job takes ownership; its first ACT is next.
-            self.start(bank, now);
+        let (owner, src) = self.role(bank).expect("PRE requires a migration role");
+        if !*self.opened_mut(owner, src) {
+            // The side's ACT had not issued: the PRE closed a demand row
+            // ahead of it.
             return MigrationStep::InProgress;
         }
-        // Source side?
-        if let Some(job) = self.active[bank] {
-            match job.state {
-                JobState::SameBank {
-                    phase,
-                    opened,
-                    remaining,
-                } => {
-                    if !opened {
-                        // The job owned the bank but its phase ACT had not
-                        // issued — the PRE closed a demand row ahead of the
-                        // re-ACT.
-                        return MigrationStep::InProgress;
-                    }
-                    debug_assert_eq!(remaining, 0, "PRE before the phase drained");
-                    self.held[bank] = false;
-                    match phase {
-                        JobPhase::ReadOut => {
-                            let job = self.active[bank].as_mut().expect("checked above");
-                            job.state = JobState::SameBank {
-                                phase: JobPhase::WriteBack,
-                                opened: false,
-                                remaining: self.bursts_per_phase,
-                            };
-                            // From the couple point on, the source row is
-                            // usable in its new mode; only the destination
-                            // frame still blocks.
-                            self.row_block[bank] = job.dest;
-                            self.readout_src[bank] = u32::MAX;
-                            return MigrationStep::Couple {
-                                row: job.row,
-                                to: job.to,
-                            };
-                        }
-                        JobPhase::WriteBack => {
-                            return self.complete_job(bank);
-                        }
-                    }
-                }
-                JobState::TwoBank {
-                    src_opened,
-                    rd_remaining,
-                    src_done,
-                    ..
-                } if !src_done && job.has_src_side() => {
-                    if !src_opened {
-                        return MigrationStep::InProgress;
-                    }
-                    debug_assert_eq!(rd_remaining, 0, "PRE before the read-out drained");
-                    self.held[bank] = false;
-                    let job = self.active[bank].as_mut().expect("checked above");
-                    let JobState::TwoBank { src_done, .. } = &mut job.state else {
-                        unreachable!()
-                    };
-                    *src_done = true;
-                    match job.kind {
-                        JobKind::Couple => {
-                            // The couple point: the source row is usable in
-                            // its new mode from here; only the destination
-                            // frame (in its own bank) still blocks.
-                            let (row, to) = (job.row, job.to);
-                            self.row_block[bank] = u32::MAX;
-                            self.readout_src[bank] = u32::MAX;
-                            return MigrationStep::Couple { row, to };
-                        }
-                        JobKind::Evacuate => {
-                            // The data is staged in flight to the other
-                            // bank; the vacated row stays blocked until the
-                            // move lands.
-                            self.readout_src[bank] = u32::MAX;
-                            return MigrationStep::InProgress;
-                        }
-                        JobKind::EvacuateOut => {
-                            // Single-sided: the read-out completes the job.
-                            // The source row's reservation survives until
-                            // the system confirms the landing on the other
-                            // channel. The *demand* block is released here,
-                            // though: row blocks are tied to in-flight
-                            // roles, so a demand write landing in the
-                            // staging window (before the fill lands and the
-                            // remap swap redirects the address) is a known
-                            // fidelity approximation of this data-less
-                            // model — it costs nothing in timing, and the
-                            // staging window is bounded by the pump cadence
-                            // (see the ROADMAP open item).
-                            let row = job.row;
-                            let dispatched_at = job.dispatched_at;
-                            self.active[bank] = None;
-                            self.busy[bank] = false;
-                            self.row_block[bank] = u32::MAX;
-                            self.readout_src[bank] = u32::MAX;
-                            self.pending_jobs -= 1;
-                            self.placements.push(PlacementEvent {
-                                kind: JobKind::EvacuateOut,
-                                bank: bank as u32,
-                                row,
-                                dest_bank: u32::MAX,
-                                dest: u32::MAX,
-                            });
-                            return MigrationStep::StagedOut {
-                                bank: bank as u32,
-                                row,
-                                dispatched_at,
-                            };
-                        }
-                        JobKind::FillIn => unreachable!("fill-ins have no source side"),
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Destination side.
-        let owner = self.dest_of[bank].expect("PRE requires a migration role");
-        let job = self.active[owner].expect("active owner");
-        let JobState::TwoBank {
-            dest_opened,
-            wr_remaining,
-            src_done,
-            ..
-        } = job.state
-        else {
-            unreachable!("dest role is only taken by two-bank jobs");
-        };
-        if !dest_opened {
-            // Closed a demand row ahead of the write-back ACT.
-            return MigrationStep::InProgress;
-        }
-        debug_assert_eq!(wr_remaining, 0, "PRE before the write-back drained");
-        debug_assert!(src_done, "completion must not outrun the couple point");
         self.held[bank] = false;
-        self.complete_job(owner)
+        let job = self.active[owner].as_mut().expect("active owner");
+        if !src {
+            debug_assert_eq!(
+                job.state.wr_remaining, 0,
+                "PRE before the write-back drained"
+            );
+            debug_assert!(
+                job.state.src_done,
+                "completion must not outrun the couple point"
+            );
+            return self.complete_job(owner);
+        }
+        debug_assert_eq!(job.state.rd_remaining, 0, "PRE before the read-out drained");
+        job.state.src_done = true;
+        let job = *job;
+        self.readout_src[bank] = u32::MAX;
+        match job.kind {
+            JobKind::Couple => {
+                // The couple point: the source row is usable in its new
+                // mode from here; only the destination frame still
+                // blocks — on this bank too, when it lives here.
+                self.row_block[bank] = if job.dest_bank as usize == bank {
+                    job.dest
+                } else {
+                    u32::MAX
+                };
+                MigrationStep::Couple {
+                    row: job.row,
+                    to: job.to,
+                }
+            }
+            // The data is staged in flight to the other bank; the
+            // vacated row stays blocked until the move lands.
+            JobKind::Evacuate => MigrationStep::InProgress,
+            JobKind::EvacuateOut => {
+                // Single-sided: the read-out completes the job. The
+                // source row's reservation survives until the system
+                // confirms the landing on the other channel. The
+                // *demand* block is released here, though: row blocks
+                // are tied to in-flight roles, so a demand write landing
+                // in the staging window (before the fill lands and the
+                // remap swap redirects the address) is a known fidelity
+                // approximation of this data-less model — it costs
+                // nothing in timing, and the staging window is bounded by
+                // the pump cadence (see the ROADMAP open item).
+                self.active[bank] = None;
+                self.row_block[bank] = u32::MAX;
+                self.pending_jobs -= 1;
+                self.placements.push(PlacementEvent {
+                    kind: JobKind::EvacuateOut,
+                    bank: bank as u32,
+                    row: job.row,
+                    dest_bank: u32::MAX,
+                    dest: u32::MAX,
+                });
+                MigrationStep::StagedOut {
+                    bank: bank as u32,
+                    row: job.row,
+                    dispatched_at: job.dispatched_at,
+                }
+            }
+            JobKind::FillIn => unreachable!("fill-ins have no read-out side"),
+        }
     }
 
     /// Finishes the active job owned by `owner`, releasing every role
     /// and reservation it held and emitting its completion records.
     fn complete_job(&mut self, owner: usize) -> MigrationStep {
         let job = self.active[owner].take().expect("completing an active job");
-        self.busy[owner] = false;
         self.row_block[owner] = u32::MAX;
         self.readout_src[owner] = u32::MAX;
-        if let Some(db) = job.cross_dest_bank(owner) {
+        if let Some(db) = job.write_bank() {
             self.dest_of[db] = None;
-            self.busy[db] = false;
             self.row_block[db] = u32::MAX;
-        }
-        if owner as u32 == job.dest_bank && job.kind == JobKind::FillIn {
-            self.dest_of[owner] = None;
+            self.reserved.remove(&(db as u32, job.dest));
         }
         self.pending_jobs -= 1;
         self.reserved.remove(&(owner as u32, job.row));
-        if job.dest_bank != u32::MAX {
-            self.reserved.remove(&(job.dest_bank, job.dest));
-        }
         match job.kind {
             JobKind::Couple => {
                 self.completed.push((owner as u32, job.row, job.to));
@@ -1454,32 +1134,9 @@ impl MigrationEngine {
     /// out from under an in-flight migration role: that side must
     /// re-activate before continuing.
     pub fn on_forced_precharge(&mut self, bank: usize) {
-        if let Some(job) = self.active[bank].as_mut() {
-            match &mut job.state {
-                JobState::SameBank { opened, .. } => {
-                    *opened = false;
-                    self.held[bank] = false;
-                    return;
-                }
-                JobState::TwoBank {
-                    src_opened,
-                    src_done,
-                    ..
-                } if !*src_done && job.kind != JobKind::FillIn => {
-                    *src_opened = false;
-                    self.held[bank] = false;
-                    return;
-                }
-                _ => {}
-            }
-        }
-        if let Some(owner) = self.dest_of[bank] {
-            if let Some(job) = self.active[owner].as_mut() {
-                if let JobState::TwoBank { dest_opened, .. } = &mut job.state {
-                    *dest_opened = false;
-                    self.held[bank] = false;
-                }
-            }
+        if let Some((owner, src)) = self.role(bank) {
+            *self.opened_mut(owner, src) = false;
+            self.held[bank] = false;
         }
     }
 
@@ -1494,9 +1151,7 @@ impl MigrationEngine {
         let n = self.queues.banks();
         (0..n)
             .map(move |i| (self.rr_next + i) % n)
-            .filter(move |&b| {
-                self.active[b].is_some() || self.dest_of[b].is_some() || !self.queues.is_empty(b)
-            })
+            .filter(move |&b| self.bank_has_work(b))
     }
 
     /// Drains completed coupling `(bank, row, mode)` transitions into
@@ -1515,7 +1170,10 @@ impl MigrationEngine {
     }
 
     /// Installs the bank's front job as in flight, charging one start
-    /// against the rate window.
+    /// against the rate window. The destination side takes its bank
+    /// (the owning bank itself for same-bank couplings and fill-ins)
+    /// and blocks the frame; a read-out side then blocks its source row
+    /// on the owning bank.
     fn start(&mut self, bank: usize, now: u64) {
         if let Some(rate) = self.cfg.rate {
             let idx = now / rate.window_cycles;
@@ -1529,22 +1187,13 @@ impl MigrationEngine {
             .queues
             .pop_front(bank)
             .expect("start requires a queued job");
-        self.busy[bank] = true;
-        match job.kind {
-            JobKind::FillIn => {
-                // Owning bank doubles as the destination bank.
-                self.row_block[bank] = job.dest;
-                self.dest_of[bank] = Some(bank);
-            }
-            _ => {
-                self.row_block[bank] = job.row;
-                self.readout_src[bank] = job.row;
-                if let Some(db) = job.cross_dest_bank(bank) {
-                    self.dest_of[db] = Some(bank);
-                    self.busy[db] = true;
-                    self.row_block[db] = job.dest;
-                }
-            }
+        if let Some(db) = job.write_bank() {
+            self.dest_of[db] = Some(bank);
+            self.row_block[db] = job.dest;
+        }
+        if !job.state.src_done {
+            self.row_block[bank] = job.row;
+            self.readout_src[bank] = job.row;
         }
         self.active[bank] = Some(job);
     }
@@ -1584,7 +1233,7 @@ mod tests {
 
         // Bank closed → first command is the read-out ACT in the old mode.
         assert_eq!(e.queued_start(1), Some((7, RowMode::MaxCapacity)));
-        let c = e.next_command(1, None, 0).unwrap();
+        let c = e.next_command(1, None).unwrap();
         assert_eq!(c.command, Command::Act);
         assert_eq!(c.mode, RowMode::MaxCapacity);
         assert_eq!(c.row, 7);
@@ -1594,17 +1243,13 @@ mod tests {
 
         assert_eq!(e.blocked_row(1), Some(7), "read-out blocks the source");
         for i in 0..16 {
-            let c = e
-                .next_command(1, Some((7, RowMode::MaxCapacity)), 10 + i)
-                .unwrap();
+            let c = e.next_command(1, Some((7, RowMode::MaxCapacity))).unwrap();
             assert_eq!(c.command, Command::Rd, "burst {i}");
             e.note_column(1, 10 + i);
         }
-        let c = e
-            .next_command(1, Some((7, RowMode::MaxCapacity)), 99)
-            .unwrap();
+        let c = e.next_command(1, Some((7, RowMode::MaxCapacity))).unwrap();
         assert_eq!(c.command, Command::Pre);
-        let step = e.note_pre(1, 100);
+        let step = e.note_pre(1);
         assert_eq!(
             step,
             MigrationStep::Couple {
@@ -1616,19 +1261,17 @@ mod tests {
         // Write-back activates the destination frame (max-capacity): the
         // coupled source row is demand-usable from the couple point on.
         assert_eq!(e.blocked_row(1), Some(40), "block moves to the dest");
-        let c = e.next_command(1, None, 110).unwrap();
+        let c = e.next_command(1, None).unwrap();
         assert_eq!(c.command, Command::Act);
         assert_eq!(c.row, 40);
         assert_eq!(c.mode, RowMode::MaxCapacity);
         e.note_act(1, 120);
         for i in 0..16 {
-            let c = e
-                .next_command(1, Some((40, RowMode::MaxCapacity)), 130 + i)
-                .unwrap();
+            let c = e.next_command(1, Some((40, RowMode::MaxCapacity))).unwrap();
             assert_eq!(c.command, Command::Wr, "burst {i}");
             e.note_column(1, 130 + i);
         }
-        let step = e.note_pre(1, 300);
+        let step = e.note_pre(1);
         assert_eq!(
             step,
             MigrationStep::Complete {
@@ -1651,46 +1294,9 @@ mod tests {
         e.dispatch(0, 3, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
         // The bank is open with a demand row: no start command until the
         // bank closes (demand territory).
-        assert!(e
-            .next_command(0, Some((9, RowMode::MaxCapacity)), 1_000_000)
-            .is_none());
-        assert_eq!(e.boosted_start_at(0), None);
+        assert!(e.next_command(0, Some((9, RowMode::MaxCapacity))).is_none());
         // Once closed, the start ACT is offered.
-        let c = e.next_command(0, None, 1_000_000).unwrap();
-        assert_eq!(c.command, Command::Act);
-        assert_eq!(c.row, 3);
-    }
-
-    #[test]
-    fn overdue_deadline_start_precharges_the_open_demand_row() {
-        let mut e = MigrationEngine::new(
-            RelocationConfig {
-                mode: RelocationMode::DeadlineBoosted {
-                    deadline_cycles: 100,
-                },
-                rate: None,
-            },
-            4,
-            1024,
-            64,
-        );
-        e.dispatch(0, 3, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 50);
-        assert_eq!(e.boosted_start_at(0), Some(150));
-        // Before the deadline: the open bank is left to demand.
-        assert!(!e.is_overdue_start(0, 149));
-        assert!(e
-            .next_command(0, Some((9, RowMode::MaxCapacity)), 149)
-            .is_none());
-        // Past it: the start may close the demand row.
-        assert!(e.is_overdue_start(0, 150));
-        let c = e
-            .next_command(0, Some((9, RowMode::MaxCapacity)), 150)
-            .unwrap();
-        assert_eq!(c.command, Command::Pre);
-        assert_eq!(c.row, 9, "closes the demand row, not the job row");
-        assert_eq!(e.note_pre(0, 150), MigrationStep::InProgress);
-        assert!(e.is_busy(0), "the starting PRE takes bank ownership");
-        let c = e.next_command(0, None, 151).unwrap();
+        let c = e.next_command(0, None).unwrap();
         assert_eq!(c.command, Command::Act);
         assert_eq!(c.row, 3);
     }
@@ -1702,13 +1308,13 @@ mod tests {
         e.note_act(2, 0);
         e.note_column(2, 10);
         e.on_forced_precharge(2);
-        let c = e.next_command(2, None, 50).unwrap();
+        let c = e.next_command(2, None).unwrap();
         assert_eq!(c.command, Command::Act, "phase re-activates after refresh");
         e.note_act(2, 50);
         // The burst already transferred stays transferred.
         let mut remaining = 0;
         while e
-            .next_command(2, Some((1, RowMode::MaxCapacity)), 60 + remaining)
+            .next_command(2, Some((1, RowMode::MaxCapacity)))
             .unwrap()
             .command
             == Command::Rd
@@ -1717,6 +1323,136 @@ mod tests {
             remaining += 1;
         }
         assert_eq!(remaining, 15, "one of 16 bursts was already done");
+    }
+
+    #[test]
+    fn forced_precharge_mid_write_back_reopens_the_destination_frame() {
+        let mut e = engine(None);
+        e.dispatch(1, 7, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        e.note_act(1, 0);
+        for i in 0..16 {
+            e.note_column(1, 1 + i);
+        }
+        assert!(matches!(e.note_pre(1), MigrationStep::Couple { .. }));
+        e.note_act(1, 30);
+        for i in 0..5 {
+            e.note_column(1, 31 + i);
+        }
+        // Refresh closes the destination frame mid-train.
+        e.on_forced_precharge(1);
+        assert!(!e.is_mid_phase(1), "the bank is released to refresh");
+        assert!(e.is_busy(1));
+        assert_eq!(e.blocked_row(1), Some(40), "the frame still blocks");
+        assert!(
+            e.pending_writeback_act(1),
+            "the write-back ACT is due again"
+        );
+        // A demand row opened meanwhile is closed first.
+        let c = e.next_command(1, Some((9, RowMode::MaxCapacity))).unwrap();
+        assert_eq!((c.command, c.row), (Command::Pre, 9));
+        assert_eq!(e.note_pre(1), MigrationStep::InProgress);
+        let c = e.next_command(1, None).unwrap();
+        assert_eq!(
+            (c.command, c.row, c.mode),
+            (Command::Act, 40, RowMode::MaxCapacity),
+            "the destination frame re-activates"
+        );
+        e.note_act(1, 50);
+        assert!(e.is_mid_phase(1));
+        let mut written = 0;
+        while e
+            .next_command(1, Some((40, RowMode::MaxCapacity)))
+            .unwrap()
+            .command
+            == Command::Wr
+        {
+            e.note_column(1, 60 + written);
+            written += 1;
+        }
+        assert_eq!(written, 11, "five of 16 bursts were already written");
+        assert_eq!(
+            e.note_pre(1),
+            MigrationStep::Complete {
+                row: 7,
+                to: RowMode::HighPerformance,
+                cross_bank: false,
+                dispatched_at: 0,
+            }
+        );
+        assert!(!e.is_busy(1));
+        assert_eq!(e.blocked_row(1), None);
+    }
+
+    #[test]
+    fn pending_writeback_act_covers_same_bank_couple_to_write_back_act_only() {
+        let mut e = engine(None);
+        // Same-bank coupling on bank 0: pending exactly from the couple
+        // point to the write-back ACT.
+        e.dispatch(0, 7, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        assert!(!e.pending_writeback_act(0), "queued");
+        e.note_act(0, 0);
+        for i in 0..16 {
+            assert!(!e.pending_writeback_act(0), "read-out burst {i}");
+            e.note_column(0, 1 + i);
+        }
+        assert!(!e.pending_writeback_act(0), "read-out drained");
+        assert!(matches!(e.note_pre(0), MigrationStep::Couple { .. }));
+        assert!(e.pending_writeback_act(0), "couple point passed");
+        e.note_pre(0); // closes a demand row ahead of the ACT
+        assert!(e.pending_writeback_act(0), "still before the ACT");
+        e.note_act(0, 30);
+        assert!(!e.pending_writeback_act(0), "write-back ACT issued");
+        for i in 0..16 {
+            e.note_column(0, 31 + i);
+        }
+        assert!(matches!(e.note_pre(0), MigrationStep::Complete { .. }));
+        assert!(!e.pending_writeback_act(0), "complete");
+
+        // Cross-bank coupling 1 → 3: never, on either bank — even with
+        // the couple point passed and the destination ACT outstanding.
+        let never =
+            |e: &MigrationEngine| !e.pending_writeback_act(1) && !e.pending_writeback_act(3);
+        assert!(e.dispatch_couple(
+            1,
+            7,
+            3,
+            41,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            100
+        ));
+        assert!(never(&e));
+        e.note_act(1, 100);
+        for i in 0..16 {
+            e.note_column(1, 101 + i);
+        }
+        assert!(matches!(e.note_pre(1), MigrationStep::Couple { .. }));
+        assert!(never(&e), "couple point passed, destination ACT pending");
+        e.note_act(3, 121);
+        e.note_column(3, 122);
+        e.on_forced_precharge(3);
+        assert!(never(&e), "destination ACT due again after refresh");
+        e.note_act(3, 130);
+        for i in 0..15 {
+            e.note_column(3, 131 + i);
+        }
+        assert!(matches!(e.note_pre(3), MigrationStep::Complete { .. }));
+        assert!(never(&e));
+
+        // Fill-in on bank 2: write-back only, never pending either.
+        assert!(e.reserve(2, 17));
+        assert!(e.dispatch_fill(2, 17, true, 200));
+        assert!(!e.pending_writeback_act(2));
+        e.note_act(2, 200);
+        e.note_column(2, 201);
+        e.on_forced_precharge(2);
+        assert!(!e.pending_writeback_act(2), "fill-in ACT due again");
+        e.note_act(2, 210);
+        for i in 0..31 {
+            e.note_column(2, 211 + i);
+        }
+        assert!(matches!(e.note_pre(2), MigrationStep::Filled { .. }));
+        assert!(!e.pending_writeback_act(2));
     }
 
     #[test]
@@ -1774,7 +1510,7 @@ mod tests {
         assert!(!e.is_row_pending(1, 40));
 
         // The start is the source ACT on the owning bank.
-        let c = e.next_command(1, None, 0).unwrap();
+        let c = e.next_command(1, None).unwrap();
         assert_eq!((c.command, c.row), (Command::Act, 7));
         e.note_act(1, 0);
         assert!(e.is_busy(1) && e.is_busy(3), "both banks carry a role");
@@ -1783,7 +1519,7 @@ mod tests {
 
         // The destination ACT is offered immediately — concurrent with
         // the read-out.
-        let c = e.next_command(3, None, 1).unwrap();
+        let c = e.next_command(3, None).unwrap();
         assert_eq!(
             (c.command, c.row, c.mode),
             (Command::Act, 40, RowMode::MaxCapacity)
@@ -1793,22 +1529,18 @@ mod tests {
 
         // Writes stay strictly behind reads.
         assert!(
-            e.next_command(3, Some((40, RowMode::MaxCapacity)), 2)
+            e.next_command(3, Some((40, RowMode::MaxCapacity)))
                 .is_none(),
             "no data read yet → no write burst"
         );
-        let c = e
-            .next_command(1, Some((7, RowMode::MaxCapacity)), 2)
-            .unwrap();
+        let c = e.next_command(1, Some((7, RowMode::MaxCapacity))).unwrap();
         assert_eq!(c.command, Command::Rd);
         e.note_column(1, 2);
-        let c = e
-            .next_command(3, Some((40, RowMode::MaxCapacity)), 3)
-            .unwrap();
+        let c = e.next_command(3, Some((40, RowMode::MaxCapacity))).unwrap();
         assert_eq!(c.command, Command::Wr, "one read releases one write");
         e.note_column(3, 3);
         assert!(e
-            .next_command(3, Some((40, RowMode::MaxCapacity)), 4)
+            .next_command(3, Some((40, RowMode::MaxCapacity)))
             .is_none());
 
         // Drain the remaining reads; writes catch up but the destination
@@ -1817,24 +1549,20 @@ mod tests {
             e.note_column(1, 10 + i);
         }
         for i in 0..15 {
-            let c = e
-                .next_command(3, Some((40, RowMode::MaxCapacity)), 40 + i)
-                .unwrap();
+            let c = e.next_command(3, Some((40, RowMode::MaxCapacity))).unwrap();
             assert_eq!(c.command, Command::Wr);
             e.note_column(3, 40 + i);
         }
         assert!(
-            e.next_command(3, Some((40, RowMode::MaxCapacity)), 60)
+            e.next_command(3, Some((40, RowMode::MaxCapacity)))
                 .is_none(),
             "write-back complete but the couple point has not passed"
         );
         // Source PRE = the couple point; the source bank frees entirely.
-        let c = e
-            .next_command(1, Some((7, RowMode::MaxCapacity)), 61)
-            .unwrap();
+        let c = e.next_command(1, Some((7, RowMode::MaxCapacity))).unwrap();
         assert_eq!(c.command, Command::Pre);
         assert_eq!(
-            e.note_pre(1, 61),
+            e.note_pre(1),
             MigrationStep::Couple {
                 row: 7,
                 to: RowMode::HighPerformance
@@ -1843,12 +1571,10 @@ mod tests {
         assert_eq!(e.blocked_row(1), None, "source bank freed at couple");
         assert!(e.is_busy(1), "owner stays busy until the move lands");
         // Destination PRE completes the job.
-        let c = e
-            .next_command(3, Some((40, RowMode::MaxCapacity)), 70)
-            .unwrap();
+        let c = e.next_command(3, Some((40, RowMode::MaxCapacity))).unwrap();
         assert_eq!(c.command, Command::Pre);
         assert_eq!(
-            e.note_pre(3, 70),
+            e.note_pre(3),
             MigrationStep::Complete {
                 row: 7,
                 to: RowMode::HighPerformance,
@@ -1902,7 +1628,7 @@ mod tests {
             None,
             "second job's dest bank is occupied"
         );
-        assert!(e.next_command(1, None, 5).is_none());
+        assert!(e.next_command(1, None).is_none());
         // A bank serving as a destination cannot start its own queue
         // either.
         e.dispatch(2, 9, 50, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
@@ -1915,13 +1641,13 @@ mod tests {
         // Cross-channel stage 1: read the full row out.
         assert!(e.dispatch_evacuate_out(0, 9, 0));
         assert_eq!(e.bursts_per_frame_move(), 32);
-        let c = e.next_command(0, None, 0).unwrap();
+        let c = e.next_command(0, None).unwrap();
         assert_eq!((c.command, c.row), (Command::Act, 9));
         e.note_act(0, 0);
         for i in 0..32 {
             e.note_column(0, 1 + i);
         }
-        let step = e.note_pre(0, 50);
+        let step = e.note_pre(0);
         assert_eq!(
             step,
             MigrationStep::StagedOut {
@@ -1941,20 +1667,18 @@ mod tests {
         // system's reservation.
         assert!(e.reserve(2, 17));
         assert!(e.dispatch_fill(2, 17, true, 60));
-        let c = e.next_command(2, None, 60).unwrap();
+        let c = e.next_command(2, None).unwrap();
         assert_eq!(
             (c.command, c.row, c.mode),
             (Command::Act, 17, RowMode::MaxCapacity)
         );
         e.note_act(2, 60);
         for i in 0..32 {
-            let c = e
-                .next_command(2, Some((17, RowMode::MaxCapacity)), 61 + i)
-                .unwrap();
+            let c = e.next_command(2, Some((17, RowMode::MaxCapacity))).unwrap();
             assert_eq!(c.command, Command::Wr, "burst {i}");
             e.note_column(2, 61 + i);
         }
-        let step = e.note_pre(2, 120);
+        let step = e.note_pre(2);
         assert_eq!(
             step,
             MigrationStep::Filled {
@@ -1983,9 +1707,9 @@ mod tests {
             e.note_column(0, 2 + i);
             e.note_column(1, 3 + i);
         }
-        assert_eq!(e.note_pre(0, 80), MigrationStep::InProgress);
+        assert_eq!(e.note_pre(0), MigrationStep::InProgress);
         assert_eq!(
-            e.note_pre(1, 90),
+            e.note_pre(1),
             MigrationStep::Evacuated {
                 bank: 0,
                 row: 9,

@@ -187,12 +187,6 @@ pub struct MemorySystem {
     /// to force the threaded path onto every window, and hosts with
     /// cheaper or pricier thread spawns can move the break-even point.
     parallel_cutover: u64,
-    /// Host nanoseconds spent walking channels inside `tick_until`
-    /// (serial loop or pooled walk) — the bench's per-phase
-    /// breakdown numerator.
-    walk_ns: u64,
-    /// Host nanoseconds spent merging per-channel completion streams.
-    merge_ns: u64,
     /// One channel's slice of the geometry (identical for every
     /// channel), cached for the remap decode on the request path.
     slice: DramGeometry,
@@ -244,8 +238,6 @@ impl MemorySystem {
             threads: 1,
             executor: None,
             parallel_cutover: PARALLEL_MIN_WINDOW,
-            walk_ns: 0,
-            merge_ns: 0,
             slice: config.geometry.channel_slice(),
             remap: RemapTable::new(),
             moves: HashMap::new(),
@@ -646,14 +638,6 @@ impl MemorySystem {
         self.parallel_cutover = window.max(1);
     }
 
-    /// Host time spent inside [`MemorySystem::tick_until`] as
-    /// `(walk_seconds, merge_seconds)`: per-channel walking (serial loop
-    /// or pooled walk) vs the deterministic completion merge — the
-    /// per-phase breakdown `sim_throughput` v2 reports.
-    pub fn host_phase_seconds(&self) -> (f64, f64) {
-        (self.walk_ns as f64 / 1e9, self.merge_ns as f64 / 1e9)
-    }
-
     /// Advances every channel to DRAM cycle `target`, jumping dead
     /// windows per channel and merging completions back into the
     /// per-cycle delivery order (`finish_cycle`, then channel index).
@@ -675,13 +659,10 @@ impl MemorySystem {
     /// invisible.
     pub fn tick_until(&mut self, target: u64, completions: &mut Vec<Completion>) {
         if self.channels.len() == 1 {
-            let t0 = std::time::Instant::now();
             self.channels[0].tick_until(target, completions);
-            self.walk_ns += t0.elapsed().as_nanos() as u64;
             return;
         }
         let window = target.saturating_sub(self.cycle());
-        let t0 = std::time::Instant::now();
         if self.threads > 1 && window >= self.parallel_cutover {
             let exec = Arc::clone(
                 self.executor
@@ -716,8 +697,6 @@ impl MemorySystem {
                 ch.tick_until(target, out);
             }
         }
-        let t1 = std::time::Instant::now();
-        self.walk_ns += (t1 - t0).as_nanos() as u64;
         // K-way merge on (finish_cycle, channel): each channel's stream
         // is already nondecreasing in finish_cycle, and the per-cycle
         // reference delivers equal-cycle completions in channel order.
@@ -737,7 +716,6 @@ impl MemorySystem {
             completions.push(scratch[c][idx[c]]);
             idx[c] += 1;
         }
-        self.merge_ns += t1.elapsed().as_nanos() as u64;
     }
 
     /// The earliest cycle at which *any* channel has an event — the fused

@@ -113,8 +113,8 @@ pub struct PolicyRunResult {
     pub rows_remapped: u64,
     /// Host wall-clock seconds spent inside epoch-boundary policy work
     /// (telemetry drain, decision pass, batch dispatch, rebalancing) —
-    /// the "policy" slice of the run's host-time breakdown, next to
-    /// [`RunResult::host_walk_s`] and [`RunResult::host_merge_s`].
+    /// the "policy" slice of the run's host-time breakdown, a subset of
+    /// [`RunResult::host_loop_s`].
     pub host_policy_s: f64,
     /// Per-epoch policy telemetry (present only when
     /// [`RunConfig::metrics`] enabled continuous telemetry): one window
@@ -165,9 +165,6 @@ struct EpochDriver {
     rebalancer: CapacityRebalancer,
     /// Remap installs observed so far (copied into the result).
     remap_installs: u64,
-    /// Whether `CLR_DEBUG_REBALANCE` diagnostics are on (resolved once
-    /// at run start; the epoch loop stays allocation-free).
-    debug_rebalance: bool,
     /// Reused across epochs so the steady-state epoch loop allocates
     /// nothing per drain.
     telemetry_scratch: Vec<((u32, u32), u64)>,
@@ -196,7 +193,6 @@ impl RunObserver for EpochDriver {
         // has no engine to execute them.
         self.cross_channel =
             self.background && mem.config().placement.is_cross_channel() && mem.channels() > 1;
-        self.debug_rebalance = std::env::var("CLR_DEBUG_REBALANCE").is_ok();
     }
 
     fn after_dram_tick(&mut self, mem: &mut MemorySystem) {
@@ -235,16 +231,7 @@ impl RunObserver for EpochDriver {
         // changes stay bit-identical across walks.
         if self.cross_channel {
             mem.pump_placement();
-            let plan = self.rebalancer.plan(&self.demand_scratch);
-            if self.debug_rebalance {
-                eprintln!(
-                    "epoch@{now}: demand={:?} plan={plan:?} in_flight={} installs={}",
-                    self.demand_scratch,
-                    mem.moves_in_flight(),
-                    mem.remap_table().installs()
-                );
-            }
-            if let Some(plan) = plan {
+            if let Some(plan) = self.rebalancer.plan(&self.demand_scratch) {
                 // Victims: the donor channel's hottest rows still in
                 // max-capacity mode with no migration in flight — hot
                 // data the policy's fast-row budget did not absorb
@@ -265,21 +252,15 @@ impl RunObserver for EpochDriver {
                     .max_in_flight
                     .saturating_sub(mem.moves_in_flight());
                 let mut scheduled = 0usize;
-                let (mut rej_mode, mut rej_pend, mut rej_export, mut examined) = (0, 0, 0, 0);
                 for (rid, count) in self.epoch_scratch[plan.from].hottest(donor_rows) {
                     if scheduled >= plan.moves.min(headroom) || count < min_heat {
                         break;
                     }
-                    examined += 1;
                     let donor = mem.channel(plan.from);
                     if donor.mode_table().mode_of(rid.bank as usize, rid.row)
                         != RowMode::MaxCapacity
+                        || donor.is_row_migrating(rid.bank as usize, rid.row)
                     {
-                        rej_mode += 1;
-                        continue;
-                    }
-                    if donor.is_row_migrating(rid.bank as usize, rid.row) {
-                        rej_pend += 1;
                         continue;
                     }
                     if mem
@@ -287,14 +268,7 @@ impl RunObserver for EpochDriver {
                         .is_some()
                     {
                         scheduled += 1;
-                    } else {
-                        rej_export += 1;
                     }
-                }
-                if self.debug_rebalance {
-                    eprintln!(
-                        "  victims: examined={examined} scheduled={scheduled} rej_mode={rej_mode} rej_pend={rej_pend} rej_export={rej_export} donor_rows={donor_rows}"
-                    );
                 }
             }
             self.remap_installs = mem.remap_table().installs();
@@ -459,7 +433,6 @@ pub fn run_policy_workloads(workloads: &[Workload], cfg: &PolicyRunConfig) -> Po
         cross_channel: false,
         rebalancer: CapacityRebalancer::new(RebalanceConfig::default()),
         remap_installs: 0,
-        debug_rebalance: false,
         telemetry_scratch: Vec::new(),
         epoch_scratch: Vec::new(),
         demand_scratch: Vec::new(),

@@ -99,8 +99,7 @@ pub fn latency_summary(h: &LatencyHistogram) -> String {
 }
 
 /// Formats a run's host-throughput summary: simulated DRAM cycles per
-/// host second, event density from the skip profile, and the host-time
-/// breakdown into the channel walk and the completion merge. Pass the
+/// host second and event density from the skip profile. Pass the
 /// matching serial run's loop seconds as `serial_loop_s` to append a
 /// speedup ratio (`None` prints the line without one).
 pub fn host_throughput_summary(r: &RunResult, serial_loop_s: Option<f64>) -> String {
@@ -110,12 +109,10 @@ pub fn host_throughput_summary(r: &RunResult, serial_loop_s: Option<f64>) -> Str
         0.0
     };
     let mut s = format!(
-        "host: {:.2} Mcyc/s ({} DRAM cycles in {:.3} s; walk {:.3} s, merge {:.3} s), {:.1} events/kcyc",
+        "host: {:.2} Mcyc/s ({} DRAM cycles in {:.3} s), {:.1} events/kcyc",
         cps / 1e6,
         r.dram_cycles,
         r.host_loop_s,
-        r.host_walk_s,
-        r.host_merge_s,
         r.skip_profile.events_per_kilocycle(),
     );
     if let Some(serial) = serial_loop_s {

@@ -186,12 +186,6 @@ pub struct RunResult {
     /// (excluding trace profiling and placement construction) — the
     /// denominator for simulator-throughput reporting.
     pub host_loop_s: f64,
-    /// Host seconds spent inside the memory-side channel walk (serial or
-    /// threaded), a subset of [`RunResult::host_loop_s`].
-    pub host_walk_s: f64,
-    /// Host seconds spent merging per-channel completion streams, a
-    /// subset of [`RunResult::host_loop_s`].
-    pub host_merge_s: f64,
     /// Worker threads the configuration asked for
     /// ([`RunConfig::threads`], ≥ 1).
     pub threads_requested: usize,
@@ -618,7 +612,6 @@ pub(crate) fn run_workloads_observed(
             log.append(m.system().counter_events(SYSTEM_PID));
         }
     }
-    let (host_walk_s, host_merge_s) = mem_sys.host_phase_seconds();
     RunResult {
         ipc,
         cpu_cycles,
@@ -629,8 +622,6 @@ pub(crate) fn run_workloads_observed(
         energy,
         energy_per_channel,
         host_loop_s,
-        host_walk_s,
-        host_merge_s,
         threads_requested,
         threads_effective,
         trace,

@@ -150,16 +150,13 @@ fn controller_mode_transitions_and_stalls_are_bit_identical() {
 #[test]
 fn controller_background_migration_is_bit_identical() {
     use clr_dram::memsim::migrate::{MigrationRate, RelocationConfig, RelocationMode};
-    // Pure background and deadline-boosted + rate-limited: the
-    // skip-ahead walk must replay the migration command stream (job
-    // starts in idle slots, couple points, rate-window boundaries,
-    // deadline boosts) bit-identically.
+    // Pure background and rate-limited background: the skip-ahead walk
+    // must replay the migration command stream (job starts in idle
+    // slots, couple points, rate-window boundaries) bit-identically.
     for reloc in [
         RelocationConfig::background(),
         RelocationConfig {
-            mode: RelocationMode::DeadlineBoosted {
-                deadline_cycles: 4_000,
-            },
+            mode: RelocationMode::Background,
             rate: Some(MigrationRate {
                 window_cycles: 1_024,
                 max_starts: 1,
