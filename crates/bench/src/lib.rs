@@ -10,9 +10,13 @@
 
 use clr_sim::scale::Scale;
 
-/// Resolves the experiment scale from `CLR_SCALE` and prints a banner.
+/// Resolves the experiment scale from `CLR_SCALE` and prints a banner;
+/// exits with code 2 on an unknown scale.
 pub fn startup(figure: &str) -> Scale {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     println!(
         "== CLR-DRAM reproduction :: {figure} (scale: {}; set CLR_SCALE=smoke|default|full) ==\n",
         scale.label()

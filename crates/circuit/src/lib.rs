@@ -23,9 +23,12 @@
 //!   with threshold-crossing measurement of tRCD/tRAS/tRP/tWR,
 //! * [`timing`] — Table 1 extraction across the four configurations,
 //! * [`montecarlo`] — ±5 % process variation, worst-case timing
-//!   (§7.1's 10⁴-iteration methodology, iteration count scalable),
+//!   (§7.1's 10⁴-iteration methodology, iteration count scalable; the
+//!   samples are drawn serially and measured over the host's cores),
 //! * [`retention`] — cell leakage, the tREFW → initial-charge model, and
-//!   the Figure 11 sweep.
+//!   the Figure 11 sweep,
+//! * [`par`] — the workspace's job-grain parallel map (Monte-Carlo
+//!   samples here; figure runs and sweep cells in `clr-sim`).
 //!
 //! Absolute nanosecond values depend on calibration of the analog
 //! parameters ([`params::CircuitParams`]); the experiments therefore
@@ -41,6 +44,7 @@ pub mod dram;
 pub mod matrix;
 pub mod montecarlo;
 pub mod netlist;
+pub mod par;
 pub mod params;
 pub mod retention;
 pub mod scenario;

@@ -5,6 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::par::parallel_map;
 use crate::params::{CircuitParams, MosParams};
 use crate::timing::{measure_table1, ModeTimings, Table1Measurement};
 
@@ -55,27 +56,30 @@ fn worst(a: ModeTimings, b: ModeTimings) -> ModeTimings {
 
 /// Worst-case Table 1 over `iterations` Monte-Carlo samples.
 ///
+/// Every sample is drawn serially from one seeded RNG, the samples are
+/// measured over the host's cores ([`parallel_map`]), and the worst case
+/// is folded in sample order, so the result does not depend on the
+/// worker count.
+///
 /// # Panics
 ///
-/// Panics if any iteration fails to sense correctly — the §7.1 criterion
-/// ("every single iteration reads the correct value") — or fails to reach
-/// a timing threshold within the simulation limit.
+/// Panics if `iterations` is 0, or if any iteration fails to sense
+/// correctly — the §7.1 criterion ("every single iteration reads the
+/// correct value") — or fails to reach a timing threshold within the
+/// simulation limit; the lowest-index failing sample's panic is the one
+/// raised.
 pub fn worst_case_table1(p: &CircuitParams, iterations: usize, seed: u64) -> Table1Measurement {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut acc: Option<Table1Measurement> = None;
-    for _ in 0..iterations {
-        let t = measure_table1(&perturb(p, &mut rng));
-        acc = Some(match acc {
-            None => t,
-            Some(prev) => Table1Measurement {
-                baseline: worst(prev.baseline, t.baseline),
-                max_capacity: worst(prev.max_capacity, t.max_capacity),
-                hp_no_et: worst(prev.hp_no_et, t.hp_no_et),
-                hp_et: worst(prev.hp_et, t.hp_et),
-            },
-        });
-    }
-    acc.expect("at least one iteration required")
+    let samples: Vec<CircuitParams> = (0..iterations).map(|_| perturb(p, &mut rng)).collect();
+    parallel_map(samples.len(), |i| measure_table1(&samples[i]))
+        .into_iter()
+        .reduce(|prev, t| Table1Measurement {
+            baseline: worst(prev.baseline, t.baseline),
+            max_capacity: worst(prev.max_capacity, t.max_capacity),
+            hp_no_et: worst(prev.hp_no_et, t.hp_no_et),
+            hp_et: worst(prev.hp_et, t.hp_et),
+        })
+        .expect("at least one iteration required")
 }
 
 #[cfg(test)]
@@ -103,6 +107,32 @@ mod tests {
             ..CircuitParams::default_22nm()
         };
         worst_case_table1(&p, 1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one iteration required")]
+    fn zero_iterations_are_rejected() {
+        worst_case_table1(&CircuitParams::default_22nm(), 0, 1);
+    }
+
+    #[test]
+    fn parallel_worst_case_equals_the_serial_fold() {
+        let p = CircuitParams::default_22nm();
+        for seed in [7, 19] {
+            // Five samples do not split evenly over two workers.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut serial = measure_table1(&perturb(&p, &mut rng));
+            for _ in 1..5 {
+                let t = measure_table1(&perturb(&p, &mut rng));
+                serial = Table1Measurement {
+                    baseline: worst(serial.baseline, t.baseline),
+                    max_capacity: worst(serial.max_capacity, t.max_capacity),
+                    hp_no_et: worst(serial.hp_no_et, t.hp_no_et),
+                    hp_et: worst(serial.hp_et, t.hp_et),
+                };
+            }
+            assert_eq!(worst_case_table1(&p, 5, seed), serial, "seed {seed}");
+        }
     }
 
     #[test]

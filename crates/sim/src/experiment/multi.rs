@@ -3,14 +3,16 @@
 
 use std::collections::HashMap;
 
-use clr_trace::mix::{build_mixes, MixGroup, MixSpec};
+use clr_memsim::config::MemConfig;
+use clr_trace::mix::{build_mixes, MixGroup};
 use clr_trace::workload::Workload;
 
-use crate::experiment::{mem_config, FRACTIONS, FRACTION_LABELS};
+use crate::experiment::{
+    baseline_and_fractions, mem_config, run_batch, RunPoint, FRACTIONS, FRACTION_LABELS,
+};
 use crate::metrics::{geomean, weighted_speedup};
 use crate::report::{ratio, Table};
 use crate::scale::Scale;
-use crate::system::{run_workloads, RunConfig};
 
 /// Normalized group-level results across the five fractions.
 #[derive(Debug, Clone)]
@@ -82,39 +84,63 @@ pub fn run(scale: Scale, seed: u64) -> MultiReport {
 }
 
 /// Runs the sweep with an explicit high-performance refresh window
-/// (reused by the Figure 15 experiment).
+/// (reused by the Figure 15 experiment). Two batches spread over the
+/// host's cores: every distinct app alone on the baseline, then every
+/// mix under every configuration.
 pub fn run_with_refw(scale: Scale, seed: u64, hp_refw_ms: f64) -> MultiReport {
-    let mut alone_cache: HashMap<AloneKey, f64> = HashMap::new();
-    let budget = scale.budget_insts();
-    let warmup = scale.warmup_insts();
+    let mixes: Vec<(MixGroup, Vec<Workload>)> = MixGroup::ALL
+        .iter()
+        .flat_map(|&group| build_mixes(group, scale.mixes_per_group(), seed))
+        .map(|mix| {
+            (
+                mix.group,
+                mix.apps.iter().map(|a| Workload::App(**a)).collect(),
+            )
+        })
+        .collect();
 
-    let mut alone_ipc = |w: &Workload, seed: u64| -> f64 {
-        let key = w.name();
-        if let Some(&v) = alone_cache.get(&key) {
-            return v;
+    let mut apps: Vec<Workload> = Vec::new();
+    for w in mixes.iter().flat_map(|(_, ws)| ws) {
+        if !apps.iter().any(|a| a.name() == w.name()) {
+            apps.push(*w);
         }
-        let r = run_workloads(
-            &[*w],
-            &RunConfig::paper(mem_config(None, 64.0), budget, warmup, seed),
-        );
-        let v = r.ipc[0];
-        alone_cache.insert(key, v);
-        v
-    };
+    }
+    let alone_jobs: Vec<(&[Workload], MemConfig)> = apps
+        .iter()
+        .map(|w| (std::slice::from_ref(w), mem_config(None, 64.0)))
+        .collect();
+    let alone_ipc: HashMap<AloneKey, f64> = apps
+        .iter()
+        .map(Workload::name)
+        .zip(
+            run_batch(&alone_jobs, scale, seed)
+                .into_iter()
+                .map(|r| r.ipc[0]),
+        )
+        .collect();
+
+    // One job per (mix, configuration), mix-major.
+    let jobs: Vec<(&[Workload], MemConfig)> = mixes
+        .iter()
+        .flat_map(|(_, ws)| baseline_and_fractions(hp_refw_ms).map(move |mem| (ws.as_slice(), mem)))
+        .collect();
+    let runs = run_batch(&jobs, scale, seed);
+    let evaluated: Vec<(MixGroup, MixNorms)> = mixes
+        .iter()
+        .zip(runs.chunks(FRACTIONS.len() + 1))
+        .map(|((group, ws), runs)| (*group, evaluate_mix(ws, runs, &alone_ipc)))
+        .collect();
 
     let groups = MixGroup::ALL
         .iter()
         .map(|&group| {
-            let mixes = build_mixes(group, scale.mixes_per_group(), seed);
             let mut ws_norm: Vec<[f64; 5]> = Vec::new();
             let mut en_norm: Vec<[f64; 5]> = Vec::new();
             let mut pw_norm: Vec<[f64; 5]> = Vec::new();
-            for mix in &mixes {
-                let (ws, en, pw) =
-                    evaluate_mix(mix, budget, warmup, seed, hp_refw_ms, &mut alone_ipc);
-                ws_norm.push(ws);
-                en_norm.push(en);
-                pw_norm.push(pw);
+            for (_, (ws, en, pw)) in evaluated.iter().filter(|(g, _)| *g == group) {
+                ws_norm.push(*ws);
+                en_norm.push(*en);
+                pw_norm.push(*pw);
             }
             let fold = |rows: &[[f64; 5]]| {
                 let mut out = [1.0; 5];
@@ -136,35 +162,29 @@ pub fn run_with_refw(scale: Scale, seed: u64, hp_refw_ms: f64) -> MultiReport {
     MultiReport { groups, scale }
 }
 
-fn evaluate_mix(
-    mix: &MixSpec,
-    budget: u64,
-    warmup: u64,
-    seed: u64,
-    hp_refw_ms: f64,
-    alone_ipc: &mut impl FnMut(&Workload, u64) -> f64,
-) -> ([f64; 5], [f64; 5], [f64; 5]) {
-    let ws: Vec<Workload> = mix.apps.iter().map(|a| Workload::App(**a)).collect();
+/// One mix's normalized weighted speedup, DRAM energy and DRAM power per
+/// fraction.
+type MixNorms = ([f64; 5], [f64; 5], [f64; 5]);
 
-    let base = run_workloads(
-        &ws,
-        &RunConfig::paper(mem_config(None, hp_refw_ms), budget, warmup, seed),
-    );
-    let alone: Vec<f64> = ws.iter().map(|w| alone_ipc(w, seed)).collect();
+/// Normalizes one mix's fraction runs (`runs[1..]`) to its baseline run
+/// (`runs[0]`).
+fn evaluate_mix(
+    ws: &[Workload],
+    runs: &[RunPoint],
+    alone_ipc: &HashMap<AloneKey, f64>,
+) -> MixNorms {
+    let (base, clr) = (&runs[0], &runs[1..]);
+    let alone: Vec<f64> = ws.iter().map(|w| alone_ipc[&w.name()]).collect();
     let base_ws = weighted_speedup(&base.ipc, &alone);
 
     let mut ws_norm = [0.0; 5];
     let mut en_norm = [0.0; 5];
     let mut pw_norm = [0.0; 5];
-    for (i, &f) in FRACTIONS.iter().enumerate() {
-        let r = run_workloads(
-            &ws,
-            &RunConfig::paper(mem_config(Some(f), hp_refw_ms), budget, warmup, seed),
-        );
+    for (i, r) in clr.iter().enumerate() {
         let speedup = weighted_speedup(&r.ipc, &alone);
         ws_norm[i] = speedup / base_ws;
         en_norm[i] = r.energy.total_j() / base.energy.total_j();
-        pw_norm[i] = r.avg_power_w() / base.avg_power_w();
+        pw_norm[i] = r.avg_power_w / base.avg_power_w;
     }
     (ws_norm, en_norm, pw_norm)
 }

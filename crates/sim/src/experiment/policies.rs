@@ -22,9 +22,7 @@
 //! instruction budgets. Relative orderings, not absolute numbers, are the
 //! output.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use clr_circuit::par::parallel_map;
 use clr_core::geometry::DramGeometry;
 use clr_cpu::cache::CacheConfig;
 use clr_cpu::cluster::ClusterConfig;
@@ -793,31 +791,6 @@ pub fn run_placement(scale: Scale, seed: u64) -> Vec<PolicyCell> {
             cell
         })
         .collect()
-}
-
-/// Runs `n` jobs over worker threads, returning results in job order.
-fn parallel_map<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let workers = std::thread::available_parallelism()
-        .map(|w| w.get())
-        .unwrap_or(4)
-        .min(n.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = job(i);
-                results.lock().expect("no poisoned workers").push((i, out));
-            });
-        }
-    });
-    let mut out = results.into_inner().expect("workers joined");
-    out.sort_by_key(|(i, _)| *i);
-    out.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Runs the sweep: every roster policy × every roster workload

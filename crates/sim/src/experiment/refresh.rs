@@ -4,15 +4,15 @@
 //! single- and multi-core workloads.
 
 use clr_core::timing::RefreshVariant;
+use clr_memsim::config::MemConfig;
 use clr_trace::apps::top_mpki;
 use clr_trace::mix::{build_mixes, MixGroup};
 use clr_trace::workload::Workload;
 
-use crate::experiment::mem_config;
+use crate::experiment::{mem_config, run_batch};
 use crate::metrics::geomean;
 use crate::report::{ratio, Table};
 use crate::scale::Scale;
-use crate::system::{run_workloads, RunConfig};
 
 /// Fractions swept by Figure 15 (the 0 % point is omitted: max-capacity
 /// mode cannot extend tREFW).
@@ -73,41 +73,36 @@ pub fn run_multi(scale: Scale, seed: u64) -> RefreshReport {
     run_over(scale, seed, &sets, true)
 }
 
+/// Runs every set's DDR4 baseline and every variant × fraction × set
+/// point as one batch over the host's cores, then folds the points in
+/// variant, fraction, set order.
 fn run_over(scale: Scale, seed: u64, sets: &[Vec<Workload>], multi: bool) -> RefreshReport {
-    let budget = scale.budget_insts();
-    let warmup = scale.warmup_insts();
-
-    // Baseline DDR4 runs per workload set.
-    let baselines: Vec<_> = sets
+    let mut jobs: Vec<(&[Workload], MemConfig)> = sets
         .iter()
-        .map(|ws| {
-            run_workloads(
-                ws,
-                &RunConfig::paper(mem_config(None, 64.0), budget, warmup, seed),
-            )
-        })
+        .map(|ws| (ws.as_slice(), mem_config(None, 64.0)))
         .collect();
+    for variant in RefreshVariant::ALL {
+        for f in FIG15_FRACTIONS {
+            for ws in sets {
+                jobs.push((ws, mem_config(Some(f), variant.refw_ms())));
+            }
+        }
+    }
+    let runs = run_batch(&jobs, scale, seed);
+    let (baselines, points) = runs.split_at(sets.len());
 
     let variants = RefreshVariant::ALL
         .iter()
-        .map(|&variant| {
+        .zip(points.chunks(FIG15_FRACTIONS.len() * sets.len()))
+        .map(|(&variant, points)| {
             let mut perf = [0.0; 4];
             let mut energy = [0.0; 4];
             let mut refresh = [0.0; 4];
-            for (i, &f) in FIG15_FRACTIONS.iter().enumerate() {
+            for (i, runs) in points.chunks(sets.len()).enumerate() {
                 let mut perf_v = Vec::new();
                 let mut en_v = Vec::new();
                 let mut ref_v = Vec::new();
-                for (ws, base) in sets.iter().zip(&baselines) {
-                    let r = run_workloads(
-                        ws,
-                        &RunConfig::paper(
-                            mem_config(Some(f), variant.refw_ms()),
-                            budget,
-                            warmup,
-                            seed,
-                        ),
-                    );
+                for (r, base) in runs.iter().zip(baselines) {
                     // Aggregate performance: IPC for single core; the sum
                     // of per-core IPCs as a throughput proxy for mixes
                     // (weighted-speedup normalization is covered by

@@ -1,14 +1,14 @@
 //! Figure 12 (single-core IPC + DRAM energy) and Figure 14a (single-core
 //! DRAM power).
 
+use clr_memsim::config::MemConfig;
 use clr_trace::apps::top_mpki;
 use clr_trace::workload::{single_core_suite, Workload};
 
-use crate::experiment::{mem_config, FRACTIONS, FRACTION_LABELS};
+use crate::experiment::{baseline_and_fractions, run_batch, FRACTIONS, FRACTION_LABELS};
 use crate::metrics::geomean;
 use crate::report::{ratio, Table};
 use crate::scale::Scale;
-use crate::system::{run_workloads, RunConfig};
 
 /// Per-workload normalized results across the five HP-row fractions.
 #[derive(Debug, Clone)]
@@ -101,7 +101,8 @@ impl SingleReport {
     }
 }
 
-/// Runs the Figure 12 sweep.
+/// Runs the Figure 12 sweep, its independent runs spread over the
+/// host's cores.
 pub fn run(scale: Scale, seed: u64) -> SingleReport {
     let mut workloads = single_core_suite();
     if workloads.len() > scale.single_core_workloads() {
@@ -117,34 +118,25 @@ pub fn run(scale: Scale, seed: u64) -> SingleReport {
         workloads = w;
     }
 
+    // One job per (workload, configuration), workload-major.
+    let jobs: Vec<(&[Workload], MemConfig)> = workloads
+        .iter()
+        .flat_map(|w| baseline_and_fractions(64.0).map(move |mem| (std::slice::from_ref(w), mem)))
+        .collect();
+    let runs = run_batch(&jobs, scale, seed);
+
     let rows = workloads
         .iter()
-        .map(|&w| {
-            let base = run_workloads(
-                &[w],
-                &RunConfig::paper(
-                    mem_config(None, 64.0),
-                    scale.budget_insts(),
-                    scale.warmup_insts(),
-                    seed,
-                ),
-            );
+        .zip(runs.chunks(FRACTIONS.len() + 1))
+        .map(|(&w, runs)| {
+            let (base, clr) = (&runs[0], &runs[1..]);
             let mut norm_ipc = [0.0; 5];
             let mut norm_energy = [0.0; 5];
             let mut norm_power = [0.0; 5];
-            for (i, &f) in FRACTIONS.iter().enumerate() {
-                let r = run_workloads(
-                    &[w],
-                    &RunConfig::paper(
-                        mem_config(Some(f), 64.0),
-                        scale.budget_insts(),
-                        scale.warmup_insts(),
-                        seed,
-                    ),
-                );
+            for (i, r) in clr.iter().enumerate() {
                 norm_ipc[i] = r.ipc[0] / base.ipc[0];
                 norm_energy[i] = r.energy.total_j() / base.energy.total_j();
-                norm_power[i] = r.avg_power_w() / base.avg_power_w();
+                norm_power[i] = r.avg_power_w / base.avg_power_w;
             }
             SingleRow {
                 workload: w,

@@ -150,12 +150,9 @@ pub fn threads_from_env() -> usize {
 
 /// The host's available hardware parallelism (1 if unknown) — the
 /// ceiling [`RunConfig::clamp_threads`] holds effective worker threads
-/// to, and the value benches report alongside requested thread counts.
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
+/// to, the worker count of every job-grain batch, and the value benches
+/// report alongside requested thread counts.
+pub use clr_circuit::par::host_parallelism;
 
 /// Results of one run (measurement window only; warmup excluded).
 #[derive(Debug, Clone)]

@@ -89,7 +89,10 @@ fn report(label: &str, r: &PolicyRunResult) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     println!(
         "capacity rebalancing on a channel-skewed hot set ({} scale)\n",
         scale.label()

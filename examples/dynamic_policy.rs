@@ -51,7 +51,10 @@ fn run(policy: PolicySpec, initial_fraction: f64, budget: f64, scale: Scale) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     println!(
         "phase-shifting workload on the scaled-down policy system (scale: {}):\n",
         scale.label()
