@@ -22,8 +22,8 @@
 //! of `(roster, seed, scale)`, so the determinism check is a string
 //! comparison.
 
+use clr_bench::threads_from_env;
 use clr_fleet::{run_fleet, FleetSpec};
-use clr_sim::system::threads_from_env;
 
 const FLEET_SEED: u64 = 0xF1EE7;
 

@@ -11,7 +11,9 @@
 //! smoke cell exercising the channel-sharded path), or
 //! `CLR_SWEEP=placement` to run only the placement sweep (same-bank vs
 //! cross-bank vs cross-channel destination placement on the
-//! channel-skewed hot-set mix).
+//! channel-skewed hot-set mix). `CLR_FORCE_PER_CYCLE=1` runs every cell
+//! on the per-cycle reference walk instead of skip-ahead; the output is
+//! bit-identical, only slower.
 
 use clr_sim::experiment::policies;
 use clr_sim::scale::Scale;
@@ -63,13 +65,17 @@ fn print_placement(report: &policies::PolicySweepReport) {
 
 fn main() {
     let scale = clr_bench::startup("policy sweep (dynamic capacity-latency trade-off, §6)");
+    // Skip-ahead is bit-identical to per-cycle stepping; the escape hatch
+    // forces the reference walk for A/B timing and for bisecting a
+    // suspected divergence without a rebuild.
+    let skip_ahead = std::env::var("CLR_FORCE_PER_CYCLE").is_err();
     match std::env::var("CLR_SWEEP").as_deref() {
         Ok("contention") => {
             // Contention-only mode: the CI smoke step driving the sharded
             // 2-channel path on every push without the full roster.
             let report = policies::PolicySweepReport {
                 cells: Vec::new(),
-                contention: policies::run_contention(scale, 42),
+                contention: policies::run_contention(scale, 42, skip_ahead),
                 placement: Vec::new(),
                 scale,
             };
@@ -86,7 +92,7 @@ fn main() {
             let report = policies::PolicySweepReport {
                 cells: Vec::new(),
                 contention: Vec::new(),
-                placement: policies::run_placement(scale, 42),
+                placement: policies::run_placement(scale, 42, skip_ahead),
                 scale,
             };
             print_placement(&report);
@@ -97,7 +103,7 @@ fn main() {
         }
         _ => {}
     }
-    let report = policies::run(scale, 42);
+    let report = policies::run(scale, 42, skip_ahead);
     print!("{}", report.render());
 
     // Relocation-model axis: background migration must dominate the

@@ -177,7 +177,6 @@ fn run_light(mode: &'static str, skip_ahead: bool, scale: Scale) -> Sample {
         42,
     );
     cfg.skip_ahead = skip_ahead;
-    cfg.threads = 1;
     let start = Instant::now();
     let r = run_workloads(&[light_workload()], &cfg);
     Sample {

@@ -13,6 +13,7 @@
 //! (`clr-dram/slo/v1`) to `BENCH_slo_report.json`. Exits nonzero if the
 //! cell misses its SLO.
 
+use clr_bench::threads_from_env;
 use clr_obs::{MetricsConfig, ScalarObjective, SloReport};
 use clr_policy::budget::BudgetSplit;
 use clr_policy::policy::{PolicyConstraints, PolicySpec};
@@ -22,7 +23,7 @@ use clr_sim::experiment::policies::{
 };
 use clr_sim::policyrun::{run_policy_workloads, PolicyRunConfig, PolicyRunResult};
 use clr_sim::scale::Scale;
-use clr_sim::system::{threads_from_env, RunConfig};
+use clr_sim::system::RunConfig;
 use memsim::frames::DestinationPicker;
 use memsim::migrate::RelocationConfig;
 

@@ -24,6 +24,16 @@ pub fn startup(figure: &str) -> Scale {
     scale
 }
 
+/// Worker-thread count from the `CLR_THREADS` environment variable
+/// (default 1 = serial; invalid or zero values fall back to 1).
+pub fn threads_from_env() -> usize {
+    std::env::var("CLR_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(1)
+}
+
 /// Prints a paper-vs-measured comparison line.
 pub fn compare(label: &str, measured: f64, paper: f64) {
     println!(

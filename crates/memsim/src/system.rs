@@ -39,8 +39,6 @@ use clr_core::addr::{DramAddr, PhysAddr};
 use clr_core::geometry::DramGeometry;
 use clr_obs::{SkipProfile, TraceCategory, TraceConfig, TraceLog, TraceSink, SYSTEM_PID};
 
-use std::sync::Arc;
-
 use crate::config::MemConfig;
 use crate::controller::MemoryController;
 use crate::executor::Executor;
@@ -178,10 +176,9 @@ pub struct MemorySystem {
     /// bit-identical to the serial one (see [`MemorySystem::tick_until`]).
     threads: usize,
     /// The persistent worker pool the threaded walk fans out on —
-    /// created lazily by [`MemorySystem::set_threads`] (threads > 1) or
-    /// handed in by [`MemorySystem::set_executor`] so many systems (a
-    /// fleet) share one pool. `None` while the walk is serial.
-    executor: Option<Arc<Executor>>,
+    /// created lazily by [`MemorySystem::set_threads`] (threads > 1).
+    /// `None` while the walk is serial.
+    executor: Option<Executor>,
     /// Minimum walk window (DRAM cycles) that fans out to workers;
     /// defaults to [`PARALLEL_MIN_WINDOW`]. A tuning knob: tests drop it
     /// to force the threaded path onto every window, and hosts with
@@ -605,28 +602,8 @@ impl MemorySystem {
         if threads == 1 {
             self.executor = None;
         } else if self.executor.as_ref().map(|e| e.lanes()) != Some(threads) {
-            self.executor = Some(Arc::new(Executor::new(threads)));
+            self.executor = Some(Executor::new(threads));
         }
-    }
-
-    /// Hands this system an existing worker pool (and adopts its lane
-    /// count as the thread setting), so many systems — a fleet — share
-    /// one executor instead of each spawning workers. Pool sharing is a
-    /// host-speed knob only: simulated outcomes are identical whether
-    /// the pool is private, shared, or absent.
-    pub fn set_executor(&mut self, executor: Arc<Executor>) {
-        self.threads = executor.lanes();
-        self.executor = Some(executor);
-    }
-
-    /// The pool the threaded walk runs on (`None` while serial).
-    pub fn executor(&self) -> Option<&Arc<Executor>> {
-        self.executor.as_ref()
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Overrides the minimum window fanned out to worker threads
@@ -664,10 +641,9 @@ impl MemorySystem {
         }
         let window = target.saturating_sub(self.cycle());
         if self.threads > 1 && window >= self.parallel_cutover {
-            let exec = Arc::clone(
-                self.executor
-                    .get_or_insert_with(|| Arc::new(Executor::new(self.threads))),
-            );
+            let exec = self
+                .executor
+                .get_or_insert_with(|| Executor::new(self.threads));
             // Move each controller (and its completion scratch) into a
             // pool job; reinstate both from the in-order result slots.
             // The outer Vecs are kept and refilled, so the steady state
@@ -1047,47 +1023,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_executor_across_systems_is_bit_identical_to_private_pools() {
-        // One pool, many systems — the fleet usage pattern. Outcomes
-        // must match systems that each built their own pool (and the
-        // serial walk), and the pool must survive reuse across
-        // sequential simulations.
-        let exec = std::sync::Arc::new(Executor::new(3));
-        let run = |shared: Option<&std::sync::Arc<Executor>>, threads: usize| {
-            let cfg = two_channel_cfg();
-            let mut sys = MemorySystem::new(cfg);
-            match shared {
-                Some(e) => sys.set_executor(std::sync::Arc::clone(e)),
-                None => sys.set_threads(threads),
-            }
-            sys.set_parallel_cutover(1);
-            for req in line_requests(48, 64) {
-                sys.try_enqueue(req).unwrap();
-            }
-            let mut done = Vec::new();
-            sys.tick_until(30_000, &mut done);
-            (done, sys.fused_stats())
-        };
-        let serial = run(None, 1);
-        let private = run(None, 3);
-        assert_eq!(serial, private);
-        for _ in 0..3 {
-            assert_eq!(serial, run(Some(&exec), 0));
-        }
-        assert_eq!(std::sync::Arc::strong_count(&exec), 1, "pool released");
-    }
-
-    #[test]
     fn parallel_cutover_default_is_at_most_1024() {
         // The persistent pool makes fan-out cheap enough to engage on
         // epoch-sized windows; the issue pins the ceiling.
         const { assert!(PARALLEL_MIN_WINDOW <= 1024) };
         let mut sys = MemorySystem::new(two_channel_cfg());
         sys.set_threads(2);
-        assert_eq!(sys.threads(), 2);
-        assert!(sys.executor().is_some());
+        assert_eq!(sys.threads, 2);
+        assert!(sys.executor.is_some());
         sys.set_threads(1);
-        assert!(sys.executor().is_none(), "serial walk drops the pool");
+        assert!(sys.executor.is_none(), "serial walk drops the pool");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`trace`] — [`TraceSink`]: a bounded ring buffer of categorized
 //!   events (DRAM commands, migration-job lifecycle, policy-epoch
 //!   decisions, frame moves/remaps) serializing to Chrome trace-event
-//!   JSON for Perfetto. Enabled per run via `CLR_TRACE`
+//!   JSON for Perfetto. Binaries enable it per run from `CLR_TRACE`
 //!   ([`TraceConfig::from_env`]); with no sink installed the
 //!   instrumentation sites cost one pointer test.
 //! * [`profile`] — [`SkipProfile`]: host-side counters for the
@@ -30,7 +30,7 @@
 //!   statistics deltas — counters, gauges, and windowed tail
 //!   latencies — with exact bucket-wise `merge` for
 //!   per-channel→system fusion, and Chrome trace-event counter-track
-//!   export. Enabled per run via `CLR_METRICS`
+//!   export. Binaries enable it per run from `CLR_METRICS`
 //!   ([`MetricsConfig::from_env`]).
 //! * [`slo`] — [`SloSpec`]/[`SloReport`]: declarative service-level
 //!   objectives over the series (error budgets, multi-window

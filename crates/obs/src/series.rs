@@ -17,8 +17,8 @@
 //! Like tracing, metrics are *inert*: recording them changes no
 //! simulated outcome.
 //!
-//! Metrics are configured per run via [`MetricsConfig`], usually
-//! resolved from the `CLR_METRICS` environment variable
+//! Metrics are configured per run via [`MetricsConfig`]; binaries
+//! resolve it from the `CLR_METRICS` environment variable
 //! ([`MetricsConfig::from_env`]): `CLR_METRICS=1` samples at the default
 //! interval, `CLR_METRICS=<cycles>` at that interval, unset/`0`
 //! disables the layer entirely (no snapshots are taken at all).

@@ -12,8 +12,8 @@
 //! (`pid` = channel index), system-level events under the
 //! [`SYSTEM_PID`] pseudo-process.
 //!
-//! Tracing is configured per run via [`TraceConfig`], usually resolved
-//! from the `CLR_TRACE` environment variable
+//! Tracing is configured per run via [`TraceConfig`]; binaries resolve
+//! it from the `CLR_TRACE` environment variable
 //! ([`TraceConfig::from_env`]): `CLR_TRACE=1` (or `all`) enables every
 //! category, `CLR_TRACE=commands,migration` a subset, unset/`0`
 //! disables tracing entirely. Instrumentation is *inert*: enabling a

@@ -360,7 +360,7 @@ impl CellSpec {
     }
 }
 
-fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
+fn run_cell(spec: &CellSpec, scale: Scale, seed: u64, skip_ahead: bool) -> PolicyCell {
     let initial_fraction = match spec.policy {
         // Static splits start (and stay) at their configured layout; the
         // profile-guided placement sees the same fraction.
@@ -379,10 +379,7 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
         budget_insts: scale.budget_insts(),
         warmup_insts: scale.warmup_insts(),
         seed,
-        // Skip-ahead is bit-identical to per-cycle stepping; the env
-        // escape hatch forces the reference walk for A/B timing and for
-        // bisecting a suspected divergence without a rebuild.
-        skip_ahead: std::env::var("CLR_FORCE_PER_CYCLE").is_err(),
+        skip_ahead,
         trace: None,
         // Every cell runs with continuous telemetry on — metrics are
         // inert (proven by the workspace differential test), and the
@@ -393,7 +390,9 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
             interval_cycles: epoch_cycles(scale),
             capacity: 4_096,
         }),
-        threads: crate::system::threads_from_env(),
+        // Cells already fan out over the job-parallel helper; a channel
+        // walk pool per cell would oversubscribe the host.
+        threads: 1,
         clamp_threads: true,
         // Wait-cause attribution rides along: the blame ledger is inert
         // (differential-tested) and the sweep schema reports per-cause
@@ -615,6 +614,7 @@ fn run_contention_cell(
     spec: &ContentionSpec,
     scale: Scale,
     seed: u64,
+    skip_ahead: bool,
     baselines: &std::collections::HashMap<AloneKey, PolicyCell>,
 ) -> PolicyCell {
     let workloads = contention_workloads(scale, spec.cores);
@@ -635,14 +635,14 @@ fn run_contention_cell(
     if spec.cores == 1 {
         let mut cell = match baselines.get(&alone_key(spec, &workloads[0], seed)) {
             Some(baseline) => baseline.clone(),
-            None => run_cell(&cell_spec, scale, seed),
+            None => run_cell(&cell_spec, scale, seed, skip_ahead),
         };
         cell.workload = cell_spec.workload_label;
         cell.weighted_speedup = Some(1.0);
         cell.max_slowdown = Some(1.0);
         return cell;
     }
-    let mut cell = run_cell(&cell_spec, scale, seed);
+    let mut cell = run_cell(&cell_spec, scale, seed, skip_ahead);
     let alone: Vec<f64> = workloads
         .iter()
         .enumerate()
@@ -676,7 +676,7 @@ fn apply_slowdown_slo(cell: &mut PolicyCell) {
 /// — a 4-core cell shares its first two baselines with the 2-core and
 /// 1-core cells of the same policy/channels/split group), then every
 /// contention cell, all distributed over worker threads.
-pub fn run_contention(scale: Scale, seed: u64) -> Vec<PolicyCell> {
+pub fn run_contention(scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
     let specs = contention_roster(scale);
     let mut wanted: Vec<(AloneKey, CellSpec, u64)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
@@ -692,14 +692,16 @@ pub fn run_contention(scale: Scale, seed: u64) -> Vec<PolicyCell> {
             }
         }
     }
-    let cells = parallel_map(wanted.len(), |i| run_cell(&wanted[i].1, scale, wanted[i].2));
+    let cells = parallel_map(wanted.len(), |i| {
+        run_cell(&wanted[i].1, scale, wanted[i].2, skip_ahead)
+    });
     let baselines: std::collections::HashMap<AloneKey, PolicyCell> = wanted
         .into_iter()
         .zip(cells)
         .map(|((key, _, _), cell)| (key, cell))
         .collect();
     parallel_map(specs.len(), |i| {
-        run_contention_cell(&specs[i], scale, seed, &baselines)
+        run_contention_cell(&specs[i], scale, seed, skip_ahead, &baselines)
     })
 }
 
@@ -763,7 +765,7 @@ fn placement_cell_spec(
 /// max slowdown computed against per-core alone baselines run under the
 /// *same* placement mode (exact per-core trace seeds, as in the
 /// contention sweep).
-pub fn run_placement(scale: Scale, seed: u64) -> Vec<PolicyCell> {
+pub fn run_placement(scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
     let placements = placement_roster(scale);
     let workloads = skewed_workloads(scale);
     let per = workloads.len() + 1;
@@ -778,7 +780,9 @@ pub fn run_placement(scale: Scale, seed: u64) -> Vec<PolicyCell> {
         let label = format!("2core/2ch:skewed:{}", p.label());
         jobs.push((placement_cell_spec(p, workloads.clone(), label), seed));
     }
-    let cells = parallel_map(jobs.len(), |i| run_cell(&jobs[i].0, scale, jobs[i].1));
+    let cells = parallel_map(jobs.len(), |i| {
+        run_cell(&jobs[i].0, scale, jobs[i].1, skip_ahead)
+    });
     cells
         .chunks(per)
         .map(|chunk| {
@@ -801,7 +805,10 @@ pub fn run_placement(scale: Scale, seed: u64) -> Vec<PolicyCell> {
 /// distributed over worker threads. Cells are workload-major with the
 /// drifting-hot-set column first, so [`PolicySweepReport::cell`]
 /// lookups by policy alone keep resolving to the headline workload.
-pub fn run(scale: Scale, seed: u64) -> PolicySweepReport {
+///
+/// `skip_ahead` picks the walk every cell runs (see
+/// [`RunConfig::skip_ahead`]); the sweep is bit-identical either way.
+pub fn run(scale: Scale, seed: u64, skip_ahead: bool) -> PolicySweepReport {
     let mut jobs: Vec<CellSpec> = Vec::new();
     for w in workload_roster(scale) {
         for (spec, budget) in policy_roster() {
@@ -817,9 +824,9 @@ pub fn run(scale: Scale, seed: u64) -> PolicySweepReport {
         }
     }
     jobs.push(multicore_cell(scale));
-    let cells = parallel_map(jobs.len(), |i| run_cell(&jobs[i], scale, seed));
-    let contention = run_contention(scale, seed);
-    let placement = run_placement(scale, seed);
+    let cells = parallel_map(jobs.len(), |i| run_cell(&jobs[i], scale, seed, skip_ahead));
+    let contention = run_contention(scale, seed, skip_ahead);
+    let placement = run_placement(scale, seed, skip_ahead);
     PolicySweepReport {
         cells,
         contention,

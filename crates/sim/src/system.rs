@@ -68,8 +68,9 @@ pub struct RunConfig {
     /// baseline or to bisect a suspected skip-ahead divergence.
     pub skip_ahead: bool,
     /// Structured event tracing (`None` = off, the default; tracing is
-    /// inert — it changes no simulated outcome). [`RunConfig::paper`]
-    /// resolves this from the `CLR_TRACE` environment variable; see
+    /// inert — it changes no simulated outcome). Binaries resolve it
+    /// from the `CLR_TRACE` environment variable with
+    /// [`TraceConfig::from_env`]; see
     /// [`clr_obs::trace`](clr_obs::TraceConfig) for the category filter
     /// syntax.
     pub trace: Option<TraceConfig>,
@@ -77,21 +78,20 @@ pub struct RunConfig {
     /// metrics are inert). Windows close at exact simulated cycles —
     /// the sampling boundary is an event source skip-ahead jumps are
     /// clamped to — so the series are bit-identical across the
-    /// per-cycle, skip-ahead, and threaded walks. [`RunConfig::paper`]
-    /// resolves this from the `CLR_METRICS` environment variable (see
-    /// [`clr_obs::series`](clr_obs::MetricsConfig)).
+    /// per-cycle, skip-ahead, and threaded walks. Binaries resolve it
+    /// from the `CLR_METRICS` environment variable with
+    /// [`MetricsConfig::from_env`].
     pub metrics: Option<MetricsConfig>,
     /// Worker threads for the memory-side channel walk (1 = serial, the
     /// default). Channels are partitioned across workers between epoch
     /// barriers and their completion streams merged on
     /// `(finish_cycle, channel)`, so any value is bit-identical to
-    /// serial. [`RunConfig::paper`] resolves this from the
-    /// `CLR_THREADS` environment variable.
+    /// serial.
     pub threads: usize,
     /// Clamp [`RunConfig::threads`] to the host's
     /// [`std::thread::available_parallelism`] when the run resolves its
     /// effective thread count (the default, and what every production
-    /// caller wants: `CLR_THREADS=2` on a 1-core host must not fan out —
+    /// caller wants: two threads on a 1-core host must not fan out —
     /// parked workers on one core only add hand-off latency).
     /// Differential tests set `false` so the pooled walk is exercised
     /// even on 1-core hosts; the clamp can never change a simulated
@@ -104,15 +104,14 @@ pub struct RunConfig {
     /// cycle budget, accumulated in
     /// [`MemStats::read_blame`](clr_memsim::stats::MemStats)/`write_blame`
     /// and windowed into the telemetry series when metrics are also on.
-    /// [`RunConfig::paper`] resolves this from the `CLR_BLAME`
-    /// environment variable (`1`/`on`/`true` enables).
     pub blame: bool,
 }
 
 impl RunConfig {
-    /// Paper-configured system at the given scale knobs. Tracing follows
-    /// the `CLR_TRACE` environment variable; continuous telemetry
-    /// follows `CLR_METRICS`; worker threads follow `CLR_THREADS`.
+    /// Paper-configured system at the given scale knobs: skip-ahead on,
+    /// serial walk, every observer off. Reads no environment variable;
+    /// binaries that honour `CLR_TRACE` and friends set the fields
+    /// themselves.
     pub fn paper(mem: MemConfig, budget_insts: u64, warmup_insts: u64, seed: u64) -> Self {
         RunConfig {
             mem,
@@ -121,31 +120,13 @@ impl RunConfig {
             warmup_insts,
             seed,
             skip_ahead: true,
-            trace: TraceConfig::from_env(),
-            metrics: MetricsConfig::from_env(),
-            threads: threads_from_env(),
+            trace: None,
+            metrics: None,
+            threads: 1,
             clamp_threads: true,
-            blame: blame_from_env(),
+            blame: false,
         }
     }
-}
-
-/// Wait-cause attribution from the `CLR_BLAME` environment variable
-/// (`1`/`on`/`true`/`all` enables; unset or anything else disables).
-pub fn blame_from_env() -> bool {
-    std::env::var("CLR_BLAME")
-        .map(|v| matches!(v.trim(), "1" | "on" | "true" | "all"))
-        .unwrap_or(false)
-}
-
-/// Worker-thread count from the `CLR_THREADS` environment variable
-/// (default 1 = serial; invalid or zero values fall back to 1).
-pub fn threads_from_env() -> usize {
-    std::env::var("CLR_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
 }
 
 /// The host's available hardware parallelism (1 if unknown) — the

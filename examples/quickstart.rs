@@ -6,7 +6,7 @@ use clr_dram::arch::capacity;
 use clr_dram::arch::geometry::DramGeometry;
 use clr_dram::arch::mode::{ModeTable, RowMode};
 use clr_dram::arch::timing::ClrTimings;
-use clr_dram::obs::MetricsConfig;
+use clr_dram::obs::{MetricsConfig, TraceConfig};
 use clr_dram::sim::experiment::mem_config;
 use clr_dram::sim::report::{host_throughput_summary, sparkline};
 use clr_dram::sim::system::{run_workloads, RunConfig};
@@ -52,11 +52,12 @@ fn main() {
     // Continuous telemetry rides the CLR run: windowed counters and
     // latency quantiles in simulated-cycle time, provably inert
     // (CLR_METRICS tunes the interval; quickstart always samples).
-    // Wait-cause attribution rides along too (CLR_BLAME tunes it;
-    // quickstart always attributes): every read's latency decomposed
-    // into an exact per-cause cycle budget.
+    // Wait-cause attribution rides along too: every read's latency
+    // decomposed into an exact per-cause cycle budget. CLR_TRACE turns
+    // on the event trace written in step 4.
     let mut clr_cfg = RunConfig::paper(mem_config(Some(1.0), 64.0), budget, warmup, 42);
-    clr_cfg.metrics.get_or_insert(MetricsConfig::every(5_000));
+    clr_cfg.trace = TraceConfig::from_env();
+    clr_cfg.metrics = MetricsConfig::from_env().or(Some(MetricsConfig::every(5_000)));
     clr_cfg.blame = true;
     let clr = run_workloads(&[w], &clr_cfg);
     println!("\n429.mcf, {budget} instructions after {warmup} warmup:");
@@ -122,8 +123,8 @@ fn main() {
     }
 
     // Simulator throughput, not simulated performance: how fast the
-    // host chewed through the run (CLR_THREADS>1 parallelizes the
-    // channel walk on multi-channel configurations, bit-identically).
+    // host chewed through the run (RunConfig::threads > 1 parallelizes
+    // the channel walk on multi-channel configurations, bit-identically).
     println!("  {}", host_throughput_summary(&clr, None));
 
     // 4. Optional: a Perfetto-openable trace of the CLR run. Set

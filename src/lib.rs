@@ -222,17 +222,22 @@
 //! is stalled on memory and no DRAM command can issue, both clock domains
 //! jump to the next event instead of ticking through dead cycles. The
 //! accelerated walk is bit-identical to per-cycle stepping — enforced by
-//! `tests/skip_ahead_differential.rs` — and can be disabled per run via
-//! `RunConfig::skip_ahead` (or `CLR_FORCE_PER_CYCLE=1` for the policy
-//! sweep). The `sim_throughput` binary reports simulated cycles/second
-//! for both walks (`clr-dram/sim-throughput/v2`).
+//! the differential matrix in `tests/matrix/mod.rs`, which crosses
+//! walk × observer set × memory configuration — and can be disabled per
+//! run via `RunConfig::skip_ahead` (or `CLR_FORCE_PER_CYCLE=1` for the
+//! `policy_sweep` binary). The `sim_throughput` binary reports simulated
+//! cycles/second for both walks (`clr-dram/sim-throughput/v4`).
+//!
+//! Library constructors such as `RunConfig::paper` take explicit
+//! configuration and read no environment variable; only the binaries
+//! and examples resolve `CLR_*` variables.
 //!
 //! # Continuous telemetry and SLOs
 //!
 //! Any run can sample time-series metrics in simulated-cycle time
-//! (`RunConfig::metrics` / `CLR_METRICS`): fixed-interval windows of
-//! exact counter deltas, boundary gauges, and windowed read-latency
-//! quantiles, per channel and fused system-wide
+//! (`RunConfig::metrics`; `CLR_METRICS` in the quickstart example):
+//! fixed-interval windows of exact counter deltas, boundary gauges, and
+//! windowed read-latency quantiles, per channel and fused system-wide
 //! (`RunResult::metrics`). Boundaries are exact-cycle events the
 //! skip-ahead walk clamps to, so the series are bit-identical across
 //! per-cycle, skip-ahead, and threaded walks, and — like tracing —

@@ -1,203 +1,68 @@
-//! The tracing contract, enforced end to end: installing trace sinks
-//! must change **no simulated outcome** — same IPC, same cycle counts,
-//! same memory statistics per channel — while still capturing at least
-//! one event in every enabled category, and the exported Chrome
-//! trace-event JSON must be syntactically valid (checked by a small
-//! recursive-descent parser, since the workspace is dependency-free).
+//! The tracing contract, on the 2-channel cross-channel policy scenario —
+//! the configuration that lights every trace category: installing trace
+//! sinks changes **no simulated outcome** at any walk, the event stream
+//! is identical under every walk (threaded included), every category the
+//! run can produce captures events, and the exported Chrome trace-event
+//! JSON is syntactically valid (checked by a small recursive-descent
+//! parser, since the workspace is dependency-free).
 //!
-//! This is the observability analogue of
-//! `tests/skip_ahead_differential.rs`: that test proves the accelerated
-//! walk is invisible; this one proves the instrumentation is.
+//! This is the trace-only row of the matrix in `matrix/mod.rs`.
 
-use clr_dram::memsim::frames::DestinationPicker;
-use clr_dram::memsim::migrate::RelocationConfig;
-use clr_dram::obs::{CategorySet, MetricsConfig, TraceCategory, TraceConfig, TraceLog};
-use clr_dram::policy::budget::BudgetSplit;
-use clr_dram::policy::policy::{PolicyConstraints, PolicySpec};
-use clr_dram::sim::experiment::policies::{policy_cluster, policy_mem_config};
-use clr_dram::sim::policyrun::{run_policy_workloads, PolicyRunConfig, PolicyRunResult};
-use clr_dram::sim::system::RunConfig;
-use clr_dram::trace::phase::PhaseShiftSpec;
-use clr_dram::trace::workload::Workload;
+mod matrix;
 
-/// A 2-channel cross-channel policy run — the configuration that lights
-/// up every trace category at once: DRAM commands, background-migration
-/// lifecycles, policy epochs, and the frame rebalancer's placement
-/// events.
-fn run(trace: Option<TraceConfig>) -> PolicyRunResult {
-    run_threaded(trace, 1)
-}
-
-fn run_threaded(trace: Option<TraceConfig>, threads: usize) -> PolicyRunResult {
-    let mut mem = policy_mem_config(0.0);
-    mem.geometry.channels = 2;
-    mem.relocation = RelocationConfig::background();
-    mem.placement = DestinationPicker::CrossChannel;
-    let base = RunConfig {
-        mem,
-        cluster: policy_cluster(),
-        budget_insts: 15_000,
-        warmup_insts: 1_000,
-        seed: 5,
-        skip_ahead: true,
-        // Continuous telemetry rides along whenever tracing is on, so
-        // the traced runs exercise both instrumentation layers at once
-        // (and the Metrics category's counter tracks land in the log).
-        metrics: trace.is_some().then(|| MetricsConfig::every(2_500)),
-        trace,
-        threads,
-        // Differential lane: exercise the pooled walk even on 1-core hosts.
-        clamp_threads: false,
-        // Attribution on in *both* runs (the differential stays
-        // symmetric): tail-request flow spans carry the per-cause blame
-        // budget in their args, so the `requests` category only lights
-        // up when the ledger rides along.
-        blame: true,
-    };
-    let cfg = PolicyRunConfig::new(
-        base,
-        PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
-        PolicyConstraints::with_budget(0.25),
-        2_500,
-    )
-    .with_budget_split(BudgetSplit::demand_proportional());
-    let spec = PhaseShiftSpec {
-        footprint_mib: 1,
-        accesses_per_phase: 800,
-        ..PhaseShiftSpec::paper_default()
-    }
-    .with_channel_skew(2, 0);
-    run_policy_workloads(&[Workload::PhaseShift(spec)], &cfg)
-}
-
-fn all_categories() -> TraceConfig {
-    TraceConfig {
-        categories: CategorySet::all(),
-        capacity: 1 << 20,
-    }
-}
+use clr_dram::obs::{CategorySet, TraceCategory, TraceLog};
+use matrix::*;
 
 #[test]
 fn tracing_changes_no_simulated_outcome() {
-    let off = run(None);
-    let on = run(Some(all_categories()));
-    // Bit-identical simulation: every observable the differential tests
-    // compare for the skip-ahead walk must also survive tracing.
-    assert_eq!(off.run.ipc, on.run.ipc, "IPC diverges under tracing");
-    assert_eq!(off.run.cpu_cycles, on.run.cpu_cycles);
-    assert_eq!(off.run.dram_cycles, on.run.dram_cycles);
-    assert_eq!(off.run.mem, on.run.mem, "fused statistics diverge");
-    assert_eq!(off.run.mem_per_channel, on.run.mem_per_channel);
-    assert_eq!(off.rows_remapped, on.rows_remapped);
-    assert_eq!(off.final_hp_fraction, on.final_hp_fraction);
-    assert_eq!(off.policy_stats_per_channel, on.policy_stats_per_channel);
-    // The profiler sees the same walk either way.
-    assert_eq!(off.run.skip_profile, on.run.skip_profile);
-
-    // The untraced run carries no log; the traced one captured at least
-    // one event in *every* enabled category.
-    assert!(off.run.trace.is_none());
-    assert!(off.run.metrics.is_none());
-    assert!(on.run.metrics.is_some(), "traced run carries metrics too");
-    let log = on.run.trace.as_ref().expect("traced run returns a log");
-    assert!(!log.events.is_empty());
-    for cat in TraceCategory::ALL {
-        assert!(
-            log.count(cat) > 0,
-            "no {} events captured — the scenario must light up every category",
-            cat.label()
-        );
-    }
-    // Events arrive sorted, as the viewers expect.
-    assert!(log
-        .events
-        .windows(2)
-        .all(|w| (w[0].ts, w[0].pid) <= (w[1].ts, w[1].pid)));
-
-    // The skip-ahead profile saw real jumps with attributed sources.
-    let p = &on.run.skip_profile;
-    assert!(p.jumps.count() > 0, "the walk must have jumped");
-    assert!(p.skipped_cycles > 0 && p.ticked_cycles > 0);
-    assert!(p.triggers.iter().sum::<u64>() == p.jumps.count());
-    assert!(p.jump_coverage() > 0.0 && p.jump_coverage() < 1.0);
+    let s = cross_channel();
+    assert_inert(&s, TRACE, &[Walk::PerCycle, Walk::SkipAhead]);
+    check_trace(&s, TRACE, run(&s, Walk::SkipAhead, TRACE));
 }
 
 #[test]
 fn tracing_stays_inert_and_bit_identical_under_threads() {
-    // The threaded channel walk must preserve both halves of the
-    // contract at once: tracing stays invisible, and two workers are
-    // bit-identical to the serial walk — same simulation, same merged
-    // event log.
-    let serial = run_threaded(Some(all_categories()), 1);
-    let threaded = run_threaded(Some(all_categories()), 2);
-    assert_eq!(serial.run.ipc, threaded.run.ipc);
-    assert_eq!(serial.run.cpu_cycles, threaded.run.cpu_cycles);
-    assert_eq!(serial.run.dram_cycles, threaded.run.dram_cycles);
-    assert_eq!(serial.run.mem, threaded.run.mem);
-    assert_eq!(serial.run.mem_per_channel, threaded.run.mem_per_channel);
-    assert_eq!(serial.rows_remapped, threaded.rows_remapped);
-    assert_eq!(serial.final_hp_fraction, threaded.final_hp_fraction);
-    assert_eq!(
-        serial.policy_stats_per_channel,
-        threaded.policy_stats_per_channel
-    );
-    assert_eq!(serial.run.skip_profile, threaded.run.skip_profile);
-    let a = serial.run.trace.as_ref().expect("serial log");
-    let b = threaded.run.trace.as_ref().expect("threaded log");
-    assert_eq!(a.events, b.events, "merged event streams diverge");
-
-    // The continuous-telemetry series are part of the contract too:
-    // window boundaries are exact-cycle events, so the per-channel
-    // series must be bit-identical between the serial and threaded
-    // walks.
-    let ms = serial.run.metrics.as_ref().expect("serial metrics");
-    let mt = threaded.run.metrics.as_ref().expect("threaded metrics");
-    assert_eq!(ms.per_channel, mt.per_channel, "metrics series diverge");
-    assert_eq!(ms.system(), mt.system());
-    assert_eq!(serial.policy_series, threaded.policy_series);
-
-    // And a traced threaded run is still inert next to an untraced one.
-    let untraced = run_threaded(None, 2);
-    assert_eq!(untraced.run.ipc, threaded.run.ipc);
-    assert_eq!(untraced.run.mem, threaded.run.mem);
-    assert_eq!(untraced.rows_remapped, threaded.rows_remapped);
+    let s = cross_channel();
+    assert_inert(&s, TRACE, &[Walk::Threaded(2)]);
+    assert_walk_invariant(&s, TRACE);
 }
 
 #[test]
 fn category_filter_restricts_the_log() {
-    let cfg = TraceConfig {
-        categories: CategorySet::none().with(TraceCategory::Policy),
-        capacity: 1 << 16,
-    };
-    let r = run(Some(cfg));
+    let s = cross_channel();
+    let mut cfg = config(&s, Walk::SkipAhead, ALL);
+    cfg.trace.as_mut().unwrap().categories = CategorySet::none().with(TraceCategory::Policy);
+    let r = run_config(&s, cfg);
     let log = r.run.trace.as_ref().expect("traced run returns a log");
-    assert!(log.count(TraceCategory::Policy) > 0);
-    assert_eq!(log.count(TraceCategory::Commands), 0);
-    assert_eq!(log.count(TraceCategory::Migration), 0);
-    assert_eq!(log.count(TraceCategory::Placement), 0);
-    // Metrics were recorded (the series exist) but the category filter
-    // keeps their counter tracks out of the log.
+    // Metrics were recorded (the series exist) but the filter keeps
+    // their counter tracks, like every other category, out of the log.
     assert!(r.run.metrics.is_some());
-    assert_eq!(log.count(TraceCategory::Metrics), 0);
+    assert_eq!(
+        categories(|cat| log.count(cat) > 0),
+        [TraceCategory::Policy]
+    );
 }
 
 #[test]
 fn chrome_trace_json_is_valid_and_complete() {
-    let r = run(Some(all_categories()));
-    let log = r.run.trace.as_ref().expect("traced run returns a log");
-    let json = log.to_chrome_json();
-    let value = parse_json(&json).expect("export must be valid JSON");
-    // Structural checks a viewer relies on.
-    let Json::Object(top) = value else {
+    // The log that holds every event kind: counter tracks need the
+    // metrics series, tail-request flows the blame budget.
+    let s = cross_channel();
+    let r = run(&s, Walk::SkipAhead, ALL);
+    check_trace(&s, ALL, r);
+    let log = r.run.trace.as_ref().unwrap();
+    let text = log.to_chrome_json();
+    let Json::Object(top) = parse_json(&text).expect("export must be valid JSON") else {
         panic!("top level must be an object");
     };
+    assert!(lookup(&top, "displayTimeUnit").is_some());
     let Some(Json::Array(events)) = lookup(&top, "traceEvents") else {
         panic!("traceEvents array missing");
     };
-    // Flow events (tail-request spans) export as a begin/end pair, so
-    // the JSON carries one extra object per flow in the log.
+    // Flow events (tail-request spans) export as a begin/end pair.
     let flows = log.events.iter().filter(|e| e.flow_id.is_some()).count();
     assert!(flows > 0, "the contention scenario must sample tail reads");
+    assert!(log.events.iter().any(|e| e.counter), "no counter tracks");
     assert_eq!(events.len(), log.events.len() + flows);
     for e in events {
         let Json::Object(fields) = e else {
@@ -206,202 +71,136 @@ fn chrome_trace_json_is_valid_and_complete() {
         for key in ["name", "cat", "ph", "ts", "pid", "tid", "args"] {
             assert!(lookup(fields, key).is_some(), "event missing {key:?}");
         }
-        match lookup(fields, "ph") {
-            Some(Json::String(ph)) if ph == "X" => {
-                assert!(lookup(fields, "dur").is_some(), "span without dur")
-            }
-            Some(Json::String(ph)) if ph == "i" => {
-                assert!(lookup(fields, "s").is_some(), "instant without scope")
-            }
-            Some(Json::String(ph)) if ph == "C" => {
-                assert!(lookup(fields, "dur").is_none(), "counter with dur");
-                let Some(Json::Object(args)) = lookup(fields, "args") else {
-                    panic!("counter without args object");
-                };
-                assert!(!args.is_empty(), "counter with no series values");
-            }
-            Some(Json::String(ph)) if ph == "b" || ph == "e" => {
-                assert!(lookup(fields, "id").is_some(), "flow event without id")
-            }
+        let Some(Json::String(ph)) = lookup(fields, "ph") else {
+            panic!("ph must be a string");
+        };
+        // Spans carry a duration, instants a scope, flow events an id.
+        let needs = match *ph {
+            "X" => "dur",
+            "i" => "s",
+            "b" | "e" => "id",
+            "C" => "args",
             other => panic!("unexpected ph {other:?}"),
+        };
+        assert!(
+            lookup(fields, needs).is_some(),
+            "{ph} event without {needs}"
+        );
+        if *ph == "C" {
+            assert!(lookup(fields, "dur").is_none(), "counter with dur");
+            let series = matches!(lookup(fields, "args"), Some(Json::Object(a)) if !a.is_empty());
+            assert!(series, "counter with no series values");
         }
     }
-    // The metrics layer contributed real counter tracks.
-    assert!(
-        log.events.iter().any(|e| e.counter),
-        "no counter-track events in the merged log"
-    );
-    assert!(lookup(&top, "displayTimeUnit").is_some());
-}
-
-// --- A minimal JSON syntax checker (the workspace has no JSON
-// dependency, and the export must open in external viewers, so the test
-// parses it from scratch rather than substring-matching). ---
-
-#[derive(Debug)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    String(String),
-    // The payloads only matter for Debug output on assertion failure.
-    Number(#[allow(dead_code)] f64),
-    Bool(#[allow(dead_code)] bool),
-    Null,
-}
-
-fn lookup<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn parse_json(s: &str) -> Result<Json, String> {
-    let b = s.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing bytes at {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at {}", c as char, pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                fields.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(fields));
-                    }
-                    other => return Err(format!("bad object separator {other:?} at {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    other => return Err(format!("bad array separator {other:?} at {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::String(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Json::Number)
-                .ok_or_else(|| format!("bad number at {start}"))
-        }
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' | b'\\' | b'/' => out.push(esc as char),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' | b'f' => out.push('?'),
-                    b'u' => {
-                        if *pos + 4 > b.len() {
-                            return Err("short unicode escape".into());
-                        }
-                        *pos += 4;
-                        out.push('?');
-                    }
-                    other => return Err(format!("bad escape {:?}", other as char)),
-                }
-            }
-            _ => out.push(c as char),
-        }
-    }
-    Err("unterminated string".into())
 }
 
 #[test]
 fn empty_trace_log_serializes_validly() {
-    let json = TraceLog::default().to_chrome_json();
-    let v = parse_json(&json).expect("empty log must still be valid JSON");
-    let Json::Object(top) = v else {
+    let text = TraceLog::default().to_chrome_json();
+    let Json::Object(top) = parse_json(&text).unwrap() else {
         panic!("top level must be an object");
     };
-    let Some(Json::Array(events)) = lookup(&top, "traceEvents") else {
-        panic!("traceEvents array missing");
-    };
-    assert!(events.is_empty());
+    assert!(matches!(lookup(&top, "traceEvents"), Some(Json::Array(e)) if e.is_empty()));
+}
+
+// --- A minimal JSON parser (the workspace has no JSON dependency, and
+// the export must open in external viewers, so the test parses it from
+// scratch rather than substring-matching). ---
+
+#[derive(Debug)]
+enum Json<'a> {
+    Object(Vec<(&'a str, Json<'a>)>),
+    Array(Vec<Json<'a>>),
+    /// A string's raw contents: escapes are validated, not decoded.
+    String(&'a str),
+    /// A number, `true`, `false` or `null`: only their syntax matters.
+    Scalar,
+}
+
+fn lookup<'j, 'a>(fields: &'j [(&'a str, Json<'a>)], key: &str) -> Option<&'j Json<'a>> {
+    fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+}
+
+fn parse_json(text: &str) -> Result<Json<'_>, String> {
+    let mut rest = text;
+    let v = value(&mut rest)?;
+    match rest.trim_start() {
+        "" => Ok(v),
+        tail => Err(format!("trailing bytes: {tail:.20}")),
+    }
+}
+
+/// Consumes `token` if it comes next, after any whitespace.
+fn eat(rest: &mut &str, token: &str) -> bool {
+    *rest = rest.trim_start();
+    let hit = rest.starts_with(token);
+    if hit {
+        *rest = &rest[token.len()..];
+    }
+    hit
+}
+
+fn value<'a>(rest: &mut &'a str) -> Result<Json<'a>, String> {
+    if eat(rest, "{") {
+        let field = |r: &mut &'a str| {
+            let key = string(r)?;
+            match eat(r, ":") {
+                true => Ok((key, value(r)?)),
+                false => Err(format!("expected ':' at {r:.20}")),
+            }
+        };
+        seq(rest, "}", field).map(Json::Object)
+    } else if eat(rest, "[") {
+        seq(rest, "]", value).map(Json::Array)
+    } else if rest.starts_with('"') {
+        string(rest).map(Json::String)
+    } else if ["true", "false", "null"].iter().any(|w| eat(rest, w)) {
+        Ok(Json::Scalar)
+    } else {
+        let len = rest.find(|c: char| !"0123456789+-.eE".contains(c));
+        let (number, tail) = rest.split_at(len.unwrap_or(rest.len()));
+        number
+            .parse::<f64>()
+            .map_err(|_| format!("bad value at {rest:.20}"))?;
+        *rest = tail;
+        Ok(Json::Scalar)
+    }
+}
+
+/// Comma-separated items up to `close`, the opener already consumed.
+fn seq<'a, T>(
+    rest: &mut &'a str,
+    close: &str,
+    item: impl Fn(&mut &'a str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut items = Vec::new();
+    while !eat(rest, close) {
+        if !items.is_empty() && !eat(rest, ",") {
+            return Err(format!("bad separator at {rest:.20}"));
+        }
+        items.push(item(rest)?);
+    }
+    Ok(items)
+}
+
+fn string<'a>(rest: &mut &'a str) -> Result<&'a str, String> {
+    if !eat(rest, "\"") {
+        return Err(format!("expected a string at {rest:.20}"));
+    }
+    let b = rest.as_bytes();
+    let mut i = 0;
+    while let Some(&c) = b.get(i) {
+        i += match (c, b.get(i + 1)) {
+            (b'"', _) => {
+                let s = &rest[..i];
+                *rest = &rest[i + 1..];
+                return Ok(s);
+            }
+            (b'\\', Some(b'u')) => 6,
+            (b'\\', Some(e)) if b"\"\\/bfnrt".contains(e) => 2,
+            (b'\\', _) => return Err(format!("bad escape at {:.20}", &rest[i..])),
+            _ => 1,
+        };
+    }
+    Err("unterminated string".into())
 }
