@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod calibrate;
 pub mod devices;
 pub mod dram;
 pub mod matrix;

@@ -27,7 +27,6 @@ pub struct Transient {
     v: Vec<f64>,
     t_ns: f64,
     dt_ns: f64,
-    newton_iters_last: usize,
     /// The linear stamp for the last step size; `None` after the set of
     /// connected sources changes.
     linear: Option<LinearStamp>,
@@ -147,7 +146,6 @@ impl Transient {
             v,
             t_ns: 0.0,
             dt_ns,
-            newton_iters_last: 0,
             linear: None,
             g: Matrix::zeros(0),
             hist: Vec::new(),
@@ -192,16 +190,6 @@ impl Transient {
             s.connected = connected;
             self.linear = None;
         }
-    }
-
-    /// Present value of a source.
-    pub fn source_value(&self, id: SourceId) -> f64 {
-        self.net.sources[id.0].value
-    }
-
-    /// Newton iterations used by the last step (diagnostics).
-    pub fn newton_iters(&self) -> usize {
-        self.newton_iters_last
     }
 
     /// Advances one time step.
@@ -353,7 +341,6 @@ impl Transient {
                 return false;
             }
         }
-        self.newton_iters_last = iters;
         std::mem::swap(&mut self.v, &mut self.v_iter);
         true
     }

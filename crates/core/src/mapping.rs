@@ -184,9 +184,15 @@ impl PagePlacement {
         } else {
             Err(CoreError::PlacementOverflow {
                 requested: self.table.len() + 1,
-                available: self.total_frames as usize,
+                available: self.usable_frames() as usize,
             })
         }
+    }
+
+    /// Frames that can hold data: every frame but those the
+    /// high-performance region loses to coupling.
+    fn usable_frames(&self) -> u64 {
+        self.total_frames - (self.hp_region_frames - self.hp_frames)
     }
 
     /// Translates a workload address through the placement. Pages not seen
@@ -313,5 +319,24 @@ mod tests {
         let placement = PagePlacement::profile_guided(&p, 1.0, &g).unwrap();
         // All rows HP → only half the nominal frames are usable.
         assert_eq!(placement.hp_frames(), total_frames / 2);
+    }
+
+    #[test]
+    fn overflow_reports_the_usable_frames() {
+        let g = DramGeometry::tiny();
+        let total_frames = g.capacity_bytes() / PAGE_BYTES;
+        // At 25 % HP the region's coupled half is lost capacity.
+        let usable = total_frames - total_frames / 8;
+        let pages: Vec<(u64, u64)> = (0..=usable).map(|page| (page, 1)).collect();
+        let err = PagePlacement::profile_guided(&profile_with(&pages), 0.25, &g).unwrap_err();
+        let fits = PagePlacement::profile_guided(&profile_with(&pages[1..]), 0.25, &g);
+        assert!(fits.is_ok(), "exactly the usable frames must fit");
+        assert_eq!(
+            err,
+            CoreError::PlacementOverflow {
+                requested: usable as usize + 1,
+                available: usable as usize,
+            }
+        );
     }
 }

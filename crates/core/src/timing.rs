@@ -38,11 +38,6 @@ pub struct TimingParams {
 }
 
 impl TimingParams {
-    /// Row-cycle time tRC = tRAS + tRP, the paper's headline latency metric.
-    pub fn t_rc_ns(&self) -> f64 {
-        self.t_ras_ns + self.t_rp_ns
-    }
-
     /// Scales every latency by `factor` (used in sensitivity studies).
     #[must_use]
     pub fn scaled(&self, factor: f64) -> Self {
@@ -248,22 +243,6 @@ impl ClrTimings {
             max_capacity,
             high_performance: hp_et,
             high_performance_no_et: hp_no_et,
-        }
-    }
-
-    /// Builds a timing model from explicitly measured parameter sets (e.g.
-    /// produced by the `clr-circuit` simulator).
-    pub fn from_measured(
-        baseline: TimingParams,
-        max_capacity: TimingParams,
-        high_performance: TimingParams,
-        high_performance_no_et: TimingParams,
-    ) -> Self {
-        ClrTimings {
-            baseline,
-            max_capacity,
-            high_performance,
-            high_performance_no_et,
         }
     }
 

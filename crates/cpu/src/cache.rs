@@ -114,19 +114,6 @@ pub struct CacheStats {
     pub mshr_merges: u64,
 }
 
-impl CacheStats {
-    /// Misses per thousand *accesses* for a core (proxy for LLC MPKI when
-    /// combined with the core's instruction count).
-    pub fn miss_rate(&self, core: usize) -> f64 {
-        let total = self.hits[core] + self.misses[core];
-        if total == 0 {
-            0.0
-        } else {
-            self.misses[core] as f64 / total as f64
-        }
-    }
-}
-
 /// The shared last-level cache.
 #[derive(Debug)]
 pub struct Llc {

@@ -237,12 +237,6 @@ impl TimingEngine {
     pub fn read_done(&self, now: u64) -> u64 {
         now + self.timings.cl + self.timings.burst
     }
-
-    /// Cycle at which write data for a WR issued at `now` has been fully
-    /// transferred.
-    pub fn write_done(&self, now: u64) -> u64 {
-        now + self.timings.cwl + self.timings.burst
-    }
 }
 
 #[cfg(test)]

@@ -37,10 +37,10 @@
 //! Skip-ahead engages only across windows the event bound proves dead, so
 //! an accelerated run is **bit-identical** to the per-cycle reference:
 //! same command log, same completion cycles, same statistics. The
-//! workspace test `tests/skip_ahead_differential.rs` enforces exactly
-//! that invariant (controller-level, full-system, and policy-epoch runs),
-//! and the `sim_throughput` bench in `clr-bench` tracks the wall-clock
-//! payoff.
+//! workspace's differential matrix, `tests/matrix/mod.rs`, enforces
+//! exactly that invariant (controller-level, full-system, and
+//! policy-epoch runs), and the `perfbench` benchmark measures the
+//! wall-clock payoff.
 //!
 //! # Channel sharding
 //!

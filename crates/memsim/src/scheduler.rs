@@ -32,7 +32,6 @@
 //! the whole-simulation level).
 
 use clr_core::addr::DramAddr;
-use clr_core::mode::RowMode;
 
 use crate::bankstate::BankState;
 use crate::command::Command;
@@ -900,17 +899,13 @@ pub fn entry(request: MemRequest, decoded: DramAddr, target: Target) -> QueueEnt
     }
 }
 
-/// Exposed for tests: the mode carried by an entry's target.
-pub fn entry_mode(e: &QueueEntry) -> RowMode {
-    e.target.mode
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cycletimings::CycleTimings;
     use crate::request::{MemRequest, RequestKind};
     use clr_core::addr::PhysAddr;
+    use clr_core::mode::RowMode;
     use clr_core::timing::{ClrTimings, InterfaceTimings};
 
     fn engine() -> TimingEngine {

@@ -237,15 +237,6 @@ impl LatencyHistogram {
     pub fn percentiles(&self) -> (u64, u64, u64) {
         (self.p50(), self.p95(), self.p99())
     }
-
-    /// Iterates non-empty buckets as `(upper_bound, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper_bound(i), c))
-    }
 }
 
 impl PartialEq for LatencyHistogram {

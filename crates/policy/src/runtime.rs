@@ -156,11 +156,6 @@ impl PolicyRuntime {
         }
     }
 
-    /// Rows currently mid-migration.
-    pub fn in_flight_rows(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// The policy's report label.
     pub fn policy_name(&self) -> String {
         self.policy.name()

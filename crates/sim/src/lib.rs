@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod csv;
 pub mod experiment;
 pub mod metrics;
 pub mod policyrun;

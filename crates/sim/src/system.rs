@@ -131,8 +131,7 @@ impl RunConfig {
 
 /// The host's available hardware parallelism (1 if unknown) — the
 /// ceiling [`RunConfig::clamp_threads`] holds effective worker threads
-/// to, the worker count of every job-grain batch, and the value benches
-/// report alongside requested thread counts.
+/// to and the worker count of every job-grain batch.
 pub use clr_circuit::par::host_parallelism;
 
 /// Results of one run (measurement window only; warmup excluded).
@@ -241,7 +240,7 @@ fn build_placement(workloads: &[Workload], cfg: &RunConfig) -> PagePlacement {
     }
     let fraction = cfg.mem.clr.fraction_hp();
     PagePlacement::profile_guided(&merged, fraction, &cfg.mem.geometry)
-        .expect("CLR fraction is validated upstream")
+        .expect("the workloads' footprint does not fit the memory's usable frames")
 }
 
 /// Observer invoked after every DRAM tick — the hook the policy runtime
@@ -692,5 +691,19 @@ mod tests {
         assert_eq!(per_cycle.cpu_cycles, skipped.cpu_cycles);
         assert_eq!(per_cycle.dram_cycles, skipped.dram_cycles);
         assert_eq!(per_cycle.mem, skipped.mem);
+    }
+
+    #[test]
+    fn thread_request_is_clamped_to_host_parallelism() {
+        let w = Workload::App(*by_name("429.mcf").unwrap());
+        let mut cfg = quick_cfg(MemConfig::paper_clr(0.5));
+        cfg.mem.geometry.channels = 2;
+        cfg.budget_insts = 2_000;
+        for requested in [1, 2, host_parallelism() + 1] {
+            cfg.threads = requested;
+            let r = run_workloads(&[w], &cfg);
+            assert_eq!(r.threads_requested, requested);
+            assert_eq!(r.threads_effective, requested.min(host_parallelism()));
+        }
     }
 }

@@ -26,7 +26,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod apps;
-pub mod fileio;
 pub mod gen;
 pub mod mix;
 pub mod phase;
@@ -36,7 +35,6 @@ pub mod workload;
 pub mod zipf;
 
 pub use apps::{AppModel, MemoryClass, SUITE};
-pub use fileio::{read_trace, write_trace};
 pub use gen::{AppTrace, RandomTrace, StreamTrace};
 pub use mix::{build_mixes, MixGroup, MixSpec};
 pub use phase::{PhaseShiftSpec, PhaseShiftTrace};

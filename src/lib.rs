@@ -225,8 +225,7 @@
 //! the differential matrix in `tests/matrix/mod.rs`, which crosses
 //! walk × observer set × memory configuration — and can be disabled per
 //! run via `RunConfig::skip_ahead` (or `CLR_FORCE_PER_CYCLE=1` for the
-//! `policy_sweep` binary). The `sim_throughput` binary reports simulated
-//! cycles/second for both walks (`clr-dram/sim-throughput/v4`).
+//! `policy_sweep` binary).
 //!
 //! Library constructors such as `RunConfig::paper` take explicit
 //! configuration and read no environment variable; only the binaries

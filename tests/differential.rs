@@ -49,3 +49,13 @@ fn run_skewed_background_cross_bank() {
 fn run_skewed_background_cross_channel() {
     run_matrix(&cross_channel(), ALL);
 }
+
+#[test]
+fn run_light_intensity() {
+    run_matrix(&light(), ALL);
+}
+
+#[test]
+fn run_contention_4c2ch() {
+    run_matrix(&contention(), ALL);
+}

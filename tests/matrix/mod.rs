@@ -52,10 +52,14 @@ use clr_dram::obs::{
 use clr_dram::policy::budget::BudgetSplit;
 use clr_dram::policy::policy::{PolicyConstraints, PolicySpec};
 use clr_dram::policy::runtime::RuntimeStats;
-use clr_dram::sim::experiment::policies::{policy_cluster, policy_mem_config};
+use clr_dram::sim::experiment::policies::{
+    contention_workloads, policy_cluster, policy_mem_config,
+};
 use clr_dram::sim::policyrun::{run_policy_workloads, PolicyRunConfig, PolicyRunResult};
 use clr_dram::sim::system::{run_workloads, RunConfig, RunResult};
+use clr_dram::sim::Scale;
 use clr_dram::trace::phase::PhaseShiftSpec;
+use clr_dram::trace::synthetic::{SyntheticKind, SyntheticSpec};
 use clr_dram::trace::workload::Workload;
 
 /// How a run advances simulated time.
@@ -377,23 +381,39 @@ pub const TRACE: Observers = observers(true, false, false);
 pub const METRICS: Observers = observers(false, true, false);
 pub const BLAME: Observers = observers(false, false, true);
 
-/// The util-threshold policy's run shape: it proposes on raw access
-/// counts, so every run is guaranteed to move the table.
+/// What a run's cores execute.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Load {
+    /// One core on a drifting hot set: 2 MiB in a static run, 1 MiB
+    /// under a policy.
+    Phase,
+    /// [`Load::Phase`] with the hot set concentrated on channel 0, so
+    /// placement has work.
+    SkewedPhase,
+    /// Four cores on the policy sweep's smoke contention mix.
+    Contention,
+    /// One core on the low-intensity `random_12` synthetic: the DRAM
+    /// idles between isolated misses, so skip-ahead jumps most cycles.
+    Light,
+}
+
+/// A policy run's shape. The util-threshold policy proposes on raw
+/// access counts, so its runs are guaranteed to move the table.
 #[derive(Debug, Clone, Copy)]
 struct Policy {
+    spec: PolicySpec,
     relocation: RelocationConfig,
     placement: DestinationPicker,
     split: BudgetSplit,
-    /// Concentrate the hot set on channel 0, so placement has work.
-    skewed: bool,
 }
 
 pub struct RunScenario {
     channels: u32,
-    /// `None`: a static run with 25 % of rows high-performance.
+    load: Load,
+    /// `None`: a static run.
     policy: Option<Policy>,
     /// The scenario-specific "was actually exercised" checks, on the
-    /// reference run.
+    /// observer-free skip-ahead run.
     exercised: fn(&PolicyRunResult),
 }
 
@@ -415,6 +435,9 @@ impl RunScenario {
 
 pub fn config(s: &RunScenario, walk: Walk, obs: Observers) -> RunConfig {
     let mut cfg = match s.policy {
+        None if s.load == Load::Light => {
+            RunConfig::paper(MemConfig::paper_clr(0.5), 15_000, 1_000, 5)
+        }
         None => RunConfig::paper(MemConfig::paper_clr(0.25), 12_000, 1_500, 77),
         Some(p) => {
             let mut mem = policy_mem_config(0.0);
@@ -441,15 +464,31 @@ pub fn config(s: &RunScenario, walk: Walk, obs: Observers) -> RunConfig {
     cfg
 }
 
+fn workloads(s: &RunScenario) -> Vec<Workload> {
+    let phase = |footprint_mib, accesses_per_phase| PhaseShiftSpec {
+        footprint_mib,
+        accesses_per_phase,
+        ..PhaseShiftSpec::paper_default()
+    };
+    match s.load {
+        Load::Phase if s.policy.is_none() => vec![Workload::PhaseShift(phase(2, 1_500))],
+        Load::Phase => vec![Workload::PhaseShift(phase(1, 800))],
+        Load::SkewedPhase => vec![Workload::PhaseShift(phase(1, 800).with_channel_skew(2, 0))],
+        Load::Contention => contention_workloads(Scale::Smoke, 4),
+        Load::Light => vec![Workload::Synthetic(SyntheticSpec {
+            kind: SyntheticKind::Random,
+            index: 12,
+            bubbles: 159,
+            footprint_mib: 64,
+        })],
+    }
+}
+
 pub fn run_config(s: &RunScenario, cfg: RunConfig) -> PolicyRunResult {
+    let workloads = workloads(s);
     let Some(p) = s.policy else {
-        let w = Workload::PhaseShift(PhaseShiftSpec {
-            footprint_mib: 2,
-            accesses_per_phase: 1_500,
-            ..PhaseShiftSpec::paper_default()
-        });
         return PolicyRunResult {
-            run: run_workloads(&[w], &cfg),
+            run: run_workloads(&workloads, &cfg),
             policy: String::new(),
             policy_stats: RuntimeStats::default(),
             policy_stats_per_channel: Vec::new(),
@@ -460,22 +499,9 @@ pub fn run_config(s: &RunScenario, cfg: RunConfig) -> PolicyRunResult {
             policy_series: None,
         };
     };
-    let mut spec = PhaseShiftSpec {
-        footprint_mib: 1,
-        accesses_per_phase: 800,
-        ..PhaseShiftSpec::paper_default()
-    };
-    if p.skewed {
-        spec = spec.with_channel_skew(2, 0);
-    }
-    let cfg = PolicyRunConfig::new(
-        cfg,
-        PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
-        PolicyConstraints::with_budget(0.25),
-        EPOCH,
-    )
-    .with_budget_split(p.split);
-    run_policy_workloads(&[Workload::PhaseShift(spec)], &cfg)
+    let cfg = PolicyRunConfig::new(cfg, p.spec, PolicyConstraints::with_budget(0.25), EPOCH)
+        .with_budget_split(p.split);
+    run_policy_workloads(&workloads, &cfg)
 }
 
 /// `s` simulated under `walk` with `obs` installed. Runs are memoized per
@@ -484,7 +510,10 @@ pub fn run_config(s: &RunScenario, cfg: RunConfig) -> PolicyRunResult {
 pub fn run(s: &RunScenario, walk: Walk, obs: Observers) -> &'static PolicyRunResult {
     type Slot = &'static OnceLock<PolicyRunResult>;
     static RUNS: Mutex<BTreeMap<String, Slot>> = Mutex::new(BTreeMap::new());
-    let key = format!("{}ch {:?} {walk:?} {obs:?}", s.channels, s.policy);
+    let key = format!(
+        "{}ch {:?} {:?} {walk:?} {obs:?}",
+        s.channels, s.load, s.policy
+    );
     let slot: Slot = *RUNS
         .lock()
         .unwrap()
@@ -573,7 +602,10 @@ fn assert_same_observations(a: &PolicyRunResult, b: &PolicyRunResult, what: &str
 /// that only the walk and metrics may move.
 pub fn assert_inert(s: &RunScenario, obs: Observers, walks: &[Walk]) {
     let reference = run(s, Walk::PerCycle, NONE);
-    (s.exercised)(reference);
+    // Skip-ahead jumps stop at every metrics window boundary, so the skip
+    // profile depends on the walk and on metrics; trace, blame and the
+    // worker count must leave it alone.
+    let twin = run(s, Walk::SkipAhead, if obs.metrics { obs } else { NONE });
     for &walk in walks {
         let r = run(s, walk, obs);
         let what = format!("{walk:?} {obs:?}");
@@ -593,12 +625,11 @@ pub fn assert_inert(s: &RunScenario, obs: Observers, walks: &[Walk]) {
         assert!(p.skipped_cycles > 0 && p.ticked_cycles > 0);
         assert_eq!(p.triggers.iter().sum::<u64>(), p.jumps.count());
         assert!(p.jump_coverage() > 0.0 && p.jump_coverage() < 1.0);
-        // Skip-ahead jumps stop at every metrics window boundary, so the
-        // profile depends on the walk and on metrics; trace, blame and
-        // the worker count must leave it alone.
-        let twin = run(s, Walk::SkipAhead, if obs.metrics { obs } else { NONE });
         assert!(twin.run.skip_profile == *p, "{what}: skip profile diverges");
     }
+    // The walk contract makes the twin's simulation the reference's, and
+    // the twin also carries a skip profile.
+    (s.exercised)(twin);
 }
 
 /// Each installed observer's own output is identical under every walk
@@ -690,7 +721,11 @@ pub fn check_windows(s: &RunScenario, r: &PolicyRunResult) {
     assert!(system.total_latency().count() > 0);
 
     if let Some(ps) = &r.policy_series {
-        assert!(ps.totals().mode_transitions > 0);
+        // The epoch windows account for every applied transition.
+        assert_eq!(
+            ps.totals().mode_transitions,
+            r.policy_stats.transitions_applied
+        );
         for w in ps.windows() {
             assert_eq!(w.end_cycle % EPOCH, 0, "epoch off-boundary");
         }
@@ -739,15 +774,15 @@ pub fn check_trace(s: &RunScenario, obs: Observers, r: &PolicyRunResult) {
     assert_eq!(log.dropped, 0);
     let expected = categories(|cat| match cat {
         TraceCategory::Commands => true,
-        TraceCategory::Migration => s.background(),
+        TraceCategory::Migration => s.background() && r.policy_stats.transitions_applied > 0,
         TraceCategory::Policy => s.policy.is_some(),
         TraceCategory::Placement => s
             .policy
             .is_some_and(|p| p.placement == DestinationPicker::CrossChannel),
         // Counter tracks need the series; tail-request spans carry the
-        // blame budget.
+        // blame budget, and a light load has no read slow enough to span.
         TraceCategory::Metrics => obs.metrics,
-        TraceCategory::Requests => obs.blame,
+        TraceCategory::Requests => obs.blame && s.load != Load::Light,
     });
     let lit = categories(|cat| log.count(cat) > 0);
     assert_eq!(lit, expected, "categories with events: {obs:?}");
@@ -762,6 +797,8 @@ pub fn categories(pick: impl Fn(TraceCategory) -> bool) -> Vec<TraceCategory> {
 
 // --- Run scenarios ---
 
+const UTIL_THRESHOLD: PolicySpec = PolicySpec::UtilizationThreshold { hot: 4, cold: 1 };
+
 /// A static run with 25 % of rows high-performance.
 pub fn static_clr_25(channels: u32) -> RunScenario {
     let exercised: fn(&PolicyRunResult) = match channels {
@@ -774,6 +811,7 @@ pub fn static_clr_25(channels: u32) -> RunScenario {
     };
     RunScenario {
         channels,
+        load: Load::Phase,
         policy: None,
         exercised,
     }
@@ -787,13 +825,14 @@ pub fn stall_policy(channels: u32) -> RunScenario {
         _ => BudgetSplit::demand_proportional(),
     };
     let policy = Policy {
+        spec: UTIL_THRESHOLD,
         relocation: RelocationConfig::default(),
         placement: DestinationPicker::SameBank,
         split,
-        skewed: false,
     };
     RunScenario {
         channels,
+        load: Load::Phase,
         policy: Some(policy),
         // The policy moved the table on every channel and stalled on it.
         exercised: |r| {
@@ -842,13 +881,14 @@ pub fn skewed_background(placement: DestinationPicker) -> RunScenario {
         },
     };
     let policy = Policy {
+        spec: UTIL_THRESHOLD,
         relocation: RelocationConfig::background(),
         placement,
         split: BudgetSplit::demand_proportional(),
-        skewed: true,
     };
     RunScenario {
         channels: 2,
+        load: Load::SkewedPhase,
         policy: Some(policy),
         exercised,
     }
@@ -858,4 +898,45 @@ pub fn skewed_background(placement: DestinationPicker) -> RunScenario {
 /// migrations, policy epochs, and the frame rebalancer's placement.
 pub fn cross_channel() -> RunScenario {
     skewed_background(DestinationPicker::CrossChannel)
+}
+
+/// The policy sweep's 4-core × 2-channel contention cell: hysteresis,
+/// demand-proportional budgets, paced background relocation. Hysteresis
+/// may leave the table alone at this length, so only epochs and forward
+/// progress are required.
+pub fn contention() -> RunScenario {
+    let policy = Policy {
+        spec: PolicySpec::Hysteresis,
+        relocation: RelocationConfig::background_paced(),
+        placement: DestinationPicker::SameBank,
+        split: BudgetSplit::demand_proportional(),
+    };
+    RunScenario {
+        channels: 2,
+        load: Load::Contention,
+        policy: Some(policy),
+        exercised: |r| {
+            assert_eq!(r.run.mem.relocation_stall_cycles, 0);
+            assert!(r.run.ipc.len() == 4 && r.run.ipc.iter().all(|&ipc| ipc > 0.0));
+            assert_eq!(r.policy_stats_per_channel.len(), 2);
+            assert!(r.policy_stats_per_channel.iter().all(|s| s.epochs > 0));
+        },
+    }
+}
+
+/// A static run of the low-intensity synthetic with 50 % of rows
+/// high-performance: the dead windows skip-ahead exists for.
+pub fn light() -> RunScenario {
+    RunScenario {
+        channels: 1,
+        load: Load::Light,
+        policy: None,
+        exercised: |r| {
+            let p = &r.run.skip_profile;
+            assert!(
+                p.skipped_cycles > p.ticked_cycles,
+                "skip-ahead must jump most cycles"
+            );
+        },
+    }
 }

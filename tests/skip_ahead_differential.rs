@@ -8,8 +8,10 @@
 //!    mid-run mode transitions with relocation stalls, and background
 //!    migration, with every reference command log protocol-audited;
 //! 2. the full system loop (`RunConfig::skip_ahead`), where the CPU
-//!    cluster co-jumps with the controller;
-//! 3. policy runs, where epoch boundaries must fire at exact cycles.
+//!    cluster co-jumps with the controller, including a light load that
+//!    jumps most of its cycles;
+//! 3. policy runs, where epoch boundaries must fire at exact cycles,
+//!    including four cores contending for two channels.
 //!
 //! The threaded walk (`threads` > 1, one worker per channel shard) is
 //! held to the same contract. This is the observer-free column of the
@@ -91,6 +93,12 @@ fn two_channel_threaded_full_system_run_is_bit_identical() {
     assert_inert(&static_clr_25(2), NONE, &[Walk::Threaded(2)]);
 }
 
+/// A light load: skip-ahead jumps most of its cycles.
+#[test]
+fn light_intensity_run_is_bit_identical() {
+    assert_inert(&light(), NONE, SKIP);
+}
+
 #[test]
 fn policy_run_with_epoch_boundaries_is_bit_identical() {
     assert_inert(&stall_policy(1), NONE, SKIP);
@@ -115,4 +123,12 @@ fn placement_modes_policy_runs_are_bit_identical() {
         let s = skewed_background(placement);
         assert_inert(&s, NONE, &s.walks());
     }
+}
+
+/// Four cores contend for two channels under hysteresis epochs and paced
+/// background relocation, on every walk.
+#[test]
+fn four_core_contention_run_is_bit_identical() {
+    let s = contention();
+    assert_inert(&s, NONE, &s.walks());
 }
