@@ -87,7 +87,7 @@ impl Window {
         if !ready {
             self.waiting.push(self.head);
         }
-        self.head = (self.head + 1) % self.depth;
+        self.head = self.next_slot(self.head);
         self.load += 1;
     }
 
@@ -98,11 +98,22 @@ impl Window {
         while n < self.retire_width && self.load > 0 && self.ready[self.tail] {
             self.ready[self.tail] = false;
             self.addr[self.tail] = NO_ADDR;
-            self.tail = (self.tail + 1) % self.depth;
+            self.tail = self.next_slot(self.tail);
             self.load -= 1;
             n += 1;
         }
         n
+    }
+
+    /// The ring slot after `slot`, wrapped by a comparison rather than a
+    /// division (one per dispatch and per retire).
+    fn next_slot(&self, slot: usize) -> usize {
+        let next = slot + 1;
+        if next == self.depth {
+            0
+        } else {
+            next
+        }
     }
 
     /// Marks every entry waiting on `line_addr` as ready (a cache line
@@ -174,6 +185,44 @@ mod tests {
         let mut w = Window::new(1, 1);
         w.insert(true, 0);
         w.insert(true, 0);
+    }
+
+    #[test]
+    fn wraparound_at_a_depth_that_is_not_a_power_of_two() {
+        // Depth 3: head and tail wrap past slot 2 on every third
+        // dispatch and retire; occupancy and retire order must survive
+        // many laps at every fill level.
+        let mut w = Window::new(3, 3);
+        for lap in 0..12u64 {
+            let fill = 1 + (lap % 3) as usize;
+            for k in 0..fill {
+                w.insert(false, 0x1000 + lap * 8 + k as u64);
+            }
+            assert_eq!(w.occupancy(), fill);
+            assert_eq!(w.is_full(), fill == 3, "lap {lap}");
+            // Wake the youngest first: nothing retires until the
+            // oldest is ready, then all of them retire in order.
+            for k in (0..fill).rev() {
+                assert_eq!(w.retire(), 0, "lap {lap}: head still pending");
+                w.set_ready(0x1000 + lap * 8 + k as u64);
+            }
+            assert_eq!(w.retire(), fill, "lap {lap}");
+            assert!(w.is_empty());
+        }
+    }
+
+    #[test]
+    fn wraparound_at_depth_one() {
+        let mut w = Window::new(1, 4);
+        for round in 0..5 {
+            assert_eq!(w.free_slots(), 1);
+            w.insert(false, 0x40 + round);
+            assert!(w.is_full() && !w.head_ready());
+            w.set_ready(0x40 + round);
+            assert!(w.head_ready());
+            assert_eq!(w.retire(), 1, "round {round}");
+            assert!(w.is_empty());
+        }
     }
 
     #[test]

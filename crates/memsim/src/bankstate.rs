@@ -60,6 +60,83 @@ impl Default for BankState {
     }
 }
 
+/// A set of one channel's flat bank indices, kept as a 64-bit mask.
+///
+/// The controller drives its per-tick scans from these sets (banks with
+/// an open row, banks with migration work, banks a migration holds,
+/// banks with queued demand), so a tick visits only the banks that can
+/// act. Every index must be below [`BankSet::CAPACITY`]: the owners'
+/// constructors call [`BankSet::assert_fits`], so no shift ever wraps.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BankSet(u64);
+
+impl BankSet {
+    /// The most banks one set can hold.
+    pub const CAPACITY: usize = 64;
+
+    /// Panics unless indices `0..banks` fit a set.
+    pub fn assert_fits(banks: usize) {
+        assert!(
+            banks <= Self::CAPACITY,
+            "{banks} banks behind one controller exceed the {}-bank limit of its bank sets",
+            Self::CAPACITY
+        );
+    }
+
+    /// Adds `bank`.
+    pub fn insert(&mut self, bank: usize) {
+        self.0 |= 1 << bank;
+    }
+
+    /// Removes `bank`.
+    pub fn remove(&mut self, bank: usize) {
+        self.0 &= !(1 << bank);
+    }
+
+    /// Adds `bank` if `member`, else removes it.
+    pub fn set(&mut self, bank: usize, member: bool) {
+        if member {
+            self.insert(bank);
+        } else {
+            self.remove(bank);
+        }
+    }
+
+    /// Whether `bank` is in the set.
+    pub fn contains(self, bank: usize) -> bool {
+        self.0 >> bank & 1 != 0
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The lowest bank in the set.
+    pub fn first(self) -> Option<usize> {
+        self.iter().next()
+    }
+
+    /// The banks in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut mask = self.0;
+        std::iter::from_fn(move || {
+            let bank = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
+            mask &= mask - 1;
+            Some(bank)
+        })
+    }
+
+    /// The banks in round-robin order from `start`: `start` and above
+    /// ascending, then the banks below `start`.
+    pub fn iter_from(self, start: usize) -> impl Iterator<Item = usize> {
+        let high = !0u64 << start;
+        BankSet(self.0 & high)
+            .iter()
+            .chain(BankSet(self.0 & !high).iter())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,6 +152,30 @@ mod tests {
         assert_eq!(b.last_use_cycle, 15);
         assert_eq!(b.precharge(), RowMode::HighPerformance);
         assert_eq!(b.open_row, None);
+    }
+
+    #[test]
+    fn bank_set_iterates_in_order_and_round_robin() {
+        let mut s = BankSet::default();
+        assert!(s.is_empty() && s.first().is_none());
+        for b in [63, 0, 5, 17] {
+            s.insert(b);
+        }
+        s.set(17, false);
+        s.set(9, true);
+        assert!(s.contains(63) && s.contains(9) && !s.contains(17));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 5, 9, 63]);
+        assert_eq!(s.first(), Some(0));
+        assert_eq!(s.iter_from(6).collect::<Vec<_>>(), vec![9, 63, 0, 5]);
+        assert_eq!(s.iter_from(0).collect::<Vec<_>>(), vec![0, 5, 9, 63]);
+        s.remove(0);
+        assert_eq!(s.iter_from(63).collect::<Vec<_>>(), vec![63, 5, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 64-bank limit")]
+    fn bank_set_refuses_more_banks_than_bits() {
+        BankSet::assert_fits(65);
     }
 
     #[test]

@@ -32,6 +32,21 @@
 //! a per-cycle run: same command log, same completion cycles, same
 //! statistics.
 //!
+//! # Bank sets
+//!
+//! A tick visits only the banks that can act. The controller keeps
+//! [`BankSet`]s, each changed only where its condition changes: the
+//! banks with an open row (where a row opens or closes), the banks with
+//! migration work and the banks a migration holds (where a job is
+//! queued, started or finished, inside [`crate::migrate`]), and each
+//! queue's banks with queued demand (in its [`LaneCache`]). The
+//! busy/idle accounting, the timeout close and its bound, refresh's
+//! PRE-out, the migration serve pass in its round-robin order and the
+//! migration bound walk these sets, and per-bank counts answer whether
+//! demand waits on a bank's open or migrating row. The FR-FCFS-Cap pass
+//! ([`scheduler::pick_cached`]) prices the banks with queued demand once
+//! and returns the decision together with the exact queue bound.
+//!
 //! [`tick`]: MemoryController::tick
 
 use std::cell::Cell;
@@ -45,7 +60,7 @@ use clr_obs::{
     BlameLedger, EventSource, SkipProfile, TraceCategory, TraceConfig, TraceSink, WaitCause,
 };
 
-use crate::bankstate::BankState;
+use crate::bankstate::{BankSet, BankState};
 use crate::command::{Command, IssuedCommand};
 use crate::config::{ClrModeConfig, MemConfig};
 use crate::cycletimings::CycleTimings;
@@ -54,7 +69,7 @@ use crate::frames::FrameDirectory;
 use crate::migrate::{MigrationEngine, MigrationStep, PlacementEvent};
 use crate::refresh::RefreshScheduler;
 use crate::request::{Completion, MemRequest, RequestKind};
-use crate::scheduler::{self, LaneCache, QueueEntry};
+use crate::scheduler::{self, Decision, LaneCache, QueueEntry, RowWatch};
 use crate::stats::MemStats;
 
 /// Sentinel row for an empty per-bank mode-cache slot (no real row index
@@ -71,6 +86,13 @@ pub struct MemoryController {
     config: MemConfig,
     engine: TimingEngine,
     banks: Vec<BankState>,
+    /// The banks with an open row, changed only where a row opens or
+    /// closes: the per-tick accounting, the timeout close and refresh's
+    /// PRE-out walk this set instead of every bank.
+    open_banks: BankSet,
+    /// Each flat bank's command target (channel 0, max-capacity mode),
+    /// so per-tick targeting pays no division.
+    bank_targets: Vec<Target>,
     read_q: Vec<QueueEntry>,
     write_q: Vec<QueueEntry>,
     refresh: RefreshScheduler,
@@ -158,12 +180,14 @@ impl MemoryController {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is invalid or the CLR fraction/refresh
-    /// window is out of range.
+    /// Panics if the geometry is invalid, has more banks per channel
+    /// than a [`BankSet`] holds, or the CLR fraction/refresh window is
+    /// out of range.
     pub fn new(config: MemConfig) -> Self {
         config.geometry.validate().expect("invalid geometry");
         let g = &config.geometry;
         let banks_total = (g.channels * g.ranks * g.bank_groups * g.banks_per_group) as usize;
+        BankSet::assert_fits(banks_total);
         let bg_total = (g.channels * g.ranks * g.bank_groups) as usize;
         let ranks_total = (g.channels * g.ranks) as usize;
         let banks_per_group = g.banks_per_group as usize;
@@ -225,6 +249,19 @@ impl MemoryController {
         MemoryController {
             engine,
             banks: vec![BankState::new(); banks_total],
+            open_banks: BankSet::default(),
+            bank_targets: (0..banks_total)
+                .map(|bank| {
+                    let bank_group = bank / banks_per_group;
+                    Target {
+                        bank,
+                        bank_group,
+                        rank: bank_group / bgs_per_rank,
+                        channel: 0,
+                        mode: RowMode::MaxCapacity,
+                    }
+                })
+                .collect(),
             read_q: Vec::with_capacity(config.scheduler.read_queue),
             write_q: Vec::with_capacity(config.scheduler.write_queue),
             refresh,
@@ -242,8 +279,8 @@ impl MemoryController {
             addr_mask,
             command_log: None,
             per_bank_acts: vec![0; banks_total],
-            read_lanes: LaneCache::new(banks_total, banks_per_group * bgs_per_rank),
-            write_lanes: LaneCache::new(banks_total, banks_per_group * bgs_per_rank),
+            read_lanes: LaneCache::new(banks_total),
+            write_lanes: LaneCache::new(banks_total),
             migration: MigrationEngine::new(
                 config.relocation,
                 banks_total,
@@ -1113,16 +1150,10 @@ impl MemoryController {
             .map(request.addr, g)
             .expect("masked address is always in range");
         let flat_bank = decoded.flat_bank(g);
-        let banks_per_group = g.banks_per_group as usize;
-        let bgs_per_rank = g.bank_groups as usize;
-        let bg = flat_bank / banks_per_group;
-        let rank = bg / bgs_per_rank;
         let target = Target {
-            bank: flat_bank,
-            bank_group: bg,
-            rank,
             channel: decoded.channel as usize,
             mode: self.mode_of_row(flat_bank, decoded.row),
+            ..self.bank_targets[flat_bank]
         };
         let mut entry = scheduler::entry(request, decoded, target);
         if self.blame_enabled {
@@ -1198,7 +1229,7 @@ impl MemoryController {
         }
 
         // 4. Background accounting.
-        if self.banks.iter().any(|b| b.open_row.is_some()) {
+        if !self.open_banks.is_empty() {
             self.stats.rank_active_cycles += 1;
         } else {
             self.stats.rank_precharged_cycles += 1;
@@ -1328,7 +1359,7 @@ impl MemoryController {
                 // drain policy would select this window.
                 let t = match queue_ready {
                     Some(hint) => hint,
-                    None => self.next_queue_ready_cycle().unwrap_or(u64::MAX),
+                    None => self.next_queue_ready_cycle(),
                 };
                 fold(&mut next, &mut source, t, EventSource::QueueReady);
                 // 5. Timeout-policy background row close.
@@ -1358,10 +1389,7 @@ impl MemoryController {
         let rate_gate = self.migration.rate_gate(self.cycle);
         let mut next: Option<u64> = None;
         let mut fold = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
-        for b in 0..self.banks.len() {
-            if !self.migration.bank_has_work(b) {
-                continue;
-            }
+        for b in self.migration.banks_with_work() {
             let open = self.banks[b].open_row.map(|r| (r, self.banks[b].open_mode));
             if self.migration.is_busy(b) {
                 // A role blocked on another side's progress (a write
@@ -1494,16 +1522,10 @@ impl MemoryController {
     /// bank's backlog cannot starve the rest. Returns whether a command
     /// issued.
     fn serve_migration(&mut self, now: u64, idle_slot: bool, demand_ready: u64) -> bool {
-        let n = self.banks.len();
-        let start = self.migration.rr_start();
         // The rate limiter is global and applies to every start, so when
         // it is closed only busy banks merit a look.
         let start_blocked = self.migration.rate_gate(now) > now;
-        for k in 0..n {
-            let b = (start + k) % n;
-            if !self.migration.bank_has_work(b) {
-                continue;
-            }
+        for b in self.migration.banks_with_work() {
             let busy = self.migration.is_busy(b);
             if !busy && start_blocked {
                 continue;
@@ -1515,10 +1537,10 @@ impl MemoryController {
             // per dribbled burst).
             let eager = busy
                 && (self.migration.is_mid_phase(b)
-                    || self.migration.blocked_row(b).is_some_and(|row| {
-                        self.read_lanes.has_row_entry(&self.read_q, b, row)
-                            || self.write_lanes.has_row_entry(&self.write_q, b, row)
-                    }));
+                    || self
+                        .migration
+                        .blocked_row(b)
+                        .is_some_and(|row| self.demand_for(b, RowWatch::Migrating, row)));
             if busy {
                 if !idle_slot && !eager {
                     continue;
@@ -1563,17 +1585,14 @@ impl MemoryController {
             }
             match nc.command {
                 Command::Act => {
-                    self.banks[b].activate(nc.row, nc.mode, now);
+                    self.open_row(b, nc.row, nc.mode, now);
                     self.engine.issue(Command::Act, target, now);
                     self.stats.record_migration_act(nc.mode);
                     self.migration.note_act(b, now);
                     self.log_command_tagged(now, Command::Act, b, nc.row, nc.mode, true);
-                    self.hit_streak[b] = 0;
-                    self.read_lanes.bank_state_changed(b);
-                    self.write_lanes.bank_state_changed(b);
                 }
                 Command::Pre => {
-                    let closed = self.banks[b].precharge();
+                    let closed = self.close_row(b);
                     self.engine.issue(Command::Pre, target, now);
                     self.stats.record_migration_pre(closed);
                     let step = self.migration.note_pre(b);
@@ -1635,9 +1654,6 @@ impl MemoryController {
                         MigrationStep::InProgress => {}
                     }
                     self.log_command_tagged(now, Command::Pre, b, 0, closed, true);
-                    self.hit_streak[b] = 0;
-                    self.read_lanes.bank_state_changed(b);
-                    self.write_lanes.bank_state_changed(b);
                 }
                 Command::Rd | Command::Wr => {
                     self.banks[b].access(now);
@@ -1714,7 +1730,7 @@ impl MemoryController {
         debug_assert!(to > self.cycle);
         let n = to - self.cycle;
         self.skip_profile.record_jump(n, self.next_event_source);
-        if self.banks.iter().any(|b| b.open_row.is_some()) {
+        if !self.open_banks.is_empty() {
             self.stats.rank_active_cycles += n;
         } else {
             self.stats.rank_precharged_cycles += n;
@@ -1730,26 +1746,33 @@ impl MemoryController {
     /// first still-open bank, else the REF across every rank (mirrors
     /// [`MemoryController::progress_refresh`]'s issue conditions).
     fn refresh_progress_ready_cycle(&self, mode: RowMode) -> u64 {
-        for b in 0..self.banks.len() {
-            if self.banks[b].open_row.is_some() {
-                let target = self.bank_target(b, self.banks[b].open_mode);
-                return self.engine.earliest(Command::Pre, target);
-            }
+        if let Some(b) = self.open_banks.first() {
+            let target = self.bank_target(b, self.banks[b].open_mode);
+            return self.engine.earliest(Command::Pre, target);
         }
-        let ranks = (self.config.geometry.channels * self.config.geometry.ranks) as usize;
-        (0..ranks)
+        (0..self.ranks())
             .map(|r| {
-                let t = Target {
-                    bank: r * (self.banks.len() / ranks),
-                    bank_group: r * (self.config.geometry.bank_groups as usize),
-                    rank: r,
-                    channel: 0,
-                    mode,
-                };
-                self.engine.earliest(Command::Ref, t)
+                self.engine
+                    .earliest(Command::Ref, self.rank_target(r, mode))
             })
             .max()
             .unwrap_or(0)
+    }
+
+    /// Flat ranks behind this controller.
+    fn ranks(&self) -> usize {
+        (self.config.geometry.channels * self.config.geometry.ranks) as usize
+    }
+
+    /// The REF target of flat rank `r` (its first bank and bank group).
+    fn rank_target(&self, r: usize, mode: RowMode) -> Target {
+        Target {
+            bank: r * (self.banks.len() / self.ranks()),
+            bank_group: r * (self.config.geometry.bank_groups as usize),
+            rank: r,
+            channel: 0,
+            mode,
+        }
     }
 
     /// The earliest cycle the queue the drain policy would select can
@@ -1757,17 +1780,27 @@ impl MemoryController {
     /// current queue lengths without mutating it (the lengths — and hence
     /// the selection — are constant across a dead window; `serve_queues`
     /// re-derives the same state at the event cycle).
-    fn next_queue_ready_cycle(&mut self) -> Option<u64> {
+    fn next_queue_ready_cycle(&mut self) -> u64 {
         let use_writes = self.queue_selection(self.read_q.len(), self.write_q.len());
+        self.schedule(use_writes, self.cycle).1
+    }
+
+    /// The FR-FCFS-Cap pass over the read or write queue at `now`: the
+    /// decision and the queue's exact next-ready bound (see
+    /// [`scheduler::pick_cached`]).
+    fn schedule(&mut self, use_writes: bool, now: u64) -> (Option<Decision>, u64) {
         let (q, lanes) = if use_writes {
             (&self.write_q, &mut self.write_lanes)
         } else {
             (&self.read_q, &mut self.read_lanes)
         };
-        scheduler::next_ready_cached(
+        scheduler::pick_cached(
             q,
             &self.banks,
             &self.engine,
+            &self.hit_streak,
+            self.config.scheduler.cap,
+            now,
             lanes,
             self.migration.held_banks(),
             self.migration.blocked_rows(),
@@ -1775,15 +1808,44 @@ impl MemoryController {
         )
     }
 
+    /// Whether any queued read or write targets `row` of `bank`, where
+    /// `row` is the bank's `watch` row (kept counts; see
+    /// [`LaneCache::row_queued`]).
+    fn demand_for(&mut self, bank: usize, watch: RowWatch, row: u32) -> bool {
+        self.read_lanes.row_queued(&self.read_q, bank, watch, row)
+            || self.write_lanes.row_queued(&self.write_q, bank, watch, row)
+    }
+
+    /// Opens `row` on bank `b` for any ACT, demand or migration. The row
+    /// buffer, the open-bank set, the bank's hit streak and both lane
+    /// caches change together.
+    fn open_row(&mut self, b: usize, row: u32, mode: RowMode, now: u64) {
+        self.banks[b].activate(row, mode, now);
+        self.open_banks.insert(b);
+        self.hit_streak[b] = 0;
+        self.read_lanes.bank_state_changed(b);
+        self.write_lanes.bank_state_changed(b);
+    }
+
+    /// Closes bank `b`'s open row for any PRE, returning the closed
+    /// row's mode (see [`MemoryController::open_row`]).
+    fn close_row(&mut self, b: usize) -> RowMode {
+        let closed = self.banks[b].precharge();
+        self.open_banks.remove(b);
+        self.hit_streak[b] = 0;
+        self.read_lanes.bank_state_changed(b);
+        self.write_lanes.bank_state_changed(b);
+        closed
+    }
+
     /// The earliest cycle the timeout row policy can close an idle open
     /// row no queued request wants (`None` under open-page, or when every
     /// open row is still wanted — a wanted row's service is covered by
-    /// the queue-readiness event instead). One pass over both queues
-    /// marks the wanted banks, then only open banks are visited.
+    /// the queue-readiness event instead). Only open banks are visited.
     fn next_timeout_close_cycle(&mut self) -> Option<u64> {
         let timeout_cycles = self.timeout_cycles?;
         let mut next: Option<u64> = None;
-        for b in 0..self.banks.len() {
+        for b in self.open_banks.iter() {
             let Some(row) = self.banks[b].open_row else {
                 continue;
             };
@@ -1798,12 +1860,7 @@ impl MemoryController {
             if self.migration.is_mid_phase(b) {
                 continue;
             }
-            // Wanted check via the per-bank lane indexes (always current)
-            // — visiting only the open banks' own entries instead of
-            // scanning both queues in full on every repricing.
-            if self.read_lanes.has_row_entry(&self.read_q, b, row)
-                || self.write_lanes.has_row_entry(&self.write_q, b, row)
-            {
+            if self.demand_for(b, RowWatch::Open, row) {
                 continue;
             }
             let target = self.bank_target(b, self.banks[b].open_mode);
@@ -1816,44 +1873,30 @@ impl MemoryController {
     /// Progress the pending refresh: close open banks, then issue REF to
     /// every rank. Returns whether a command issued this cycle.
     fn progress_refresh(&mut self, mode: RowMode, _rfc: u64, now: u64) -> bool {
-        // Close any open bank first (one PRE per cycle).
-        for b in 0..self.banks.len() {
-            if self.banks[b].open_row.is_some() {
-                let target = self.bank_target(b, self.banks[b].open_mode);
-                if self.engine.can_issue(Command::Pre, target, now) {
-                    let closed = self.banks[b].precharge();
-                    self.engine.issue(Command::Pre, target, now);
-                    self.stats.record_pre(closed);
-                    self.log_command(now, Command::Pre, b, 0, closed);
-                    self.hit_streak[b] = 0;
-                    // Refresh may close a bank out from under an
-                    // in-flight migration job; its phase re-activates
-                    // after the blackout.
-                    self.migration.on_forced_precharge(b);
-                    self.read_lanes.bank_state_changed(b);
-                    self.write_lanes.bank_state_changed(b);
-                    return true;
-                }
+        // Close the lowest open bank first (one PRE per cycle).
+        if let Some(b) = self.open_banks.first() {
+            let target = self.bank_target(b, self.banks[b].open_mode);
+            if !self.engine.can_issue(Command::Pre, target, now) {
                 return false; // wait for tRAS/tWR of that bank
             }
+            let closed = self.close_row(b);
+            self.engine.issue(Command::Pre, target, now);
+            self.stats.record_pre(closed);
+            self.log_command(now, Command::Pre, b, 0, closed);
+            // Refresh may close a bank out from under an in-flight
+            // migration job; its phase re-activates after the blackout.
+            self.migration.on_forced_precharge(b);
+            return true;
         }
         // All banks closed: issue REF (modelled on every rank this cycle).
-        let ranks = (self.config.geometry.channels * self.config.geometry.ranks) as usize;
-        let rank_targets: Vec<Target> = (0..ranks)
-            .map(|r| Target {
-                bank: r * (self.banks.len() / ranks),
-                bank_group: r * (self.config.geometry.bank_groups as usize),
-                rank: r,
-                channel: 0,
-                mode,
-            })
-            .collect();
-        if rank_targets
-            .iter()
-            .all(|t| self.engine.can_issue(Command::Ref, *t, now))
-        {
+        let ranks = self.ranks();
+        if (0..ranks).all(|r| {
+            self.engine
+                .can_issue(Command::Ref, self.rank_target(r, mode), now)
+        }) {
             let rfc = self.engine.timings().for_mode(mode).rfc;
-            for t in rank_targets {
+            for r in 0..ranks {
+                let t = self.rank_target(r, mode);
                 self.engine.issue(Command::Ref, t, now);
             }
             self.stats.record_ref(mode);
@@ -1880,27 +1923,8 @@ impl MemoryController {
         let use_writes =
             self.draining_writes || (self.read_q.is_empty() && !self.write_q.is_empty());
 
-        let decision = {
-            let (q, lanes) = if use_writes {
-                (&self.write_q, &mut self.write_lanes)
-            } else {
-                (&self.read_q, &mut self.read_lanes)
-            };
-            let (decision, bound) = scheduler::pick_cached(
-                q,
-                &self.banks,
-                &self.engine,
-                &self.hit_streak,
-                self.config.scheduler.cap,
-                now,
-                lanes,
-                self.migration.held_banks(),
-                self.migration.blocked_rows(),
-                self.migration.read_ok_rows(),
-            );
-            self.queue_ready_hint = bound;
-            decision
-        };
+        let (decision, bound) = self.schedule(use_writes, now);
+        self.queue_ready_hint = bound;
         let Some(d) = decision else {
             return false;
         };
@@ -1928,14 +1952,11 @@ impl MemoryController {
                 let mode = Self::cached_mode(&self.modes, &self.mode_cache, bank, row);
                 e.target.mode = mode;
                 let target = e.target;
-                self.banks[bank].activate(row, mode, now);
+                self.open_row(bank, row, mode, now);
                 self.engine.issue(Command::Act, target, now);
                 self.stats.record_act(mode);
                 self.per_bank_acts[bank] += 1;
                 self.log_command(now, Command::Act, bank, row, mode);
-                self.hit_streak[bank] = 0;
-                self.read_lanes.bank_state_changed(bank);
-                self.write_lanes.bank_state_changed(bank);
             }
             Command::Pre => {
                 e.needed_pre = true;
@@ -1943,13 +1964,10 @@ impl MemoryController {
                     mode: self.banks[bank].open_mode,
                     ..e.target
                 };
-                let closed = self.banks[bank].precharge();
+                let closed = self.close_row(bank);
                 self.engine.issue(Command::Pre, target, now);
                 self.stats.record_pre(closed);
                 self.log_command(now, Command::Pre, bank, 0, closed);
-                self.hit_streak[bank] = 0;
-                self.read_lanes.bank_state_changed(bank);
-                self.write_lanes.bank_state_changed(bank);
             }
             Command::Rd | Command::Wr => {
                 if !e.classified {
@@ -2025,7 +2043,7 @@ impl MemoryController {
         let Some(timeout_cycles) = self.timeout_cycles else {
             return false; // open-page policy
         };
-        for b in 0..self.banks.len() {
+        for b in self.open_banks.iter() {
             let Some(row) = self.banks[b].open_row else {
                 continue;
             };
@@ -2037,20 +2055,15 @@ impl MemoryController {
             if now.saturating_sub(self.banks[b].last_use_cycle) < timeout_cycles {
                 continue;
             }
-            if self.read_lanes.has_row_entry(&self.read_q, b, row)
-                || self.write_lanes.has_row_entry(&self.write_q, b, row)
-            {
+            if self.demand_for(b, RowWatch::Open, row) {
                 continue;
             }
             let target = self.bank_target(b, self.banks[b].open_mode);
             if self.engine.can_issue(Command::Pre, target, now) {
-                let closed = self.banks[b].precharge();
+                let closed = self.close_row(b);
                 self.engine.issue(Command::Pre, target, now);
                 self.stats.record_pre(closed);
                 self.log_command(now, Command::Pre, b, 0, closed);
-                self.hit_streak[b] = 0;
-                self.read_lanes.bank_state_changed(b);
-                self.write_lanes.bank_state_changed(b);
                 return true;
             }
         }
@@ -2058,17 +2071,9 @@ impl MemoryController {
     }
 
     fn bank_target(&self, flat_bank: usize, mode: RowMode) -> Target {
-        let g = &self.config.geometry;
-        let banks_per_group = g.banks_per_group as usize;
-        let bgs_per_rank = g.bank_groups as usize;
-        let bg = flat_bank / banks_per_group;
-        let rank = bg / bgs_per_rank;
         Target {
-            bank: flat_bank,
-            bank_group: bg,
-            rank,
-            channel: 0,
             mode,
+            ..self.bank_targets[flat_bank]
         }
     }
 }
@@ -2905,6 +2910,100 @@ mod tests {
             2 * full_row,
             "evacuation + fill writes"
         );
+    }
+
+    #[test]
+    fn bank_sets_match_a_rescan_under_fuzzed_traffic() {
+        // Fuzzed reads and writes on 16 banks with background migration
+        // (same-bank and cross-bank placement), refresh and the timeout
+        // row policy on: after every `tick` and `tick_until` the
+        // open-row set and the migration-work set must equal a rescan.
+        use crate::frames::DestinationPicker;
+        use crate::migrate::RelocationConfig;
+        let check = |mc: &MemoryController, step: usize| {
+            let banks = 0..mc.banks.len();
+            let open: Vec<usize> = banks
+                .clone()
+                .filter(|&b| mc.banks[b].open_row.is_some())
+                .collect();
+            assert_eq!(
+                mc.open_banks.iter().collect::<Vec<_>>(),
+                open,
+                "step {step}"
+            );
+            let mut work: Vec<usize> = mc.migration.banks_with_work().collect();
+            work.sort_unstable();
+            let rescan: Vec<usize> = banks.filter(|&b| mc.migration.bank_has_work(b)).collect();
+            assert_eq!(work, rescan, "step {step}");
+        };
+        for placement in [DestinationPicker::SameBank, DestinationPicker::CrossBank] {
+            let mut cfg = MemConfig::tiny_clr(0.0);
+            cfg.refresh_enabled = true;
+            cfg.relocation = RelocationConfig::background();
+            cfg.placement = placement;
+            cfg.geometry.bank_groups = 4;
+            cfg.geometry.banks_per_group = 4;
+            let row_stride = cfg.geometry.capacity_bytes() / cfg.geometry.rows as u64;
+            let bank_stride = cfg.geometry.row_bytes();
+            let mut mc = MemoryController::new(cfg);
+            let banks = mc.banks.len();
+            let mut state = 0xB4C5_E75E_0F0D_D1E5u64;
+            let mut rng = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut done = Vec::new();
+            for step in 0..3_000 {
+                for id in 0..rng() % 3 {
+                    let addr = (rng() % 8) * row_stride
+                        + (rng() % banks as u64) * bank_stride
+                        + (rng() % 4) * 64;
+                    let req = MemRequest::new(id, PhysAddr(addr), RequestKind::Read, mc.cycle());
+                    let req = if rng() % 3 == 0 {
+                        MemRequest {
+                            kind: RequestKind::Write,
+                            ..req
+                        }
+                    } else {
+                        req
+                    };
+                    let _ = mc.try_enqueue(req);
+                }
+                if step % 200 == 0 {
+                    let changes: Vec<(usize, u32, RowMode)> = (0..3)
+                        .map(|_| {
+                            let bank = (rng() % banks as u64) as usize;
+                            (bank, (rng() % 8) as u32, RowMode::HighPerformance)
+                        })
+                        .collect();
+                    mc.begin_row_migrations(&changes);
+                }
+                if rng() % 2 == 0 {
+                    mc.tick(&mut done);
+                } else {
+                    let to = mc.cycle() + 1 + rng() % 48;
+                    mc.tick_until(to, &mut done);
+                }
+                check(&mc, step);
+            }
+            let s = mc.stats();
+            assert!(s.migration_jobs_completed > 0, "{placement:?}: jobs ran");
+            assert!(s.refs() > 0 && s.pres() > 0 && !done.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 64-bank limit")]
+    fn new_rejects_more_banks_per_channel_than_a_bank_set_holds() {
+        let mut cfg = MemConfig::paper_tiny();
+        cfg.geometry.bank_groups = 16;
+        cfg.geometry.banks_per_group = 8;
+        cfg.geometry
+            .validate()
+            .expect("128 banks is a valid geometry");
+        let _ = MemoryController::new(cfg);
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub struct TimingEngine {
     timings: CycleTimings,
     banks_per_group_total: Vec<usize>, // flat bank -> flat bank group
     bank_to_rank: Vec<usize>,          // flat bank -> flat rank
+    bank_to_channel: Vec<usize>,       // flat bank -> channel
     /// earliest[bank][command]
     bank_earliest: Vec<[u64; Command::COUNT]>,
     /// earliest[rank][command]
@@ -53,13 +54,15 @@ pub struct TimingEngine {
     chan_wr_earliest: Vec<u64>,
     /// Sliding window of the last 4 ACT cycles per rank (tFAW).
     faw_window: Vec<Vec<u64>>,
+    /// Commands issued so far (see [`TimingEngine::issued`]).
+    issued: u64,
 }
 
 impl TimingEngine {
     /// Creates an engine for `banks` flat banks distributed over
     /// `bank_groups` flat bank groups, `ranks` flat ranks and `channels`
-    /// channels; `flat_map(bank) = (bank_group, rank, channel)` must be
-    /// provided via the layout closure.
+    /// channels; `layout(bank) = (bank_group, rank)` must be provided
+    /// via the layout closure (ranks are split evenly over channels).
     pub fn new(
         timings: CycleTimings,
         banks: usize,
@@ -70,15 +73,19 @@ impl TimingEngine {
     ) -> Self {
         let mut banks_per_group_total = vec![0; banks];
         let mut bank_to_rank = vec![0; banks];
+        let mut bank_to_channel = vec![0; banks];
+        let ranks_per_channel = (ranks / channels.max(1)).max(1);
         for b in 0..banks {
             let (bg, r) = layout(b);
             banks_per_group_total[b] = bg;
             bank_to_rank[b] = r;
+            bank_to_channel[b] = r / ranks_per_channel;
         }
         TimingEngine {
             timings,
             banks_per_group_total,
             bank_to_rank,
+            bank_to_channel,
             bank_earliest: vec![[0; Command::COUNT]; banks],
             rank_earliest: vec![[0; Command::COUNT]; ranks],
             bg_col_earliest: vec![0; bank_groups],
@@ -86,7 +93,14 @@ impl TimingEngine {
             chan_col_earliest: vec![0; channels],
             chan_wr_earliest: vec![0; channels],
             faw_window: vec![Vec::new(); ranks],
+            issued: 0,
         }
+    }
+
+    /// Commands issued so far. Registers change only at an issue, so an
+    /// unchanged count means every earliest-issue cycle is unchanged.
+    pub fn issued(&self) -> u64 {
+        self.issued
     }
 
     /// The constraint set driving this engine.
@@ -96,10 +110,32 @@ impl TimingEngine {
 
     /// Earliest cycle at which `cmd` may issue to `target`.
     pub fn earliest(&self, cmd: Command, target: Target) -> u64 {
-        let b = target.bank;
-        let r = target.rank;
-        let g = target.bank_group;
-        let c = target.channel;
+        let Target {
+            bank,
+            bank_group,
+            rank,
+            channel,
+            ..
+        } = target;
+        self.earliest_at(cmd, bank, bank_group, rank, channel)
+    }
+
+    /// [`TimingEngine::earliest`] for `cmd` on `bank`, located through
+    /// the engine's own layout. It is what every request to the bank
+    /// waits for that command, whatever its row or mode: mode-dependent
+    /// windows enter the registers at issue. The scheduler prices its
+    /// per-bank candidates this way without loading a queue entry.
+    pub fn earliest_in_bank(&self, cmd: Command, bank: usize) -> u64 {
+        self.earliest_at(
+            cmd,
+            bank,
+            self.banks_per_group_total[bank],
+            self.bank_to_rank[bank],
+            self.bank_to_channel[bank],
+        )
+    }
+
+    fn earliest_at(&self, cmd: Command, b: usize, g: usize, r: usize, c: usize) -> u64 {
         let mut t = self.bank_earliest[b][cmd.index()].max(self.rank_earliest[r][cmd.index()]);
         match cmd {
             Command::Rd => {
@@ -122,15 +158,6 @@ impl TimingEngine {
     /// Whether `cmd` may issue to `target` at cycle `now`.
     pub fn can_issue(&self, cmd: Command, target: Target, now: u64) -> bool {
         self.earliest(cmd, target) <= now
-    }
-
-    /// The rank-scope component of [`TimingEngine::earliest`] for `cmd`
-    /// on `rank` — a lower bound shared by every bank of the rank
-    /// (tRRD/tFAW shadows, refresh tRFC, write-to-read turnaround). The
-    /// rank-split scheduler uses it to discharge a whole rank's hit
-    /// lanes with one query while the rank is gated.
-    pub fn rank_gate(&self, cmd: Command, rank: usize) -> u64 {
-        self.rank_earliest[rank][cmd.index()]
     }
 
     /// The bank-scope component of [`TimingEngine::earliest`] for `cmd`
@@ -158,6 +185,7 @@ impl TimingEngine {
             "timing violation: {cmd} @ {now} < earliest {}",
             self.earliest(cmd, target)
         );
+        self.issued += 1;
         let m = *self.timings.for_mode(target.mode);
         let ct = &self.timings;
         let b = target.bank;
@@ -438,6 +466,46 @@ mod tests {
             now += 1;
         }
         assert_eq!(e.earliest(Command::Act, r1), 0, "tFAW is per rank");
+    }
+
+    #[test]
+    fn bank_pricing_matches_target_pricing() {
+        // Two channels of two ranks of 2 groups × 2 banks: pricing by
+        // bank index alone must read the registers a full target reads.
+        let t = ClrTimings::from_circuit_defaults();
+        let i = InterfaceTimings::ddr4_2400();
+        let ct = CycleTimings::new(&t, t.for_mode(RowMode::HighPerformance), &i);
+        let mut e = TimingEngine::new(ct, 16, 8, 4, 2, |b| (b / 2, b / 4));
+        let target = |bank: usize| Target {
+            bank,
+            bank_group: bank / 2,
+            rank: bank / 4,
+            channel: bank / 8,
+            mode: RowMode::MaxCapacity,
+        };
+        let mut now = 0;
+        for (cmd, bank) in [
+            (Command::Act, 0),
+            (Command::Act, 9),
+            (Command::Act, 5),
+            (Command::Rd, 0),
+            (Command::Wr, 9),
+            (Command::Act, 14),
+            (Command::Rd, 5),
+            (Command::Pre, 0),
+        ] {
+            now = now.max(e.earliest(cmd, target(bank)));
+            e.issue(cmd, target(bank), now);
+            for b in 0..16 {
+                for c in [Command::Act, Command::Pre, Command::Rd, Command::Wr] {
+                    assert_eq!(
+                        e.earliest_in_bank(c, b),
+                        e.earliest(c, target(b)),
+                        "{c} on bank {b} after {cmd} on bank {bank}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

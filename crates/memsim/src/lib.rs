@@ -74,10 +74,12 @@
 //! fills) is priced into `next_event_cycle()`, so skip-ahead stays
 //! bit-identical under every placement mode.
 //!
-//! The per-cycle path itself is kept cheap by per-bank aggregation in
-//! [`scheduler`] (O(queue) FR-FCFS-Cap with an O(1) older-waiter test), a
-//! per-bank mode-lookup cache keyed on the open row, and allocation reuse
-//! for scheduler scratch and telemetry drains.
+//! The per-cycle path itself is kept cheap by per-bank state: bank sets
+//! ([`bankstate::BankSet`]) so a controller tick visits only the banks
+//! that can act, one FR-FCFS-Cap pass over per-bank lanes in
+//! [`scheduler`] whose prices are reused until a command issues or the
+//! queue changes, a per-bank mode-lookup cache keyed on the open row,
+//! and allocation reuse for telemetry drains.
 //!
 //! # Example
 //!

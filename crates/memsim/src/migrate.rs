@@ -78,6 +78,7 @@ use std::collections::BTreeSet;
 
 use clr_core::mode::RowMode;
 
+use crate::bankstate::BankSet;
 use crate::command::Command;
 
 /// How mode-transition data movement is realized by the controller.
@@ -450,7 +451,10 @@ pub struct MigrationEngine {
     /// Banks whose in-flight role currently *holds the row buffer* (its
     /// side's ACT has issued): the whole bank blocks demand. Otherwise
     /// only the migrating row blocks (see `row_block`).
-    held: Vec<bool>,
+    held: BankSet,
+    /// Banks with migration work — an in-flight role or a queued job —
+    /// updated wherever a job is queued, started or finished.
+    work: BankSet,
     /// The migrating row per bank (`u32::MAX` when none): demand to this
     /// row waits — its content is in flux — while the bank's other rows
     /// stay schedulable whenever the bank is not held.
@@ -490,7 +494,12 @@ pub struct MigrationEngine {
 impl MigrationEngine {
     /// An engine for `banks` banks moving `half_row_bytes` per coupling
     /// phase at `burst_bytes` per column access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks` exceeds [`BankSet::CAPACITY`].
     pub fn new(cfg: RelocationConfig, banks: usize, half_row_bytes: u64, burst_bytes: u64) -> Self {
+        BankSet::assert_fits(banks);
         let bursts = half_row_bytes.div_ceil(burst_bytes.max(1)).max(1) as u32;
         MigrationEngine {
             cfg,
@@ -498,7 +507,8 @@ impl MigrationEngine {
             queues: JobArena::new(banks),
             active: vec![None; banks],
             dest_of: vec![None; banks],
-            held: vec![false; banks],
+            held: BankSet::default(),
+            work: BankSet::default(),
             row_block: vec![u32::MAX; banks],
             readout_src: vec![u32::MAX; banks],
             reserved: BTreeSet::new(),
@@ -546,11 +556,16 @@ impl MigrationEngine {
     }
 
     /// Whether bank `b` has any migration work to consider at all — an
-    /// in-flight role (source or destination) or a queued job. O(1), so
-    /// the controller's per-tick scans can skip workless banks before
-    /// paying any eligibility or timing checks.
+    /// in-flight role (source or destination) or a queued job.
     pub fn bank_has_work(&self, bank: usize) -> bool {
         self.is_busy(bank) || !self.queues.is_empty(bank)
+    }
+
+    /// Re-derives `bank`'s membership of the work set after a job was
+    /// queued, started or finished there.
+    fn sync_work(&mut self, bank: usize) {
+        let has_work = self.bank_has_work(bank);
+        self.work.set(bank, has_work);
     }
 
     /// Whether bank `b`'s in-flight role is mid-burst-train (its side's
@@ -560,7 +575,7 @@ impl MigrationEngine {
     /// pay the rank-level read/write turnaround penalties once per burst
     /// instead of once per train.
     pub fn is_mid_phase(&self, bank: usize) -> bool {
-        self.held[bank]
+        self.held.contains(bank)
     }
 
     /// Whether bank `b`'s in-flight *same-bank* coupling has passed its
@@ -580,10 +595,10 @@ impl MigrationEngine {
         })
     }
 
-    /// Per-bank whole-bank demand-blocking flags for the scheduler: set
-    /// exactly while a migration role holds the bank's row buffer.
-    pub fn held_banks(&self) -> &[bool] {
-        &self.held
+    /// The banks whose demand the scheduler must hold back: exactly
+    /// those where a migration role holds the row buffer.
+    pub fn held_banks(&self) -> BankSet {
+        self.held
     }
 
     /// Per-bank migrating-row blocks for the scheduler (`u32::MAX` =
@@ -790,6 +805,7 @@ impl MigrationEngine {
             _ => self.queues.push_front(bank, job),
         }
         self.pending_jobs += 1;
+        self.work.insert(bank);
     }
 
     /// Whether the front job of `bank`'s queue cannot start because a
@@ -832,11 +848,13 @@ impl MigrationEngine {
         let Some(rate) = self.cfg.rate else {
             return now;
         };
-        let idx = now / rate.window_cycles;
-        if idx != self.window_index || self.issued_in_window < rate.max_starts {
-            now
+        // Whether `now` lies in the charged window, without a division.
+        let start = self.window_index * rate.window_cycles;
+        let end = start + rate.window_cycles;
+        if (start..end).contains(&now) && self.issued_in_window >= rate.max_starts {
+            end
         } else {
-            (idx + 1) * rate.window_cycles
+            now
         }
     }
 
@@ -968,7 +986,7 @@ impl MigrationEngine {
         let opened = self.opened_mut(owner, src);
         debug_assert!(!*opened, "double ACT on one side");
         *opened = true;
-        self.held[bank] = true;
+        self.held.insert(bank);
     }
 
     /// Records that a migration column burst issued on `bank`.
@@ -997,7 +1015,7 @@ impl MigrationEngine {
             // ahead of it.
             return MigrationStep::InProgress;
         }
-        self.held[bank] = false;
+        self.held.remove(bank);
         let job = self.active[owner].as_mut().expect("active owner");
         if !src {
             debug_assert_eq!(
@@ -1044,6 +1062,7 @@ impl MigrationEngine {
                 // nothing in timing, and the staging window is bounded by
                 // the pump cadence (see the ROADMAP open item).
                 self.active[bank] = None;
+                self.sync_work(bank);
                 self.row_block[bank] = u32::MAX;
                 self.pending_jobs -= 1;
                 self.placements.push(PlacementEvent {
@@ -1067,10 +1086,12 @@ impl MigrationEngine {
     /// and reservation it held and emitting its completion records.
     fn complete_job(&mut self, owner: usize) -> MigrationStep {
         let job = self.active[owner].take().expect("completing an active job");
+        self.sync_work(owner);
         self.row_block[owner] = u32::MAX;
         self.readout_src[owner] = u32::MAX;
         if let Some(db) = job.write_bank() {
             self.dest_of[db] = None;
+            self.sync_work(db);
             self.row_block[db] = u32::MAX;
             self.reserved.remove(&(db as u32, job.dest));
         }
@@ -1136,22 +1157,16 @@ impl MigrationEngine {
     pub fn on_forced_precharge(&mut self, bank: usize) {
         if let Some((owner, src)) = self.role(bank) {
             *self.opened_mut(owner, src) = false;
-            self.held[bank] = false;
+            self.held.remove(bank);
         }
     }
 
-    /// The bank the round-robin scan should visit first.
-    pub fn rr_start(&self) -> usize {
-        self.rr_next
-    }
-
     /// Banks that currently have migration work (an in-flight role or a
-    /// non-empty queue), visited from the round-robin pointer.
-    pub fn banks_with_work(&self) -> impl Iterator<Item = usize> + '_ {
-        let n = self.queues.banks();
-        (0..n)
-            .map(move |i| (self.rr_next + i) % n)
-            .filter(move |&b| self.bank_has_work(b))
+    /// non-empty queue), visited from the round-robin pointer. The
+    /// iterator owns a copy of the set, so the caller may issue commands
+    /// while walking it.
+    pub fn banks_with_work(&self) -> impl Iterator<Item = usize> {
+        self.work.iter_from(self.rr_next)
     }
 
     /// Drains completed coupling `(bank, row, mode)` transitions into
@@ -1189,6 +1204,7 @@ impl MigrationEngine {
             .expect("start requires a queued job");
         if let Some(db) = job.write_bank() {
             self.dest_of[db] = Some(bank);
+            self.work.insert(db);
             self.row_block[db] = job.dest;
         }
         if !job.state.src_done {

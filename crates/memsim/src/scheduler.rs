@@ -7,36 +7,41 @@
 //! hits may bypass an older request to the same bank, restoring fairness
 //! under streaming interference.
 //!
-//! # Implementation: per-bank lanes
+//! # Implementation: one pass over per-bank lanes
 //!
-//! A naive FR-FCFS scan is O(queue²) per cycle (every hit candidate
-//! re-scans the queue for an older same-bank waiter) plus an O(n log n)
-//! sort for the oldest-first pass. This module instead aggregates the
-//! queue into per-bank *lanes* in one O(queue) pass over a reusable
-//! [`SchedScratch`]:
+//! The naive FR-FCFS-Cap scan is O(queue²) per cycle: every hit
+//! candidate re-scans the queue for an older same-bank waiter, and the
+//! oldest-first pass sorts the queue. That scan survives only as the
+//! tests' oracle (`pick_reference`). Production keeps each queue
+//! aggregated into per-bank *lanes* in a [`LaneCache`]:
 //!
 //! * the oldest entry per bank plus the oldest entry targeting a
-//!   *different* row, which makes the FR-FCFS-Cap "older waiter exists"
+//!   *different* row, which makes the Cap rule's "older waiter exists"
 //!   test O(1) per candidate;
-//! * the oldest ready-row-hit per bank (split by read/write, since their
-//!   column commands have different timing readiness) and the oldest
-//!   non-hit, so both scheduling passes and the skip-ahead engine's
-//!   [`next_ready_cycle`] only visit banks that actually have pending
-//!   work — one timing-engine query per (bank, command class) instead of
-//!   one per request.
+//! * the oldest open-row-hit read and write per bank and the oldest
+//!   non-hit. Within a (bank, command) lane every entry shares the
+//!   command and its timing readiness, so the lane's oldest entry stands
+//!   for the whole lane.
 //!
-//! Within a (bank, command-class) lane every entry shares the same command
-//! and the same timing readiness, so the lane's oldest entry is a faithful
-//! representative: the aggregated pick is decision-for-decision identical
-//! to the naive scan (the differential test in `tests/` enforces this at
-//! the whole-simulation level).
+//! [`pick_cached`] is then one walk over the banks with queued demand.
+//! It prices each bank's (at most three) candidates once, from the bank
+//! index and the timing registers alone, without loading a queue entry,
+//! and returns together pass 1's capped ready row hit, pass 2's oldest
+//! ready command, and the exact next-ready bound: the minimum
+//! earliest-issue cycle over every candidate, which the controller's
+//! skip-ahead uses. The priced candidates stay valid until the lanes
+//! change or the timing engine issues a command, so a pass on a later
+//! cycle with neither (the tick a skip-ahead jump lands on, or one whose
+//! only event was a read completion) re-decides from them without
+//! walking the banks. The fuzz tests below hold it to the oracle,
+//! decision for decision and bound for bound.
 
 use clr_core::addr::DramAddr;
 
-use crate::bankstate::BankState;
+use crate::bankstate::{BankSet, BankState};
 use crate::command::Command;
 use crate::engine::{Target, TimingEngine};
-use crate::request::MemRequest;
+use crate::request::{MemRequest, RequestKind};
 
 /// A queued request with its decoded coordinates and service bookkeeping.
 #[derive(Debug, Clone, Copy)]
@@ -71,16 +76,14 @@ pub struct Decision {
 /// Per-bank aggregation of one queue (see the module docs).
 #[derive(Debug, Clone, Copy)]
 struct Lane {
-    /// Validity stamp (lanes are reused across calls without clearing).
-    stamp: u64,
     /// Oldest entry overall: `(arrival, queue index, row)`.
     oldest: (u64, usize, u32),
     /// Oldest arrival among entries whose row differs from `oldest`'s
     /// row (`u64::MAX` if the bank's entries all target one row).
     oldest_other_row: u64,
-    /// Oldest ready-row-hit read: `(arrival, queue index)`.
+    /// Oldest open-row-hit read: `(arrival, queue index)`.
     hit_rd: Option<(u64, usize)>,
-    /// Oldest ready-row-hit write.
+    /// Oldest open-row-hit write.
     hit_wr: Option<(u64, usize)>,
     /// Oldest non-hit entry (needs PRE on an open bank, ACT on a closed
     /// one).
@@ -88,22 +91,18 @@ struct Lane {
 }
 
 impl Lane {
-    fn fresh(stamp: u64) -> Self {
-        Lane {
-            stamp,
-            oldest: (u64::MAX, usize::MAX, 0),
-            oldest_other_row: u64::MAX,
-            hit_rd: None,
-            hit_wr: None,
-            miss: None,
-        }
-    }
+    const EMPTY: Lane = Lane {
+        oldest: (u64::MAX, usize::MAX, 0),
+        oldest_other_row: u64::MAX,
+        hit_rd: None,
+        hit_wr: None,
+        miss: None,
+    };
 
     /// Folds one queue entry into the lane. Comparisons are lexicographic
     /// on `(arrival, queue index)`, so the fold is *order-independent*:
-    /// folding the bank's entries in any order produces the same lane as
-    /// the queue-order pass (the incremental [`LaneCache`] rebuilds from
-    /// unordered per-bank index lists).
+    /// folding the bank's entries in any order produces the same lane
+    /// (the [`LaneCache`] rebuilds from unordered per-bank index lists).
     fn fold(&mut self, e: &QueueEntry, i: usize, open_row_hit: bool) {
         let arrival = e.request.arrival_cycle;
         let row = e.decoded.row;
@@ -119,8 +118,8 @@ impl Lane {
         }
         if open_row_hit {
             let slot = match e.request.kind {
-                crate::request::RequestKind::Read => &mut self.hit_rd,
-                crate::request::RequestKind::Write => &mut self.hit_wr,
+                RequestKind::Read => &mut self.hit_rd,
+                RequestKind::Write => &mut self.hit_wr,
             };
             if slot.is_none_or(|(a, j)| (arrival, i) < (a, j)) {
                 *slot = Some((arrival, i));
@@ -141,20 +140,6 @@ impl Lane {
     }
 }
 
-/// Reusable per-bank scratch for [`pick`] and [`next_ready_cycle`].
-///
-/// Owning it on the controller avoids a per-cycle allocation; lanes are
-/// invalidated by stamping rather than clearing, so a call touches only
-/// the banks that have queued work.
-#[derive(Debug, Default)]
-pub struct SchedScratch {
-    lanes: Vec<Lane>,
-    /// Banks with at least one queued entry this pass, in first-touch
-    /// order.
-    touched: Vec<usize>,
-    stamp: u64,
-}
-
 /// Whether `(bank, row)` is excluded from scheduling by a per-bank row
 /// block (`u32::MAX` sentinel = no block; an empty slice blocks nothing).
 /// A background migration blocks exactly the row whose content is in
@@ -166,470 +151,43 @@ fn entry_excluded(
     read_ok_rows: &[u32],
     bank: usize,
     row: u32,
-    kind: crate::request::RequestKind,
+    kind: RequestKind,
 ) -> bool {
     if blocked_rows.get(bank).is_none_or(|&r| r != row) {
         return false;
     }
-    !(kind == crate::request::RequestKind::Read
-        && read_ok_rows.get(bank).is_some_and(|&r| r == row))
+    !(kind == RequestKind::Read && read_ok_rows.get(bank).is_some_and(|&r| r == row))
 }
 
-/// Builds the per-bank lanes for `entries` into `scratch` (one O(n)
-/// pass). Entries whose row is blocked are left out of the lanes
-/// entirely: they neither issue nor contribute to readiness bounds until
-/// the block lifts (a scheduling event).
-fn analyze(
-    entries: &[QueueEntry],
-    banks: &[BankState],
-    scratch: &mut SchedScratch,
-    blocked_rows: &[u32],
-    read_ok_rows: &[u32],
-) {
-    scratch.stamp += 1;
-    scratch.touched.clear();
-    if scratch.lanes.len() < banks.len() {
-        scratch.lanes.resize(banks.len(), Lane::fresh(0));
-    }
-    for (i, e) in entries.iter().enumerate() {
-        let b = e.target.bank;
-        if scratch.lanes[b].stamp != scratch.stamp {
-            scratch.lanes[b] = Lane::fresh(scratch.stamp);
-            scratch.touched.push(b);
-        }
-        if entry_excluded(blocked_rows, read_ok_rows, b, e.decoded.row, e.request.kind) {
-            continue;
-        }
-        scratch.lanes[b].fold(e, i, banks[b].is_open(e.decoded.row));
-    }
-}
-
-/// Selects the next command under FR-FCFS-Cap.
-///
-/// `hit_streak` is the per-flat-bank count of consecutively served row
-/// hits; once it reaches `cap` while an older request waits on the same
-/// bank, hits in that bank lose their priority.
-pub fn pick(
-    entries: &[QueueEntry],
-    banks: &[BankState],
-    engine: &TimingEngine,
-    hit_streak: &[u32],
-    cap: u32,
-    now: u64,
-    scratch: &mut SchedScratch,
-) -> Option<Decision> {
-    pick_with_bound(entries, banks, engine, hit_streak, cap, now, scratch).0
-}
-
-/// [`pick`] that additionally returns the earliest cycle at which *any*
-/// queued command could issue (the queue's next-event bound), computed as
-/// a byproduct of the oldest-first pass. The bound is meaningful only
-/// when the decision is `None` — on an issue, controller state is about
-/// to change anyway — and is `u64::MAX` for an empty queue. A dead
-/// scheduling cycle thereby prices the skip-ahead jump for free.
-#[allow(clippy::too_many_arguments)]
-pub fn pick_with_bound(
-    entries: &[QueueEntry],
-    banks: &[BankState],
-    engine: &TimingEngine,
-    hit_streak: &[u32],
-    cap: u32,
-    now: u64,
-    scratch: &mut SchedScratch,
-) -> (Option<Decision>, u64) {
-    if entries.is_empty() {
-        return (None, u64::MAX);
-    }
-    analyze(entries, banks, scratch, &[], &[]);
-    pick_from_lanes(
-        entries,
-        banks,
-        engine,
-        hit_streak,
-        cap,
-        now,
-        &scratch.lanes,
-        &scratch.touched,
-        &[],
-        &[],
-    )
-}
-
-/// Per-command-class gating of pass 1's ready-hit scan: a rank whose
-/// rank-scope earliest (tFAW/tRRD shadow, tRFC, turnaround) is in the
-/// future cannot issue that column class *anywhere* in the rank, so the
-/// rank-split cached path discharges all its hit lanes with one
-/// [`TimingEngine::rank_gate`] query per class.
+/// One candidate of a pass: a lane's oldest entry for one command.
 #[derive(Debug, Clone, Copy)]
-struct HitGate {
-    rd: bool,
-    wr: bool,
+struct Priced {
+    /// The earliest cycle the command can issue.
+    ready: u64,
+    /// `(arrival, queue index)`: FR-FCFS age order.
+    age: (u64, usize),
+    command: Command,
+    /// For a row hit, its bank and whether an older request to another
+    /// row waits there (what the Cap rule checks); `None` for PRE/ACT.
+    hit: Option<(usize, bool)>,
 }
 
-impl HitGate {
-    const OPEN: HitGate = HitGate {
-        rd: false,
-        wr: false,
-    };
-}
-
-/// Pass 1 over one bank list: ready row hits, oldest first, unless
-/// capped. Folds the best candidate into `best` (shared across rank
-/// lists by the rank-split path).
-#[allow(clippy::too_many_arguments)]
-fn pass_hits(
-    entries: &[QueueEntry],
-    banks: &[BankState],
-    engine: &TimingEngine,
-    hit_streak: &[u32],
-    cap: u32,
-    now: u64,
-    lanes: &[Lane],
-    bank_list: &[usize],
-    gate: HitGate,
-    blocked: &[bool],
-    read_ok_rows: &[u32],
-    best: &mut Option<(u64, usize, Command)>,
-) {
-    let is_blocked = |b: usize| blocked.get(b).copied().unwrap_or(false);
-    // A blocked bank whose open row is read-servable (a migration
-    // read-out in progress) still serves *read hits* to that row; all
-    // other service on the bank waits for the job.
-    let read_hits_only = |b: usize| {
-        banks[b]
-            .open_row
-            .is_some_and(|r| read_ok_rows.get(b).copied() == Some(r))
-    };
-    for &b in bank_list {
-        let gated = is_blocked(b);
-        if gated && !read_hits_only(b) {
-            continue;
-        }
-        let lane = &lanes[b];
-        for (cand, cmd, class_gated) in [
-            (lane.hit_rd, Command::Rd, gate.rd),
-            (lane.hit_wr, Command::Wr, gate.wr),
-        ] {
-            if class_gated || (gated && cmd != Command::Rd) {
-                continue;
-            }
-            let Some((arrival, i)) = cand else { continue };
-            let e = &entries[i];
-            if gated && e.decoded.row != read_ok_rows[b] {
-                continue;
-            }
-            if hit_streak[b] >= cap && lane.older_waiter(arrival, e.decoded.row) {
-                continue;
-            }
-            if engine.can_issue(cmd, e.target, now)
-                && best.is_none_or(|(a, j, _)| (arrival, i) < (a, j))
-            {
-                *best = Some((arrival, i, cmd));
-            }
-        }
-    }
-}
-
-/// Pass 2 over one bank list: oldest-first over every request; issue
-/// whatever step of its service (PRE → ACT → column) is ready. All
-/// entries of a lane share readiness, so the lane's oldest entry stands
-/// for the whole lane. Also folds every candidate's earliest issue cycle
-/// into `bound` (the queue's next-event contribution — never pruned, so
-/// the skip-ahead bound stays exact).
-#[allow(clippy::too_many_arguments)]
-fn pass_oldest(
-    entries: &[QueueEntry],
-    banks: &[BankState],
-    engine: &TimingEngine,
-    now: u64,
-    lanes: &[Lane],
-    bank_list: &[usize],
-    blocked: &[bool],
-    read_ok_rows: &[u32],
-    best: &mut Option<(u64, usize, Command)>,
-    bound: &mut u64,
-) {
-    let is_blocked = |b: usize| blocked.get(b).copied().unwrap_or(false);
-    let read_hits_only = |b: usize| {
-        banks[b]
-            .open_row
-            .is_some_and(|r| read_ok_rows.get(b).copied() == Some(r))
-    };
-    for &b in bank_list {
-        let gated = is_blocked(b);
-        if gated && !read_hits_only(b) {
-            continue;
-        }
-        let lane = &lanes[b];
-        let miss_cmd = if banks[b].open_row.is_some() {
-            Command::Pre
-        } else {
-            Command::Act
-        };
-        for (cand, cmd) in [
-            (lane.hit_rd, Command::Rd),
-            (lane.hit_wr, Command::Wr),
-            (lane.miss, miss_cmd),
-        ] {
-            if gated && cmd != Command::Rd {
-                continue;
-            }
-            let Some((arrival, i)) = cand else { continue };
-            if gated && entries[i].decoded.row != read_ok_rows[b] {
-                continue;
-            }
-            // PRE must respect the mode of the row it closes, not the
-            // target's.
-            let target = if cmd == Command::Pre {
-                Target {
-                    mode: banks[b].open_mode,
-                    ..entries[i].target
-                }
-            } else {
-                entries[i].target
-            };
-            let ready = engine.earliest(cmd, target);
-            *bound = (*bound).min(ready);
-            if ready <= now && best.is_none_or(|(a, j, _)| (arrival, i) < (a, j)) {
-                *best = Some((arrival, i, cmd));
-            }
-        }
-    }
-}
-
-/// The shared scheduling passes over a set of built lanes. `bank_list` is
-/// the banks with queued work; banks flagged in `blocked` (demand service
-/// suspended — e.g. an in-flight background migration owns the row
-/// buffer) are skipped entirely, in both the decision and the bound.
-#[allow(clippy::too_many_arguments)]
-fn pick_from_lanes(
-    entries: &[QueueEntry],
-    banks: &[BankState],
-    engine: &TimingEngine,
-    hit_streak: &[u32],
-    cap: u32,
-    now: u64,
-    lanes: &[Lane],
-    bank_list: &[usize],
-    blocked: &[bool],
-    read_ok_rows: &[u32],
-) -> (Option<Decision>, u64) {
-    let mut best: Option<(u64, usize, Command)> = None;
-    pass_hits(
-        entries,
-        banks,
-        engine,
-        hit_streak,
-        cap,
-        now,
-        lanes,
-        bank_list,
-        HitGate::OPEN,
-        blocked,
-        read_ok_rows,
-        &mut best,
-    );
-    if let Some((_, i, command)) = best {
-        return (
-            Some(Decision {
-                queue_index: i,
-                command,
-            }),
-            u64::MAX,
-        );
-    }
-    let mut best = None;
-    let mut bound = u64::MAX;
-    pass_oldest(
-        entries,
-        banks,
-        engine,
-        now,
-        lanes,
-        bank_list,
-        blocked,
-        read_ok_rows,
-        &mut best,
-        &mut bound,
-    );
-    (
-        best.map(|(_, i, command)| Decision {
-            queue_index: i,
-            command,
-        }),
-        bound,
-    )
-}
-
-/// [`pick_from_lanes`] over rank-split bank lists (one list per rank):
-/// pass 1 consults the per-rank column gates once and skips every hit
-/// lane of a rank that cannot issue that class now — one query
-/// discharging the whole rank during tFAW shadows, refresh tRFC blocks,
-/// and write-to-read turnarounds. Decision-identical to the flat pass
-/// (the gate only removes candidates whose `can_issue` is false), which
-/// the lane-cache fuzz test enforces.
-#[allow(clippy::too_many_arguments)]
-fn pick_from_ranked_lanes(
-    entries: &[QueueEntry],
-    banks: &[BankState],
-    engine: &TimingEngine,
-    hit_streak: &[u32],
-    cap: u32,
-    now: u64,
-    lanes: &[Lane],
-    rank_lists: &[Vec<usize>],
-    blocked: &[bool],
-    read_ok_rows: &[u32],
-) -> (Option<Decision>, u64) {
-    let mut best: Option<(u64, usize, Command)> = None;
-    for (r, list) in rank_lists.iter().enumerate() {
-        if list.is_empty() {
-            continue;
-        }
-        let gate = HitGate {
-            rd: engine.rank_gate(Command::Rd, r) > now,
-            wr: engine.rank_gate(Command::Wr, r) > now,
-        };
-        if gate.rd && gate.wr {
-            continue;
-        }
-        pass_hits(
-            entries,
-            banks,
-            engine,
-            hit_streak,
-            cap,
-            now,
-            lanes,
-            list,
-            gate,
-            blocked,
-            read_ok_rows,
-            &mut best,
-        );
-    }
-    if let Some((_, i, command)) = best {
-        return (
-            Some(Decision {
-                queue_index: i,
-                command,
-            }),
-            u64::MAX,
-        );
-    }
-    let mut best = None;
-    let mut bound = u64::MAX;
-    for list in rank_lists {
-        pass_oldest(
-            entries,
-            banks,
-            engine,
-            now,
-            lanes,
-            list,
-            blocked,
-            read_ok_rows,
-            &mut best,
-            &mut bound,
-        );
-    }
-    (
-        best.map(|(_, i, command)| Decision {
-            queue_index: i,
-            command,
-        }),
-        bound,
-    )
-}
-
-/// The readiness pass shared by [`next_ready_cycle`] and
-/// [`next_ready_cached`].
-fn ready_from_lanes(
-    entries: &[QueueEntry],
-    banks: &[BankState],
-    engine: &TimingEngine,
-    lanes: &[Lane],
-    bank_list: &[usize],
-    blocked: &[bool],
-    read_ok_rows: &[u32],
-) -> Option<u64> {
-    let is_blocked = |b: usize| blocked.get(b).copied().unwrap_or(false);
-    let read_hits_only = |b: usize| {
-        banks[b]
-            .open_row
-            .is_some_and(|r| read_ok_rows.get(b).copied() == Some(r))
-    };
-    let mut next: Option<u64> = None;
-    for &b in bank_list {
-        let gated = is_blocked(b);
-        if gated && !read_hits_only(b) {
-            continue;
-        }
-        let lane = &lanes[b];
-        let miss_cmd = if banks[b].open_row.is_some() {
-            Command::Pre
-        } else {
-            Command::Act
-        };
-        for (cand, cmd) in [
-            (lane.hit_rd, Command::Rd),
-            (lane.hit_wr, Command::Wr),
-            (lane.miss, miss_cmd),
-        ] {
-            if gated && cmd != Command::Rd {
-                continue;
-            }
-            let Some((_, i)) = cand else { continue };
-            if gated && entries[i].decoded.row != read_ok_rows[b] {
-                continue;
-            }
-            let target = if cmd == Command::Pre {
-                Target {
-                    mode: banks[b].open_mode,
-                    ..entries[i].target
-                }
-            } else {
-                entries[i].target
-            };
-            let t = engine.earliest(cmd, target);
-            next = Some(next.map_or(t, |n| n.min(t)));
-        }
-    }
-    next
-}
-
-/// The earliest cycle at which *any* queued entry's next service command
-/// could issue, or `None` for an empty queue — the queue's contribution
-/// to the controller's next-event computation. The FR-FCFS cap is
-/// irrelevant here: it reorders commands but never delays the first
-/// issuable one (pass 2 ignores it).
-pub fn next_ready_cycle(
-    entries: &[QueueEntry],
-    banks: &[BankState],
-    engine: &TimingEngine,
-    scratch: &mut SchedScratch,
-) -> Option<u64> {
-    if entries.is_empty() {
-        return None;
-    }
-    analyze(entries, banks, scratch, &[], &[]);
-    ready_from_lanes(
-        entries,
-        banks,
-        engine,
-        &scratch.lanes,
-        &scratch.touched,
-        &[],
-        &[],
-    )
+/// The two rows per bank whose queued demand the controller asks about
+/// on every tick (see [`LaneCache::row_queued`]).
+#[derive(Debug, Clone, Copy)]
+pub enum RowWatch {
+    /// The bank's open row: the timeout policy closes it only when no
+    /// queued request wants it.
+    Open,
+    /// The bank's migrating row: demand waiting on it forces the job
+    /// through at demand priority.
+    Migrating,
 }
 
 /// Incrementally maintained per-bank lanes for one request queue.
 ///
-/// [`analyze`] rebuilds every lane from scratch on each scheduling pass —
-/// an O(queue) walk that profiling showed at ≈40 % of the simulation
-/// loop. The cache instead keeps the lanes *live* across passes and
-/// rebuilds a bank's lane only when something it depends on changed:
+/// The cache keeps the lanes *live* across passes and rebuilds a bank's
+/// lane only when something it depends on changed:
 ///
 /// * **queue composition** — an enqueue folds the new entry into its
 ///   bank's lane in O(1) (the lane fold is purely accumulative); a
@@ -639,82 +197,96 @@ pub fn next_ready_cycle(
 ///   miss classes, so the controller dirties the bank on every row-buffer
 ///   change (demand, refresh, timeout close, or migration).
 ///
-/// Timing-engine state is *not* a lane input (readiness is queried per
-/// pass), so engine updates never dirty the cache. Lane folds compare
-/// `(arrival, queue index)` lexicographically, which makes the fold
-/// order-independent — rebuilding from the unordered per-bank index list
-/// yields exactly the lane the queue-order pass would build, a property
-/// the fuzz test below checks against both [`analyze`] and the naive
-/// reference scan.
-#[derive(Debug, Default)]
+/// Timing-engine state is *not* a lane input (readiness is priced per
+/// pass), so engine updates never dirty the cache. Because the fold is
+/// order-independent, rebuilding from the unordered per-bank index list
+/// yields exactly the lane a queue-order fold would build.
+///
+/// The cache also keeps the last pass's priced candidates, valid while
+/// the lanes, the engine's issue count and the held banks are unchanged
+/// (bank rows and read-out rows change only with a lane invalidation).
+/// Hit streaks and the cap are read afresh by every pass.
+#[derive(Debug)]
 pub struct LaneCache {
     lanes: Vec<Lane>,
     /// Queue indices per bank, unordered.
     by_bank: Vec<Vec<u32>>,
-    /// Occupied banks, split by rank (`occupied[rank]` = that rank's
-    /// banks with queued work, unordered within the rank) — the
-    /// rank-split lanes the gated scheduling passes iterate.
-    occupied: Vec<Vec<usize>>,
-    /// Position of each bank within its rank's `occupied` list
-    /// (`u32::MAX` when absent).
-    occupied_pos: Vec<u32>,
-    /// Banks per rank (for the flat-bank → rank split).
-    banks_per_rank: usize,
-    dirty: Vec<bool>,
-    dirty_list: Vec<u32>,
+    /// Banks with at least one queued entry.
+    occupied: BankSet,
+    /// Banks whose lane is rebuilt before the next pass. A bank emptied
+    /// meanwhile keeps its stale mark until that rebuild, which skips it.
+    dirty: BankSet,
+    /// Per bank and [`RowWatch`]: the watched row and how many queued
+    /// entries target it (`u32::MAX` = no row watched yet).
+    watched: Vec<[(u32, u32); 2]>,
+    /// Every candidate of the last pass and their minimum price.
+    priced: Vec<Priced>,
+    bound: u64,
+    /// The engine's issue count and held banks `priced` was taken at,
+    /// while no lane has changed since (`None` once one has).
+    priced_at: Option<(u64, BankSet)>,
 }
 
 impl LaneCache {
-    /// An empty cache for `banks` banks split into ranks of
-    /// `banks_per_rank` (flat bank layout is rank-major, matching the
-    /// controller's target decomposition).
-    pub fn new(banks: usize, banks_per_rank: usize) -> Self {
-        let bpr = banks_per_rank.max(1);
+    /// An empty cache for `banks` banks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks` exceeds [`BankSet::CAPACITY`].
+    pub fn new(banks: usize) -> Self {
+        BankSet::assert_fits(banks);
         LaneCache {
-            lanes: vec![Lane::fresh(0); banks],
+            lanes: vec![Lane::EMPTY; banks],
             by_bank: vec![Vec::new(); banks],
-            occupied: vec![Vec::new(); banks.div_ceil(bpr).max(1)],
-            occupied_pos: vec![u32::MAX; banks],
-            banks_per_rank: bpr,
-            dirty: vec![false; banks],
-            dirty_list: Vec::new(),
+            occupied: BankSet::default(),
+            dirty: BankSet::default(),
+            watched: vec![[(u32::MAX, 0); 2]; banks],
+            priced: Vec::new(),
+            bound: u64::MAX,
+            priced_at: None,
         }
     }
 
-    /// Whether any queued entry targets `bank` (maintained exactly by the
-    /// push/remove hooks, so it is O(1) and always current).
+    /// Whether any queued entry targets `bank`.
     pub fn has_entries(&self, bank: usize) -> bool {
-        self.occupied_pos[bank] != u32::MAX
+        self.occupied.contains(bank)
     }
 
     /// Marks a bank whose row-buffer state changed (ACT or PRE): its hit
     /// and miss classes must be re-derived on the next pass.
     pub fn bank_state_changed(&mut self, bank: usize) {
-        if self.occupied_pos[bank] != u32::MAX {
-            self.force_dirty(bank);
+        self.priced_at = None;
+        if self.occupied.contains(bank) {
+            self.dirty.insert(bank);
         }
     }
 
-    fn force_dirty(&mut self, bank: usize) {
-        if !self.dirty[bank] {
-            self.dirty[bank] = true;
-            self.dirty_list.push(bank as u32);
+    /// Whether any queued entry targets `(bank, row)`, where `row` is the
+    /// bank's `watch` row. The count is kept across enqueues and
+    /// removals, so a query is O(1) until the watched row changes; only
+    /// then are the bank's own entries recounted.
+    pub fn row_queued(
+        &mut self,
+        entries: &[QueueEntry],
+        bank: usize,
+        watch: RowWatch,
+        row: u32,
+    ) -> bool {
+        let slot = &mut self.watched[bank][watch as usize];
+        if slot.0 != row {
+            let count = self.by_bank[bank]
+                .iter()
+                .filter(|&&i| entries[i as usize].decoded.row == row)
+                .count();
+            *slot = (row, count as u32);
         }
-    }
-
-    /// Whether any queued entry targets `(bank, row)` (an O(entries in
-    /// bank) scan of the per-bank index list — used to decide whether
-    /// demand is waiting on a migrating row).
-    pub fn has_row_entry(&self, entries: &[QueueEntry], bank: usize, row: u32) -> bool {
-        self.by_bank[bank]
-            .iter()
-            .any(|&i| entries[i as usize].decoded.row == row)
+        slot.1 > 0
     }
 
     /// Folds the entry just pushed onto `entries` into its bank's lane
     /// (O(1) — an enqueue cannot invalidate any existing lane). Entries
-    /// targeting a blocked row are indexed but not folded, mirroring
-    /// [`analyze`].
+    /// targeting a blocked row are indexed but not folded: they neither
+    /// issue nor count toward the bound until the block lifts.
     pub fn on_push(
         &mut self,
         entries: &[QueueEntry],
@@ -722,16 +294,20 @@ impl LaneCache {
         blocked_rows: &[u32],
         read_ok_rows: &[u32],
     ) {
+        self.priced_at = None;
         let i = entries.len() - 1;
         let e = &entries[i];
         let b = e.target.bank;
         self.by_bank[b].push(i as u32);
-        if self.occupied_pos[b] == u32::MAX {
-            let list = &mut self.occupied[b / self.banks_per_rank];
-            self.occupied_pos[b] = list.len() as u32;
-            list.push(b);
-            self.lanes[b] = Lane::fresh(0);
-        } else if self.dirty[b] {
+        for slot in &mut self.watched[b] {
+            if slot.0 == e.decoded.row {
+                slot.1 += 1;
+            }
+        }
+        if !self.occupied.contains(b) {
+            self.occupied.insert(b);
+            self.lanes[b] = Lane::EMPTY;
+        } else if self.dirty.contains(b) {
             return;
         }
         if !entry_excluded(blocked_rows, read_ok_rows, b, e.decoded.row, e.request.kind) {
@@ -745,8 +321,14 @@ impl LaneCache {
     /// last entry moves into the hole — the moved entry's bank, whose
     /// lane holds the now-stale index.
     pub fn before_swap_remove(&mut self, entries: &[QueueEntry], idx: usize) {
+        self.priced_at = None;
         let last = entries.len() - 1;
         let b = entries[idx].target.bank;
+        for slot in &mut self.watched[b] {
+            if slot.0 == entries[idx].decoded.row {
+                slot.1 -= 1;
+            }
+        }
         let list = &mut self.by_bank[b];
         let pos = list
             .iter()
@@ -754,17 +336,9 @@ impl LaneCache {
             .expect("removed entry is indexed");
         list.swap_remove(pos);
         if list.is_empty() {
-            let p = self.occupied_pos[b] as usize;
-            let rank_list = &mut self.occupied[b / self.banks_per_rank];
-            let moved = *rank_list.last().expect("rank list is nonempty");
-            rank_list.swap_remove(p);
-            if moved != b {
-                self.occupied_pos[moved] = p as u32;
-            }
-            self.occupied_pos[b] = u32::MAX;
-            // A stale dirty flag (if any) is skipped lazily on rebuild.
+            self.occupied.remove(b);
         } else {
-            self.force_dirty(b);
+            self.dirty.insert(b);
         }
         if last != idx {
             let b2 = entries[last].target.bank;
@@ -774,7 +348,7 @@ impl LaneCache {
                 .position(|&x| x as usize == last)
                 .expect("moved entry is indexed");
             list2[pos2] = idx as u32;
-            self.force_dirty(b2);
+            self.dirty.insert(b2);
         }
     }
 
@@ -787,13 +361,11 @@ impl LaneCache {
         blocked_rows: &[u32],
         read_ok_rows: &[u32],
     ) {
-        for k in 0..self.dirty_list.len() {
-            let b = self.dirty_list[k] as usize;
-            self.dirty[b] = false;
-            if self.occupied_pos[b] == u32::MAX {
+        for b in self.dirty.iter() {
+            if !self.occupied.contains(b) {
                 continue;
             }
-            let mut lane = Lane::fresh(0);
+            let mut lane = Lane::EMPTY;
             for &i in &self.by_bank[b] {
                 let e = &entries[i as usize];
                 if entry_excluded(blocked_rows, read_ok_rows, b, e.decoded.row, e.request.kind) {
@@ -803,16 +375,26 @@ impl LaneCache {
             }
             self.lanes[b] = lane;
         }
-        self.dirty_list.clear();
+        self.dirty = BankSet::default();
     }
 }
 
-/// [`pick_with_bound`] over an incrementally maintained [`LaneCache`]:
-/// only banks dirtied since the last pass are re-aggregated, and the
-/// rank-split occupied lists let pass 1 discharge whole ranks through
-/// their column gates. Banks flagged in `blocked` are skipped (their
-/// entries neither issue nor contribute to the bound — unblocking is
-/// itself a scheduling event).
+/// Selects the next command under FR-FCFS-Cap and returns it with the
+/// queue's next-ready bound.
+///
+/// `hit_streak` is the per-flat-bank count of consecutively served row
+/// hits; once it reaches `cap` while an older request waits on the same
+/// bank, hits in that bank lose their priority. The decision is pass 1's
+/// oldest ready, uncapped row hit, else pass 2's oldest ready command of
+/// any kind (PRE → ACT → column, whichever step of its service is next).
+/// The bound is the earliest cycle at which *any* candidate could issue
+/// (`u64::MAX` when none is eligible); the cap reorders commands but
+/// never delays the first issuable one, so it does not enter the bound.
+///
+/// A bank in `held` (a migration owns its row buffer) serves only read
+/// hits to its read-out row in `read_ok_rows`; its other candidates
+/// neither issue nor count toward the bound — the release is itself an
+/// event.
 #[allow(clippy::too_many_arguments)]
 pub fn pick_cached(
     entries: &[QueueEntry],
@@ -822,67 +404,99 @@ pub fn pick_cached(
     cap: u32,
     now: u64,
     cache: &mut LaneCache,
-    blocked: &[bool],
+    held: BankSet,
     blocked_rows: &[u32],
     read_ok_rows: &[u32],
 ) -> (Option<Decision>, u64) {
     if entries.is_empty() {
         return (None, u64::MAX);
     }
-    cache.rebuild_dirty(entries, banks, blocked_rows, read_ok_rows);
-    pick_from_ranked_lanes(
-        entries,
-        banks,
-        engine,
-        hit_streak,
-        cap,
-        now,
-        &cache.lanes,
-        &cache.occupied,
-        blocked,
-        read_ok_rows,
-    )
-}
-
-/// [`next_ready_cycle`] over a [`LaneCache`], skipping blocked banks and
-/// blocked rows. The readiness bound is a min over every candidate, so
-/// the rank lists are walked in full (no gate pruning — the bound must
-/// stay exact for the skip-ahead engine).
-pub fn next_ready_cached(
-    entries: &[QueueEntry],
-    banks: &[BankState],
-    engine: &TimingEngine,
-    cache: &mut LaneCache,
-    blocked: &[bool],
-    blocked_rows: &[u32],
-    read_ok_rows: &[u32],
-) -> Option<u64> {
-    if entries.is_empty() {
-        return None;
+    if cache.priced_at != Some((engine.issued(), held)) {
+        cache.rebuild_dirty(entries, banks, blocked_rows, read_ok_rows);
+        cache.price(banks, engine, held, read_ok_rows);
     }
-    cache.rebuild_dirty(entries, banks, blocked_rows, read_ok_rows);
-    let mut next: Option<u64> = None;
-    for list in &cache.occupied {
-        if let Some(t) = ready_from_lanes(
-            entries,
-            banks,
-            engine,
-            &cache.lanes,
-            list,
-            blocked,
-            read_ok_rows,
-        ) {
-            next = Some(next.map_or(t, |n| n.min(t)));
+    if now < cache.bound {
+        return (None, cache.bound);
+    }
+    // The best candidate of each pass.
+    let mut best_hit: Option<&Priced> = None;
+    let mut best_any: Option<&Priced> = None;
+    for p in cache.priced.iter().filter(|p| p.ready <= now) {
+        if best_any.is_none_or(|b| p.age < b.age) {
+            best_any = Some(p);
+        }
+        let first_ready = p
+            .hit
+            .is_some_and(|(bank, older_waiter)| !(older_waiter && hit_streak[bank] >= cap));
+        if first_ready && best_hit.is_none_or(|b| p.age < b.age) {
+            best_hit = Some(p);
         }
     }
-    next
+    let decision = best_hit.or(best_any).map(|p| Decision {
+        queue_index: p.age.1,
+        command: p.command,
+    });
+    (decision, cache.bound)
+}
+
+impl LaneCache {
+    /// The walk over the banks with queued demand: prices each bank's
+    /// candidates from the bank index and the timing registers.
+    fn price(
+        &mut self,
+        banks: &[BankState],
+        engine: &TimingEngine,
+        held: BankSet,
+        read_ok_rows: &[u32],
+    ) {
+        self.priced.clear();
+        self.bound = u64::MAX;
+        for b in self.occupied.iter() {
+            let lane = &self.lanes[b];
+            let open = banks[b].open_row;
+            let read_hits_only = held.contains(b);
+            if read_hits_only && open.is_none_or(|r| read_ok_rows.get(b) != Some(&r)) {
+                continue;
+            }
+            let miss_cmd = if open.is_some() {
+                Command::Pre
+            } else {
+                Command::Act
+            };
+            for (cand, command) in [
+                (lane.hit_rd, Command::Rd),
+                (lane.hit_wr, Command::Wr),
+                (lane.miss, miss_cmd),
+            ] {
+                let Some(age) = cand else { continue };
+                if read_hits_only && command != Command::Rd {
+                    continue;
+                }
+                let ready = engine.earliest_in_bank(command, b);
+                self.bound = self.bound.min(ready);
+                let hit = match (command, open) {
+                    (Command::Rd | Command::Wr, Some(row)) => {
+                        Some((b, lane.older_waiter(age.0, row)))
+                    }
+                    _ => None,
+                };
+                self.priced.push(Priced {
+                    ready,
+                    age,
+                    command,
+                    hit,
+                });
+            }
+        }
+        self.priced_at = Some((engine.issued(), held));
+    }
 }
 
 /// The column command for a request.
 pub fn column_command(e: &QueueEntry) -> Command {
     match e.request.kind {
-        crate::request::RequestKind::Read => Command::Rd,
-        crate::request::RequestKind::Write => Command::Wr,
+        RequestKind::Read => Command::Rd,
+        RequestKind::Write => Command::Wr,
     }
 }
 
@@ -935,8 +549,15 @@ mod tests {
         )
     }
 
-    /// The original O(n²) scan, kept as the behavioural reference the
-    /// lane-aggregated `pick` must match decision-for-decision.
+    /// The naive O(n²) FR-FCFS-Cap scan straight from the rules, with
+    /// no per-bank aggregation: the oracle every optimised pass must
+    /// match decision for decision and bound for bound. An entry is
+    /// eligible unless its row is blocked (writes always, reads unless
+    /// the row is the bank's read-out row) or its bank is held (then
+    /// only read hits to an open read-out row stay eligible). Returns
+    /// the decision and the next-ready bound: the minimum earliest-issue
+    /// cycle over eligible entries (`u64::MAX` when none is eligible).
+    #[allow(clippy::too_many_arguments)]
     fn pick_reference(
         entries: &[QueueEntry],
         banks: &[BankState],
@@ -944,64 +565,136 @@ mod tests {
         hit_streak: &[u32],
         cap: u32,
         now: u64,
-    ) -> Option<Decision> {
-        fn older_waiter_exists(entries: &[QueueEntry], i: usize, e: &QueueEntry) -> bool {
-            entries.iter().enumerate().any(|(j, o)| {
-                j != i
-                    && o.target.bank == e.target.bank
+        held: BankSet,
+        blocked_rows: &[u32],
+        read_ok_rows: &[u32],
+    ) -> (Option<Decision>, u64) {
+        // The entry's next command and the target it is priced on.
+        let next_command = |e: &QueueEntry| {
+            let bank = &banks[e.target.bank];
+            match bank.open_row {
+                Some(r) if r == e.decoded.row => (column_command(e), e.target),
+                Some(_) => (
+                    Command::Pre,
+                    Target {
+                        mode: bank.open_mode,
+                        ..e.target
+                    },
+                ),
+                None => (Command::Act, e.target),
+            }
+        };
+        let row_blocked = |e: &QueueEntry| {
+            let b = e.target.bank;
+            blocked_rows.get(b) == Some(&e.decoded.row)
+                && !(e.request.kind == RequestKind::Read
+                    && read_ok_rows.get(b) == Some(&e.decoded.row))
+        };
+        let eligible = |e: &QueueEntry| {
+            let b = e.target.bank;
+            if row_blocked(e) {
+                return false;
+            }
+            if !held.contains(b) {
+                return true;
+            }
+            e.request.kind == RequestKind::Read
+                && banks[b].is_open(e.decoded.row)
+                && read_ok_rows.get(b) == Some(&e.decoded.row)
+        };
+        // A strictly older entry to another row of the same bank; a
+        // blocked-row entry is out of scheduling entirely and never
+        // counts.
+        let older_waiter_exists = |e: &QueueEntry| {
+            entries.iter().any(|o| {
+                o.target.bank == e.target.bank
                     && o.decoded.row != e.decoded.row
                     && o.request.arrival_cycle < e.request.arrival_cycle
+                    && !row_blocked(o)
             })
-        }
+        };
+        let mut bound = u64::MAX;
         let mut best_hit: Option<(u64, usize)> = None;
         for (i, e) in entries.iter().enumerate() {
-            let bank = &banks[e.target.bank];
-            if !bank.is_open(e.decoded.row) {
+            if !eligible(e) {
                 continue;
             }
-            if hit_streak[e.target.bank] >= cap && older_waiter_exists(entries, i, e) {
+            let (cmd, target) = next_command(e);
+            let ready = engine.earliest(cmd, target);
+            bound = bound.min(ready);
+            if !banks[e.target.bank].is_open(e.decoded.row)
+                || (hit_streak[e.target.bank] >= cap && older_waiter_exists(e))
+            {
                 continue;
             }
-            let cmd = column_command(e);
-            if engine.can_issue(cmd, e.target, now) {
-                let age = e.request.arrival_cycle;
-                if best_hit.is_none_or(|(a, _)| age < a) {
-                    best_hit = Some((age, i));
-                }
+            let age = e.request.arrival_cycle;
+            if ready <= now && best_hit.is_none_or(|(a, _)| age < a) {
+                best_hit = Some((age, i));
             }
         }
         if let Some((_, i)) = best_hit {
-            return Some(Decision {
+            let decision = Decision {
                 queue_index: i,
                 command: column_command(&entries[i]),
-            });
+            };
+            return (Some(decision), bound);
         }
         let mut order: Vec<usize> = (0..entries.len()).collect();
         order.sort_by_key(|&i| (entries[i].request.arrival_cycle, i));
-        for i in order {
+        let decision = order.into_iter().find_map(|i| {
             let e = &entries[i];
-            let bank = &banks[e.target.bank];
-            let cmd = match bank.open_row {
-                Some(r) if r == e.decoded.row => column_command(e),
-                Some(_) => Command::Pre,
-                None => Command::Act,
-            };
-            let target = if cmd == Command::Pre {
-                Target {
-                    mode: bank.open_mode,
-                    ..e.target
-                }
-            } else {
-                e.target
-            };
-            if engine.can_issue(cmd, target, now) {
-                return Some(Decision {
-                    queue_index: i,
-                    command: cmd,
-                });
-            }
+            let (cmd, target) = next_command(e);
+            (eligible(e) && engine.can_issue(cmd, target, now)).then_some(Decision {
+                queue_index: i,
+                command: cmd,
+            })
+        });
+        (decision, bound)
+    }
+
+    /// One pass over a cache built fresh from `entries` (every lane
+    /// folded against today's bank state and row blocks).
+    #[allow(clippy::too_many_arguments)]
+    fn pick_fresh(
+        entries: &[QueueEntry],
+        banks: &[BankState],
+        engine: &TimingEngine,
+        hit_streak: &[u32],
+        cap: u32,
+        now: u64,
+        held: BankSet,
+        blocked_rows: &[u32],
+        read_ok_rows: &[u32],
+    ) -> (Option<Decision>, u64) {
+        let mut cache = LaneCache::new(banks.len());
+        for k in 1..=entries.len() {
+            cache.on_push(&entries[..k], banks, blocked_rows, read_ok_rows);
         }
-        None
+        pick_cached(
+            entries,
+            banks,
+            engine,
+            hit_streak,
+            cap,
+            now,
+            &mut cache,
+            held,
+            blocked_rows,
+            read_ok_rows,
+        )
+    }
+
+    /// [`pick_fresh`] with no bank held and no row blocked.
+    fn pick_open(
+        entries: &[QueueEntry],
+        banks: &[BankState],
+        engine: &TimingEngine,
+        hit_streak: &[u32],
+        cap: u32,
+        now: u64,
+    ) -> (Option<Decision>, u64) {
+        let none = BankSet::default();
+        pick_fresh(entries, banks, engine, hit_streak, cap, now, none, &[], &[])
     }
 
     #[test]
@@ -1024,8 +717,7 @@ mod tests {
             mk(0, 1, 9, RequestKind::Read, 0),  // older, bank closed
             mk(1, 0, 5, RequestKind::Read, 10), // younger, row hit
         ];
-        let mut s = SchedScratch::default();
-        let d = pick(&entries, &banks, &e, &[0; 4], 4, now, &mut s).unwrap();
+        let d = pick_open(&entries, &banks, &e, &[0; 4], 4, now).0.unwrap();
         assert_eq!(d.queue_index, 1);
         assert_eq!(d.command, Command::Rd);
     }
@@ -1049,12 +741,13 @@ mod tests {
             mk(0, 0, 9, RequestKind::Read, 0),  // older conflict in bank 0
             mk(1, 0, 5, RequestKind::Read, 10), // younger hit in bank 0
         ];
-        let mut s = SchedScratch::default();
         // Below cap: the hit wins.
-        let d = pick(&entries, &banks, &e, &[0; 4], 4, now, &mut s).unwrap();
+        let d = pick_open(&entries, &banks, &e, &[0; 4], 4, now).0.unwrap();
         assert_eq!(d.queue_index, 1);
         // At cap: oldest-first; service starts with PRE of the conflict.
-        let d = pick(&entries, &banks, &e, &[4, 0, 0, 0], 4, now, &mut s).unwrap();
+        let d = pick_open(&entries, &banks, &e, &[4, 0, 0, 0], 4, now)
+            .0
+            .unwrap();
         assert_eq!(d.queue_index, 0);
         assert_eq!(d.command, Command::Pre);
     }
@@ -1064,8 +757,7 @@ mod tests {
         let e = engine();
         let banks = vec![BankState::new(); 4];
         let entries = vec![mk(0, 2, 7, RequestKind::Write, 0)];
-        let mut s = SchedScratch::default();
-        let d = pick(&entries, &banks, &e, &[0; 4], 4, 0, &mut s).unwrap();
+        let d = pick_open(&entries, &banks, &e, &[0; 4], 4, 0).0.unwrap();
         assert_eq!(d.command, Command::Act);
     }
 
@@ -1083,8 +775,7 @@ mod tests {
         e.issue(Command::Act, t, 0);
         // Bank 0 closed per `banks`, but engine forbids ACT until tRC.
         let entries = vec![mk(0, 0, 7, RequestKind::Read, 0)];
-        let mut s = SchedScratch::default();
-        assert!(pick(&entries, &banks, &e, &[0; 4], 4, 1, &mut s).is_none());
+        assert!(pick_open(&entries, &banks, &e, &[0; 4], 4, 1).0.is_none());
     }
 
     #[test]
@@ -1101,21 +792,25 @@ mod tests {
         e.issue(Command::Act, t, 0);
         // Bank 0 closed in `banks` (engine-only ACT): re-ACT waits tRC.
         let entries = vec![mk(0, 0, 7, RequestKind::Read, 0)];
-        let mut s = SchedScratch::default();
-        let ready = next_ready_cycle(&entries, &banks, &e, &mut s).unwrap();
+        let (d, ready) = pick_open(&entries, &banks, &e, &[0; 4], 4, 0);
+        assert!(d.is_none());
         assert_eq!(ready, e.earliest(Command::Act, t));
-        assert!(pick(&entries, &banks, &e, &[0; 4], 4, ready - 1, &mut s).is_none());
-        assert!(pick(&entries, &banks, &e, &[0; 4], 4, ready, &mut s).is_some());
-        assert!(next_ready_cycle(&[], &banks, &e, &mut s).is_none());
+        assert!(pick_open(&entries, &banks, &e, &[0; 4], 4, ready - 1)
+            .0
+            .is_none());
+        assert!(pick_open(&entries, &banks, &e, &[0; 4], 4, ready)
+            .0
+            .is_some());
+        assert_eq!(pick_open(&[], &banks, &e, &[0; 4], 4, ready).1, u64::MAX);
     }
 
     #[test]
     fn lane_cache_matches_full_rebuild_on_fuzzed_op_sequences() {
         // Drive a persistent LaneCache through random enqueue /
-        // swap-remove / bank-state / blocked-bank op sequences; after
-        // every op both the decision and the bound must match a
-        // from-scratch rebuild (analyze + the shared lane passes), and —
-        // with no banks blocked — the public pick_with_bound path.
+        // swap-remove / bank-state / held-bank / row-block op sequences;
+        // after every op the one pass over it must return the decision
+        // and the bound of a pass over a cache built from scratch, and of
+        // the naive oracle; the watched-row counts must match a rescan.
         let mut state = 0x0DD0_FEED_5EED_1234u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -1142,8 +837,8 @@ mod tests {
                 }
             }
             let mut entries: Vec<QueueEntry> = Vec::new();
-            let mut cache = LaneCache::new(4, 4);
-            let mut blocked = vec![false; 4];
+            let mut cache = LaneCache::new(4);
+            let mut held = BankSet::default();
             let mut blocked_rows = vec![u32::MAX; 4];
             let mut read_ok_rows = vec![u32::MAX; 4];
             let mut next_id = 0u64;
@@ -1183,7 +878,7 @@ mod tests {
                     }
                     5 => {
                         let b = (rng() % 4) as usize;
-                        blocked[b] = !blocked[b];
+                        held.set(b, !held.contains(b));
                     }
                     _ => {
                         // Row blocks change only alongside a lane
@@ -1218,69 +913,88 @@ mod tests {
                     cap,
                     now,
                     &mut cache,
-                    &blocked,
+                    held,
                     &blocked_rows,
                     &read_ok_rows,
                 );
-                let got_ready = next_ready_cached(
+                let rebuilt = pick_fresh(
                     &entries,
                     &banks,
                     &e,
-                    &mut cache,
-                    &blocked,
+                    &streaks,
+                    cap,
+                    now,
+                    held,
                     &blocked_rows,
                     &read_ok_rows,
                 );
-                let (want, want_ready) = if entries.is_empty() {
-                    ((None, u64::MAX), None)
-                } else {
-                    let mut s = SchedScratch::default();
-                    analyze(&entries, &banks, &mut s, &blocked_rows, &read_ok_rows);
-                    (
-                        pick_from_lanes(
-                            &entries,
-                            &banks,
-                            &e,
-                            &streaks,
-                            cap,
-                            now,
-                            &s.lanes,
-                            &s.touched,
-                            &blocked,
-                            &read_ok_rows,
-                        ),
-                        ready_from_lanes(
-                            &entries,
-                            &banks,
-                            &e,
-                            &s.lanes,
-                            &s.touched,
-                            &blocked,
-                            &read_ok_rows,
-                        ),
-                    )
-                };
-                assert_eq!(got, want, "round {round} op {op}: cached pick diverges");
-                assert_eq!(
-                    got_ready, want_ready,
-                    "round {round} op {op}: cached readiness diverges"
+                assert_eq!(got, rebuilt, "round {round} op {op}: cached pass diverges");
+                let oracle = pick_reference(
+                    &entries,
+                    &banks,
+                    &e,
+                    &streaks,
+                    cap,
+                    now,
+                    held,
+                    &blocked_rows,
+                    &read_ok_rows,
                 );
-                if blocked.iter().all(|&b| !b) && blocked_rows.iter().all(|&r| r == u32::MAX) {
-                    let mut s = SchedScratch::default();
-                    let public = pick_with_bound(&entries, &banks, &e, &streaks, cap, now, &mut s);
-                    assert_eq!(got, public, "round {round} op {op}: public path diverges");
-                }
+                assert_eq!(got, oracle, "round {round} op {op}: pass vs oracle");
+                // Nothing priced changed: a pass at another cycle under
+                // other hit streaks and cap re-decides from the kept
+                // prices, and must still match the oracle.
+                let streaks: Vec<u32> = (0..4).map(|_| (rng() % 6) as u32).collect();
+                let cap = 1 + (rng() % 4) as u32;
+                let now = (rng() % 64).max(20);
+                let kept = pick_cached(
+                    &entries,
+                    &banks,
+                    &e,
+                    &streaks,
+                    cap,
+                    now,
+                    &mut cache,
+                    held,
+                    &blocked_rows,
+                    &read_ok_rows,
+                );
+                let oracle = pick_reference(
+                    &entries,
+                    &banks,
+                    &e,
+                    &streaks,
+                    cap,
+                    now,
+                    held,
+                    &blocked_rows,
+                    &read_ok_rows,
+                );
+                assert_eq!(kept, oracle, "round {round} op {op}: kept prices vs oracle");
+                let b = (rng() % 4) as usize;
+                let (watch, row) = if rng() % 2 == 0 {
+                    (RowWatch::Open, (rng() % 4) as u32)
+                } else {
+                    (RowWatch::Migrating, (rng() % 4) as u32)
+                };
+                let rescan = entries
+                    .iter()
+                    .any(|x| x.target.bank == b && x.decoded.row == row);
+                assert_eq!(
+                    cache.row_queued(&entries, b, watch, row),
+                    rescan,
+                    "round {round} op {op}: watched count vs rescan"
+                );
             }
         }
     }
 
     #[test]
     fn rank_split_matches_flat_passes_on_two_ranks() {
-        // An 8-bank, 2-rank engine: the rank-split cached pick (with its
-        // per-rank column-gate skip) must stay decision- and
-        // bound-identical to the flat, ungated passes under fuzzed
-        // queues, bank states, and rank-gating engine histories
-        // (ACT bursts filling one rank's tFAW window, refreshes).
+        // An 8-bank, 2-rank engine: the one pass must stay decision- and
+        // bound-identical to a fresh rebuild and to the naive oracle
+        // under fuzzed queues, bank states, held banks and rank-gating
+        // engine histories (ACT bursts filling one rank's tFAW window).
         let t = ClrTimings::from_circuit_defaults();
         let i = InterfaceTimings::ddr4_2400();
         let ct = CycleTimings::baseline(&t, &i);
@@ -1331,12 +1045,18 @@ mod tests {
                 banks[b].activate((rng() % 4) as u32, RowMode::MaxCapacity, at);
             }
             let mut entries: Vec<QueueEntry> = Vec::new();
-            let mut cache = LaneCache::new(8, 4);
-            let blocked = vec![false; 8];
+            let mut cache = LaneCache::new(8);
+            let mut held = BankSet::default();
             let blocked_rows = vec![u32::MAX; 8];
-            let read_ok_rows = vec![u32::MAX; 8];
+            let read_ok_rows = banks
+                .iter()
+                .map(|b| b.open_row.unwrap_or(u32::MAX))
+                .collect::<Vec<_>>();
             for op in 0..40 {
-                if rng() % 4 < 3 || entries.is_empty() {
+                if rng() % 8 == 0 {
+                    let b = (rng() % 8) as usize;
+                    held.set(b, !held.contains(b));
+                } else if rng() % 4 < 3 || entries.is_empty() {
                     let kind = if rng() % 4 == 0 {
                         RequestKind::Write
                     } else {
@@ -1366,38 +1086,43 @@ mod tests {
                     cap,
                     now,
                     &mut cache,
-                    &blocked,
+                    held,
                     &blocked_rows,
                     &read_ok_rows,
                 );
-                let want = if entries.is_empty() {
-                    (None, u64::MAX)
-                } else {
-                    let mut s = SchedScratch::default();
-                    analyze(&entries, &banks, &mut s, &blocked_rows, &read_ok_rows);
-                    pick_from_lanes(
-                        &entries,
-                        &banks,
-                        &e,
-                        &streaks,
-                        cap,
-                        now,
-                        &s.lanes,
-                        &s.touched,
-                        &blocked,
-                        &read_ok_rows,
-                    )
-                };
-                assert_eq!(got, want, "round {round} op {op}: rank split diverges");
+                let rebuilt = pick_fresh(
+                    &entries,
+                    &banks,
+                    &e,
+                    &streaks,
+                    cap,
+                    now,
+                    held,
+                    &blocked_rows,
+                    &read_ok_rows,
+                );
+                assert_eq!(got, rebuilt, "round {round} op {op}: cached pass diverges");
+                let oracle = pick_reference(
+                    &entries,
+                    &banks,
+                    &e,
+                    &streaks,
+                    cap,
+                    now,
+                    held,
+                    &blocked_rows,
+                    &read_ok_rows,
+                );
+                assert_eq!(got, oracle, "round {round} op {op}: pass vs oracle");
             }
         }
     }
 
     #[test]
     fn lane_pick_matches_reference_scan_on_fuzzed_queues() {
-        // Deterministic LCG fuzz over queue composition, bank states, hit
-        // streaks and times; the lane-aggregated pick must agree with the
-        // naive reference on every sample.
+        // Deterministic fuzz over queue composition, bank states, hit
+        // streaks and times; the one pass over fresh lanes must agree
+        // with the naive oracle on every sample, decision and bound.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut rng = move || {
             state ^= state << 13;
@@ -1405,7 +1130,6 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut s = SchedScratch::default();
         for round in 0..400 {
             let mut e = engine();
             let mut banks = vec![BankState::new(); 4];
@@ -1444,8 +1168,9 @@ mod tests {
             let streaks: Vec<u32> = (0..4).map(|_| (rng() % 6) as u32).collect();
             let cap = 1 + (rng() % 4) as u32;
             let now = (rng() % 64).max(20);
-            let got = pick(&entries, &banks, &e, &streaks, cap, now, &mut s);
-            let want = pick_reference(&entries, &banks, &e, &streaks, cap, now);
+            let got = pick_open(&entries, &banks, &e, &streaks, cap, now);
+            let none = BankSet::default();
+            let want = pick_reference(&entries, &banks, &e, &streaks, cap, now, none, &[], &[]);
             assert_eq!(got, want, "round {round}: lanes diverge from reference");
         }
     }
