@@ -91,25 +91,10 @@ fn assert_inert(off: &PolicyRunResult, on: &PolicyRunResult) {
 }
 
 fn blame_json(mem: &clr_memsim::MemStats) -> String {
-    let total = mem.read_blame.total_cycles();
-    let entry = |scale: u64| {
-        clr_obs::WaitCause::ALL
-            .iter()
-            .map(|&c| {
-                format!(
-                    "\"{}\": {}",
-                    c.label(),
-                    mem.read_blame.of(c).sum() * 1000 / scale.max(1)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
+    let (cycles, permille) = mem.read_blame.json_maps();
     format!(
-        "{{\"read_latency_cycles\": {}, \"cycles\": {{{}}}, \"permille\": {{{}}}}}",
+        "{{\"read_latency_cycles\": {}, \"cycles\": {{{cycles}}}, \"permille\": {{{permille}}}}}",
         mem.read_latency_hist.sum(),
-        entry(1000),
-        entry(total),
     )
 }
 

@@ -232,7 +232,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy for `Vec<S::Value>` (see [`vec`]).
+    /// Strategy for `Vec<S::Value>` (see [`vec()`]).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -194,17 +194,6 @@ impl DramGeometry {
     pub fn offset_bits(&self) -> u32 {
         (self.bytes_per_column() as u32).trailing_zeros()
     }
-
-    /// Total address bits consumed by the mapping.
-    pub fn addr_bits(&self) -> u32 {
-        self.offset_bits()
-            + self.column_bits()
-            + self.row_bits()
-            + self.bank_bits()
-            + self.bank_group_bits()
-            + self.rank_bits()
-            + self.channel_bits()
-    }
 }
 
 impl Default for DramGeometry {
@@ -230,14 +219,6 @@ mod tests {
         let g = DramGeometry::ddr4_16gb_x8();
         assert_eq!(g.row_bytes(), 8192);
         assert_eq!(g.burst_bytes(), 64); // one cache line per burst
-    }
-
-    #[test]
-    fn addr_bits_cover_capacity() {
-        let g = DramGeometry::ddr4_16gb_x8();
-        assert_eq!(1u64 << g.addr_bits(), g.capacity_bytes());
-        let t = DramGeometry::tiny();
-        assert_eq!(1u64 << t.addr_bits(), t.capacity_bytes());
     }
 
     #[test]

@@ -99,19 +99,6 @@ pub struct PagePlacement {
 }
 
 impl PagePlacement {
-    /// Identity placement: every page maps to the frame with its own
-    /// number. Used for the all-max-capacity baseline.
-    pub fn identity(geometry: &DramGeometry) -> Self {
-        PagePlacement {
-            table: HashMap::new(),
-            hp_frames: 0,
-            hp_region_frames: 0,
-            total_frames: geometry.capacity_bytes() / PAGE_BYTES,
-            next_cold: 0,
-            next_hot: 0,
-        }
-    }
-
     /// Builds a profile-guided placement.
     ///
     /// * `profile` — page heat from a profiling pass;

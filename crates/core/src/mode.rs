@@ -180,12 +180,6 @@ impl ModeTable {
         self.hp_count = hp_rows as u64 * self.banks as u64;
     }
 
-    /// First row of each bank that is *not* high-performance under the
-    /// contiguous layout, i.e. the size of the low-latency region.
-    pub fn hp_rows_per_bank(&self) -> u32 {
-        (self.hp_count / self.banks as u64) as u32
-    }
-
     /// Total high-performance rows across all banks.
     pub fn high_performance_rows(&self) -> u64 {
         self.hp_count
@@ -286,7 +280,7 @@ mod tests {
             }
         }
         assert!((t.fraction_high_performance() - 0.25).abs() < 1e-6);
-        assert_eq!(t.hp_rows_per_bank(), hp_rows);
+        assert_eq!(t.high_performance_rows(), hp_rows as u64 * t.banks() as u64);
     }
 
     #[test]

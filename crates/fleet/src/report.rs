@@ -19,7 +19,7 @@
 use clr_memsim::stats::MemStats;
 use clr_obs::{
     BlameSet, LatencyHistogram, ScalarObjective, SeriesCounters, SeriesGauges, SkipProfile,
-    SloReport, SloSpec, TimeSeries, WaitCause, WindowMetric, WindowSummary, WindowedObjective,
+    SloReport, SloSpec, TimeSeries, WindowMetric, WindowSummary, WindowedObjective,
 };
 use clr_sim::experiment::policies::{SLO_MAX_SLOWDOWN_MILLI, SLO_READ_P99_CYCLES};
 use clr_sim::geomean;
@@ -327,26 +327,11 @@ impl FleetReport {
         ));
         // Fleet-wide wait anatomy: exact per-cause cycle budgets fused
         // across every instance, plus permille-of-total-wait shares.
-        let blame_total = self.fused_read_blame.total_cycles();
-        let blame_entry = |scale: u64| {
-            WaitCause::ALL
-                .iter()
-                .map(|&c| {
-                    format!(
-                        "\"{}\": {}",
-                        c.label(),
-                        self.fused_read_blame.of(c).sum() * 1000 / scale.max(1)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
+        let (cycles, permille) = self.fused_read_blame.json_maps();
         s.push_str(&format!(
-            "    \"blame\": {{\"read_latency_cycles\": {}, \"cycles\": {{{}}}, \
-             \"permille\": {{{}}}}},\n",
+            "    \"blame\": {{\"read_latency_cycles\": {}, \"cycles\": {{{cycles}}}, \
+             \"permille\": {{{permille}}}}},\n",
             self.fused_read_latency.sum(),
-            blame_entry(1000),
-            blame_entry(blame_total),
         ));
         // Fused skip-ahead profile: how the fleet's walks advanced time
         // (host-side observability; identical across pool sizes because
@@ -460,8 +445,7 @@ mod tests {
         let instances = [stub_instance(0, 50, 1.0), stub_instance(1, 200, 1.0)];
         let fused = LatencyHistogram::fused(instances.iter().map(|i| &i.mem.read_latency_hist));
         assert_eq!(fused.count(), 200);
-        let (p50, p95, p99) = fused.percentiles();
-        assert!(p50 <= p95 && p95 <= p99);
+        assert!(fused.p50() <= fused.p95() && fused.p95() <= fused.p99());
     }
 
     #[test]

@@ -118,7 +118,6 @@ pub struct MemoryController {
     timeout_cycles: Option<u64>,
     addr_mask: u64,
     command_log: Option<Vec<IssuedCommand>>,
-    per_bank_acts: Vec<u64>,
     /// Incrementally maintained per-bank scheduler lanes for the read
     /// queue: rebuilt per bank only when its queue composition or bank
     /// state changed since the last scheduling pass.
@@ -278,7 +277,6 @@ impl MemoryController {
             timeout_cycles,
             addr_mask,
             command_log: None,
-            per_bank_acts: vec![0; banks_total],
             read_lanes: LaneCache::new(banks_total),
             write_lanes: LaneCache::new(banks_total),
             migration: MigrationEngine::new(
@@ -298,11 +296,6 @@ impl MemoryController {
             blame_enabled: false,
             config,
         }
-    }
-
-    /// ACT count per flat bank — a bank-level-parallelism diagnostic.
-    pub fn bank_usage(&self) -> &[u64] {
-        &self.per_bank_acts
     }
 
     /// Starts recording every issued command (for the protocol auditor in
@@ -756,8 +749,8 @@ impl MemoryController {
         self.migration.drain_completed_into(out);
     }
 
-    /// Drains completed frame-placement actions (evacuations, staged
-    /// cross-channel read-outs, fills, cross-bank couplings) into `out`
+    /// Drains completed frame-placement actions (staged cross-channel
+    /// read-outs, fills, cross-bank couplings) into `out`
     /// (clearing `out` first) — the feed a [`MemorySystem`] pump uses to
     /// install remap entries and advance staged cross-channel moves.
     ///
@@ -773,36 +766,6 @@ impl MemoryController {
     /// driving traffic, like [`MemoryController::enable_command_log`]).
     pub fn enable_couple_placement_log(&mut self) {
         self.migration.enable_couple_placement_log();
-    }
-
-    /// Dispatches a same-channel whole-row frame move as background
-    /// migration traffic: the full max-capacity row `(bank, row)` is
-    /// streamed into the frame `(dest_bank, dest)` of another bank.
-    /// Returns `false` if either row is not max-capacity or already has
-    /// a pending migration role.
-    pub fn begin_row_evacuation(
-        &mut self,
-        bank: usize,
-        row: u32,
-        dest_bank: usize,
-        dest: u32,
-    ) -> bool {
-        if self.modes.mode_of(bank, row) != RowMode::MaxCapacity
-            || self.modes.mode_of(dest_bank, dest) != RowMode::MaxCapacity
-        {
-            return false;
-        }
-        let ok = self
-            .migration
-            .dispatch_evacuate(bank, row, dest_bank, dest, self.cycle);
-        if ok {
-            if self.frames.take_exact(dest_bank, dest) {
-                self.stats.frames_reused += 1;
-            }
-            self.next_event_cache = None;
-            self.reblame_queues();
-        }
-        ok
     }
 
     /// Dispatches the read-out half of a cross-channel frame move: the
@@ -825,10 +788,10 @@ impl MemoryController {
 
     /// Dispatches the write-back half of a cross-channel frame move into
     /// the frame `(bank, row)`, which must have been reserved through
-    /// [`MemoryController::reserve_frame`] when the move was scheduled.
-    /// Returns `false` if no such reservation exists.
+    /// [`MemoryController::reserve_import_frame`] when the move was
+    /// scheduled. Returns `false` if no such reservation exists.
     pub fn begin_fill(&mut self, bank: usize, row: u32) -> bool {
-        let ok = self.migration.dispatch_fill(bank, row, true, self.cycle);
+        let ok = self.migration.dispatch_fill(bank, row, self.cycle);
         if ok {
             // The move is committed from here: a known-free frame is
             // consumed only now, so an aborted reservation loses
@@ -840,19 +803,6 @@ impl MemoryController {
             self.reblame_queues();
         }
         ok
-    }
-
-    /// Reserves `(bank, row)` as the destination frame of a scheduled
-    /// (but not yet dispatched) cross-channel move, so no picker hands
-    /// it out in the meantime. A known-free frame stays in the directory
-    /// (the reservation keeps pickers away; it is consumed by
-    /// [`MemoryController::begin_fill`]). Returns `false` if the row
-    /// already has a pending role.
-    pub fn reserve_frame(&mut self, bank: usize, row: u32) -> bool {
-        if self.modes.mode_of(bank, row) != RowMode::MaxCapacity {
-            return false;
-        }
-        self.migration.reserve(bank, row)
     }
 
     /// Releases a frame reservation without freeing the frame (an
@@ -930,18 +880,10 @@ impl MemoryController {
     }
 
     /// Drains the per-row access telemetry accumulated since the last
-    /// drain, as `((flat_bank, row), column_accesses)` sorted by
+    /// drain into `out` (clearing it first, so an epoch loop reuses one
+    /// allocation), as `((flat_bank, row), column_accesses)` sorted by
     /// `(bank, row)`. Empty unless
     /// [`MemoryController::enable_row_telemetry`] was called.
-    pub fn drain_row_telemetry(&mut self) -> Vec<((u32, u32), u64)> {
-        let mut out = Vec::new();
-        self.drain_row_telemetry_into(&mut out);
-        out
-    }
-
-    /// [`MemoryController::drain_row_telemetry`] into a caller-owned
-    /// buffer, so an epoch loop can reuse one allocation across drains.
-    /// Clears `out` first.
     pub fn drain_row_telemetry_into(&mut self, out: &mut Vec<((u32, u32), u64)>) {
         out.clear();
         out.extend(std::mem::take(&mut self.row_counts));
@@ -1618,20 +1560,6 @@ impl MemoryController {
                             }
                             self.note_migration_done("couple", dispatched_at, now, b as u32, row);
                         }
-                        MigrationStep::Evacuated {
-                            bank,
-                            row,
-                            dispatched_at,
-                            ..
-                        } => {
-                            // The vacated source is a free frame from here
-                            // on; the system installs the remap entry at
-                            // its next placement pump.
-                            self.stats.migration_evacuations += 1;
-                            self.frames.free(bank as usize, row);
-                            self.stats.frames_freed += 1;
-                            self.note_migration_done("evacuate", dispatched_at, now, bank, row);
-                        }
                         MigrationStep::StagedOut {
                             bank,
                             row,
@@ -1955,7 +1883,6 @@ impl MemoryController {
                 self.open_row(bank, row, mode, now);
                 self.engine.issue(Command::Act, target, now);
                 self.stats.record_act(mode);
-                self.per_bank_acts[bank] += 1;
                 self.log_command(now, Command::Act, bank, row, mode);
             }
             Command::Pre => {
@@ -2250,6 +2177,7 @@ mod tests {
         cfg.refresh_enabled = false;
         let g = cfg.geometry.clone();
         let mut mc = MemoryController::new(cfg);
+        mc.enable_command_log();
         // One line per bank-group/bank combination: consecutive row-sized
         // strides change the row; bank bits sit between row and column
         // under RoBgBaRaCoCh, so stride by row_bytes to walk banks.
@@ -2259,9 +2187,15 @@ mod tests {
         }
         let done = run_until_done(&mut mc, 100_000);
         assert_eq!(done.len(), 16);
-        let used = mc.bank_usage().iter().filter(|&&c| c > 0).count();
+        let mut acts_per_bank = vec![0u64; g.banks_total() as usize];
+        for c in mc.command_log().unwrap() {
+            if c.command == Command::Act {
+                acts_per_bank[c.flat_bank] += 1;
+            }
+        }
+        let used = acts_per_bank.iter().filter(|&&c| c > 0).count();
         assert!(used >= 2, "expected multi-bank usage, got {used} banks");
-        assert_eq!(mc.bank_usage().iter().sum::<u64>(), mc.stats().acts());
+        assert_eq!(acts_per_bank.iter().sum::<u64>(), mc.stats().acts());
     }
 
     #[test]
@@ -2429,11 +2363,13 @@ mod tests {
         mc.try_enqueue(read(2, 0x40, 0)).unwrap();
         mc.try_enqueue(write(3, 0x80, 0)).unwrap();
         let _ = run_until_done(&mut mc, 20_000);
-        let telemetry = mc.drain_row_telemetry();
+        let mut telemetry = Vec::new();
+        mc.drain_row_telemetry_into(&mut telemetry);
         let total: u64 = telemetry.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, 3, "reads + writes that reached the device");
         // Drained: a second export is empty until new traffic arrives.
-        assert!(mc.drain_row_telemetry().is_empty());
+        mc.drain_row_telemetry_into(&mut telemetry);
+        assert!(telemetry.is_empty());
     }
 
     #[test]
@@ -2602,17 +2538,14 @@ mod tests {
         // old mode; the destination is an ordinary MC row).
         assert_eq!(mc.stats().migration_acts_max_capacity, 4);
         assert_eq!(mc.stats().migration_acts_high_performance, 0);
-        assert_eq!(
-            mc.stats().migration_slot_cycles,
-            mc.stats().migration_commands()
-        );
         // Demand counters stayed clean.
         assert_eq!(mc.stats().acts(), 0);
         assert_eq!(mc.stats().reads, 0);
-        // Every migration command is tagged in the log; completions
-        // drain once.
+        // Every migration command is tagged in the log and took one
+        // command slot; completions drain once.
         let log = mc.command_log().unwrap();
         assert!(log.iter().all(|c| c.migration));
+        assert_eq!(mc.stats().migration_slot_cycles, log.len() as u64);
         let mut completed = Vec::new();
         mc.drain_completed_migrations_into(&mut completed);
         assert_eq!(completed.len(), 2);
@@ -2864,8 +2797,11 @@ mod tests {
         cfg.refresh_enabled = false;
         cfg.relocation = RelocationConfig::background();
         let mut mc = MemoryController::new(cfg);
-        // Same-channel whole-row move between two banks.
-        assert!(mc.begin_row_evacuation(0, 5, 1, 9));
+        // The fill half of a cross-channel move: the frame is reserved
+        // when the move is scheduled and adopted by the fill job.
+        let (bank, row) = mc.reserve_import_frame(2).expect("a free frame");
+        assert!(mc.is_row_migrating(bank, row), "frame reserved");
+        assert!(mc.begin_fill(bank, row));
         let mut done = Vec::new();
         for _ in 0..30_000 {
             mc.tick(&mut done);
@@ -2874,41 +2810,17 @@ mod tests {
             }
         }
         assert_eq!(mc.pending_migrations(), 0);
-        assert_eq!(mc.stats().migration_evacuations, 1);
-        assert_eq!(mc.stats().frames_freed, 1);
-        assert!(mc.frame_directory().is_free(0, 5), "vacated row is a frame");
-        let mut events = Vec::new();
-        mc.drain_placement_events_into(&mut events);
-        assert_eq!(events.len(), 1);
-        assert_eq!(
-            (
-                events[0].bank,
-                events[0].row,
-                events[0].dest_bank,
-                events[0].dest
-            ),
-            (0, 5, 1, 9)
-        );
-        // The freed frame is preferred by the next coupling's picker in
-        // cross-bank-capable configurations; under same-bank placement it
-        // is simply bookkeeping. Exercise the fill half too.
-        assert!(mc.reserve_frame(2, 7));
-        assert!(!mc.reserve_frame(2, 7), "double reservation refused");
-        assert!(mc.begin_fill(2, 7));
-        for _ in 0..30_000 {
-            mc.tick(&mut done);
-            if mc.pending_migrations() == 0 {
-                break;
-            }
-        }
         assert_eq!(mc.stats().migration_fills, 1);
-        assert!(!mc.is_row_migrating(2, 7), "fill released the reservation");
+        assert!(
+            !mc.is_row_migrating(bank, row),
+            "fill released the reservation"
+        );
         let full_row = mc.config().geometry.row_bytes() / mc.config().geometry.burst_bytes();
-        assert_eq!(mc.stats().migration_reads, full_row, "evacuation reads");
+        assert_eq!(mc.stats().migration_reads, 0, "a fill reads nothing");
         assert_eq!(
             mc.stats().migration_writes,
-            2 * full_row,
-            "evacuation + fill writes"
+            full_row,
+            "one full row written"
         );
     }
 

@@ -80,7 +80,7 @@ impl DestinationPicker {
 /// The simulator's OS abstraction treats any max-capacity row without a
 /// pending migration role as allocatable (the legacy scan); the
 /// directory refines that with rows *known free* — frames whose contents
-/// were evacuated to another bank or channel. Pickers consume known-free
+/// were evacuated to another channel. Pickers consume known-free
 /// frames first, so evacuations actually create usable local headroom
 /// instead of being pure accounting.
 ///
@@ -152,16 +152,6 @@ impl FrameDirectory {
             self.consumed_total += 1;
         }
         hit
-    }
-
-    /// Known-free frames currently available in `bank`.
-    pub fn free_in_bank(&self, bank: usize) -> usize {
-        self.freed[bank].len()
-    }
-
-    /// Known-free frames currently available across all banks.
-    pub fn free_frames(&self) -> usize {
-        self.freed.iter().map(|s| s.len()).sum()
     }
 
     /// Frames freed over the directory's lifetime.
@@ -304,15 +294,14 @@ mod tests {
         d.free(1, 9);
         d.free(1, 3);
         d.free(1, 3); // idempotent
-        assert_eq!(d.free_frames(), 2);
         assert_eq!(d.freed_total(), 2);
-        assert!(d.is_free(1, 9));
+        assert!(d.is_free(1, 9) && d.is_free(1, 3));
         // Lowest usable row first; the filter skips unusable candidates.
         assert_eq!(d.take_in_bank(1, |r| r != 3), Some(9));
         assert_eq!(d.take_in_bank(1, |_| true), Some(3));
         assert_eq!(d.take_in_bank(1, |_| true), None);
         assert_eq!(d.consumed_total(), 2);
-        assert_eq!(d.free_in_bank(1), 0);
+        assert!(!d.is_free(1, 9) && !d.is_free(1, 3));
     }
 
     #[test]
@@ -321,7 +310,7 @@ mod tests {
         d.free(0, 7);
         assert!(d.take_exact(0, 7));
         assert!(!d.take_exact(0, 7));
-        assert_eq!(d.free_frames(), 0);
+        assert!(!d.is_free(0, 7));
     }
 
     #[test]

@@ -65,7 +65,10 @@
 //! [`frames::DestinationPicker::CrossChannel`] adds a system-level
 //! rebalancer ([`frames::CapacityRebalancer`]) that moves whole frames
 //! between channels at epoch boundaries via staged evacuate-out /
-//! fill-in jobs. Rows whose contents moved to another bank or channel
+//! fill-in jobs. The migration engine ([`migrate`]) therefore runs three
+//! job kinds ([`migrate::JobKind`]): the mode-transition coupling and
+//! the two halves of a cross-channel frame move. Rows whose contents
+//! moved to another bank or channel
 //! stay addressable through [`system::RemapTable`] — a row-granular
 //! indirection applied after the channel route whose installs compose as
 //! transpositions, keeping `remap ∘ route` a bijection with an exact

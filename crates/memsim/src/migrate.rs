@@ -43,14 +43,13 @@
 //! until the job completes, and a bank blocks demand entirely only while
 //! one of the job's sides holds that bank's row buffer.
 //!
-//! Beyond couplings, the engine executes the capacity directory's
-//! whole-row frame moves ([`JobKind`]): same-channel **evacuations**
-//! (read a full max-capacity row out of one bank, write it into a frame
-//! of another), and the two halves of a cross-channel move — an
-//! **evacuate-out** (read-out only; the data leaves the channel) and a
-//! **fill-in** (write-back only; the data arrives from another channel),
-//! staged by [`MemorySystem::pump_placement`]. Completed placement work
-//! is reported as [`PlacementEvent`]s so the system can install
+//! Beyond couplings, the engine executes the two halves of the capacity
+//! directory's cross-channel whole-row frame moves, so it runs three job
+//! kinds ([`JobKind`]): the coupling itself, an **evacuate-out**
+//! (read-out only; the data leaves the channel) and a **fill-in**
+//! (write-back only; the data arrives from another channel), the last
+//! two staged by [`MemorySystem::pump_placement`]. Completed placement
+//! work is reported as [`PlacementEvent`]s so the system can install
 //! [`RemapTable`](crate::system::RemapTable) entries.
 //!
 //! Jobs queue per owning bank and at most one migration role (job source
@@ -167,17 +166,12 @@ impl Default for RelocationConfig {
 }
 
 /// What a migration job moves and why — the capacity directory's job
-/// taxonomy.
+/// taxonomy: a coupling, or one half of a cross-channel frame move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
     /// A mode-transition coupling: half a row out of the source, mode
     /// flip at the couple point, half a row into the destination frame.
     Couple,
-    /// A same-channel whole-row frame move: a full max-capacity row out
-    /// of one bank into a free frame of another. No mode flip; the
-    /// vacated source becomes a free frame (and the system remaps the
-    /// row's address).
-    Evacuate,
     /// The source half of a cross-channel frame move: a full row read
     /// out; the data leaves this channel (staged by the system).
     EvacuateOut,
@@ -285,20 +279,6 @@ pub enum MigrationStep {
         /// Whether the destination frame lived in another bank (the
         /// overlapped two-bank execution).
         cross_bank: bool,
-        /// Cycle the job was dispatched, for end-to-end job latency.
-        dispatched_at: u64,
-    },
-    /// A same-channel whole-row frame move finished; the vacated source
-    /// is now a free frame.
-    Evacuated {
-        /// Source bank vacated.
-        bank: u32,
-        /// Source row vacated.
-        row: u32,
-        /// Destination bank filled.
-        dest_bank: u32,
-        /// Destination row filled.
-        dest: u32,
         /// Cycle the job was dispatched, for end-to-end job latency.
         dispatched_at: u64,
     },
@@ -522,21 +502,11 @@ impl MigrationEngine {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &RelocationConfig {
-        &self.cfg
-    }
-
     /// Starts recording completed cross-bank couplings as placement
     /// events (frame moves are always recorded — the system pump
     /// consumes them; coupling events exist for audits and debugging).
     pub fn enable_couple_placement_log(&mut self) {
         self.log_couple_placements = true;
-    }
-
-    /// Column bursts per coupling phase.
-    pub fn bursts_per_phase(&self) -> u32 {
-        self.bursts_per_phase
     }
 
     /// Column bursts of a whole-row frame move (both halves of the row).
@@ -642,21 +612,6 @@ impl MigrationEngine {
         self.reserved.remove(&(bank as u32, row))
     }
 
-    /// Dispatches one coupling job whose displaced data lands in `dest`
-    /// (a max-capacity row of the same bank). Returns `false` (and does
-    /// nothing) if either row already has a pending role.
-    pub fn dispatch(
-        &mut self,
-        bank: usize,
-        row: u32,
-        dest: u32,
-        from: RowMode,
-        to: RowMode,
-        now: u64,
-    ) -> bool {
-        self.dispatch_couple(bank, row, bank, dest, from, to, now)
-    }
-
     /// Dispatches one coupling job with an explicit destination bank:
     /// with `dest_bank == bank` the job's two sides serialize on one row
     /// buffer, anything else is the overlapped two-bank execution.
@@ -695,41 +650,6 @@ impl MigrationEngine {
         true
     }
 
-    /// Dispatches a same-channel whole-row frame move: the full
-    /// max-capacity row `(bank, row)` is read out and written into the
-    /// frame `(dest_bank, dest)` of a *different* bank. Returns `false`
-    /// if either row has a pending role or the banks coincide.
-    pub fn dispatch_evacuate(
-        &mut self,
-        bank: usize,
-        row: u32,
-        dest_bank: usize,
-        dest: u32,
-        now: u64,
-    ) -> bool {
-        if bank == dest_bank
-            || self.is_row_pending(bank, row)
-            || self.is_row_pending(dest_bank, dest)
-        {
-            return false;
-        }
-        let bursts = self.bursts_per_frame_move();
-        self.enqueue_job(
-            bank,
-            MigrationJob {
-                kind: JobKind::Evacuate,
-                row,
-                dest,
-                dest_bank: dest_bank as u32,
-                from: RowMode::MaxCapacity,
-                to: RowMode::MaxCapacity,
-                dispatched_at: now,
-                state: JobState::new(bursts, bursts),
-            },
-        );
-        true
-    }
-
     /// Dispatches the read-out half of a cross-channel frame move: the
     /// full row `(bank, row)` is streamed out; on completion the data is
     /// staged (the row stays reserved until the system confirms the
@@ -757,22 +677,11 @@ impl MigrationEngine {
 
     /// Dispatches the write-back half of a cross-channel frame move: a
     /// full row's worth of data (staged by the system) is written into
-    /// the frame `(bank, row)`. An external [`MigrationEngine::reserve`]
-    /// held for exactly this frame is adopted by the job. Returns
-    /// `false` if the row is pending under a *different* role.
-    pub fn dispatch_fill(
-        &mut self,
-        bank: usize,
-        row: u32,
-        reserved_by_caller: bool,
-        now: u64,
-    ) -> bool {
-        if reserved_by_caller {
-            // The caller's reservation becomes the job's own entry.
-            if !self.reserved.contains(&(bank as u32, row)) {
-                return false;
-            }
-        } else if self.is_row_pending(bank, row) {
+    /// the frame `(bank, row)`, which the caller must hold through
+    /// [`MigrationEngine::reserve`]; the job adopts that reservation as
+    /// its own entry. Returns `false` if the frame is not reserved.
+    pub fn dispatch_fill(&mut self, bank: usize, row: u32, now: u64) -> bool {
+        if !self.is_row_pending(bank, row) {
             return false;
         }
         self.enqueue_job(
@@ -1047,9 +956,6 @@ impl MigrationEngine {
                     to: job.to,
                 }
             }
-            // The data is staged in flight to the other bank; the
-            // vacated row stays blocked until the move lands.
-            JobKind::Evacuate => MigrationStep::InProgress,
             JobKind::EvacuateOut => {
                 // Single-sided: the read-out completes the job. The
                 // source row's reservation survives until the system
@@ -1117,22 +1023,6 @@ impl MigrationEngine {
                     dispatched_at: job.dispatched_at,
                 }
             }
-            JobKind::Evacuate => {
-                self.placements.push(PlacementEvent {
-                    kind: JobKind::Evacuate,
-                    bank: owner as u32,
-                    row: job.row,
-                    dest_bank: job.dest_bank,
-                    dest: job.dest,
-                });
-                MigrationStep::Evacuated {
-                    bank: owner as u32,
-                    row: job.row,
-                    dest_bank: job.dest_bank,
-                    dest: job.dest,
-                    dispatched_at: job.dispatched_at,
-                }
-            }
             JobKind::FillIn => {
                 self.placements.push(PlacementEvent {
                     kind: JobKind::FillIn,
@@ -1176,9 +1066,8 @@ impl MigrationEngine {
         out.append(&mut self.completed);
     }
 
-    /// Drains completed placement actions (evacuations, staged
-    /// read-outs, fills, cross-bank couplings) into `out` (clearing
-    /// `out` first).
+    /// Drains completed placement actions (staged read-outs, fills,
+    /// cross-bank couplings) into `out` (clearing `out` first).
     pub fn drain_placements_into(&mut self, out: &mut Vec<PlacementEvent>) {
         out.clear();
         out.append(&mut self.placements);
@@ -1223,6 +1112,19 @@ impl MigrationEngine {
 mod tests {
     use super::*;
 
+    /// Dispatches a same-bank coupling of `row` into the frame `dest`.
+    fn same_bank(e: &mut MigrationEngine, bank: usize, row: u32, dest: u32) -> bool {
+        e.dispatch_couple(
+            bank,
+            row,
+            bank,
+            dest,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0,
+        )
+    }
+
     fn engine(rate: Option<MigrationRate>) -> MigrationEngine {
         MigrationEngine::new(
             RelocationConfig {
@@ -1238,14 +1140,13 @@ mod tests {
     #[test]
     fn job_walks_read_out_couple_write_back() {
         let mut e = engine(None);
-        assert!(e.dispatch(1, 7, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0));
-        assert!(!e.dispatch(1, 7, 41, RowMode::MaxCapacity, RowMode::HighPerformance, 0));
+        assert!(same_bank(&mut e, 1, 7, 40));
+        assert!(!same_bank(&mut e, 1, 7, 41));
         assert!(
-            !e.dispatch(1, 9, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0),
+            !same_bank(&mut e, 1, 9, 40),
             "a busy destination frame refuses a second job"
         );
         assert_eq!(e.pending_jobs(), 1);
-        assert_eq!(e.bursts_per_phase(), 16);
 
         // Bank closed → first command is the read-out ACT in the old mode.
         assert_eq!(e.queued_start(1), Some((7, RowMode::MaxCapacity)));
@@ -1307,7 +1208,7 @@ mod tests {
     #[test]
     fn pure_background_never_starts_on_an_open_bank() {
         let mut e = engine(None);
-        e.dispatch(0, 3, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        same_bank(&mut e, 0, 3, 40);
         // The bank is open with a demand row: no start command until the
         // bank closes (demand territory).
         assert!(e.next_command(0, Some((9, RowMode::MaxCapacity))).is_none());
@@ -1320,7 +1221,7 @@ mod tests {
     #[test]
     fn forced_precharge_restarts_the_phase_act() {
         let mut e = engine(None);
-        e.dispatch(2, 1, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        same_bank(&mut e, 2, 1, 40);
         e.note_act(2, 0);
         e.note_column(2, 10);
         e.on_forced_precharge(2);
@@ -1344,7 +1245,7 @@ mod tests {
     #[test]
     fn forced_precharge_mid_write_back_reopens_the_destination_frame() {
         let mut e = engine(None);
-        e.dispatch(1, 7, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        same_bank(&mut e, 1, 7, 40);
         e.note_act(1, 0);
         for i in 0..16 {
             e.note_column(1, 1 + i);
@@ -1404,7 +1305,7 @@ mod tests {
         let mut e = engine(None);
         // Same-bank coupling on bank 0: pending exactly from the couple
         // point to the write-back ACT.
-        e.dispatch(0, 7, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        same_bank(&mut e, 0, 7, 40);
         assert!(!e.pending_writeback_act(0), "queued");
         e.note_act(0, 0);
         for i in 0..16 {
@@ -1457,7 +1358,7 @@ mod tests {
 
         // Fill-in on bank 2: write-back only, never pending either.
         assert!(e.reserve(2, 17));
-        assert!(e.dispatch_fill(2, 17, true, 200));
+        assert!(e.dispatch_fill(2, 17, 200));
         assert!(!e.pending_writeback_act(2));
         e.note_act(2, 200);
         e.note_column(2, 201);
@@ -1478,8 +1379,8 @@ mod tests {
             max_starts: 1,
         };
         let mut e = engine(Some(rate));
-        e.dispatch(0, 1, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
-        e.dispatch(2, 5, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        same_bank(&mut e, 0, 1, 40);
+        same_bank(&mut e, 2, 5, 40);
         assert_eq!(e.rate_gate(5), 5);
         e.note_act(0, 5); // first start charges the window
                           // Window 0 exhausted for *starts*: gate jumps to the boundary...
@@ -1498,8 +1399,8 @@ mod tests {
     #[test]
     fn round_robin_rotates_across_banks_with_work() {
         let mut e = engine(None);
-        e.dispatch(0, 1, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
-        e.dispatch(2, 5, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        same_bank(&mut e, 0, 1, 40);
+        same_bank(&mut e, 2, 5, 40);
         let first: Vec<usize> = e.banks_with_work().collect();
         assert_eq!(first, vec![0, 2]);
         e.note_act(0, 0);
@@ -1647,7 +1548,7 @@ mod tests {
         assert!(e.next_command(1, None).is_none());
         // A bank serving as a destination cannot start its own queue
         // either.
-        e.dispatch(2, 9, 50, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        same_bank(&mut e, 2, 9, 50);
         assert_eq!(e.queued_start(2), None);
     }
 
@@ -1682,7 +1583,7 @@ mod tests {
         // Stage 2 on the destination channel: a fill-in adopting the
         // system's reservation.
         assert!(e.reserve(2, 17));
-        assert!(e.dispatch_fill(2, 17, true, 60));
+        assert!(e.dispatch_fill(2, 17, 60));
         let c = e.next_command(2, None).unwrap();
         assert_eq!(
             (c.command, c.row, c.mode),
@@ -1710,31 +1611,5 @@ mod tests {
         assert_eq!(events[0].kind, JobKind::EvacuateOut);
         assert_eq!(events[1].kind, JobKind::FillIn);
         assert_eq!((events[1].dest_bank, events[1].dest), (2, 17));
-    }
-
-    #[test]
-    fn same_channel_evacuation_moves_a_whole_row() {
-        let mut e = engine(None);
-        assert!(e.dispatch_evacuate(0, 9, 1, 17, 0));
-        assert!(!e.dispatch_evacuate(0, 9, 0, 17, 0), "same bank refused");
-        e.note_act(0, 0);
-        e.note_act(1, 1);
-        for i in 0..32 {
-            e.note_column(0, 2 + i);
-            e.note_column(1, 3 + i);
-        }
-        assert_eq!(e.note_pre(0), MigrationStep::InProgress);
-        assert_eq!(
-            e.note_pre(1),
-            MigrationStep::Evacuated {
-                bank: 0,
-                row: 9,
-                dest_bank: 1,
-                dest: 17,
-                dispatched_at: 0
-            }
-        );
-        assert_eq!(e.pending_jobs(), 0);
-        assert!(!e.is_row_pending(0, 9) && !e.is_row_pending(1, 17));
     }
 }

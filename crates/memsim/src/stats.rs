@@ -75,8 +75,8 @@ pub struct MemStats {
     /// Completed couplings whose destination frame lived in a different
     /// bank (the overlapped two-bank execution).
     pub migration_cross_bank_jobs: u64,
-    /// Whole-row frame evacuations completed on this channel (same-channel
-    /// moves plus the read-out halves of cross-channel moves).
+    /// Whole-row frame evacuations completed on this channel: the
+    /// read-out halves of cross-channel frame moves.
     pub migration_evacuations: u64,
     /// Whole-row frame fills completed on this channel (the write-back
     /// halves of cross-channel moves).
@@ -114,98 +114,6 @@ impl MemStats {
     /// Creates zeroed statistics.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Zeroes every counter in place, keeping the latency histograms'
-    /// bucket allocations — the reset a reused fused-statistics scratch
-    /// applies instead of dropping and reallocating. The exhaustive
-    /// destructuring (no `..`) is a compile-time drift guard: adding a
-    /// field forces this function to handle it.
-    pub fn reset(&mut self) {
-        let MemStats {
-            cycles,
-            acts_max_capacity,
-            acts_high_performance,
-            pres_max_capacity,
-            pres_high_performance,
-            reads,
-            writes,
-            refs_max_capacity,
-            refs_high_performance,
-            row_hits,
-            row_misses,
-            row_conflicts,
-            read_latency_sum,
-            reads_completed,
-            forwarded_reads,
-            rank_active_cycles,
-            rank_precharged_cycles,
-            refresh_busy_cycles,
-            queue_rejections,
-            mode_transitions,
-            relocation_stall_cycles,
-            migration_acts_max_capacity,
-            migration_acts_high_performance,
-            migration_pres_max_capacity,
-            migration_pres_high_performance,
-            migration_reads,
-            migration_writes,
-            migration_slot_cycles,
-            migration_jobs_completed,
-            migration_cross_bank_jobs,
-            migration_evacuations,
-            migration_fills,
-            frames_freed,
-            frames_reused,
-            read_latency_hist,
-            write_latency_hist,
-            migration_latency_hist,
-            read_blame,
-            write_blame,
-        } = self;
-        for c in [
-            cycles,
-            acts_max_capacity,
-            acts_high_performance,
-            pres_max_capacity,
-            pres_high_performance,
-            reads,
-            writes,
-            refs_max_capacity,
-            refs_high_performance,
-            row_hits,
-            row_misses,
-            row_conflicts,
-            read_latency_sum,
-            reads_completed,
-            forwarded_reads,
-            rank_active_cycles,
-            rank_precharged_cycles,
-            refresh_busy_cycles,
-            queue_rejections,
-            mode_transitions,
-            relocation_stall_cycles,
-            migration_acts_max_capacity,
-            migration_acts_high_performance,
-            migration_pres_max_capacity,
-            migration_pres_high_performance,
-            migration_reads,
-            migration_writes,
-            migration_slot_cycles,
-            migration_jobs_completed,
-            migration_cross_bank_jobs,
-            migration_evacuations,
-            migration_fills,
-            frames_freed,
-            frames_reused,
-        ] {
-            *c = 0;
-        }
-        read_latency_hist.clear();
-        write_latency_hist.clear();
-        migration_latency_hist.clear();
-        read_blame.clear();
-        write_blame.clear();
     }
 
     /// Total ACT commands.
@@ -263,16 +171,6 @@ impl MemStats {
         }
     }
 
-    /// Total background-migration commands issued.
-    pub fn migration_commands(&self) -> u64 {
-        self.migration_acts_max_capacity
-            + self.migration_acts_high_performance
-            + self.migration_pres_max_capacity
-            + self.migration_pres_high_performance
-            + self.migration_reads
-            + self.migration_writes
-    }
-
     /// Fraction of all cycles in which a migration command occupied the
     /// command bus (the migration-slot utilization).
     pub fn migration_slot_utilization(&self) -> f64 {
@@ -280,15 +178,6 @@ impl MemStats {
             0.0
         } else {
             self.migration_slot_cycles as f64 / self.cycles as f64
-        }
-    }
-
-    /// Average read latency in DRAM cycles.
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.reads_completed == 0 {
-            0.0
-        } else {
-            self.read_latency_sum as f64 / self.reads_completed as f64
         }
     }
 
@@ -370,7 +259,7 @@ impl MemStats {
     /// Every field is summed, *including* `cycles`: channels run in
     /// lockstep, so the fused `cycles` counts channel-cycles (N channels ×
     /// wall cycles) and derived rates (`row_hit_rate`,
-    /// `avg_read_latency`, `migration_slot_utilization`) recompute from
+    /// `migration_slot_utilization`) recompute from
     /// the summed numerators and denominators — they are traffic-weighted
     /// averages over channels, never a drifting copy of per-channel
     /// values.
@@ -457,8 +346,8 @@ mod tests {
     #[test]
     fn derived_rates_handle_zero() {
         let s = MemStats::new();
-        assert_eq!(s.avg_read_latency(), 0.0);
         assert_eq!(s.row_hit_rate(), 0.0);
+        assert_eq!(s.migration_slot_utilization(), 0.0);
     }
 
     /// Every field set, no `..Default` — adding a `MemStats` field breaks
@@ -579,7 +468,7 @@ mod tests {
         let fused = MemStats::fused([&a, &b]);
         // Traffic-weighted, not the mean of per-channel rates.
         assert!((fused.row_hit_rate() - 9.0 / 20.0).abs() < 1e-12);
-        assert!((fused.avg_read_latency() - 300.0 / 12.0).abs() < 1e-12);
+        assert_eq!((fused.read_latency_sum, fused.reads_completed), (300, 12));
         assert!((fused.migration_slot_utilization() - 40.0 / 200.0).abs() < 1e-12);
         // Identity: fusing one set of stats changes nothing.
         assert_eq!(MemStats::fused([&a]), a);

@@ -383,41 +383,16 @@ impl MemorySystem {
         self.moves.len() + self.fills.len()
     }
 
-    /// Schedules a whole-row frame move: the contents of `src` relocate
-    /// into the free frame `dest`, after which the two rows' identities
-    /// swap in the [`RemapTable`]. Same-channel moves dispatch directly
-    /// as a two-bank evacuation job; cross-channel moves stage a
-    /// read-out on the source channel now and a fill on the destination
-    /// channel at the next [`MemorySystem::pump_placement`] after the
-    /// read-out lands. Returns `false` (and changes nothing) if either
-    /// row is unavailable (not max-capacity, or already migrating).
-    pub fn schedule_row_move(&mut self, src: RowKey, dest: RowKey) -> bool {
-        if src == dest {
-            return false;
-        }
-        if src.channel == dest.channel {
-            return self.channels[src.channel as usize].begin_row_evacuation(
-                src.bank as usize,
-                src.row,
-                dest.bank as usize,
-                dest.row,
-            );
-        }
-        if !self.channels[dest.channel as usize].reserve_frame(dest.bank as usize, dest.row) {
-            return false;
-        }
-        if !self.channels[src.channel as usize].begin_evacuation_out(src.bank as usize, src.row) {
-            self.channels[dest.channel as usize].release_frame(dest.bank as usize, dest.row);
-            return false;
-        }
-        self.moves.insert(src, dest);
-        true
-    }
-
-    /// [`MemorySystem::schedule_row_move`] with the destination frame
-    /// chosen (and reserved) by the destination channel's capacity
-    /// directory. Returns the reserved frame, or `None` if no frame was
-    /// available or the source row is unavailable.
+    /// Schedules a cross-channel whole-row frame move: the contents of
+    /// the row `(src_channel, bank, row)` relocate into a free frame
+    /// that the destination channel's capacity directory chooses and
+    /// reserves, after which the two rows' identities swap in the
+    /// [`RemapTable`]. The read-out is staged on the source channel now
+    /// and the fill on the destination channel at the next
+    /// [`MemorySystem::pump_placement`] after the read-out lands.
+    /// Returns the reserved frame, or `None` (changing nothing) if the
+    /// channels coincide, no frame was available, or the source row is
+    /// unavailable (not max-capacity, or already migrating).
     pub fn schedule_row_export(
         &mut self,
         src_channel: usize,
@@ -465,7 +440,6 @@ impl MemorySystem {
                             TraceCategory::Placement,
                             match ev.kind {
                                 JobKind::Couple => "couple_placed",
-                                JobKind::Evacuate => "evacuate_placed",
                                 JobKind::EvacuateOut => "staged_out",
                                 JobKind::FillIn => "fill_landed",
                             },
@@ -485,13 +459,6 @@ impl MemorySystem {
                         // Cross-bank couplings need no remap: the coupled
                         // row keeps its (hot) identity; the displaced
                         // half-row's movement is placement-priced only.
-                    }
-                    JobKind::Evacuate => {
-                        self.remap.install_swap(
-                            RowKey::new(ch as u32, ev.bank, ev.row),
-                            RowKey::new(ch as u32, ev.dest_bank, ev.dest),
-                        );
-                        self.trace_remap_install(now, ch as u32, ev.bank, ev.row);
                     }
                     JobKind::EvacuateOut => {
                         let src = RowKey::new(ch as u32, ev.bank, ev.row);
@@ -719,21 +686,9 @@ impl MemorySystem {
     }
 
     /// Counter-wise sum of every channel's statistics (see
-    /// [`MemStats::merge`] for the rate semantics). Allocates a fresh
-    /// block (three histogram buffers); hot loops reporting per epoch
-    /// should reuse an accumulator via [`MemorySystem::fused_stats_into`].
+    /// [`MemStats::merge`] for the rate semantics).
     pub fn fused_stats(&self) -> MemStats {
         MemStats::fused(self.channels.iter().map(|c| c.stats()))
-    }
-
-    /// [`MemorySystem::fused_stats`] into a caller-owned accumulator:
-    /// `out` is reset in place (histogram buffers kept) and refilled, so
-    /// per-epoch reporting allocates nothing after the first call.
-    pub fn fused_stats_into(&self, out: &mut MemStats) {
-        out.reset();
-        for ch in &self.channels {
-            out.merge(ch.stats());
-        }
     }
 
     /// One channel's statistics.
@@ -844,18 +799,10 @@ impl MemorySystem {
     /// legitimately differ between per-cycle and skip-ahead walks.
     pub fn fused_skip_profile(&self) -> SkipProfile {
         let mut fused = SkipProfile::default();
-        self.fused_skip_profile_into(&mut fused);
-        fused
-    }
-
-    /// [`MemorySystem::fused_skip_profile`] into a caller-owned
-    /// accumulator (reset in place, jump-histogram buffer kept) — the
-    /// allocation-free form for per-epoch reporting.
-    pub fn fused_skip_profile_into(&self, out: &mut SkipProfile) {
-        out.clear();
         for ch in &self.channels {
-            out.merge(ch.skip_profile());
+            fused.merge(ch.skip_profile());
         }
+        fused
     }
 
     /// One channel's recorded command log, if enabled.
@@ -1036,25 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_accumulator_apis_match_the_allocating_forms() {
-        let mut sys = MemorySystem::new(two_channel_cfg());
-        for req in line_requests(24, 64) {
-            sys.try_enqueue(req).unwrap();
-        }
-        let mut done = Vec::new();
-        sys.tick_until(15_000, &mut done);
-        let mut stats = MemStats::new();
-        let mut profile = SkipProfile::default();
-        // Pre-dirty the accumulators: `_into` must reset, not merge.
-        stats.reads = 999;
-        profile.record_jump(5, clr_obs::EventSource::Refresh);
-        sys.fused_stats_into(&mut stats);
-        sys.fused_skip_profile_into(&mut profile);
-        assert_eq!(stats, sys.fused_stats());
-        assert_eq!(profile, sys.fused_skip_profile());
-    }
-
-    #[test]
     fn fused_event_bound_is_min_over_channels() {
         let mut sys = MemorySystem::new(two_channel_cfg());
         // Idle system with refresh: the bound is the earliest refresh
@@ -1173,6 +1101,53 @@ mod tests {
         assert_eq!(bch, 0);
         let bd = cfg.mapping.map(blocal, &g.channel_slice()).unwrap();
         assert_eq!((bd.flat_bank(&g.channel_slice()), bd.row), (0, 5));
+    }
+
+    #[test]
+    fn refused_exports_and_fills_leave_no_reservation_behind() {
+        use crate::migrate::RelocationConfig;
+        use clr_core::mode::RowMode;
+        // Rows below the HP prefix are high-performance on every bank.
+        let mut cfg = MemConfig::tiny_clr(0.25);
+        cfg.geometry.channels = 2;
+        cfg.relocation = RelocationConfig::background();
+        let mut sys = MemorySystem::new(cfg);
+        let reserved = |sys: &MemorySystem, ch: usize| -> Vec<(usize, u32)> {
+            let g = sys.channel(ch).config().geometry.clone();
+            (0..g.banks_total() as usize)
+                .flat_map(|b| (0..g.rows).map(move |r| (b, r)))
+                .filter(|&(b, r)| sys.channel(ch).is_row_migrating(b, r))
+                .collect()
+        };
+        let unchanged = |sys: &MemorySystem, before: &[Vec<(usize, u32)>], what: &str| {
+            for (ch, want) in before.iter().enumerate() {
+                assert_eq!(&reserved(sys, ch), want, "{what}: channel {ch}");
+            }
+        };
+        assert_eq!(sys.channel(0).mode_of_row(0, 0), RowMode::HighPerformance);
+
+        assert_eq!(sys.schedule_row_export(0, 0, 5, 0), None, "same channel");
+        unchanged(&sys, &[vec![], vec![]], "same channel");
+        assert_eq!(sys.schedule_row_export(0, 0, 0, 1), None, "HP source");
+        unchanged(&sys, &[vec![], vec![]], "HP source");
+        assert_eq!((sys.moves_in_flight(), sys.pending_migrations()), (0, 0));
+
+        let dest = sys
+            .schedule_row_export(0, 0, 40, 1)
+            .expect("frame reserved");
+        let before = [vec![(0, 40)], vec![(dest.bank as usize, dest.row)]];
+        unchanged(&sys, &before, "accepted export");
+        assert_eq!((sys.moves_in_flight(), sys.pending_migrations()), (1, 1));
+        assert_eq!(
+            sys.schedule_row_export(0, 0, 40, 1),
+            None,
+            "source already migrating"
+        );
+        unchanged(&sys, &before, "source already migrating");
+        let (b, r) = (dest.bank as usize, dest.row + 1);
+        assert!(!sys.channel_mut(1).begin_fill(b, r), "unreserved frame");
+        unchanged(&sys, &before, "unreserved fill");
+        assert_eq!((sys.moves_in_flight(), sys.pending_migrations()), (1, 1));
     }
 
     #[test]

@@ -208,6 +208,23 @@ impl BlameSet {
         self.hists.iter_mut().for_each(LatencyHistogram::clear);
     }
 
+    /// The per-cause maps every report's blame object carries, as JSON
+    /// object bodies keyed by the stable cause labels
+    /// (`"backpressure": 0, "refresh": 400, …`): the exact attributed
+    /// cycles, then their [`BlameSet::fractions_permille`] shares.
+    pub fn json_maps(&self) -> (String, String) {
+        let map = |values: [u64; WaitCause::COUNT]| {
+            WaitCause::ALL
+                .iter()
+                .zip(values)
+                .map(|(cause, v)| format!("\"{}\": {v}", cause.label()))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let cycles = WaitCause::ALL.map(|cause| self.of(cause).sum());
+        (map(cycles), map(self.fractions_permille()))
+    }
+
     /// Per-cause share of the attributed cycles in permille (integer,
     /// so reports stay byte-deterministic). All zeros when empty.
     pub fn fractions_permille(&self) -> [u64; WaitCause::COUNT] {

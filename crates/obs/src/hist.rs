@@ -230,13 +230,6 @@ impl LatencyHistogram {
         }
         out
     }
-
-    /// The percentile summary `(p50, p95, p99)` every fleet and bench
-    /// report prints — one call instead of three quantile walks' worth
-    /// of call sites.
-    pub fn percentiles(&self) -> (u64, u64, u64) {
-        (self.p50(), self.p95(), self.p99())
-    }
 }
 
 impl PartialEq for LatencyHistogram {

@@ -18,7 +18,7 @@
 //!   events (DRAM commands, migration-job lifecycle, policy-epoch
 //!   decisions, frame moves/remaps) serializing to Chrome trace-event
 //!   JSON for Perfetto. Binaries enable it per run from `CLR_TRACE`
-//!   ([`TraceConfig::from_env`]); with no sink installed the
+//!   (`clr_bench::trace_config_from_env`); with no sink installed the
 //!   instrumentation sites cost one pointer test.
 //! * [`profile`] — [`SkipProfile`]: host-side counters for the
 //!   event-driven skip-ahead walk (jump-length histogram, per-source
@@ -31,7 +31,9 @@
 //!   latencies — with exact bucket-wise `merge` for
 //!   per-channel→system fusion, and Chrome trace-event counter-track
 //!   export. Binaries enable it per run from `CLR_METRICS`
-//!   ([`MetricsConfig::from_env`]).
+//!   (`clr_bench::metrics_config_from_env`). The library reads no
+//!   environment variable: callers pass a [`TraceConfig`] or
+//!   [`MetricsConfig`] explicitly.
 //! * [`slo`] — [`SloSpec`]/[`SloReport`]: declarative service-level
 //!   objectives over the series (error budgets, multi-window
 //!   burn-rate alerts), producing machine-checkable verdicts.
@@ -73,8 +75,8 @@ pub use series::{
     WindowSummary,
 };
 pub use slo::{
-    BurnRatePolicy, ObjectiveOutcome, ScalarObjective, ScalarOutcome, SloReport, SloSpec,
-    WindowMetric, WindowedObjective,
+    ObjectiveOutcome, ScalarObjective, ScalarOutcome, SloReport, SloSpec, WindowMetric,
+    WindowedObjective,
 };
 pub use trace::{
     CategorySet, TraceCategory, TraceConfig, TraceEvent, TraceLog, TraceSink, SYSTEM_PID,

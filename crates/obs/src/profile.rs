@@ -86,15 +86,6 @@ impl SkipProfile {
         Self::default()
     }
 
-    /// Zeroes the profile in place, keeping the jump histogram's bucket
-    /// allocation (for reused fused-profile scratch).
-    pub fn clear(&mut self) {
-        self.jumps.clear();
-        self.triggers = [0; EventSource::COUNT];
-        self.ticked_cycles = 0;
-        self.skipped_cycles = 0;
-    }
-
     /// Records one dead-window jump of `len` cycles bounded by `src`.
     #[inline]
     pub fn record_jump(&mut self, len: u64, src: EventSource) {

@@ -18,10 +18,10 @@
 //! simulated outcome.
 //!
 //! Metrics are configured per run via [`MetricsConfig`]; binaries
-//! resolve it from the `CLR_METRICS` environment variable
-//! ([`MetricsConfig::from_env`]): `CLR_METRICS=1` samples at the default
-//! interval, `CLR_METRICS=<cycles>` at that interval, unset/`0`
-//! disables the layer entirely (no snapshots are taken at all).
+//! resolve it from the `CLR_METRICS` environment variable (in
+//! `clr-bench`): `CLR_METRICS=1` samples at the default interval,
+//! `CLR_METRICS=<cycles>` at that interval, unset/`0` disables the
+//! layer entirely (no snapshots are taken at all).
 
 use std::collections::VecDeque;
 
@@ -62,29 +62,6 @@ impl MetricsConfig {
             interval_cycles: interval_cycles.max(1),
             ..MetricsConfig::default()
         }
-    }
-
-    /// Resolves metrics from the `CLR_METRICS` environment variable:
-    /// `None` when unset, empty, `0`, or `off`; the default interval for
-    /// `1`/`on`/`all`/`true`; otherwise the value parsed as an interval
-    /// in DRAM cycles. `CLR_METRICS_CAPACITY` overrides the per-series
-    /// ring size.
-    pub fn from_env() -> Option<MetricsConfig> {
-        let v = std::env::var("CLR_METRICS").ok()?;
-        let interval_cycles = match v.trim() {
-            "" | "0" | "off" | "false" => return None,
-            "1" | "on" | "all" | "true" => DEFAULT_INTERVAL_CYCLES,
-            s => s.parse::<u64>().ok().filter(|&n| n > 0)?,
-        };
-        let capacity = std::env::var("CLR_METRICS_CAPACITY")
-            .ok()
-            .and_then(|c| c.parse().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        Some(MetricsConfig {
-            interval_cycles,
-            capacity,
-        })
     }
 }
 

@@ -9,10 +9,10 @@
 //! objective fails (`0.0` makes it a hard invariant). Scalar,
 //! whole-run facts the series cannot see (weighted speedup, max
 //! slowdown) ride along as [`ScalarObjective`]s supplied by the caller.
-//! A [`BurnRatePolicy`] raises SRE-style alerts when both a short and a
-//! long trailing window consume budget at ≥ `factor`× the sustainable
-//! rate — early warning that a passing objective is trending toward
-//! failure.
+//! Budgeted objectives raise SRE-style burn-rate alerts when both a
+//! short (5-window) and a long (30-window) trailing window consume
+//! budget at ≥ 4× the sustainable rate — early warning that a passing
+//! objective is trending toward failure.
 //!
 //! Evaluation is pure and deterministic: the same series always yields
 //! the same report, so CI can assert `report.pass()` and trajectory
@@ -121,28 +121,14 @@ pub struct ScalarObjective {
     pub expected_fail: bool,
 }
 
-/// Multi-window burn-rate alerting: alert when both the short and the
-/// long trailing window burn error budget at ≥ `factor`× the
-/// sustainable rate (the classic fast-burn page condition).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BurnRatePolicy {
-    /// Short trailing window length, in windows.
-    pub short_windows: usize,
-    /// Long trailing window length, in windows.
-    pub long_windows: usize,
-    /// Burn-rate multiple that triggers an alert.
-    pub factor: f64,
-}
-
-impl Default for BurnRatePolicy {
-    fn default() -> Self {
-        BurnRatePolicy {
-            short_windows: 5,
-            long_windows: 30,
-            factor: 4.0,
-        }
-    }
-}
+/// Short trailing window of the burn-rate alert, in windows.
+const BURN_SHORT_WINDOWS: usize = 5;
+/// Long trailing window of the burn-rate alert, in windows.
+const BURN_LONG_WINDOWS: usize = 30;
+/// Burn-rate multiple of the sustainable rate that triggers an alert
+/// when both trailing windows reach it (the classic fast-burn page
+/// condition).
+const BURN_FACTOR: f64 = 4.0;
 
 /// A named set of objectives evaluated against one [`TimeSeries`].
 #[derive(Debug, Clone, PartialEq)]
@@ -153,18 +139,15 @@ pub struct SloSpec {
     pub windowed: Vec<WindowedObjective>,
     /// Whole-run scalar bounds supplied by the caller.
     pub scalars: Vec<ScalarObjective>,
-    /// Burn-rate alerting policy for budgeted objectives.
-    pub burn: BurnRatePolicy,
 }
 
 impl SloSpec {
-    /// An empty spec with the default burn policy.
+    /// An empty spec.
     pub fn named(name: &'static str) -> Self {
         SloSpec {
             name,
             windowed: Vec::new(),
             scalars: Vec::new(),
-            burn: BurnRatePolicy::default(),
         }
     }
 
@@ -203,7 +186,7 @@ impl SloSpec {
                 let allowed = (obj.error_budget * n as f64).floor() as u64;
                 let pass = violations <= allowed;
                 let burn_alerts = if obj.error_budget > 0.0 {
-                    burn_alerts(&violating, obj.error_budget, &self.burn)
+                    burn_alerts(&violating, obj.error_budget)
                 } else {
                     0
                 };
@@ -257,10 +240,10 @@ impl SloSpec {
 }
 
 /// Counts positions where both the short and the long trailing window
-/// burn budget at ≥ `factor`× the sustainable rate. Evaluation starts
-/// once the long window is fully populated, so short-prefix noise
-/// cannot alert.
-fn burn_alerts(violating: &[bool], budget: f64, policy: &BurnRatePolicy) -> u64 {
+/// burn budget at ≥ `BURN_FACTOR`× the sustainable rate. Evaluation
+/// starts once the long window is fully populated, so short-prefix
+/// noise cannot alert.
+fn burn_alerts(violating: &[bool], budget: f64) -> u64 {
     let trailing_rate = |end: usize, len: usize| -> f64 {
         let start = end.saturating_sub(len);
         let n = end - start;
@@ -271,10 +254,10 @@ fn burn_alerts(violating: &[bool], budget: f64, policy: &BurnRatePolicy) -> u64 
         bad as f64 / n as f64
     };
     let mut alerts = 0;
-    for end in policy.long_windows.max(1)..=violating.len() {
-        let short = trailing_rate(end, policy.short_windows);
-        let long = trailing_rate(end, policy.long_windows);
-        if short >= budget * policy.factor && long >= budget * policy.factor {
+    for end in BURN_LONG_WINDOWS..=violating.len() {
+        let short = trailing_rate(end, BURN_SHORT_WINDOWS);
+        let long = trailing_rate(end, BURN_LONG_WINDOWS);
+        if short >= budget * BURN_FACTOR && long >= budget * BURN_FACTOR {
             alerts += 1;
         }
     }
@@ -461,17 +444,12 @@ mod tests {
 
     #[test]
     fn burn_rate_alerts_on_clustered_violations() {
-        // 20 good windows then 10 consecutive violations: the short and
-        // long trailing burn rates both exceed 4x a 10% budget.
-        let mut vals = vec![10u64; 20];
-        vals.extend(std::iter::repeat_n(500, 10));
+        // 30 good windows then 15 consecutive violations: the short (5)
+        // and long (30) trailing burn rates both reach 4x a 10% budget.
+        let mut vals = vec![10u64; 30];
+        vals.extend(std::iter::repeat_n(500, 15));
         let ts = series_with_p99s(&vals);
         let mut spec = SloSpec::named("t");
-        spec.burn = BurnRatePolicy {
-            short_windows: 5,
-            long_windows: 20,
-            factor: 4.0,
-        };
         spec.windowed.push(WindowedObjective::budgeted(
             WindowMetric::ReadP99,
             100,
@@ -481,7 +459,7 @@ mod tests {
         assert!(r.objectives[0].burn_alerts > 0, "clustered burn must alert");
         // The same total violations spread out evenly must not alert.
         let mut spread = Vec::new();
-        for i in 0..30 {
+        for i in 0..45 {
             spread.push(if i % 3 == 0 { 500 } else { 10 });
         }
         let ts2 = series_with_p99s(&spread);

@@ -13,10 +13,10 @@
 //! [`SYSTEM_PID`] pseudo-process.
 //!
 //! Tracing is configured per run via [`TraceConfig`]; binaries resolve
-//! it from the `CLR_TRACE` environment variable
-//! ([`TraceConfig::from_env`]): `CLR_TRACE=1` (or `all`) enables every
-//! category, `CLR_TRACE=commands,migration` a subset, unset/`0`
-//! disables tracing entirely. Instrumentation is *inert*: enabling a
+//! it from the `CLR_TRACE` environment variable (in `clr-bench`):
+//! `CLR_TRACE=1` (or `all`) enables every category,
+//! `CLR_TRACE=commands,migration` a subset ([`CategorySet::parse`]),
+//! unset/`0` disables tracing entirely. Instrumentation is *inert*: enabling a
 //! sink changes no simulated outcome (cycle counts, statistics, command
 //! streams — enforced by the workspace tracing differential test).
 
@@ -162,27 +162,7 @@ impl Default for TraceConfig {
     }
 }
 
-impl TraceConfig {
-    /// Resolves tracing from the `CLR_TRACE` environment variable (see
-    /// the module docs); `None` when unset, empty, or disabled —
-    /// simulations then install no sink at all and tracing costs
-    /// nothing. `CLR_TRACE_CAPACITY` overrides the per-sink ring size.
-    pub fn from_env() -> Option<TraceConfig> {
-        let v = std::env::var("CLR_TRACE").ok()?;
-        let categories = CategorySet::parse(&v);
-        if categories.is_empty() {
-            return None;
-        }
-        let capacity = std::env::var("CLR_TRACE_CAPACITY")
-            .ok()
-            .and_then(|c| c.parse().ok())
-            .unwrap_or(1 << 16);
-        Some(TraceConfig {
-            categories,
-            capacity,
-        })
-    }
-}
+impl TraceConfig {}
 
 /// One recorded event. `counter` exports as a Chrome counter sample
 /// (`ph: "C"` — every `args` key becomes a counter-track series);

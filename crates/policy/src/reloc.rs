@@ -190,11 +190,6 @@ pub struct RelocationCost {
 }
 
 impl RelocationCost {
-    /// Rows touched in either direction.
-    pub fn rows_moved(&self) -> u64 {
-        self.rows_coupled + self.rows_decoupled
-    }
-
     /// Component-wise sum.
     #[must_use]
     pub fn merged(&self, other: &RelocationCost) -> RelocationCost {
@@ -281,7 +276,7 @@ mod tests {
         };
         let one = e.cost_of(&[up]);
         let three = e.cost_of(&[up, down, up_other_bank]);
-        assert_eq!(one.rows_moved(), 1);
+        assert_eq!((one.rows_coupled, one.rows_decoupled), (1, 0));
         assert_eq!(three.rows_coupled, 2);
         assert_eq!(three.rows_decoupled, 1);
         // Decoupling is free; a lone coupling pays the full serialized

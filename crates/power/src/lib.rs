@@ -237,21 +237,6 @@ pub fn energy_per_channel<'a>(
         .collect()
 }
 
-/// The migration-energy component per channel, in joules — the cost of
-/// each channel's mode-management data movement (couplings plus the
-/// capacity directory's evacuations and fills), visible per shard
-/// instead of only in the fused breakdown.
-pub fn migration_energy_per_channel<'a>(
-    stats: impl IntoIterator<Item = &'a MemStats>,
-    cfg: &MemConfig,
-    idd: &IddParams,
-) -> Vec<f64> {
-    energy_per_channel(stats, cfg, idd)
-        .iter()
-        .map(|e| e.migration_j)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,11 +383,9 @@ mod tests {
         let fused = energy_of_run(&MemStats::fused([&a, &b]), &cfg, &idd);
         let sum: f64 = per.iter().map(|e| e.total_j()).sum();
         assert!((fused.total_j() - sum).abs() < 1e-15);
-        let mig = migration_energy_per_channel([&a, &b], &cfg, &idd);
-        assert!((mig[0] - per[0].migration_j).abs() < 1e-18);
-        assert!(mig[0] > 0.0 && mig[1] > 0.0);
+        assert!(per[0].migration_j > 0.0 && per[1].migration_j > 0.0);
         assert!(
-            (fused.migration_j - (mig[0] + mig[1])).abs() < 1e-15,
+            (fused.migration_j - (per[0].migration_j + per[1].migration_j)).abs() < 1e-15,
             "migration energy is linear over channels"
         );
     }

@@ -29,7 +29,7 @@ use clr_cpu::cluster::ClusterConfig;
 use clr_memsim::config::{ClrModeConfig, MemConfig};
 use clr_memsim::frames::DestinationPicker;
 use clr_memsim::migrate::RelocationConfig;
-use clr_obs::{MetricsConfig, SloSpec, WindowMetric, WindowedObjective};
+use clr_obs::{BlameSet, MetricsConfig, SloSpec, WindowMetric, WindowedObjective};
 use clr_policy::budget::BudgetSplit;
 use clr_policy::policy::{PolicyConstraints, PolicySpec};
 use clr_trace::phase::PhaseShiftSpec;
@@ -154,9 +154,8 @@ pub struct PolicyCell {
     /// budgets below sum to exactly this value — the attribution
     /// exactness contract, asserted by CI's independent parser.
     pub read_latency_cycles: u64,
-    /// Per-cause read wait budgets in cycles, one entry per
-    /// [`clr_obs::WaitCause`] in `WaitCause::ALL` order.
-    pub read_blame_cycles: Vec<u64>,
+    /// Per-cause read wait budgets over the measurement window.
+    pub read_blame: BlameSet,
 }
 
 /// The full sweep.
@@ -454,10 +453,7 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64, skip_ahead: bool) -> Polic
         slo_violations: slo.objectives.iter().map(|o| o.violations).sum(),
         slo_worst_read_p99,
         read_latency_cycles: r.run.mem.read_latency_hist.sum(),
-        read_blame_cycles: clr_obs::WaitCause::ALL
-            .iter()
-            .map(|&c| r.run.mem.read_blame.of(c).sum())
-            .collect(),
+        read_blame: r.run.mem.read_blame.clone(),
     }
 }
 
@@ -803,8 +799,7 @@ pub fn run_placement(scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCel
 /// shared-budget cell and the contention sweep (core counts × channel
 /// counts × budget splits; see [`contention_roster`]); cells are
 /// distributed over worker threads. Cells are workload-major with the
-/// drifting-hot-set column first, so [`PolicySweepReport::cell`]
-/// lookups by policy alone keep resolving to the headline workload.
+/// drifting-hot-set column, the headline workload, first.
 ///
 /// `skip_ahead` picks the walk every cell runs (see
 /// [`RunConfig::skip_ahead`]); the sweep is bit-identical either way.
@@ -836,18 +831,6 @@ pub fn run(scale: Scale, seed: u64, skip_ahead: bool) -> PolicySweepReport {
 }
 
 impl PolicySweepReport {
-    /// The headline workload: the one the first cell ran (sweep order puts
-    /// the drifting-hot-set column first).
-    pub fn headline_workload(&self) -> Option<&str> {
-        self.cells.first().map(|c| c.workload.as_str())
-    }
-
-    /// The cell for a policy label on the headline workload, if present.
-    pub fn cell(&self, policy: &str) -> Option<&PolicyCell> {
-        let workload = self.headline_workload()?;
-        self.cell_for(policy, workload)
-    }
-
     /// The cell for an exact (policy, workload) pair, if present. When
     /// the policy ran under both relocation models, the background cell
     /// is the representative (it is the configuration that dominates).
@@ -881,16 +864,9 @@ impl PolicySweepReport {
         out
     }
 
-    /// The best static-split cell on the headline workload whose capacity
-    /// loss does not exceed `max_loss + ε` — the fair static competitor
-    /// for a budgeted dynamic policy.
-    pub fn best_static_within(&self, max_loss: f64) -> Option<&PolicyCell> {
-        let workload = self.headline_workload()?;
-        self.best_static_within_for(max_loss, workload)
-    }
-
-    /// [`PolicySweepReport::best_static_within`] on a specific workload
-    /// column.
+    /// The best static-split cell on the `workload` column whose
+    /// capacity loss does not exceed `max_loss + ε` — the fair static
+    /// competitor for a budgeted dynamic policy.
     pub fn best_static_within_for(&self, max_loss: f64, workload: &str) -> Option<&PolicyCell> {
         self.cells
             .iter()
@@ -1026,17 +1002,7 @@ impl PolicySweepReport {
             .map(|v| format!("{v:.6}"))
             .collect::<Vec<_>>()
             .join(", ");
-        let blame_entry = |scale: u64| {
-            clr_obs::WaitCause::ALL
-                .iter()
-                .zip(&c.read_blame_cycles)
-                .map(|(cause, &n)| format!("\"{}\": {}", cause.label(), n * 1000 / scale.max(1)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        // Exact cycles (scale 1000/1000) and permille-of-total-wait.
-        let blame_cycles = blame_entry(1000);
-        let blame_permille = blame_entry(c.read_latency_cycles);
+        let (blame_cycles, blame_permille) = c.read_blame.json_maps();
         format!(
             "{{\"policy\": \"{}\", \"workload\": \"{}\", \"reloc\": \"{}\", \
              \"cores\": {}, \"channels\": {}, \"budget_split\": \"{}\", \
@@ -1132,6 +1098,7 @@ impl PolicySweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clr_obs::WaitCause;
 
     #[test]
     fn roster_covers_static_and_dynamic() {
@@ -1195,7 +1162,13 @@ mod tests {
             slo_violations: 0,
             slo_worst_read_p99: 310,
             read_latency_cycles: 4_000,
-            read_blame_cycles: vec![0, 400, 0, 0, 0, 2_600, 0, 0, 0, 1_000],
+            read_blame: {
+                let mut b = BlameSet::new();
+                b.record_cause(WaitCause::Refresh, 400);
+                b.record_cause(WaitCause::RowConflict, 2_600);
+                b.record_cause(WaitCause::Service, 1_000);
+                b
+            },
         }
     }
 
@@ -1259,8 +1232,10 @@ mod tests {
         assert!(json.contains("\"row_conflict\": 2600,"));
         assert!(json.contains("\"blame_permille\": {\"backpressure\": 0, \"refresh\": 100,"));
         assert!(json.contains("\"service\": 250}"));
-        assert!(report.cell("topk").is_some());
-        assert!(report.best_static_within(0.2).is_none());
+        assert!(report.cell_for("topk", "phase_12m_h04").is_some());
+        assert!(report
+            .best_static_within_for(0.2, "phase_12m_h04")
+            .is_none());
         // The contention table renders its fairness columns.
         let table = report.render_contention();
         assert!(table.contains("4core/2ch:mix"));

@@ -57,12 +57,6 @@ pub fn max_slowdown(shared: &[f64], alone: &[f64]) -> f64 {
         .fold(f64::MIN, f64::max)
 }
 
-/// Relative change `new / old − 1` (positive = improvement for IPC,
-/// negative = saving for energy when applied to ratios).
-pub fn rel_change(new: f64, old: f64) -> f64 {
-    new / old - 1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,11 +112,5 @@ mod tests {
     #[should_panic(expected = "core count mismatch")]
     fn max_slowdown_rejects_mismatched_lengths() {
         let _ = max_slowdown(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn rel_change_signs() {
-        assert!(rel_change(1.1, 1.0) > 0.0);
-        assert!(rel_change(0.9, 1.0) < 0.0);
     }
 }

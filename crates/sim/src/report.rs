@@ -1,7 +1,5 @@
 //! Minimal fixed-width table rendering for the bench binaries.
 
-use clr_obs::LatencyHistogram;
-
 use crate::system::RunResult;
 
 /// A simple left-aligned text table.
@@ -71,56 +69,26 @@ impl Table {
     }
 }
 
-/// Formats a fraction as a signed percentage ("+12.4 %").
-pub fn pct(frac: f64) -> String {
-    format!("{:+.1}%", frac * 100.0)
-}
-
 /// Formats a ratio ("0.87×").
 pub fn ratio(r: f64) -> String {
     format!("{r:.3}x")
 }
 
-/// Formats a latency histogram as a one-line percentile summary in DRAM
-/// cycles, for the human-readable output next to the JSON reports.
-pub fn latency_summary(h: &LatencyHistogram) -> String {
-    if h.count() == 0 {
-        return "n=0".into();
-    }
-    format!(
-        "p50/p95/p99 = {}/{}/{} cyc (mean {:.1}, max {}, n={})",
-        h.p50(),
-        h.p95(),
-        h.p99(),
-        h.mean(),
-        h.max(),
-        h.count()
-    )
-}
-
 /// Formats a run's host-throughput summary: simulated DRAM cycles per
-/// host second and event density from the skip profile. Pass the
-/// matching serial run's loop seconds as `serial_loop_s` to append a
-/// speedup ratio (`None` prints the line without one).
-pub fn host_throughput_summary(r: &RunResult, serial_loop_s: Option<f64>) -> String {
+/// host second and event density from the skip profile.
+pub fn host_throughput_summary(r: &RunResult) -> String {
     let cps = if r.host_loop_s > 0.0 {
         r.dram_cycles as f64 / r.host_loop_s
     } else {
         0.0
     };
-    let mut s = format!(
+    format!(
         "host: {:.2} Mcyc/s ({} DRAM cycles in {:.3} s), {:.1} events/kcyc",
         cps / 1e6,
         r.dram_cycles,
         r.host_loop_s,
         r.skip_profile.events_per_kilocycle(),
-    );
-    if let Some(serial) = serial_loop_s {
-        if r.host_loop_s > 0.0 {
-            s.push_str(&format!(", {} vs serial", ratio(serial / r.host_loop_s)));
-        }
-    }
-    s
+    )
 }
 
 /// An 8-level unicode block sparkline of `values`, scaled to the
@@ -177,20 +145,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(pct(0.124), "+12.4%");
-        assert_eq!(pct(-0.297), "-29.7%");
         assert_eq!(ratio(0.8664), "0.866x");
-    }
-
-    #[test]
-    fn latency_summary_empty_and_filled() {
-        let mut h = LatencyHistogram::new();
-        assert_eq!(latency_summary(&h), "n=0");
-        for v in [10, 20, 30] {
-            h.record(v);
-        }
-        let s = latency_summary(&h);
-        assert!(s.starts_with("p50/p95/p99 = "), "{s}");
-        assert!(s.contains("n=3"), "{s}");
     }
 }

@@ -17,30 +17,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Every scale, smallest first.
-    const ALL: [Scale; 3] = [Scale::Smoke, Scale::Default, Scale::Full];
-
-    /// Parses a `CLR_SCALE` value: unset means `Default`, `smoke` /
-    /// `default` / `full` name their scale, and anything else is an error
-    /// naming the three values.
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
-        let Some(value) = value else {
-            return Ok(Scale::Default);
-        };
-        Self::ALL
-            .into_iter()
-            .find(|s| s.label() == value)
-            .ok_or_else(|| format!("CLR_SCALE must be smoke, default or full, not {value:?}"))
-    }
-
-    /// Reads the scale from the `CLR_SCALE` environment variable (see
-    /// [`Scale::parse`]). Binaries refuse an error rather than run the
-    /// minutes-long default scale on a typo.
-    pub fn from_env() -> Result<Self, String> {
-        let value = std::env::var_os("CLR_SCALE");
-        Self::parse(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
-    }
-
     /// Instructions each core must retire in the measurement window.
     pub fn budget_insts(self) -> u64 {
         match self {
@@ -105,19 +81,5 @@ mod tests {
         assert!(Scale::Smoke.budget_insts() < Scale::Default.budget_insts());
         assert!(Scale::Default.budget_insts() < Scale::Full.budget_insts());
         assert!(Scale::Full.mixes_per_group() == 30);
-    }
-
-    #[test]
-    fn env_parsing_defaults_safely() {
-        // The parsing alone: the test process's own CLR_SCALE (CI sets
-        // one for the whole job) must not decide the outcome.
-        assert_eq!(Scale::parse(None), Ok(Scale::Default));
-        assert_eq!(Scale::parse(Some("smoke")), Ok(Scale::Smoke));
-        assert_eq!(Scale::parse(Some("default")), Ok(Scale::Default));
-        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
-        for bad in ["Smoke", "", " smoke", "fast"] {
-            let err = Scale::parse(Some(bad)).expect_err(bad);
-            assert!(err.contains("smoke, default or full"), "{err}");
-        }
     }
 }

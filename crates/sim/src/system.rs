@@ -70,7 +70,7 @@ pub struct RunConfig {
     /// Structured event tracing (`None` = off, the default; tracing is
     /// inert — it changes no simulated outcome). Binaries resolve it
     /// from the `CLR_TRACE` environment variable with
-    /// [`TraceConfig::from_env`]; see
+    /// `clr_bench::trace_config_from_env`; see
     /// [`clr_obs::trace`](clr_obs::TraceConfig) for the category filter
     /// syntax.
     pub trace: Option<TraceConfig>,
@@ -80,7 +80,7 @@ pub struct RunConfig {
     /// clamped to — so the series are bit-identical across the
     /// per-cycle, skip-ahead, and threaded walks. Binaries resolve it
     /// from the `CLR_METRICS` environment variable with
-    /// [`MetricsConfig::from_env`].
+    /// `clr_bench::metrics_config_from_env`.
     pub metrics: Option<MetricsConfig>,
     /// Worker threads for the memory-side channel walk (1 = serial, the
     /// default). Channels are partitioned across workers between epoch

@@ -82,14 +82,6 @@ pub fn build_mixes(group: MixGroup, count: usize, seed: u64) -> Vec<MixSpec> {
         .collect()
 }
 
-/// The paper's full 90-mix evaluation set (30 per group).
-pub fn paper_mixes(seed: u64) -> Vec<MixSpec> {
-    MixGroup::ALL
-        .iter()
-        .flat_map(|&g| build_mixes(g, 30, seed))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,7 +108,7 @@ mod tests {
 
     #[test]
     fn apps_within_a_mix_are_distinct() {
-        for mix in paper_mixes(3) {
+        for mix in MixGroup::ALL.iter().flat_map(|&g| build_mixes(g, 30, 3)) {
             let mut names: Vec<&str> = mix.apps.iter().map(|a| a.name).collect();
             names.sort_unstable();
             names.dedup();
@@ -131,15 +123,5 @@ mod tests {
         let c = build_mixes(MixGroup::High, 5, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn paper_set_is_90_mixes() {
-        let mixes = paper_mixes(42);
-        assert_eq!(mixes.len(), 90);
-        assert_eq!(
-            mixes.iter().filter(|m| m.group == MixGroup::High).count(),
-            30
-        );
     }
 }

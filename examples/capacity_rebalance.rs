@@ -89,7 +89,7 @@ fn report(label: &str, r: &PolicyRunResult) {
 }
 
 fn main() {
-    let scale = Scale::from_env().unwrap_or_else(|e| {
+    let scale = clr_bench::scale_from_env().unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2)
     });

@@ -51,7 +51,7 @@ fn run(policy: PolicySpec, initial_fraction: f64, budget: f64, scale: Scale) {
 }
 
 fn main() {
-    let scale = Scale::from_env().unwrap_or_else(|e| {
+    let scale = clr_bench::scale_from_env().unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2)
     });

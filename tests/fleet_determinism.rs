@@ -70,8 +70,8 @@ fn fleet_report_covers_a_heterogeneous_roster() {
         .map(|i| i.mem.read_latency_hist.count())
         .sum();
     assert_eq!(report.fused_read_latency.count(), total_reads);
-    let (p50, p95, p99) = report.fused_read_latency.percentiles();
-    assert!(p50 > 0 && p50 <= p95 && p95 <= p99);
+    let lat = &report.fused_read_latency;
+    assert!(lat.p50() > 0 && lat.p50() <= lat.p95() && lat.p95() <= lat.p99());
 
     // The verdict evaluates both objective families, and the
     // relocation-aware scalars carry their gating semantics: the
@@ -110,7 +110,7 @@ fn fleet_report_covers_a_heterogeneous_roster() {
     let json = report.to_json();
     assert!(json.starts_with("{\n  \"schema\": \"clr-dram/fleet/v2\""));
     assert!(json.contains(&format!("\"instances_n\": {}", report.instances.len())));
-    assert!(json.contains(&format!("\"p99\": {}", p99)));
+    assert!(json.contains(&format!("\"p99\": {}", lat.p99())));
     assert!(json.contains("\"max_background_slowdown\""));
     assert!(json.contains("\"blame\""));
     assert!(json.contains("\"skip_profile\""));

@@ -42,6 +42,7 @@ fn applied_timings_follow_the_mode_table_through_policy_epochs() {
 
     let row_stride = geometry.capacity_bytes() / geometry.rows as u64;
     let mut done = Vec::new();
+    let mut counts = Vec::new();
     let mut id = 0u64;
     const EPOCHS: u64 = 6;
     const EPOCH_CYCLES: u64 = 3_000;
@@ -74,7 +75,8 @@ fn applied_timings_follow_the_mode_table_through_policy_epochs() {
 
         // One policy epoch against the controller's live table.
         let mut telemetry = EpochTelemetry::new(epoch, EPOCH_CYCLES);
-        for ((bank, row), n) in mc.drain_row_telemetry() {
+        mc.drain_row_telemetry_into(&mut counts);
+        for &((bank, row), n) in &counts {
             telemetry.record(RowId::new(bank, row), n);
         }
         let outcome = runtime.on_epoch(&telemetry, mc.mode_table());
