@@ -64,7 +64,7 @@ use crate::bankstate::{BankSet, BankState};
 use crate::command::{Command, IssuedCommand};
 use crate::config::{ClrModeConfig, MemConfig};
 use crate::cycletimings::CycleTimings;
-use crate::engine::{Target, TimingEngine};
+use crate::engine::{Target, TimingEngine, Touched};
 use crate::frames::FrameDirectory;
 use crate::migrate::{MigrationEngine, MigrationStep, PlacementEvent};
 use crate::refresh::RefreshScheduler;
@@ -171,6 +171,21 @@ pub struct MemoryController {
     /// [`MemoryController::enable_blame`]). Off by default so the
     /// scheduling hot paths pay one bool test.
     blame_enabled: bool,
+    /// The queue-wide cause the read queue was frozen on at the last
+    /// blame boundary (`None`: its entries carry their own causes; see
+    /// [`MemoryController::reblame_queues`]).
+    read_frozen: Option<WaitCause>,
+    /// The write queue's queue-wide cause (see `read_frozen`).
+    write_frozen: Option<WaitCause>,
+    /// Set where a cause input outside the timing registers moved since
+    /// the last blame boundary (a migration role took or released a bank
+    /// or row, jobs were dispatched, modes were applied): the next
+    /// boundary re-derives every entry.
+    blame_stale: bool,
+    /// Blame boundary steps run so far: tests check the lazy step
+    /// against the eager walk after each one.
+    #[cfg(test)]
+    blame_boundaries: u64,
 }
 
 impl MemoryController {
@@ -294,6 +309,11 @@ impl MemoryController {
             skip_profile: SkipProfile::default(),
             next_event_source: EventSource::Completion,
             blame_enabled: false,
+            read_frozen: None,
+            write_frozen: None,
+            blame_stale: false,
+            #[cfg(test)]
+            blame_boundaries: 0,
             config,
         }
     }
@@ -340,11 +360,20 @@ impl MemoryController {
     /// [`MemoryController::enable_tracing`].
     ///
     /// The charging is lazy: each queued request carries one frozen
-    /// cause and a resume cycle, re-derived only at the boundaries every
-    /// walk executes identically (enqueues, state-changing ticks, mode
-    /// applications, migration dispatches) — dead cycles and dead-window
-    /// jumps charge nothing at the time they elapse, so per-cycle,
-    /// skip-ahead, and threaded walks charge identical budgets.
+    /// cause and a resume cycle. Causes are sampled only at the
+    /// boundaries every walk executes identically (enqueues,
+    /// state-changing ticks, mode applications, migration dispatches) —
+    /// dead cycles and dead-window jumps charge nothing at the time they
+    /// elapse, so per-cycle, skip-ahead, and threaded walks charge
+    /// identical budgets. A boundary re-derives only what it can change.
+    /// A queue whose requests all wait on one queue-wide cause (a
+    /// pending refresh, a relocation stall, or the drain policy serving
+    /// the other queue) is frozen whole and walked once when that cause
+    /// flips. In the served queue, a request is re-derived only when an
+    /// issued command moved a timing register its next command reads
+    /// (see [`Touched`]), when its own timing wait runs out, or after a
+    /// migration step or mode application. A ledger is written only
+    /// when its cause changes.
     pub fn enable_blame(&mut self) {
         self.blame_enabled = true;
     }
@@ -354,41 +383,32 @@ impl MemoryController {
         self.blame_enabled
     }
 
-    /// The wait cause `entry` is blocked on right now — the mutually
-    /// exclusive taxonomy, priority top to bottom. `preempted` carries a
-    /// queue-global preemption (pending refresh or relocation stall);
-    /// `deselected` flags that the drain policy is servicing the other
-    /// queue this window. An associated function over disjoint field
-    /// borrows so [`MemoryController::reblame_queues`] can hold the
-    /// queues mutably while deriving causes.
-    #[allow(clippy::too_many_arguments)]
-    fn cause_of(
+    /// The wait cause of a served-queue `entry` right now — the
+    /// per-entry part of the taxonomy, priority top to bottom — with the
+    /// keys that say when it can next change:
+    /// `(cause, blame_command, blame_ready_at)` (see [`QueueEntry`]). An
+    /// associated function over disjoint field borrows so
+    /// [`MemoryController::reblame_queues`] can hold the queues mutably
+    /// while deriving causes.
+    fn entry_cause(
         banks: &[BankState],
         engine: &TimingEngine,
         migration: &MigrationEngine,
         entry: &QueueEntry,
         now: u64,
-        preempted: Option<WaitCause>,
-        deselected: bool,
-    ) -> WaitCause {
-        if let Some(cause) = preempted {
-            return cause;
-        }
-        if deselected {
-            return WaitCause::WriteDrain;
-        }
+    ) -> (WaitCause, u8, u64) {
         let bank = entry.target.bank;
         let row = entry.decoded.row;
         // Mirrors the scheduler's exclusion rules: a held bank blocks
         // everything; a migrating row blocks writes always and reads
         // unless the read-out source still sits intact in the row
-        // buffer.
+        // buffer. Only a migration step moves these.
         let is_read = entry.request.kind == RequestKind::Read;
         if migration.is_mid_phase(bank)
             || (migration.blocked_row(bank) == Some(row)
                 && !(is_read && migration.read_ok_rows()[bank] == row))
         {
-            return WaitCause::MigrationBlock;
+            return (WaitCause::MigrationBlock, 0, u64::MAX);
         }
         // The entry's next command, exactly as `note_enqueue_event`
         // derives it for the event bound.
@@ -403,13 +423,14 @@ impl MemoryController {
             ),
             None => (Command::Act, entry.target),
         };
+        let bit = Touched::bit(cmd);
         let full = engine.earliest(cmd, target);
         if full <= now {
             // The command is issuable; the request lost FR-FCFS-Cap
             // arbitration (or the single command-bus slot) to another.
-            return WaitCause::Aging;
+            return (WaitCause::Aging, bit, u64::MAX);
         }
-        if engine.bank_gate(cmd, bank) >= full {
+        let cause = if engine.bank_gate(cmd, bank) >= full {
             // The bank's own timing window dominates the wait.
             match cmd {
                 Command::Pre => WaitCause::RowConflict,
@@ -420,22 +441,121 @@ impl MemoryController {
             // Rank/bank-group/channel serialization dominates: tRRD,
             // tFAW, tCCD, bus turnarounds.
             WaitCause::Bus
-        }
+        };
+        (cause, bit, full)
     }
 
-    /// The blame boundary step: settles every queued request's span
-    /// since its last boundary on its frozen cause, then re-freezes the
-    /// cause from the current state. Called only where every walk of the
-    /// same simulation executes identically — successful enqueues,
+    /// The queue-wide causes `(reads, writes)` at this boundary: a
+    /// pending refresh or a relocation stall preempts both queues, and
+    /// otherwise the queue the drain policy is not serving waits on
+    /// `WriteDrain`. `None` leaves a queue's entries to their own
+    /// causes.
+    fn queue_wide_causes(&self) -> (Option<WaitCause>, Option<WaitCause>) {
+        let preempted = if self.pending_refresh.is_some() {
+            Some(WaitCause::Refresh)
+        } else if self.cycle < self.maintenance_until {
+            Some(WaitCause::RelocationStall)
+        } else {
+            None
+        };
+        let use_writes = self.queue_selection(self.read_q.len(), self.write_q.len());
+        let drain = |deselected: bool| deselected.then_some(WaitCause::WriteDrain);
+        (
+            preempted.or(drain(use_writes)),
+            preempted.or(drain(!use_writes)),
+        )
+    }
+
+    /// The blame boundary step. Called only where every walk of the same
+    /// simulation executes identically — successful enqueues,
     /// state-changing ticks, mode applications, and migration
-    /// dispatches — so the settled spans (and hence the final budgets)
+    /// dispatches — so the sampled causes (and hence the final budgets)
     /// are bit-identical across per-cycle, skip-ahead, and threaded
-    /// walks.
+    /// walks. It touches only entries whose cause can have changed:
+    ///
+    /// * A queue waiting on a queue-wide cause (see
+    ///   `queue_wide_causes`) is frozen whole: while the cause holds, a
+    ///   boundary touches no entry and a new entry joins on it; the
+    ///   queue is walked once when the cause flips.
+    /// * In a served queue, an entry is re-derived only when an issue
+    ///   touched its bank or the class of its next command (see
+    ///   [`Touched`]), when its timing wait ran out (the flip to
+    ///   `Aging`), or when `blame_stale` says a migration step or a mode
+    ///   application moved an input outside the timing registers.
+    ///
+    /// An entry's ledger is settled only when its cause changes, which
+    /// is exact because charges telescope.
     fn reblame_queues(&mut self) {
         if !self.blame_enabled || (self.read_q.is_empty() && self.write_q.is_empty()) {
             return;
         }
+        #[cfg(test)]
+        {
+            self.blame_boundaries += 1;
+        }
         let now = self.cycle;
+        let (read_wide, write_wide) = self.queue_wide_causes();
+        let touched = self.engine.take_touched();
+        let stale = std::mem::take(&mut self.blame_stale);
+        let MemoryController {
+            ref mut read_q,
+            ref mut write_q,
+            ref mut read_frozen,
+            ref mut write_frozen,
+            ref banks,
+            ref engine,
+            ref migration,
+            ..
+        } = *self;
+        for (q, frozen, wide) in [
+            (read_q, read_frozen, read_wide),
+            (write_q, write_frozen, write_wide),
+        ] {
+            let was = std::mem::replace(frozen, wide);
+            match wide {
+                Some(cause) if was == wide => {
+                    // Frozen on the same cause: only an entry joining at
+                    // this boundary (the one still on its enqueue cause,
+                    // pushed last) takes it.
+                    if let Some(e) = q.last_mut() {
+                        if e.blame.cause == WaitCause::Backpressure {
+                            e.blame.settle(now, cause);
+                        }
+                    }
+                }
+                Some(cause) => {
+                    for e in q.iter_mut().filter(|e| e.blame.cause != cause) {
+                        e.blame.settle(now, cause);
+                    }
+                }
+                None => {
+                    let all = stale || was.is_some();
+                    for e in q.iter_mut() {
+                        if !(all
+                            || now >= e.blame_ready_at
+                            || touched.covers(e.target.bank, e.blame_command))
+                        {
+                            continue;
+                        }
+                        let (cause, command, ready_at) =
+                            Self::entry_cause(banks, engine, migration, e, now);
+                        e.blame_command = command;
+                        e.blame_ready_at = ready_at;
+                        if cause != e.blame.cause {
+                            e.blame.settle(now, cause);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The eager reference walk [`MemoryController::reblame_queues`]
+    /// must agree with: every queued entry's cause derived from scratch
+    /// at a boundary at cycle `now` (the current cycle, or the one a
+    /// tick just finished), `(reads, writes)` in queue order.
+    #[cfg(test)]
+    fn eager_causes(&self, now: u64) -> (Vec<WaitCause>, Vec<WaitCause>) {
         let preempted = if self.pending_refresh.is_some() {
             Some(WaitCause::Refresh)
         } else if now < self.maintenance_until {
@@ -444,22 +564,25 @@ impl MemoryController {
             None
         };
         let use_writes = self.queue_selection(self.read_q.len(), self.write_q.len());
-        let MemoryController {
-            ref mut read_q,
-            ref mut write_q,
-            ref banks,
-            ref engine,
-            ref migration,
-            ..
-        } = *self;
-        for e in read_q.iter_mut() {
-            let c = Self::cause_of(banks, engine, migration, e, now, preempted, use_writes);
-            e.blame.settle(now, c);
-        }
-        for e in write_q.iter_mut() {
-            let c = Self::cause_of(banks, engine, migration, e, now, preempted, !use_writes);
-            e.blame.settle(now, c);
-        }
+        let cause_of = |entry: &QueueEntry, deselected: bool| {
+            if let Some(cause) = preempted {
+                cause
+            } else if deselected {
+                WaitCause::WriteDrain
+            } else {
+                Self::entry_cause(&self.banks, &self.engine, &self.migration, entry, now).0
+            }
+        };
+        (
+            self.read_q
+                .iter()
+                .map(|e| cause_of(e, use_writes))
+                .collect(),
+            self.write_q
+                .iter()
+                .map(|e| cause_of(e, !use_writes))
+                .collect(),
+        )
     }
 
     fn log_command(
@@ -587,6 +710,7 @@ impl MemoryController {
             // The stall window opening is a blame boundary: queued
             // requests charge RelocationStall from here, not from the
             // next state-changing tick.
+            self.blame_stale = true;
             self.reblame_queues();
         }
         changed
@@ -671,6 +795,7 @@ impl MemoryController {
         }
         if flips > 0 || jobs > 0 {
             self.next_event_cache = None;
+            self.blame_stale = true;
             self.reblame_queues();
         }
         jobs
@@ -781,6 +906,7 @@ impl MemoryController {
         let ok = self.migration.dispatch_evacuate_out(bank, row, self.cycle);
         if ok {
             self.next_event_cache = None;
+            self.blame_stale = true;
             self.reblame_queues();
         }
         ok
@@ -800,6 +926,7 @@ impl MemoryController {
                 self.stats.frames_reused += 1;
             }
             self.next_event_cache = None;
+            self.blame_stale = true;
             self.reblame_queues();
         }
         ok
@@ -1531,6 +1658,7 @@ impl MemoryController {
                     self.engine.issue(Command::Act, target, now);
                     self.stats.record_migration_act(nc.mode);
                     self.migration.note_act(b, now);
+                    self.blame_stale = true;
                     self.log_command_tagged(now, Command::Act, b, nc.row, nc.mode, true);
                 }
                 Command::Pre => {
@@ -1538,6 +1666,7 @@ impl MemoryController {
                     self.engine.issue(Command::Pre, target, now);
                     self.stats.record_migration_pre(closed);
                     let step = self.migration.note_pre(b);
+                    self.blame_stale = true;
                     match step {
                         MigrationStep::Couple { row, to } => {
                             // The couple point: the row's mode flips here;
@@ -1814,6 +1943,7 @@ impl MemoryController {
             // Refresh may close a bank out from under an in-flight
             // migration job; its phase re-activates after the blackout.
             self.migration.on_forced_precharge(b);
+            self.blame_stale = true;
             return true;
         }
         // All banks closed: issue REF (modelled on every rank this cycle).
@@ -2903,6 +3033,141 @@ mod tests {
             let s = mc.stats();
             assert!(s.migration_jobs_completed > 0, "{placement:?}: jobs ran");
             assert!(s.refs() > 0 && s.pres() > 0 && !done.is_empty());
+        }
+    }
+
+    #[test]
+    fn lazy_blame_matches_the_eager_walk_under_fuzzed_traffic() {
+        // Fuzzed reads and writes on 16 banks with blame on: load phases
+        // push the write queue across the drain watermarks, refresh is
+        // on, a stall-mode mode application opens a stall window
+        // mid-run, and background migration runs with same-bank and
+        // cross-bank placement. Demand also targets the destination
+        // frames, and one phase keeps it off the source banks so jobs
+        // start while their destination banks serve it. After every
+        // blame boundary — enqueue, state-changing tick, mode
+        // application, dispatch — each queued entry's frozen cause must
+        // equal the eager walk's.
+        use crate::frames::DestinationPicker;
+        use crate::migrate::RelocationConfig;
+        let check = |mc: &MemoryController, seen: &mut u64, step: usize, what: &str| {
+            if mc.blame_boundaries == *seen {
+                return;
+            }
+            *seen = mc.blame_boundaries;
+            // A tick's boundary ran before it advanced the clock.
+            let at = mc.cycle - u64::from(what == "tick");
+            let (reads, writes) = mc.eager_causes(at);
+            let lazy = |q: &[QueueEntry]| q.iter().map(|e| e.blame.cause).collect::<Vec<_>>();
+            assert_eq!(lazy(&mc.read_q), reads, "reads: step {step}, {what} @ {at}");
+            assert_eq!(
+                lazy(&mc.write_q),
+                writes,
+                "writes: step {step}, {what} @ {at}"
+            );
+        };
+        for placement in [DestinationPicker::SameBank, DestinationPicker::CrossBank] {
+            let mut cfg = MemConfig::tiny_clr(0.0);
+            cfg.refresh_enabled = true;
+            cfg.relocation = RelocationConfig::background();
+            cfg.placement = placement;
+            cfg.geometry.bank_groups = 4;
+            cfg.geometry.banks_per_group = 4;
+            let row_stride = cfg.geometry.capacity_bytes() / cfg.geometry.rows as u64;
+            let bank_stride = cfg.geometry.row_bytes();
+            let mut mc = MemoryController::new(cfg);
+            mc.enable_blame();
+            let banks = mc.banks.len() as u64;
+            let mut state = 0x5EED_B1A3_E0A6_E41Eu64;
+            let mut rng = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut done = Vec::new();
+            let (mut seen, mut id) = (0, 0);
+            let steps = 36_000;
+            for step in 0..steps + 4_000 {
+                // Heavy phases saturate both queues (writes drain only
+                // past the high watermark), light ones let them empty,
+                // and destination phases send demand only to rows 32..40
+                // of banks 8..16, where couplings of rows 0..8 on banks
+                // 0..8 land their frames.
+                let phase = (step / 2_000) % 3;
+                let arrivals = match phase {
+                    _ if step >= steps => 0,
+                    0 => rng() % 3,
+                    1 => u64::from(rng() % 8 == 0),
+                    _ => rng() % 2,
+                };
+                for _ in 0..arrivals {
+                    // Hot rows 0..8, or rows 32..40 where their
+                    // destination frames land.
+                    let (row, bank) = if phase == 2 {
+                        (rng() % 8 + 32, banks / 2 + rng() % (banks / 2))
+                    } else {
+                        (
+                            rng() % 8 + if rng() % 4 == 0 { 32 } else { 0 },
+                            rng() % banks,
+                        )
+                    };
+                    let addr = row * row_stride + bank * bank_stride + (rng() % 4) * 64;
+                    let kind = if rng() % 3 == 0 {
+                        RequestKind::Write
+                    } else {
+                        RequestKind::Read
+                    };
+                    // Some arrivals retried after a full queue.
+                    let arrival = mc.cycle().saturating_sub(rng() % 4);
+                    id += 1;
+                    let _ = mc.try_enqueue(MemRequest::new(id, PhysAddr(addr), kind, arrival));
+                    check(&mc, &mut seen, step, "enqueue");
+                }
+                if step % if phase == 2 { 100 } else { 400 } == 0 && step < steps {
+                    // Promote hot rows (couplings) and demote others
+                    // (immediate flips).
+                    let changes: Vec<(usize, u32, RowMode)> = (0..4)
+                        .map(|k| {
+                            let bank =
+                                (rng() % if phase == 2 { banks / 2 } else { banks }) as usize;
+                            let mode = if k < 3 {
+                                RowMode::HighPerformance
+                            } else {
+                                RowMode::MaxCapacity
+                            };
+                            (bank, (rng() % 8) as u32, mode)
+                        })
+                        .collect();
+                    mc.begin_row_migrations(&changes);
+                    check(&mc, &mut seen, step, "dispatch");
+                }
+                if step == steps / 2 {
+                    let bank = (rng() % banks) as usize;
+                    let changed = mc.apply_row_modes(
+                        &[
+                            (bank, 56, RowMode::HighPerformance),
+                            (bank, 57, RowMode::HighPerformance),
+                        ],
+                        600,
+                    );
+                    assert_eq!(changed, 2);
+                    check(&mc, &mut seen, step, "mode application");
+                }
+                mc.tick(&mut done);
+                check(&mc, &mut seen, step, "tick");
+            }
+            assert!(
+                mc.blame_boundaries > 10_000,
+                "{placement:?}: boundaries checked"
+            );
+            let s = mc.stats();
+            assert_eq!(s.read_blame.total_cycles(), s.read_latency_hist.sum());
+            assert_eq!(s.write_blame.total_cycles(), s.write_latency_hist.sum());
+            for cause in WaitCause::ALL {
+                let charged = s.read_blame.of(cause).count() + s.write_blame.of(cause).count();
+                assert!(charged > 0, "{placement:?}: nothing charged to {cause:?}");
+            }
         }
     }
 

@@ -16,6 +16,7 @@
 
 use clr_core::mode::RowMode;
 
+use crate::bankstate::BankSet;
 use crate::command::Command;
 use crate::cycletimings::CycleTimings;
 
@@ -32,6 +33,33 @@ pub struct Target {
     pub channel: usize,
     /// Operating mode of the targeted row.
     pub mode: RowMode,
+}
+
+/// The registers issued commands moved since the last
+/// [`TimingEngine::take_touched`]: the banks whose own registers moved,
+/// and the command classes (one [`Command::index`] bit each) whose
+/// shared registers moved for every bank. A queued request priced for
+/// `cmd` on `bank` may wait a different time only if
+/// [`Touched::covers`] says so.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Touched {
+    /// Banks whose own registers moved.
+    pub banks: BankSet,
+    /// Command classes whose shared registers moved on every bank.
+    pub commands: u8,
+}
+
+impl Touched {
+    /// `cmd`'s bit in [`Touched::commands`].
+    pub fn bit(cmd: Command) -> u8 {
+        1 << cmd.index()
+    }
+
+    /// Whether `cmd` on `bank` may have moved, given as its
+    /// [`Touched::bit`] (0 for a wait no register moves).
+    pub fn covers(self, bank: usize, bit: u8) -> bool {
+        self.banks.contains(bank) || self.commands & bit != 0
+    }
 }
 
 /// Earliest-issue-time registers for every command scope.
@@ -56,6 +84,8 @@ pub struct TimingEngine {
     faw_window: Vec<Vec<u64>>,
     /// Commands issued so far (see [`TimingEngine::issued`]).
     issued: u64,
+    /// What issues moved since the last [`TimingEngine::take_touched`].
+    touched: Touched,
 }
 
 impl TimingEngine {
@@ -63,6 +93,10 @@ impl TimingEngine {
     /// `bank_groups` flat bank groups, `ranks` flat ranks and `channels`
     /// channels; `layout(bank) = (bank_group, rank)` must be provided
     /// via the layout closure (ranks are split evenly over channels).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks` exceeds [`BankSet::CAPACITY`].
     pub fn new(
         timings: CycleTimings,
         banks: usize,
@@ -71,6 +105,7 @@ impl TimingEngine {
         channels: usize,
         layout: impl Fn(usize) -> (usize, usize),
     ) -> Self {
+        BankSet::assert_fits(banks);
         let mut banks_per_group_total = vec![0; banks];
         let mut bank_to_rank = vec![0; banks];
         let mut bank_to_channel = vec![0; banks];
@@ -94,7 +129,13 @@ impl TimingEngine {
             chan_wr_earliest: vec![0; channels],
             faw_window: vec![Vec::new(); ranks],
             issued: 0,
+            touched: Touched::default(),
         }
+    }
+
+    /// What issues moved since the last call, resetting it.
+    pub fn take_touched(&mut self) -> Touched {
+        std::mem::take(&mut self.touched)
     }
 
     /// Commands issued so far. Registers change only at an issue, so an
@@ -192,6 +233,22 @@ impl TimingEngine {
         let r = target.rank;
         let g = target.bank_group;
         let c = target.channel;
+        // The touched marks follow the register writes below: an ACT
+        // moves its bank and, through tRRD and tFAW, every ACT; a PRE
+        // its bank; a column command its bank and, through tCCD, the
+        // turnarounds and tWTR, every RD and WR; a REF every ACT.
+        match cmd {
+            Command::Act => {
+                self.touched.banks.insert(b);
+                self.touched.commands |= Touched::bit(Command::Act);
+            }
+            Command::Pre => self.touched.banks.insert(b),
+            Command::Rd | Command::Wr => {
+                self.touched.banks.insert(b);
+                self.touched.commands |= Touched::bit(Command::Rd) | Touched::bit(Command::Wr);
+            }
+            Command::Ref => self.touched.commands |= Touched::bit(Command::Act),
+        }
         match cmd {
             Command::Act => {
                 let be = &mut self.bank_earliest[b];

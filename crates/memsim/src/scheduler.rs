@@ -62,6 +62,15 @@ pub struct QueueEntry {
     /// Wait-cause charge ledger (inert unless the controller has blame
     /// attribution enabled).
     pub blame: clr_obs::BlameLedger,
+    /// The [`crate::engine::Touched::bit`] of the command `blame.cause`
+    /// was priced for (0 when no timing register can move it): the
+    /// blame layer re-derives the cause only once an issue touched that
+    /// command or this entry's bank (unused unless blame is on).
+    pub blame_command: u8,
+    /// The cycle the priced command's timing wait runs out, from which
+    /// the cause is `Aging` (`u64::MAX` when no wait is pending). A new
+    /// entry's 0 makes its first blame boundary derive it.
+    pub blame_ready_at: u64,
 }
 
 /// The scheduling decision for one cycle.
@@ -510,6 +519,8 @@ pub fn entry(request: MemRequest, decoded: DramAddr, target: Target) -> QueueEnt
         needed_pre: false,
         classified: false,
         blame: clr_obs::BlameLedger::disabled(),
+        blame_command: 0,
+        blame_ready_at: 0,
     }
 }
 

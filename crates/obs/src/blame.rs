@@ -3,15 +3,26 @@
 //! A request's enqueue→completion latency is decomposed into an exact,
 //! mutually exclusive cycle budget over the [`WaitCause`] taxonomy: the
 //! controller freezes one cause per queued request and lazily charges
-//! whole dead windows to it, re-deriving the cause only at the
-//! scheduling boundaries every walk executes identically (enqueues,
-//! state-changing ticks, mode applications). The charges telescope —
-//! each boundary settles `boundary − last_charge` cycles — so the
-//! per-cause budget of a completed request sums *exactly* to its
-//! measured latency, and because dead cycles charge nothing at the time
-//! they elapse, the budgets are bit-identical across per-cycle,
-//! skip-ahead, and threaded channel walks (the workspace
-//! `blame_inertness` differential enforces both properties).
+//! whole dead windows to it, sampling the cause only at the scheduling
+//! boundaries every walk executes identically (enqueues, state-changing
+//! ticks, mode applications, migration dispatches). The charges
+//! telescope — a settle charges `now − charge_from` cycles to the
+//! frozen cause — so the per-cause budget of a completed request sums
+//! *exactly* to its measured latency, and because dead cycles charge
+//! nothing at the time they elapse, the budgets are bit-identical
+//! across per-cycle, skip-ahead, and threaded channel walks (the
+//! workspace `blame_inertness` differential enforces both properties).
+//!
+//! Telescoping also makes it exact to settle a [`BlameLedger`] only
+//! when its sampled cause *changes*, and the controller re-derives only
+//! what a boundary can change. A queue whose requests all wait on one
+//! queue-wide cause (`Refresh`, `RelocationStall`, or `WriteDrain` for
+//! the queue the drain policy is not serving) is frozen whole: a
+//! boundary that keeps the cause touches no request, and the queue is
+//! walked once when it flips. In the served queue a request is
+//! re-derived only when an issued command moved a timing register its
+//! next command reads, its timing wait ran out (the flip to `Aging`),
+//! or a migration step or mode application moved its bank's state.
 //!
 //! A [`BlameSet`] aggregates the per-request budgets as one
 //! [`LatencyHistogram`] per cause, with the same exact `merge` /
@@ -137,7 +148,8 @@ impl BlameLedger {
     /// Settles `now − charge_from` cycles on the frozen cause and
     /// refreezes `cause` from `now` on — the boundary step. Charges
     /// telescope: summing every settled span reproduces the full
-    /// enqueue→issue wait exactly.
+    /// enqueue→issue wait exactly, so a boundary that keeps the cause
+    /// may skip the settle.
     #[inline]
     pub fn settle(&mut self, now: u64, cause: WaitCause) {
         self.cycles[self.cause.index()] += now - self.charge_from;

@@ -3,7 +3,8 @@
 //! per-cause multiset union, delta = exact inverse, fused = n-way
 //! fold) the per-channel fusion, warmup subtraction, and fleet report
 //! rely on, plus the ledger's telescoping-sum exactness contract —
-//! every settled request's budget sums to exactly its latency.
+//! every settled request's budget sums to exactly its latency, however
+//! lazily it is settled.
 
 use clr_obs::{BlameLedger, BlameSet, WaitCause};
 use proptest::prelude::*;
@@ -129,6 +130,39 @@ proptest! {
         // the total count is bounded by the number of settles + 1.
         let samples: u64 = WaitCause::ALL.iter().map(|&c| set.of(c).count()).sum();
         prop_assert!(samples <= gaps.len() as u64 + 1);
+    }
+
+    /// Lazy settling is exact: over any sequence of boundaries and the
+    /// causes sampled at them, settling only where the sampled cause
+    /// changes leaves the same ledger at completion as settling at every
+    /// boundary — what lets the controller skip boundaries that keep a
+    /// request's cause. Causes come from three, so runs of boundaries
+    /// that keep the cause are common.
+    #[test]
+    fn settling_only_on_cause_changes_equals_settling_every_boundary(
+        arrival in 0u64..1_000,
+        backlog in 0u64..200,
+        boundaries in proptest::collection::vec((0u64..300, 0usize..3), 0..40),
+        service in 0u64..50,
+    ) {
+        let few = [WaitCause::WriteDrain, WaitCause::Bus, WaitCause::Aging];
+        let enqueue = arrival + backlog;
+        let mut eager = BlameLedger::new(arrival, enqueue);
+        let mut lazy = eager;
+        let mut now = enqueue;
+        for &(gap, i) in &boundaries {
+            let c = few[i];
+            now += gap;
+            eager.settle(now, c);
+            if lazy.cause != c {
+                lazy.settle(now, c);
+            }
+        }
+        let done = now + service;
+        eager.settle(done, WaitCause::Service);
+        lazy.settle(done, WaitCause::Service);
+        prop_assert_eq!(lazy.cycles, eager.cycles);
+        prop_assert_eq!(lazy.total(), done - arrival);
     }
 
     /// Zero-length settles charge nothing: settling twice at the same

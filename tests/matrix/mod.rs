@@ -686,6 +686,37 @@ pub fn check_blame(r: &PolicyRunResult) {
             .any(|(c, _)| *c != WaitCause::Service),
         "the scenario must blame real waits"
     );
+    // Exactness still holds when a frozen queue charges the wrong
+    // cause, so each queue-wide cause must show up where the run
+    // produced it.
+    let read = |c| m.read_blame.of(c).sum() > 0;
+    if m.refresh_busy_cycles > 0 {
+        assert!(
+            read(WaitCause::Refresh),
+            "refresh ran, no read waited on it"
+        );
+    }
+    assert_eq!(
+        read(WaitCause::RelocationStall),
+        m.relocation_stall_cycles > 0,
+        "reads wait on relocation stalls exactly when the run stalls"
+    );
+    if m.migration_reads > 0 {
+        assert!(
+            read(WaitCause::MigrationBlock),
+            "migration ran, no read waited on it"
+        );
+    }
+    if m.writes > 0 {
+        assert!(
+            read(WaitCause::WriteDrain),
+            "writes ran, no read waited on a drain"
+        );
+        assert!(
+            m.write_blame.of(WaitCause::WriteDrain).sum() > 0,
+            "writes ran, none waited for a drain episode"
+        );
+    }
 }
 
 /// The metrics windows tile the run at exact boundaries and reconcile
