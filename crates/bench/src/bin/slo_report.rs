@@ -14,7 +14,7 @@
 //! cell misses its SLO.
 
 use clr_bench::threads_from_env;
-use clr_obs::{MetricsConfig, ScalarObjective, SloReport};
+use clr_obs::{Json, MetricsConfig, ScalarObjective, SloReport};
 use clr_policy::budget::BudgetSplit;
 use clr_policy::policy::{PolicyConstraints, PolicySpec};
 use clr_sim::experiment::policies::{
@@ -90,32 +90,17 @@ fn assert_inert(off: &PolicyRunResult, on: &PolicyRunResult) {
     assert!(off.run.metrics.is_none() && on.run.metrics.is_some());
 }
 
-fn blame_json(mem: &clr_memsim::MemStats) -> String {
-    let (cycles, permille) = mem.read_blame.json_maps();
-    format!(
-        "{{\"read_latency_cycles\": {}, \"cycles\": {{{cycles}}}, \"permille\": {{{permille}}}}}",
-        mem.read_latency_hist.sum(),
-    )
-}
-
-fn emit_json(scale: Scale, workload: &str, report: &SloReport, blame: &str) {
-    let indented = report
-        .to_json()
-        .lines()
-        .map(|l| format!("  {l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
-        .trim_start()
-        .to_string();
-    let json = format!(
-        "{{\n  \"schema\": \"clr-dram/slo/v1\",\n  \"scale\": \"{}\",\n  \
-         \"policy\": \"util-threshold\",\n  \"workload\": \"{}\",\n  \
-         \"blame\": {},\n  \"report\": {}\n}}\n",
-        scale.label(),
-        workload,
-        blame,
-        indented,
-    );
+fn emit_json(scale: Scale, workload: &str, report: &SloReport, mem: &clr_memsim::MemStats) {
+    let blame = mem.read_blame.summary_json(mem.read_latency_hist.sum());
+    let doc = Json::Obj(vec![
+        ("schema", "clr-dram/slo/v1".into()),
+        ("scale", scale.label().into()),
+        ("policy", "util-threshold".into()),
+        ("workload", workload.into()),
+        ("blame", blame),
+        ("report", report.json()),
+    ]);
+    let json = format!("{doc}\n");
     let out = "BENCH_slo_report.json";
     if let Err(e) = std::fs::write(out, &json) {
         eprintln!("warning: could not write {out}: {e}");
@@ -221,7 +206,7 @@ fn main() {
         );
     }
 
-    emit_json(scale, &workload, &report, &blame_json(mem));
+    emit_json(scale, &workload, &report, mem);
 
     assert!(
         report.pass(),

@@ -18,8 +18,8 @@
 
 use clr_memsim::stats::MemStats;
 use clr_obs::{
-    BlameSet, LatencyHistogram, ScalarObjective, SeriesCounters, SeriesGauges, SkipProfile,
-    SloReport, SloSpec, TimeSeries, WindowMetric, WindowSummary, WindowedObjective,
+    BlameSet, EventSource, Json, LatencyHistogram, ScalarObjective, SeriesCounters, SeriesGauges,
+    SkipProfile, SloReport, SloSpec, TimeSeries, WindowMetric, WindowSummary, WindowedObjective,
 };
 use clr_sim::experiment::policies::{SLO_MAX_SLOWDOWN_MILLI, SLO_READ_P99_CYCLES};
 use clr_sim::geomean;
@@ -278,135 +278,92 @@ impl FleetReport {
     /// `expected_fail`-annotated in the SLO), the fused fleet blame
     /// distribution, and the fused skip-ahead profile.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"clr-dram/fleet/v2\",\n");
-        s.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"instances_n\": {},\n", self.instances.len()));
+        let f3 = |x| Json::fixed(x, 3);
+        let f6 = |x| Json::fixed(x, 6);
+        let f9 = |x| Json::fixed(x, 9);
         let h = &self.fused_read_latency;
-        s.push_str("  \"fleet\": {\n");
-        s.push_str(&format!(
-            "    \"read_latency\": {{\"count\": {}, \"mean\": {:.3}, \"p50\": {}, \
-             \"p95\": {}, \"p99\": {}, \"p999\": {}}},\n",
-            h.count(),
-            h.mean(),
-            h.p50(),
-            h.p95(),
-            h.p99(),
-            h.p999(),
-        ));
-        s.push_str(&format!("    \"ipc_geomean\": {:.6},\n", self.ipc_geomean));
-        s.push_str(&format!(
-            "    \"max_tenant_slowdown\": {:.6},\n",
-            self.max_tenant_slowdown
-        ));
-        s.push_str(&format!(
-            "    \"max_background_slowdown\": {:.6},\n",
-            self.max_background_slowdown
-        ));
-        s.push_str(&format!(
-            "    \"max_stall_slowdown\": {:.6},\n",
-            self.max_stall_slowdown
-        ));
-        s.push_str(&format!(
-            "    \"mean_capacity_forfeited\": {:.6},\n",
-            self.mean_capacity_forfeited
-        ));
-        s.push_str(&format!(
-            "    \"total_energy_j\": {:.9},\n",
-            self.total_energy_j
-        ));
-        s.push_str(&format!(
-            "    \"total_migration_energy_j\": {:.9},\n",
-            self.total_migration_energy_j
-        ));
-        s.push_str(&format!(
-            "    \"dram_cycles_total\": {},\n",
-            self.dram_cycles_total
-        ));
-        // Fleet-wide wait anatomy: exact per-cause cycle budgets fused
-        // across every instance, plus permille-of-total-wait shares.
-        let (cycles, permille) = self.fused_read_blame.json_maps();
-        s.push_str(&format!(
-            "    \"blame\": {{\"read_latency_cycles\": {}, \"cycles\": {{{cycles}}}, \
-             \"permille\": {{{permille}}}}},\n",
-            self.fused_read_latency.sum(),
-        ));
-        // Fused skip-ahead profile: how the fleet's walks advanced time
-        // (host-side observability; identical across pool sizes because
-        // every instance walks the same schedule).
+        let read_latency = Json::Obj(vec![
+            ("count", h.count().into()),
+            ("mean", f3(h.mean())),
+            ("p50", h.p50().into()),
+            ("p95", h.p95().into()),
+            ("p99", h.p99().into()),
+            ("p999", h.p999().into()),
+        ]);
+        // Fused skip-ahead profile (host-side observability; identical
+        // across pool sizes: every instance walks the same schedule).
         let sp = &self.fused_skip_profile;
-        let triggers = clr_obs::EventSource::ALL
-            .iter()
-            .map(|&src| format!("\"{}\": {}", src.label(), sp.triggers[src.index()]))
-            .collect::<Vec<_>>()
-            .join(", ");
-        s.push_str(&format!(
-            "    \"skip_profile\": {{\"ticked_cycles\": {}, \"skipped_cycles\": {}, \
-             \"events_per_kilocycle\": {:.3}, \"jumps\": {{\"count\": {}, \"p50\": {}, \
-             \"p95\": {}, \"p99\": {}}}, \"triggers\": {{{}}}}}\n",
-            sp.ticked_cycles,
-            sp.skipped_cycles,
-            sp.events_per_kilocycle(),
-            sp.jumps.count(),
-            sp.jumps.p50(),
-            sp.jumps.p95(),
-            sp.jumps.p99(),
-            triggers,
-        ));
-        s.push_str("  },\n");
-        s.push_str(&format!("  \"slo_pass\": {},\n", self.slo.pass()));
-        // SloReport::to_json is a complete JSON object; indentation
-        // inside it is cosmetic only.
-        s.push_str(&format!("  \"slo\": {},\n", self.slo.to_json()));
-        s.push_str("  \"instances\": [\n");
-        for (i, inst) in self.instances.iter().enumerate() {
-            let tenants: Vec<String> = inst
-                .tenant_names
-                .iter()
-                .map(|n| format!("\"{n}\""))
-                .collect();
-            let ipc: Vec<String> = inst.ipc.iter().map(|v| format!("{v:.6}")).collect();
-            let slow: Vec<String> = inst.slowdowns.iter().map(|v| format!("{v:.6}")).collect();
-            s.push_str(&format!(
-                "    {{\"id\": {}, \"seed\": {}, \"channels\": {}, \"tenants\": [{}], \
-                 \"policy\": \"{}\", \"relocation\": \"{}\", \"budget_insts\": {}, \
-                 \"ipc\": [{}], \"slowdowns\": [{}], \"max_slowdown\": {:.6}, \
-                 \"read_p50\": {}, \"read_p95\": {}, \"read_p99\": {}, \
-                 \"capacity_forfeited\": {:.6}, \"final_hp_fraction\": {:.6}, \
-                 \"energy_j\": {:.9}, \"migration_energy_j\": {:.9}, \
-                 \"dram_cycles\": {}, \"migration_jobs\": {}, \"mode_transitions\": {}}}{}\n",
-                inst.id,
-                inst.seed,
-                inst.channels,
-                tenants.join(", "),
-                inst.policy_label,
-                inst.relocation_label,
-                inst.budget_insts,
-                ipc.join(", "),
-                slow.join(", "),
-                inst.max_slowdown(),
-                inst.mem.read_latency_hist.p50(),
-                inst.mem.read_latency_hist.p95(),
-                inst.mem.read_latency_hist.p99(),
-                inst.capacity_forfeited,
-                inst.final_hp_fraction,
-                inst.energy_j,
-                inst.migration_energy_j,
-                inst.dram_cycles,
-                inst.mem.migration_jobs_completed,
-                inst.mem.mode_transitions,
-                if i + 1 < self.instances.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        let jumps = Json::Obj(vec![
+            ("count", sp.jumps.count().into()),
+            ("p50", sp.jumps.p50().into()),
+            ("p95", sp.jumps.p95().into()),
+            ("p99", sp.jumps.p99().into()),
+        ]);
+        let triggers = EventSource::ALL.map(|src| (src.label(), sp.triggers[src.index()].into()));
+        let skip_profile = Json::Obj(vec![
+            ("ticked_cycles", sp.ticked_cycles.into()),
+            ("skipped_cycles", sp.skipped_cycles.into()),
+            ("events_per_kilocycle", f3(sp.events_per_kilocycle())),
+            ("jumps", jumps),
+            ("triggers", Json::Obj(triggers.into())),
+        ]);
+        let fleet = Json::Obj(vec![
+            ("read_latency", read_latency),
+            ("ipc_geomean", f6(self.ipc_geomean)),
+            ("max_tenant_slowdown", f6(self.max_tenant_slowdown)),
+            ("max_background_slowdown", f6(self.max_background_slowdown)),
+            ("max_stall_slowdown", f6(self.max_stall_slowdown)),
+            ("mean_capacity_forfeited", f6(self.mean_capacity_forfeited)),
+            ("total_energy_j", f9(self.total_energy_j)),
+            (
+                "total_migration_energy_j",
+                f9(self.total_migration_energy_j),
+            ),
+            ("dram_cycles_total", self.dram_cycles_total.into()),
+            // Fleet-wide wait anatomy, fused exactly across instances.
+            ("blame", self.fused_read_blame.summary_json(h.sum())),
+            ("skip_profile", skip_profile),
+        ]);
+        let instances = self.instances.iter().map(|inst| {
+            let lat = &inst.mem.read_latency_hist;
+            let tenants = inst.tenant_names.iter().map(String::as_str);
+            Json::Obj(vec![
+                ("id", inst.id.into()),
+                ("seed", inst.seed.into()),
+                ("channels", inst.channels.into()),
+                ("tenants", tenants.collect()),
+                ("policy", inst.policy_label.as_str().into()),
+                ("relocation", inst.relocation_label.into()),
+                ("budget_insts", inst.budget_insts.into()),
+                ("ipc", inst.ipc.iter().copied().map(f6).collect()),
+                (
+                    "slowdowns",
+                    inst.slowdowns.iter().copied().map(f6).collect(),
+                ),
+                ("max_slowdown", f6(inst.max_slowdown())),
+                ("read_p50", lat.p50().into()),
+                ("read_p95", lat.p95().into()),
+                ("read_p99", lat.p99().into()),
+                ("capacity_forfeited", f6(inst.capacity_forfeited)),
+                ("final_hp_fraction", f6(inst.final_hp_fraction)),
+                ("energy_j", f9(inst.energy_j)),
+                ("migration_energy_j", f9(inst.migration_energy_j)),
+                ("dram_cycles", inst.dram_cycles.into()),
+                ("migration_jobs", inst.mem.migration_jobs_completed.into()),
+                ("mode_transitions", inst.mem.mode_transitions.into()),
+            ])
+        });
+        let doc = Json::Obj(vec![
+            ("schema", "clr-dram/fleet/v2".into()),
+            ("scale", self.scale.into()),
+            ("seed", self.seed.into()),
+            ("instances_n", self.instances.len().into()),
+            ("fleet", fleet),
+            ("slo_pass", Json::Bool(self.slo.pass())),
+            ("slo", self.slo.json()),
+            ("instances", instances.collect()),
+        ]);
+        format!("{doc}\n")
     }
 }
 

@@ -49,7 +49,6 @@
 //!
 //! [`tick`]: MemoryController::tick
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -72,10 +71,6 @@ use crate::request::{Completion, MemRequest, RequestKind};
 use crate::scheduler::{self, Decision, LaneCache, QueueEntry, RowWatch};
 use crate::stats::MemStats;
 
-/// Sentinel row for an empty per-bank mode-cache slot (no real row index
-/// reaches `u32::MAX`).
-const MODE_CACHE_EMPTY: u32 = u32::MAX;
-
 /// The DDR4 / CLR-DRAM memory controller.
 ///
 /// Drive it with [`MemoryController::tick`] once per DRAM clock cycle; at
@@ -96,7 +91,7 @@ pub struct MemoryController {
     read_q: Vec<QueueEntry>,
     write_q: Vec<QueueEntry>,
     refresh: RefreshScheduler,
-    pending_refresh: Option<(RowMode, u64)>,
+    pending_refresh: Option<RowMode>,
     draining_writes: bool,
     hit_streak: Vec<u32>,
     inflight: BinaryHeap<Reverse<(u64, u64)>>,
@@ -147,12 +142,6 @@ pub struct MemoryController {
     /// tick's failed scheduling pass (`u64::MAX` otherwise). Only
     /// meaningful within the tick that set it.
     queue_ready_hint: u64,
-    /// Per-bank one-entry cache of the last `(row, mode)` lookup, keyed on
-    /// the row — repeated resolutions against an open row (enqueue-time
-    /// target classification, per-ACT resolution of row-hit streams) skip
-    /// the bitmap walk. Invalidated whenever `apply_row_modes` touches the
-    /// bank.
-    mode_cache: Vec<Cell<(u32, RowMode)>>,
     /// Structured event-trace sink (off by default; see
     /// [`MemoryController::enable_tracing`]). Purely observational:
     /// recording never changes a simulated outcome.
@@ -239,12 +228,7 @@ impl MemoryController {
         };
         let refresh = if config.refresh_enabled {
             let plan = RefreshPlan::new(&config.timings, fraction_hp, refw);
-            let mc_rfc = engine.timings().max_capacity.rfc;
-            let hp_rfc = engine.timings().high_performance.rfc;
-            RefreshScheduler::new(&plan, config.interface.t_ck_ns, |m| match m {
-                RowMode::MaxCapacity => mc_rfc,
-                RowMode::HighPerformance => hp_rfc,
-            })
+            RefreshScheduler::new(&plan, config.interface.t_ck_ns)
         } else {
             RefreshScheduler::disabled()
         };
@@ -304,7 +288,6 @@ impl MemoryController {
             dest_cursor: 0,
             next_event_cache: None,
             queue_ready_hint: u64::MAX,
-            mode_cache: vec![Cell::new((MODE_CACHE_EMPTY, RowMode::MaxCapacity)); banks_total],
             trace: None,
             skip_profile: SkipProfile::default(),
             next_event_source: EventSource::Completion,
@@ -648,31 +631,13 @@ impl MemoryController {
     }
 
     /// Operating mode of `row` in `flat_bank`, looked up in the shared
-    /// [`ModeTable`] through the per-bank single-entry cache (row-hit
-    /// streams resolve the same open row repeatedly).
+    /// [`ModeTable`].
     ///
     /// # Panics
     ///
     /// Panics if `flat_bank` or `row` is out of range.
     pub fn mode_of_row(&self, flat_bank: usize, row: u32) -> RowMode {
-        Self::cached_mode(&self.modes, &self.mode_cache, flat_bank, row)
-    }
-
-    /// The cache-backed mode lookup, as an associated function so callers
-    /// holding disjoint field borrows of the controller can use it.
-    fn cached_mode(
-        modes: &ModeTable,
-        cache: &[Cell<(u32, RowMode)>],
-        flat_bank: usize,
-        row: u32,
-    ) -> RowMode {
-        let (cached_row, cached_mode) = cache[flat_bank].get();
-        if cached_row == row {
-            return cached_mode;
-        }
-        let mode = modes.mode_of(flat_bank, row);
-        cache[flat_bank].set((row, mode));
-        mode
+        self.modes.mode_of(flat_bank, row)
     }
 
     /// The shared per-row mode table.
@@ -699,8 +664,6 @@ impl MemoryController {
             if self.modes.set(bank, row, mode) != mode {
                 changed += 1;
             }
-            // Any touched bank's cached lookup may now be stale.
-            self.mode_cache[bank].set((MODE_CACHE_EMPTY, RowMode::MaxCapacity));
         }
         if changed > 0 {
             self.stats.mode_transitions += changed;
@@ -768,7 +731,6 @@ impl MemoryController {
             match mode {
                 RowMode::MaxCapacity => {
                     self.modes.set(bank, row, mode);
-                    self.mode_cache[bank].set((MODE_CACHE_EMPTY, RowMode::MaxCapacity));
                     flips += 1;
                 }
                 RowMode::HighPerformance => {
@@ -1031,20 +993,12 @@ impl MemoryController {
             self.modes.fraction_high_performance(),
             refw,
         );
-        let mc_rfc = self.engine.timings().max_capacity.rfc;
-        let hp_rfc = self.engine.timings().high_performance.rfc;
         // Carry surviving streams' due times: a retune must not push
         // refresh into the future (policy epochs can be much shorter
         // than tREFI, so resetting would starve refresh entirely).
-        self.refresh = self.refresh.retuned(
-            &plan,
-            self.config.interface.t_ck_ns,
-            |m| match m {
-                RowMode::MaxCapacity => mc_rfc,
-                RowMode::HighPerformance => hp_rfc,
-            },
-            self.cycle,
-        );
+        self.refresh = self
+            .refresh
+            .retuned(&plan, self.config.interface.t_ck_ns, self.cycle);
     }
 
     /// Number of queued reads (diagnostics).
@@ -1138,9 +1092,9 @@ impl MemoryController {
         }
     }
 
-    /// The drain policy's queue selection for hypothetical queue lengths
-    /// (replaying the watermark hysteresis without mutating it).
-    fn queue_selection(&self, reads: usize, writes: usize) -> bool {
+    /// The write-drain watermark hysteresis: whether the controller
+    /// drains writes with `writes` queued, from its current drain state.
+    fn drains_at(&self, writes: usize) -> bool {
         let mut draining = self.draining_writes;
         if !draining && writes >= self.config.scheduler.write_high_watermark {
             draining = true;
@@ -1148,7 +1102,13 @@ impl MemoryController {
         if draining && writes <= self.config.scheduler.write_low_watermark {
             draining = false;
         }
-        draining || (reads == 0 && writes > 0)
+        draining
+    }
+
+    /// The drain policy's queue selection for hypothetical queue lengths
+    /// (replaying the watermark hysteresis without mutating it).
+    fn queue_selection(&self, reads: usize, writes: usize) -> bool {
+        self.drains_at(writes) || (reads == 0 && writes > 0)
     }
 
     /// Updates the memoized next-event bound for an entry about to join a
@@ -1255,16 +1215,16 @@ impl MemoryController {
 
         // 2. Refresh has the highest priority once due.
         if self.pending_refresh.is_none() {
-            if let Some((mode, rfc)) = self.refresh.due(now) {
-                self.pending_refresh = Some((mode, rfc));
+            if let Some(mode) = self.refresh.due(now) {
+                self.pending_refresh = Some(mode);
                 changed = true;
             }
         }
         let mut issued = false;
         let mut served = false;
         self.queue_ready_hint = u64::MAX;
-        if let Some((mode, rfc)) = self.pending_refresh {
-            issued = self.progress_refresh(mode, rfc, now);
+        if let Some(mode) = self.pending_refresh {
+            issued = self.progress_refresh(mode, now);
         } else if now < self.maintenance_until {
             // Relocation work from a stall-mode transition batch occupies
             // the channel: queue service pauses, refresh does not.
@@ -1398,7 +1358,7 @@ impl MemoryController {
             fold(&mut next, &mut source, done, EventSource::Completion);
         }
         let maintenance_active = now < self.maintenance_until;
-        if let Some((mode, _rfc)) = self.pending_refresh {
+        if let Some(mode) = self.pending_refresh {
             // 2a. A pending refresh progresses (PRE of an open bank, or
             // the REF itself) as soon as the engine allows.
             let t = self.refresh_progress_ready_cycle(mode);
@@ -1672,7 +1632,6 @@ impl MemoryController {
                             // The couple point: the row's mode flips here;
                             // the write-back re-activates in the new mode.
                             self.modes.set(b, row, to);
-                            self.mode_cache[b].set((MODE_CACHE_EMPTY, RowMode::MaxCapacity));
                             self.stats.mode_transitions += 1;
                             self.retune_refresh();
                             self.trace_migration_instant("couple_point", now, b as u32, row);
@@ -1929,7 +1888,7 @@ impl MemoryController {
 
     /// Progress the pending refresh: close open banks, then issue REF to
     /// every rank. Returns whether a command issued this cycle.
-    fn progress_refresh(&mut self, mode: RowMode, _rfc: u64, now: u64) -> bool {
+    fn progress_refresh(&mut self, mode: RowMode, now: u64) -> bool {
         // Close the lowest open bank first (one PRE per cycle).
         if let Some(b) = self.open_banks.first() {
             let target = self.bank_target(b, self.banks[b].open_mode);
@@ -1970,16 +1929,8 @@ impl MemoryController {
     /// Serve read/write queues under the drain policy. Returns whether a
     /// command issued.
     fn serve_queues(&mut self, now: u64) -> bool {
-        // Drain-mode hysteresis.
-        if !self.draining_writes && self.write_q.len() >= self.config.scheduler.write_high_watermark
-        {
-            self.draining_writes = true;
-        }
-        if self.draining_writes && self.write_q.len() <= self.config.scheduler.write_low_watermark {
-            self.draining_writes = false;
-        }
-        let use_writes =
-            self.draining_writes || (self.read_q.is_empty() && !self.write_q.is_empty());
+        let use_writes = self.queue_selection(self.read_q.len(), self.write_q.len());
+        self.draining_writes = self.drains_at(self.write_q.len());
 
         let (decision, bound) = self.schedule(use_writes, now);
         self.queue_ready_hint = bound;
@@ -2007,7 +1958,7 @@ impl MemoryController {
                 let row = e.decoded.row;
                 // Mode is resolved from the shared table *at activation
                 // time* — the table may have changed since enqueue.
-                let mode = Self::cached_mode(&self.modes, &self.mode_cache, bank, row);
+                let mode = self.modes.mode_of(bank, row);
                 e.target.mode = mode;
                 let target = e.target;
                 self.open_row(bank, row, mode, now);

@@ -14,7 +14,6 @@ struct StreamState {
     mode: RowMode,
     interval_cycles: f64,
     next_due: f64,
-    rfc_cycles: u64,
 }
 
 /// Tracks when each refresh stream's next REF command is due.
@@ -27,18 +26,13 @@ pub struct RefreshScheduler {
 impl RefreshScheduler {
     /// Builds the scheduler from a [`RefreshPlan`] and the DRAM clock
     /// period.
-    pub fn new(plan: &RefreshPlan, t_ck_ns: f64, rfc_cycles_of: impl Fn(RowMode) -> u64) -> Self {
-        Self::new_at(plan, t_ck_ns, rfc_cycles_of, 0)
+    pub fn new(plan: &RefreshPlan, t_ck_ns: f64) -> Self {
+        Self::new_at(plan, t_ck_ns, 0)
     }
 
     /// Builds the scheduler with its first REF of each stream due one
     /// interval after `start_cycle`.
-    pub fn new_at(
-        plan: &RefreshPlan,
-        t_ck_ns: f64,
-        rfc_cycles_of: impl Fn(RowMode) -> u64,
-        start_cycle: u64,
-    ) -> Self {
+    pub fn new_at(plan: &RefreshPlan, t_ck_ns: f64, start_cycle: u64) -> Self {
         let streams = plan
             .streams()
             .iter()
@@ -48,7 +42,6 @@ impl RefreshScheduler {
                     mode: s.mode,
                     interval_cycles,
                     next_due: start_cycle as f64 + interval_cycles,
-                    rfc_cycles: rfc_cycles_of(s.mode),
                 }
             })
             .collect();
@@ -66,13 +59,7 @@ impl RefreshScheduler {
     /// stream starts one interval after `now`. Without the carry-over, a
     /// retune every policy epoch would push refresh forever into the
     /// future and silently starve it.
-    pub fn retuned(
-        &self,
-        plan: &RefreshPlan,
-        t_ck_ns: f64,
-        rfc_cycles_of: impl Fn(RowMode) -> u64,
-        now: u64,
-    ) -> Self {
+    pub fn retuned(&self, plan: &RefreshPlan, t_ck_ns: f64, now: u64) -> Self {
         let streams = plan
             .streams()
             .iter()
@@ -94,7 +81,6 @@ impl RefreshScheduler {
                     mode: s.mode,
                     interval_cycles,
                     next_due,
-                    rfc_cycles: rfc_cycles_of(s.mode),
                 }
             })
             .collect();
@@ -123,9 +109,9 @@ impl RefreshScheduler {
             .min()
     }
 
-    /// The stream (mode, tRFC cycles) whose REF is due at `now`, if any.
-    /// When both streams are due the more overdue one wins.
-    pub fn due(&self, now: u64) -> Option<(RowMode, u64)> {
+    /// The mode of the stream whose REF is due at `now`, if any. When
+    /// both streams are due the more overdue one wins.
+    pub fn due(&self, now: u64) -> Option<RowMode> {
         self.streams
             .iter()
             .filter(|s| s.next_due <= now as f64)
@@ -134,7 +120,7 @@ impl RefreshScheduler {
                 let ob = now as f64 - b.next_due;
                 oa.partial_cmp(&ob).expect("refresh overdue is finite")
             })
-            .map(|s| (s.mode, s.rfc_cycles))
+            .map(|s| s.mode)
     }
 
     /// Marks the due REF of `mode` as issued, scheduling the next one.
@@ -170,13 +156,12 @@ mod tests {
     #[test]
     fn baseline_stream_fires_every_trefi() {
         let t_ck = 1.0 / 1.2;
-        let mut rs = RefreshScheduler::new(&plan(0.0, 64.0), t_ck, |_| 660);
+        let mut rs = RefreshScheduler::new(&plan(0.0, 64.0), t_ck);
         // tREFI = 7812.5 ns ≈ 9375 cycles.
         assert!(rs.due(0).is_none());
         assert!(rs.due(9374).is_none());
-        let (mode, rfc) = rs.due(9375).expect("due at tREFI");
+        let mode = rs.due(9375).expect("due at tREFI");
         assert_eq!(mode, RowMode::MaxCapacity);
-        assert_eq!(rfc, 660);
         rs.mark_issued(mode);
         assert!(rs.due(9376).is_none());
         assert!(rs.due(2 * 9375).is_some());
@@ -185,15 +170,12 @@ mod tests {
     #[test]
     fn mixed_population_runs_two_streams() {
         let t_ck = 1.0 / 1.2;
-        let mut rs = RefreshScheduler::new(&plan(0.5, 194.0), t_ck, |m| match m {
-            RowMode::MaxCapacity => 660,
-            RowMode::HighPerformance => 295,
-        });
+        let mut rs = RefreshScheduler::new(&plan(0.5, 194.0), t_ck);
         // Drain a long horizon; both streams must fire, MC more often per
         // window-row than HP because HP's window is 3× longer.
         let mut now = 0u64;
         for _ in 0..200 {
-            while let Some((mode, _)) = rs.due(now) {
+            while let Some(mode) = rs.due(now) {
                 rs.mark_issued(mode);
             }
             now += 10_000;
@@ -215,7 +197,7 @@ mod tests {
     #[test]
     fn next_due_cycle_is_tight() {
         let t_ck = 1.0 / 1.2;
-        let mut rs = RefreshScheduler::new(&plan(0.0, 64.0), t_ck, |_| 660);
+        let mut rs = RefreshScheduler::new(&plan(0.0, 64.0), t_ck);
         let due = rs.next_due_cycle().expect("one stream");
         assert!(rs.due(due - 1).is_none(), "due one cycle early");
         assert!(rs.due(due).is_some(), "not due at the predicted cycle");

@@ -31,6 +31,7 @@
 //! fleet-level fusion all work unchanged.
 
 use crate::hist::LatencyHistogram;
+use crate::json::Json;
 
 /// The mutually exclusive causes a queued demand request's cycles are
 /// charged to. Exactly one cause is frozen per request at any time;
@@ -220,21 +221,26 @@ impl BlameSet {
         self.hists.iter_mut().for_each(LatencyHistogram::clear);
     }
 
-    /// The per-cause maps every report's blame object carries, as JSON
-    /// object bodies keyed by the stable cause labels
-    /// (`"backpressure": 0, "refresh": 400, …`): the exact attributed
-    /// cycles, then their [`BlameSet::fractions_permille`] shares.
-    pub fn json_maps(&self) -> (String, String) {
+    /// The per-cause maps every report carries, keyed by cause label: the
+    /// exact cycles, then their [`BlameSet::fractions_permille`] shares.
+    pub fn cause_maps(&self) -> (Json, Json) {
+        let labels = WaitCause::ALL.map(WaitCause::label);
         let map = |values: [u64; WaitCause::COUNT]| {
-            WaitCause::ALL
-                .iter()
-                .zip(values)
-                .map(|(cause, v)| format!("\"{}\": {v}", cause.label()))
-                .collect::<Vec<_>>()
-                .join(", ")
+            Json::Obj(labels.into_iter().zip(values.map(Json::from)).collect())
         };
         let cycles = WaitCause::ALL.map(|cause| self.of(cause).sum());
         (map(cycles), map(self.fractions_permille()))
+    }
+
+    /// The fleet and SLO reports' `blame` object: the read latency mass,
+    /// then [`BlameSet::cause_maps`] as `cycles` and `permille`.
+    pub fn summary_json(&self, read_latency_cycles: u64) -> Json {
+        let (cycles, permille) = self.cause_maps();
+        Json::Obj(vec![
+            ("read_latency_cycles", read_latency_cycles.into()),
+            ("cycles", cycles),
+            ("permille", permille),
+        ])
     }
 
     /// Per-cause share of the attributed cycles in permille (integer,
@@ -252,7 +258,7 @@ impl BlameSet {
     }
 
     /// Causes ordered by attributed cycles, heaviest first, zero-cycle
-    /// causes omitted — the "top blame" vector SLO violations carry.
+    /// causes omitted.
     pub fn dominant(&self) -> Vec<(WaitCause, u64)> {
         let mut v: Vec<(WaitCause, u64)> = WaitCause::ALL
             .iter()
@@ -263,6 +269,15 @@ impl BlameSet {
         // byte-deterministic.
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.index().cmp(&b.0.index())));
         v
+    }
+
+    /// [`BlameSet::dominant`] as `(label, permille-of-total)`: the
+    /// top-blame vector SLO outcomes and the trace's blame counter track
+    /// carry. Empty when nothing was attributed.
+    pub fn top_blame(&self) -> Vec<(&'static str, u64)> {
+        let total = self.total_cycles().max(1);
+        let permille = |(cause, cycles): (WaitCause, u64)| (cause.label(), cycles * 1000 / total);
+        self.dominant().into_iter().map(permille).collect()
     }
 
     /// Histogram-wise sum (per-channel and fleet fusion); exact.

@@ -3,7 +3,7 @@
 //!
 //! This crate is dependency-free so every layer of the workspace can
 //! use it — the memory model records into it on its hot paths, the
-//! full-system runner fuses and reports it. Three modules:
+//! full-system runner fuses and reports it. Its modules:
 //!
 //! * [`hist`] — [`LatencyHistogram`]: HDR-style log2-bucketed
 //!   histograms with **exact** `merge`/`delta_since` (bucket-wise sum
@@ -44,6 +44,10 @@
 //!   serialization, write-drain, FR-FCFS aging, service), aggregated
 //!   as one histogram per cause with the same exact `merge` /
 //!   `delta_since` algebra.
+//! * [`json`] — [`Json`]: the one JSON writer. Every export (the sweep,
+//!   fleet and SLO reports, the Chrome trace) is built as a value and
+//!   printed through it; it alone escapes strings, places separators
+//!   and lays containers out.
 //!
 //! # Capturing a trace
 //!
@@ -62,6 +66,7 @@
 
 pub mod blame;
 pub mod hist;
+pub mod json;
 pub mod profile;
 pub mod series;
 pub mod slo;
@@ -69,6 +74,7 @@ pub mod trace;
 
 pub use blame::{BlameLedger, BlameSet, WaitCause};
 pub use hist::LatencyHistogram;
+pub use json::Json;
 pub use profile::{EventSource, SkipProfile};
 pub use series::{
     ChannelSample, MetricsConfig, MetricsRecorder, SeriesCounters, SeriesGauges, TimeSeries,

@@ -136,22 +136,6 @@ impl SkipProfile {
         self.ticked_cycles += other.ticked_cycles;
         self.skipped_cycles += other.skipped_cycles;
     }
-
-    /// Counter-wise difference `self − earlier` (excluding warmup
-    /// windows); exact inverse of [`SkipProfile::merge`].
-    #[must_use]
-    pub fn delta_since(&self, earlier: &SkipProfile) -> SkipProfile {
-        let mut triggers = self.triggers;
-        for (t, &e) in triggers.iter_mut().zip(earlier.triggers.iter()) {
-            *t -= e;
-        }
-        SkipProfile {
-            jumps: self.jumps.delta_since(&earlier.jumps),
-            triggers,
-            ticked_cycles: self.ticked_cycles - earlier.ticked_cycles,
-            skipped_cycles: self.skipped_cycles - earlier.skipped_cycles,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,8 +144,7 @@ mod tests {
 
     /// Every field set from `seed`, no `..Default` — adding a
     /// `SkipProfile` field breaks this at compile time, forcing `merge`
-    /// and `delta_since` to be revisited (the same drift guard
-    /// `MemStats` uses).
+    /// to be revisited (the same drift guard `MemStats` uses).
     fn all_fields(seed: u64) -> SkipProfile {
         let mut jumps = LatencyHistogram::new();
         jumps.record(seed + 1);
@@ -175,14 +158,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_delta_are_inverses() {
+    fn merge_sums_every_counter() {
         let a = all_fields(100);
         let b = all_fields(5_000);
         let mut fused = a.clone();
         fused.merge(&b);
-        assert_eq!(fused.delta_since(&a), b);
-        assert_eq!(fused.delta_since(&b), a);
-        assert_eq!(fused.triggers[0], 5_100);
+        let mut jumps = a.jumps.clone();
+        jumps.merge(&b.jumps);
+        let expected = SkipProfile {
+            jumps,
+            triggers: [5_100, 5_102, 5_104, 5_106, 5_108, 5_110],
+            ticked_cycles: 5_112,
+            skipped_cycles: 5_114,
+        };
+        assert_eq!(fused, expected);
     }
 
     #[test]

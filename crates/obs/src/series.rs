@@ -41,8 +41,8 @@ pub struct MetricsConfig {
     /// Window length in simulated DRAM cycles.
     pub interval_cycles: u64,
     /// Ring-buffer capacity per series, in windows (oldest windows are
-    /// evicted beyond it; evicted totals remain accounted — see
-    /// [`TimeSeries::totals`]).
+    /// evicted beyond it and only counted —
+    /// [`TimeSeries::evicted_windows`]).
     pub capacity: usize,
 }
 
@@ -66,8 +66,7 @@ impl MetricsConfig {
 }
 
 /// Per-window counters: exact deltas of monotone statistics over the
-/// window. Field-wise [`SeriesCounters::merge`] and
-/// [`SeriesCounters::delta_since`] are exact inverses.
+/// window, fused field-wise by [`SeriesCounters::merge`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeriesCounters {
     /// ACT commands (demand, both modes).
@@ -111,26 +110,6 @@ impl SeriesCounters {
         *stall_cycles += other.stall_cycles;
         *migration_slot_cycles += other.migration_slot_cycles;
     }
-
-    /// Field-wise difference `self − earlier` — the exact inverse of
-    /// [`SeriesCounters::merge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if any field would underflow.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &SeriesCounters) -> SeriesCounters {
-        SeriesCounters {
-            acts: self.acts - earlier.acts,
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            mode_transitions: self.mode_transitions - earlier.mode_transitions,
-            migration_jobs: self.migration_jobs - earlier.migration_jobs,
-            frames_moved: self.frames_moved - earlier.frames_moved,
-            stall_cycles: self.stall_cycles - earlier.stall_cycles,
-            migration_slot_cycles: self.migration_slot_cycles - earlier.migration_slot_cycles,
-        }
-    }
 }
 
 /// Per-window gauges: point samples taken at the window's closing
@@ -163,18 +142,6 @@ impl SeriesGauges {
         *in_flight_migrations += other.in_flight_migrations;
         *hp_permille += other.hp_permille;
         *budget_permille += other.budget_permille;
-    }
-
-    /// Field-wise difference — the exact inverse of
-    /// [`SeriesGauges::merge`].
-    #[must_use]
-    pub fn delta_since(&self, earlier: &SeriesGauges) -> SeriesGauges {
-        SeriesGauges {
-            queue_depth: self.queue_depth - earlier.queue_depth,
-            in_flight_migrations: self.in_flight_migrations - earlier.in_flight_migrations,
-            hp_permille: self.hp_permille - earlier.hp_permille,
-            budget_permille: self.budget_permille - earlier.budget_permille,
-        }
     }
 }
 
@@ -239,19 +206,6 @@ impl WindowSummary {
         self.read_latency.p99()
     }
 
-    /// The window's wait causes, heaviest first, as
-    /// `(label, permille-of-window-wait)` — the *top-blame vector* an
-    /// SLO violation in this window is annotated with. Empty when
-    /// attribution is off or no read completed.
-    pub fn top_blame(&self) -> Vec<(&'static str, u64)> {
-        let total = self.read_blame.total_cycles();
-        self.read_blame
-            .dominant()
-            .into_iter()
-            .map(|(cause, cycles)| (cause.label(), cycles * 1000 / total.max(1)))
-            .collect()
-    }
-
     /// Mean high-performance fraction over fused sources, permille.
     pub fn hp_permille(&self) -> u64 {
         self.gauges.hp_permille / self.sources.max(1)
@@ -299,56 +253,16 @@ impl WindowSummary {
         self.read_latency.merge(&other.read_latency);
         self.read_blame.merge(&other.read_blame);
     }
-
-    /// Component-wise difference `self − earlier` over aligned windows —
-    /// the exact inverse of [`WindowSummary::merge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the windows are not aligned, and in debug builds if any
-    /// component would underflow.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &WindowSummary) -> WindowSummary {
-        assert!(
-            self.index == earlier.index
-                && self.start_cycle == earlier.start_cycle
-                && self.end_cycle == earlier.end_cycle,
-            "delta over misaligned windows"
-        );
-        WindowSummary {
-            index: self.index,
-            start_cycle: self.start_cycle,
-            end_cycle: self.end_cycle,
-            sources: self.sources - earlier.sources,
-            counters: self.counters.delta_since(&earlier.counters),
-            gauges: self.gauges.delta_since(&earlier.gauges),
-            read_latency: self.read_latency.delta_since(&earlier.read_latency),
-            read_blame: self.read_blame.delta_since(&earlier.read_blame),
-        }
-    }
 }
 
-/// A bounded ring buffer of [`WindowSummary`]s with running totals that
-/// survive eviction.
+/// A bounded ring buffer of [`WindowSummary`]s that counts the windows
+/// it evicts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     capacity: usize,
     windows: VecDeque<WindowSummary>,
     /// Windows evicted to the ring bound.
     evicted: u64,
-    /// Counter totals of evicted windows (so
-    /// `evicted_totals + Σ live == totals` exactly).
-    evicted_totals: SeriesCounters,
-    /// Latency samples of evicted windows.
-    evicted_latency: LatencyHistogram,
-    /// Blame budgets of evicted windows.
-    evicted_blame: BlameSet,
-    /// Counter totals over every window ever pushed.
-    totals: SeriesCounters,
-    /// Latency distribution over every window ever pushed.
-    total_latency: LatencyHistogram,
-    /// Blame budgets over every window ever pushed.
-    total_blame: BlameSet,
 }
 
 impl TimeSeries {
@@ -358,28 +272,14 @@ impl TimeSeries {
             capacity: capacity.max(1),
             windows: VecDeque::new(),
             evicted: 0,
-            evicted_totals: SeriesCounters::default(),
-            evicted_latency: LatencyHistogram::new(),
-            evicted_blame: BlameSet::default(),
-            totals: SeriesCounters::default(),
-            total_latency: LatencyHistogram::new(),
-            total_blame: BlameSet::default(),
         }
     }
 
-    /// Appends a window, evicting the oldest once the ring is full
-    /// (its counters and latency samples stay accounted in the evicted
-    /// totals).
+    /// Appends a window, evicting the oldest once the ring is full.
     pub fn push(&mut self, w: WindowSummary) {
-        self.totals.merge(&w.counters);
-        self.total_latency.merge(&w.read_latency);
-        self.total_blame.merge(&w.read_blame);
         if self.windows.len() >= self.capacity {
-            let old = self.windows.pop_front().expect("capacity >= 1");
+            self.windows.pop_front();
             self.evicted += 1;
-            self.evicted_totals.merge(&old.counters);
-            self.evicted_latency.merge(&old.read_latency);
-            self.evicted_blame.merge(&old.read_blame);
         }
         self.windows.push_back(w);
     }
@@ -409,41 +309,8 @@ impl TimeSeries {
         self.evicted
     }
 
-    /// Counter totals of evicted windows.
-    pub fn evicted_totals(&self) -> &SeriesCounters {
-        &self.evicted_totals
-    }
-
-    /// Latency distribution of evicted windows.
-    pub fn evicted_latency(&self) -> &LatencyHistogram {
-        &self.evicted_latency
-    }
-
-    /// Counter totals over every window ever pushed (evicted included):
-    /// eviction never loses totals, only per-window resolution.
-    pub fn totals(&self) -> &SeriesCounters {
-        &self.totals
-    }
-
-    /// Latency distribution over every window ever pushed.
-    pub fn total_latency(&self) -> &LatencyHistogram {
-        &self.total_latency
-    }
-
-    /// Blame budgets of evicted windows.
-    pub fn evicted_blame(&self) -> &BlameSet {
-        &self.evicted_blame
-    }
-
-    /// Per-cause wait budgets over every window ever pushed (evicted
-    /// included). Empty when attribution is off.
-    pub fn total_blame(&self) -> &BlameSet {
-        &self.total_blame
-    }
-
     /// Fuses `other` into `self` window by window (exact bucket-wise
-    /// sums) — the per-channel→system fusion. Totals and evicted
-    /// accumulators fuse the same way.
+    /// sums) — the per-channel→system fusion.
     ///
     /// # Panics
     ///
@@ -455,12 +322,6 @@ impl TimeSeries {
         for (a, b) in self.windows.iter_mut().zip(other.windows.iter()) {
             a.merge(b);
         }
-        self.evicted_totals.merge(&other.evicted_totals);
-        self.evicted_latency.merge(&other.evicted_latency);
-        self.evicted_blame.merge(&other.evicted_blame);
-        self.totals.merge(&other.totals);
-        self.total_latency.merge(&other.total_latency);
-        self.total_blame.merge(&other.total_blame);
     }
 
     /// The window-wise fusion of `series` (see [`TimeSeries::merge`]).
@@ -532,7 +393,7 @@ impl TimeSeries {
             );
             // Attribution track: per-cause share of the window's read
             // wait, permille. Only present when attribution is on.
-            let blame = w.top_blame();
+            let blame = w.read_blame.top_blame();
             if !blame.is_empty() {
                 counter("blame_permille", blame);
             }
@@ -726,10 +587,9 @@ mod tests {
         }
         assert_eq!(ts.len(), 2);
         assert_eq!(ts.evicted_windows(), 3);
-        assert_eq!(ts.totals().reads, 1 + 2 + 3 + 4 + 5);
-        assert_eq!(ts.evicted_totals().reads, 1 + 2 + 3);
-        let live: u64 = ts.windows().map(|w| w.counters.reads).sum();
-        assert_eq!(ts.evicted_totals().reads + live, ts.totals().reads);
+        // The newest windows stay live, oldest first.
+        let live: Vec<u64> = ts.windows().map(|w| w.counters.reads).collect();
+        assert_eq!(live, vec![4, 5]);
     }
 
     #[test]
@@ -753,7 +613,7 @@ mod tests {
         assert_eq!(w.read_blame.of(WaitCause::RowConflict).sum(), 800);
         assert_eq!(w.read_blame.of(WaitCause::Refresh).sum(), 100);
         // Top-blame vector is heaviest-first with permille shares.
-        let top = w.top_blame();
+        let top = w.read_blame.top_blame();
         assert_eq!(top[0], ("row_conflict", 888));
         assert_eq!(top[1], ("refresh", 111));
         // The attribution counter track appears exactly once per window.
@@ -764,8 +624,6 @@ mod tests {
             .collect();
         assert_eq!(blame_tracks.len(), 1);
         assert_eq!(blame_tracks[0].args[0], ("row_conflict", 888));
-        // Totals survive in the running accumulator.
-        assert_eq!(fused.total_blame().total_cycles(), 900);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! tooling can diff serialized reports across commits.
 
 use crate::blame::BlameSet;
+use crate::json::Json;
 use crate::series::{TimeSeries, WindowSummary};
 
 /// A per-window scalar a [`WindowedObjective`] can bound.
@@ -198,12 +199,7 @@ impl SloSpec {
                         blame.merge(&w.read_blame);
                     }
                 }
-                let total = blame.total_cycles();
-                let top_causes = blame
-                    .dominant()
-                    .into_iter()
-                    .map(|(c, cycles)| (c.label(), cycles * 1000 / total.max(1)))
-                    .collect();
+                let top_causes = blame.top_blame();
                 ObjectiveOutcome {
                     metric: obj.metric,
                     max: obj.max,
@@ -331,61 +327,42 @@ impl SloReport {
             && self.scalars.iter().all(|s| s.pass || s.expected_fail)
     }
 
-    /// Serializes the report as a JSON object (the schema wrapper —
+    /// The report as a JSON object (the schema wrapper —
     /// `clr-dram/slo/v1` — is added by the emitting binary).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"spec\": \"{}\",\n", self.spec));
-        s.push_str(&format!("  \"windows\": {},\n", self.windows));
-        s.push_str(&format!("  \"pass\": {},\n", self.pass()));
-        s.push_str("  \"objectives\": [\n");
-        for (i, o) in self.objectives.iter().enumerate() {
-            let causes = o
-                .top_causes
-                .iter()
-                .map(|(c, p)| format!("{{\"cause\": \"{c}\", \"permille\": {p}}}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            s.push_str(&format!(
-                "    {{\"metric\": \"{}\", \"max\": {}, \"error_budget\": {:.4}, \
-                 \"violations\": {}, \"allowed\": {}, \"worst_value\": {}, \
-                 \"worst_window\": {}, \"burn_alerts\": {}, \"pass\": {}, \
-                 \"top_causes\": [{}]}}{}\n",
-                o.metric.label(),
-                o.max,
-                o.error_budget,
-                o.violations,
-                o.allowed,
-                o.worst_value,
-                o.worst_window,
-                o.burn_alerts,
-                o.pass,
-                causes,
-                if i + 1 < self.objectives.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"scalars\": [\n");
-        for (i, o) in self.scalars.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"max\": {}, \"pass\": {}, \
-                 \"expected_fail\": {}}}{}\n",
-                o.name,
-                o.value,
-                o.max,
-                o.pass,
-                o.expected_fail,
-                if i + 1 < self.scalars.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push('}');
-        s
+    pub fn json(&self) -> Json {
+        let objectives = self.objectives.iter().map(|o| {
+            let causes = o.top_causes.iter().map(|&(cause, permille)| {
+                Json::Obj(vec![("cause", cause.into()), ("permille", permille.into())])
+            });
+            Json::Obj(vec![
+                ("metric", o.metric.label().into()),
+                ("max", o.max.into()),
+                ("error_budget", Json::fixed(o.error_budget, 4)),
+                ("violations", o.violations.into()),
+                ("allowed", o.allowed.into()),
+                ("worst_value", o.worst_value.into()),
+                ("worst_window", o.worst_window.into()),
+                ("burn_alerts", o.burn_alerts.into()),
+                ("pass", Json::Bool(o.pass)),
+                ("top_causes", causes.collect()),
+            ])
+        });
+        let scalars = self.scalars.iter().map(|o| {
+            Json::Obj(vec![
+                ("name", o.name.into()),
+                ("value", o.value.into()),
+                ("max", o.max.into()),
+                ("pass", Json::Bool(o.pass)),
+                ("expected_fail", Json::Bool(o.expected_fail)),
+            ])
+        });
+        Json::Obj(vec![
+            ("spec", self.spec.into()),
+            ("windows", self.windows.into()),
+            ("pass", Json::Bool(self.pass())),
+            ("objectives", objectives.collect()),
+            ("scalars", scalars.collect()),
+        ])
     }
 }
 
@@ -500,7 +477,7 @@ mod tests {
         let top = &r.objectives[0].top_causes;
         assert_eq!(top[0], ("row_conflict", 900));
         assert_eq!(top[1], ("refresh", 100));
-        let json = r.to_json();
+        let json = r.json().to_string();
         assert!(json.contains("\"top_causes\": [{\"cause\": \"row_conflict\", \"permille\": 900}"));
         // A passing objective over blame-free windows stays unannotated.
         let clean = SloSpec::named("t").evaluate(&series_with_p99s(&[10, 10]));
@@ -521,7 +498,7 @@ mod tests {
         });
         let r = spec.evaluate(&ts);
         assert!(r.pass());
-        let json = r.to_json();
+        let json = r.json().to_string();
         assert!(json.contains("\"spec\": \"cell\""));
         assert!(json.contains("\"stall_cycles\""));
         assert!(json.contains("\"max_slowdown_milli\""));

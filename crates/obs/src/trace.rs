@@ -22,6 +22,8 @@
 
 use std::collections::VecDeque;
 
+use crate::json::Json;
+
 /// `pid` used for system-level events (placement pumps, remap installs,
 /// policy-epoch decisions) in the exported trace, distinguishing them
 /// from per-channel controller events (whose `pid` is the channel
@@ -161,8 +163,6 @@ impl Default for TraceConfig {
         }
     }
 }
-
-impl TraceConfig {}
 
 /// One recorded event. `counter` exports as a Chrome counter sample
 /// (`ph: "C"` — every `args` key becomes a counter-track series);
@@ -360,80 +360,49 @@ impl TraceLog {
     /// `traceEvents` array) — open the output in Perfetto or
     /// `chrome://tracing`. Timestamps are DRAM cycles.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96 + 64);
-        out.push_str("{\"traceEvents\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            if let Some(id) = e.flow_id {
-                // An async flow span serializes as its begin/end pair.
-                for (ph, ts, args) in [("b", e.ts, &e.args[..]), ("e", e.ts + e.dur, &[][..])] {
-                    if ph == "e" {
-                        out.push(',');
-                    }
-                    out.push_str("{\"name\":\"");
-                    out.push_str(e.name);
-                    out.push_str("\",\"cat\":\"");
-                    out.push_str(e.category.label());
-                    out.push_str("\",\"ph\":\"");
-                    out.push_str(ph);
-                    out.push_str("\",\"id\":");
-                    out.push_str(&id.to_string());
-                    out.push_str(",\"ts\":");
-                    out.push_str(&ts.to_string());
-                    out.push_str(",\"pid\":");
-                    out.push_str(&e.pid.to_string());
-                    out.push_str(",\"tid\":0,\"args\":{");
-                    for (j, (k, v)) in args.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push('"');
-                        out.push_str(k);
-                        out.push_str("\":");
-                        out.push_str(&v.to_string());
-                    }
-                    out.push_str("}}");
+        let mut events = Vec::with_capacity(self.events.len());
+        for e in &self.events {
+            match e.flow_id {
+                // An async flow span serializes as its begin/end pair;
+                // the payload rides the begin event.
+                Some(_) => {
+                    events.push(chrome_event(e, "b", e.ts, &e.args));
+                    events.push(chrome_event(e, "e", e.ts + e.dur, &[]));
                 }
-                continue;
+                None if e.counter => events.push(chrome_event(e, "C", e.ts, &e.args)),
+                None if e.dur == 0 => events.push(chrome_event(e, "i", e.ts, &e.args)),
+                None => events.push(chrome_event(e, "X", e.ts, &e.args)),
             }
-            out.push_str("{\"name\":\"");
-            out.push_str(e.name);
-            out.push_str("\",\"cat\":\"");
-            out.push_str(e.category.label());
-            if e.counter {
-                out.push_str("\",\"ph\":\"C");
-            } else if e.dur == 0 {
-                out.push_str("\",\"ph\":\"i\",\"s\":\"t");
-            } else {
-                out.push_str("\",\"ph\":\"X");
-            }
-            out.push_str("\",\"ts\":");
-            out.push_str(&e.ts.to_string());
-            if e.dur > 0 {
-                out.push_str(",\"dur\":");
-                out.push_str(&e.dur.to_string());
-            }
-            out.push_str(",\"pid\":");
-            out.push_str(&e.pid.to_string());
-            out.push_str(",\"tid\":0,\"args\":{");
-            for (j, (k, v)) in e.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(k);
-                out.push_str("\":");
-                out.push_str(&v.to_string());
-            }
-            out.push_str("}}");
         }
-        out.push_str("],\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped\":\"");
-        out.push_str(&self.dropped.to_string());
-        out.push_str("\"}}");
-        out
+        let dropped = Json::Str(self.dropped.to_string());
+        Json::Obj(vec![
+            ("traceEvents", Json::Arr(events)),
+            ("displayTimeUnit", "ns".into()),
+            ("otherData", Json::Obj(vec![("dropped", dropped)])),
+        ])
+        .to_string()
     }
+}
+
+/// One Chrome trace event of phase `ph` (`i` instant, `X` complete span,
+/// `C` counter sample, `b`/`e` async flow begin/end) at `ts`. Fields a
+/// phase does not carry are left out.
+fn chrome_event(e: &TraceEvent, ph: &'static str, ts: u64, args: &[(&'static str, u64)]) -> Json {
+    let args = args.iter().map(|&(k, v)| (k, v.into())).collect();
+    let fields = [
+        ("name", Some(e.name.into())),
+        ("cat", Some(e.category.label().into())),
+        ("ph", Some(ph.into())),
+        ("s", (ph == "i").then(|| "t".into())),
+        ("id", e.flow_id.map(Json::from)),
+        ("ts", Some(ts.into())),
+        ("dur", (ph == "X").then(|| e.dur.into())),
+        ("pid", Some(e.pid.into())),
+        ("tid", Some(0u32.into())),
+        ("args", Some(Json::Obj(args))),
+    ];
+    let present = fields.into_iter().filter_map(|(k, v)| Some((k, v?)));
+    Json::Obj(present.collect())
 }
 
 #[cfg(test)]
@@ -498,13 +467,13 @@ mod tests {
         // Sorted by ts: the channel-1 instant first.
         assert_eq!(log.events[0].ts, 5);
         let json = log.to_chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"dur\":25"));
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"cat\":\"migration\""));
-        assert!(json.contains("\"bank\":2"));
-        assert!(json.ends_with("}}"));
+        assert!(json.starts_with("{\n  \"traceEvents\": [\n"));
+        assert!(json.contains("\"ph\": \"X\""));
+        assert!(json.contains("\"dur\": 25"));
+        assert!(json.contains("\"ph\": \"i\""));
+        assert!(json.contains("\"cat\": \"migration\""));
+        assert!(json.contains("\"bank\": 2"));
+        assert!(json.ends_with("\"otherData\": {\"dropped\": \"0\"}\n}"));
         // Sinks are drained by collection.
         assert!(a.is_empty() && b.is_empty());
     }
@@ -523,10 +492,10 @@ mod tests {
             args: vec![("depth", 9)],
         }]);
         let json = log.to_chrome_json();
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"cat\":\"metrics\""));
-        assert!(json.contains("\"depth\":9"));
-        assert!(!json.contains("\"s\":\"t\""));
+        assert!(json.contains("\"ph\": \"C\""));
+        assert!(json.contains("\"cat\": \"metrics\""));
+        assert!(json.contains("\"depth\": 9"));
+        assert!(!json.contains("\"s\": \"t\""));
     }
 
     #[test]
@@ -543,11 +512,11 @@ mod tests {
         let log = TraceLog::collect([&mut sink]);
         assert_eq!(log.events.len(), 1);
         let json = log.to_chrome_json();
-        assert!(json.contains("\"ph\":\"b\",\"id\":77,\"ts\":100"));
-        assert!(json.contains("\"ph\":\"e\",\"id\":77,\"ts\":140"));
-        assert!(json.contains("\"cat\":\"requests\""));
+        assert!(json.contains("\"ph\": \"b\", \"id\": 77, \"ts\": 100"));
+        assert!(json.contains("\"ph\": \"e\", \"id\": 77, \"ts\": 140"));
+        assert!(json.contains("\"cat\": \"requests\""));
         // The blame budget rides the begin event only.
-        assert!(json.contains("\"row_conflict\":25"));
+        assert!(json.contains("\"row_conflict\": 25"));
         assert_eq!(json.matches("\"row_conflict\"").count(), 1);
     }
 

@@ -29,7 +29,7 @@ use clr_cpu::cluster::ClusterConfig;
 use clr_memsim::config::{ClrModeConfig, MemConfig};
 use clr_memsim::frames::DestinationPicker;
 use clr_memsim::migrate::RelocationConfig;
-use clr_obs::{BlameSet, MetricsConfig, SloSpec, WindowMetric, WindowedObjective};
+use clr_obs::{BlameSet, Json, MetricsConfig, SloSpec, WindowMetric, WindowedObjective};
 use clr_policy::budget::BudgetSplit;
 use clr_policy::policy::{PolicyConstraints, PolicySpec};
 use clr_trace::phase::PhaseShiftSpec;
@@ -989,68 +989,49 @@ impl PolicySweepReport {
         self.placement.iter().find(|c| c.placement == placement)
     }
 
-    fn cell_json(c: &PolicyCell) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        fn opt(v: Option<f64>) -> String {
-            v.map_or_else(|| "null".to_string(), |x| format!("{x:.6}"))
-        }
-        let per_core = c
-            .ipc_per_core
-            .iter()
-            .map(|v| format!("{v:.6}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let (blame_cycles, blame_permille) = c.read_blame.json_maps();
-        format!(
-            "{{\"policy\": \"{}\", \"workload\": \"{}\", \"reloc\": \"{}\", \
-             \"cores\": {}, \"channels\": {}, \"budget_split\": \"{}\", \
-             \"placement\": \"{}\", \"frames_moved\": {}, \"rows_remapped\": {}, \
-             \"ipc\": {:.6}, \"ipc_per_core\": [{}], \
-             \"weighted_speedup\": {}, \"max_slowdown\": {}, \
-             \"energy_j\": {:.6e}, \"avg_capacity_loss\": {:.6}, \
-             \"final_hp_fraction\": {:.6}, \"transitions\": {}, \
-             \"relocation_stall_cycles\": {}, \"migration_jobs\": {}, \
-             \"migration_slot_utilization\": {:.6}, \"row_hit_rate\": {:.6}, \
-             \"read_latency_p50\": {}, \"read_latency_p95\": {}, \
-             \"read_latency_p99\": {}, \"slo_pass\": {}, \
-             \"slo_windows\": {}, \"slo_violations\": {}, \
-             \"slo_worst_read_p99\": {}, \
-             \"read_latency_cycles\": {}, \"blame_cycles\": {{{}}}, \
-             \"blame_permille\": {{{}}}}}",
-            esc(&c.policy),
-            esc(&c.workload),
-            esc(&c.reloc),
-            c.cores,
-            c.channels,
-            esc(&c.budget_split),
-            esc(&c.placement),
-            c.frames_moved,
-            c.rows_remapped,
-            c.ipc,
-            per_core,
-            opt(c.weighted_speedup),
-            opt(c.max_slowdown),
-            c.energy_j,
-            c.avg_capacity_loss,
-            c.final_hp_fraction,
-            c.transitions,
-            c.relocation_stall_cycles,
-            c.migration_jobs,
-            c.migration_slot_utilization,
-            c.row_hit_rate,
-            c.read_latency_p50,
-            c.read_latency_p95,
-            c.read_latency_p99,
-            c.slo_pass,
-            c.slo_windows,
-            c.slo_violations,
-            c.slo_worst_read_p99,
-            c.read_latency_cycles,
-            blame_cycles,
-            blame_permille,
-        )
+    fn cell_json(c: &PolicyCell) -> Json {
+        let f6 = |x| Json::fixed(x, 6);
+        let per_core = c.ipc_per_core.iter().copied().map(f6);
+        let (blame_cycles, blame_permille) = c.read_blame.cause_maps();
+        Json::Obj(vec![
+            ("policy", c.policy.as_str().into()),
+            ("workload", c.workload.as_str().into()),
+            ("reloc", c.reloc.as_str().into()),
+            ("cores", c.cores.into()),
+            ("channels", c.channels.into()),
+            ("budget_split", c.budget_split.as_str().into()),
+            ("placement", c.placement.as_str().into()),
+            ("frames_moved", c.frames_moved.into()),
+            ("rows_remapped", c.rows_remapped.into()),
+            ("ipc", f6(c.ipc)),
+            ("ipc_per_core", per_core.collect()),
+            (
+                "weighted_speedup",
+                c.weighted_speedup.map_or(Json::Null, f6),
+            ),
+            ("max_slowdown", c.max_slowdown.map_or(Json::Null, f6)),
+            ("energy_j", Json::Num(format!("{:.6e}", c.energy_j))),
+            ("avg_capacity_loss", f6(c.avg_capacity_loss)),
+            ("final_hp_fraction", f6(c.final_hp_fraction)),
+            ("transitions", c.transitions.into()),
+            ("relocation_stall_cycles", c.relocation_stall_cycles.into()),
+            ("migration_jobs", c.migration_jobs.into()),
+            (
+                "migration_slot_utilization",
+                f6(c.migration_slot_utilization),
+            ),
+            ("row_hit_rate", f6(c.row_hit_rate)),
+            ("read_latency_p50", c.read_latency_p50.into()),
+            ("read_latency_p95", c.read_latency_p95.into()),
+            ("read_latency_p99", c.read_latency_p99.into()),
+            ("slo_pass", Json::Bool(c.slo_pass)),
+            ("slo_windows", c.slo_windows.into()),
+            ("slo_violations", c.slo_violations.into()),
+            ("slo_worst_read_p99", c.slo_worst_read_p99.into()),
+            ("read_latency_cycles", c.read_latency_cycles.into()),
+            ("blame_cycles", blame_cycles),
+            ("blame_permille", blame_permille),
+        ])
     }
 
     /// Machine-readable JSON (schema:
@@ -1074,24 +1055,15 @@ impl PolicySweepReport {
     /// `blame_cycles` summing to exactly it, and the derived
     /// `blame_permille` shares) to every cell.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"clr-dram/policy-sweep/v7\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.label()));
-        for (key, cells, trailing) in [
-            ("cells", &self.cells, ","),
-            ("contention", &self.contention, ","),
-            ("placement", &self.placement, ""),
-        ] {
-            out.push_str(&format!("  \"{key}\": [\n"));
-            for (i, c) in cells.iter().enumerate() {
-                out.push_str("    ");
-                out.push_str(&Self::cell_json(c));
-                out.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
-            }
-            out.push_str(&format!("  ]{trailing}\n"));
-        }
-        out.push_str("}\n");
-        out
+        let cells = |cells: &[PolicyCell]| cells.iter().map(Self::cell_json).collect();
+        let doc = Json::Obj(vec![
+            ("schema", "clr-dram/policy-sweep/v7".into()),
+            ("scale", self.scale.label().into()),
+            ("cells", cells(&self.cells)),
+            ("contention", cells(&self.contention)),
+            ("placement", cells(&self.placement)),
+        ]);
+        format!("{doc}\n")
     }
 }
 

@@ -46,8 +46,8 @@ use clr_dram::memsim::request::{Completion, MemRequest, RequestKind};
 use clr_dram::memsim::system::MemorySystem;
 use clr_dram::memsim::MemStats;
 use clr_dram::obs::{
-    CategorySet, MetricsConfig, SloSpec, TraceCategory, TraceConfig, WaitCause, WindowMetric,
-    WindowedObjective,
+    CategorySet, MetricsConfig, SloSpec, TimeSeries, TraceCategory, TraceConfig, WaitCause,
+    WindowMetric, WindowSummary, WindowedObjective,
 };
 use clr_dram::policy::budget::BudgetSplit;
 use clr_dram::policy::policy::{PolicyConstraints, PolicySpec};
@@ -740,21 +740,24 @@ pub fn check_windows(s: &RunScenario, r: &PolicyRunResult) {
                 assert!(w.cycles() <= INTERVAL);
             }
         }
-        // The series totals reconcile with eviction accounting.
-        let live: u64 = series.windows().map(|w| w.counters.reads).sum();
-        assert_eq!(series.evicted_totals().reads + live, series.totals().reads);
+        // The whole run fits the ring, so the live windows are all of it.
+        assert_eq!(series.evicted_windows(), 0);
     }
-    // Metrics cover warmup too, so the fused totals bound the
+    // Metrics cover warmup too, so the fused window sums bound the
     // measurement window's statistics from above.
     let system = m.system();
-    assert!(system.totals().reads >= r.run.mem.reads);
-    assert!(system.totals().migration_jobs >= r.run.mem.migration_jobs_completed);
-    assert!(system.total_latency().count() > 0);
+    let total = |series: &TimeSeries, f: fn(&WindowSummary) -> u64| -> u64 {
+        series.windows().map(f).sum()
+    };
+    assert!(total(&system, |w| w.counters.reads) >= r.run.mem.reads);
+    assert!(total(&system, |w| w.counters.migration_jobs) >= r.run.mem.migration_jobs_completed);
+    assert!(total(&system, |w| w.read_latency.count()) > 0);
 
     if let Some(ps) = &r.policy_series {
         // The epoch windows account for every applied transition.
+        assert_eq!(ps.evicted_windows(), 0);
         assert_eq!(
-            ps.totals().mode_transitions,
+            total(ps, |w| w.counters.mode_transitions),
             r.policy_stats.transitions_applied
         );
         for w in ps.windows() {
@@ -772,7 +775,10 @@ pub fn check_slo(s: &RunScenario, r: &PolicyRunResult) {
     spec.windowed
         .push(WindowedObjective::hard(WindowMetric::StallCycles, 0));
     let report = spec.evaluate(&system);
-    assert_eq!(report.pass(), system.totals().stall_cycles == 0);
+    assert_eq!(
+        report.pass(),
+        system.windows().all(|w| w.counters.stall_cycles == 0)
+    );
     assert_eq!(
         report.pass(),
         s.policy.is_none() || s.background(),

@@ -4,13 +4,14 @@
 //! is identical under every walk (threaded included), every category the
 //! run can produce captures events, and the exported Chrome trace-event
 //! JSON is syntactically valid (checked by a small recursive-descent
-//! parser, since the workspace is dependency-free).
+//! parser, since the workspace is dependency-free). The same parser
+//! checks the shared JSON writer's escapes and layout.
 //!
 //! This is the trace-only row of the matrix in `matrix/mod.rs`.
 
 mod matrix;
 
-use clr_dram::obs::{CategorySet, TraceCategory, TraceLog};
+use clr_dram::obs::{CategorySet, Json as Value, TraceCategory, TraceLog};
 use matrix::*;
 
 #[test]
@@ -101,6 +102,51 @@ fn empty_trace_log_serializes_validly() {
         panic!("top level must be an object");
     };
     assert!(matches!(lookup(&top, "traceEvents"), Some(Json::Array(e)) if e.is_empty()));
+}
+
+#[test]
+fn json_writer_output_parses_with_exact_escapes() {
+    // A literal backslash-n next to a real newline keeps the two escapes
+    // apart; U+0001 needs the \u form; non-ASCII text passes through.
+    const TRICKY: &str = "q\"b\\n\nc\u{1}é✓";
+    const ESCAPED: &str = r#"q\"b\\n\nc\u0001é✓"#;
+    let floats = [
+        Value::fixed(0.1, 6),
+        Value::fixed(2.5e-7, 9),
+        Value::fixed(-1.0 / 3.0, 3),
+    ];
+    let row = |i: u64| {
+        Value::Obj(vec![
+            ("i", i.into()),
+            ("xs", [i, i + 1].into_iter().collect()),
+        ])
+    };
+    let doc = Value::Obj(vec![
+        (TRICKY, Value::Str(TRICKY.to_string())),
+        ("empty_array", Value::Arr(vec![])),
+        ("empty_object", Value::Obj(vec![])),
+        ("max", u64::MAX.into()),
+        ("floats", floats.into_iter().collect()),
+        ("rows", [row(1), row(2)].into_iter().collect()),
+    ]);
+    let text = doc.to_string();
+    let Json::Object(top) = parse_json(&text).expect("writer output must parse") else {
+        panic!("top level must be an object");
+    };
+    assert_eq!(top[0].0, ESCAPED, "key escapes");
+    assert!(
+        matches!(top[0].1, Json::String(s) if s == ESCAPED),
+        "string escapes"
+    );
+    assert!(matches!(lookup(&top, "empty_array"), Some(Json::Array(a)) if a.is_empty()));
+    assert!(matches!(lookup(&top, "empty_object"), Some(Json::Object(o)) if o.is_empty()));
+    assert!(matches!(lookup(&top, "rows"), Some(Json::Array(r)) if r.len() == 2));
+    // Numbers are written as their producers formatted them.
+    assert!(text.contains("\"max\": 18446744073709551615"));
+    assert!(text.contains("\"floats\": [0.100000, 0.000000250, -0.333]"));
+    // JSON forbids raw control characters inside strings.
+    assert!(parse_json("\"a\nb\"").is_err());
+    assert!(parse_json("\"a\u{1}b\"").is_err());
 }
 
 // --- A minimal JSON parser (the workspace has no JSON dependency, and
@@ -199,6 +245,7 @@ fn string<'a>(rest: &mut &'a str) -> Result<&'a str, String> {
             (b'\\', Some(b'u')) => 6,
             (b'\\', Some(e)) if b"\"\\/bfnrt".contains(e) => 2,
             (b'\\', _) => return Err(format!("bad escape at {:.20}", &rest[i..])),
+            (c, _) if c < 0x20 => return Err(format!("raw control character {c:#04x}")),
             _ => 1,
         };
     }
