@@ -10,6 +10,7 @@
 //! reduces to a page-granularity translation table.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::PhysAddr;
 use crate::error::CoreError;
@@ -18,13 +19,45 @@ use crate::geometry::DramGeometry;
 /// Default OS page size used throughout the evaluation.
 pub const PAGE_BYTES: u64 = 4096;
 
+/// Hashes page numbers for the profile and placement maps with one
+/// multiply by an odd constant and a rotate, which brings the product's
+/// well-mixed high bits down to the low bits the table indexes by (core
+/// tags differ only in high page bits). Nothing depends on the maps'
+/// iteration order: [`PageProfile::pages_by_heat`] breaks ties by page
+/// number, and translation looks pages up one at a time. The keys come
+/// from the workload generators, never from outside input, so the
+/// hasher needs no protection against crafted collisions.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(26);
+    }
+}
+
+/// A map keyed by page number.
+type PageMap = HashMap<u64, u64, BuildHasherDefault<PageHasher>>;
+
 /// Per-page access-count profile of a workload.
 ///
 /// Collected by a first (functional) pass over the trace; consumed by
 /// [`PagePlacement::profile_guided`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PageProfile {
-    counts: HashMap<u64, u64>,
+    counts: PageMap,
 }
 
 impl PageProfile {
@@ -86,7 +119,7 @@ impl PageProfile {
 /// remaining fast frames.
 #[derive(Debug, Clone)]
 pub struct PagePlacement {
-    table: HashMap<u64, u64>,
+    table: PageMap,
     /// Usable frames inside the high-performance region (half its nominal
     /// capacity).
     hp_frames: u64,
@@ -135,15 +168,15 @@ impl PagePlacement {
         // coupling, and frames beyond map to max-capacity rows.
         let hp_region_frames = (total_frames as f64 * fraction_hp_rows).ceil() as u64;
         let hp_frames = hp_region_frames / 2;
+        let ranked = profile.pages_by_heat();
         let mut this = PagePlacement {
-            table: HashMap::new(),
+            table: PageMap::with_capacity_and_hasher(ranked.len(), Default::default()),
             hp_frames,
             hp_region_frames,
             total_frames,
             next_cold: hp_region_frames,
             next_hot: 0,
         };
-        let ranked = profile.pages_by_heat();
         let hot_target = (ranked.len() as f64 * fraction_hp_rows).round() as usize;
         for (i, (page, _)) in ranked.into_iter().enumerate() {
             let frame = if i < hot_target && this.next_hot < hp_frames {

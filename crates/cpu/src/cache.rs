@@ -87,12 +87,6 @@ pub struct OutboundRequest {
     pub write: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LineState {
-    tag: u64,
-    dirty: bool,
-}
-
 #[derive(Debug, Clone)]
 struct MshrEntry {
     line: u64,
@@ -115,10 +109,21 @@ pub struct CacheStats {
 }
 
 /// The shared last-level cache.
+///
+/// Every set is `associativity` consecutive words of one flat,
+/// zero-initialised array, most recently used first, so replacement is
+/// exact LRU: a hit moves its way to the front and a fill shifts the set
+/// back by one, evicting the last way. A word holds a line as
+/// `(tag + 1) << 1 | dirty`; 0 is an empty way, and a set's lines always
+/// form a prefix of its ways.
 #[derive(Debug)]
 pub struct Llc {
     cfg: CacheConfig,
-    sets: Vec<VecDeque<LineState>>,
+    lines: Vec<u64>,
+    sets: u64,
+    /// `log2(sets)` when the set count is a power of two: lines then
+    /// split into set and tag by mask and shift instead of a division.
+    set_shift: Option<u32>,
     mshrs: Vec<MshrEntry>,
     per_core_mshr: Vec<usize>,
     outbox: VecDeque<OutboundRequest>,
@@ -128,8 +133,11 @@ pub struct Llc {
 impl Llc {
     /// Creates an empty LLC shared by `cores` cores.
     pub fn new(cfg: CacheConfig, cores: usize) -> Self {
+        let sets = cfg.sets() as u64;
         Llc {
-            sets: vec![VecDeque::with_capacity(cfg.associativity); cfg.sets()],
+            lines: vec![0; cfg.sets() * cfg.associativity],
+            sets,
+            set_shift: sets.is_power_of_two().then(|| sets.trailing_zeros()),
             mshrs: Vec::new(),
             per_core_mshr: vec![0; cores],
             outbox: VecDeque::new(),
@@ -152,9 +160,28 @@ impl Llc {
         &self.stats
     }
 
+    /// The set `line` maps to and the word it is stored as there
+    /// (clean).
     fn split(&self, line: u64) -> (usize, u64) {
-        let sets = self.sets.len() as u64;
-        ((line % sets) as usize, line / sets)
+        let (set, tag) = match self.set_shift {
+            Some(shift) => (line & (self.sets - 1), line >> shift),
+            None => (line % self.sets, line / self.sets),
+        };
+        (set as usize, (tag + 1) << 1)
+    }
+
+    /// The ways of set `set`, most recent first.
+    fn ways(&mut self, set: usize) -> &mut [u64] {
+        let assoc = self.cfg.associativity;
+        &mut self.lines[set * assoc..(set + 1) * assoc]
+    }
+
+    /// Whether set `set` holds the line stored as `word`, clean or dirty.
+    fn holds(&self, set: usize, word: u64) -> bool {
+        let assoc = self.cfg.associativity;
+        self.lines[set * assoc..(set + 1) * assoc]
+            .iter()
+            .any(|&w| w & !1 == word)
     }
 
     /// Performs a load/store access for `core` at CPU cycle `now`.
@@ -166,14 +193,12 @@ impl Llc {
         now: u64,
     ) -> AccessResult {
         let line = addr.line(self.cfg.line_bytes);
-        let (set_idx, tag) = self.split(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|l| l.tag == tag) {
-            let mut entry = set.remove(pos).expect("position is valid");
-            if kind == AccessKind::Store {
-                entry.dirty = true;
-            }
-            set.push_front(entry);
+        let (set, word) = self.split(line);
+        let ways = self.ways(set);
+        if let Some(pos) = ways.iter().position(|&w| w & !1 == word) {
+            let hit = ways[pos] | u64::from(kind == AccessKind::Store);
+            ways.copy_within(0..pos, 1);
+            ways[0] = hit;
             self.stats.hits[core] += 1;
             return AccessResult::Hit {
                 ready_at: now + self.cfg.hit_latency,
@@ -234,26 +259,20 @@ impl Llc {
         let entry = self.mshrs[slot].clone();
         self.mshrs[slot].valid = false;
         self.per_core_mshr[entry.core] -= 1;
-        let (set_idx, tag) = self.split(entry.line);
-        let assoc = self.cfg.associativity;
-        let line_bytes = self.cfg.line_bytes;
-        let sets_len = self.sets.len() as u64;
-        let set = &mut self.sets[set_idx];
-        set.push_front(LineState {
-            tag,
-            dirty: entry.store,
-        });
-        if set.len() > assoc {
-            let victim = set.pop_back().expect("set overflow implies an entry");
-            if victim.dirty {
-                let victim_line = victim.tag * sets_len + set_idx as u64;
-                self.outbox.push_back(OutboundRequest {
-                    id: u64::MAX,
-                    line_addr: victim_line * line_bytes,
-                    write: true,
-                });
-                self.stats.writebacks += 1;
-            }
+        let (set, word) = self.split(entry.line);
+        let ways = self.ways(set);
+        let victim = ways[ways.len() - 1];
+        ways.copy_within(0..ways.len() - 1, 1);
+        ways[0] = word | u64::from(entry.store);
+        // An empty last way (0) is no victim; a clean one leaves silently.
+        if victim & 1 == 1 {
+            let victim_line = ((victim >> 1) - 1) * self.sets + set as u64;
+            self.outbox.push_back(OutboundRequest {
+                id: u64::MAX,
+                line_addr: victim_line * self.cfg.line_bytes,
+                write: true,
+            });
+            self.stats.writebacks += 1;
         }
         entry.line * self.cfg.line_bytes
     }
@@ -268,8 +287,8 @@ impl Llc {
             return false;
         }
         let line = addr.line(self.cfg.line_bytes);
-        let (set_idx, tag) = self.split(line);
-        if self.sets[set_idx].iter().any(|l| l.tag == tag) {
+        let (set, word) = self.split(line);
+        if self.holds(set, word) {
             return false; // would hit
         }
         // Blocked unless the miss can merge into an in-flight MSHR.

@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 pub use crate::cache::OutboundRequest;
 use crate::cache::{CacheConfig, Llc};
-use crate::core::Core;
+use crate::core::{Core, Lane};
 use crate::trace::TraceSource;
 
 /// Cluster-wide configuration (Table 2 processor parameters).
@@ -40,6 +40,25 @@ impl ClusterConfig {
     }
 }
 
+/// How a compute stretch ([`CpuCluster::stream`]) ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stretch {
+    /// No tick ran: the next one is not pure, or the cluster is already
+    /// stalled on memory or draining bubbles. The caller ticks instead.
+    Declined,
+    /// Stopped before a tick the stretch cannot cover, which the caller
+    /// must tick next. The cluster is not stalled:
+    /// [`CpuCluster::stalled_until`] is `None`.
+    Blocked,
+    /// Stopped after a tick that left every core stalled on memory or
+    /// draining bubbles: [`CpuCluster::stalled_until`] is `Some` of
+    /// this cycle.
+    Settled(u64),
+    /// Stopped after a tick whose memory cycles produced a completion,
+    /// which the caller delivers.
+    Completed,
+}
+
 /// Cores sharing one LLC, clocked in the CPU domain.
 #[derive(Debug)]
 pub struct CpuCluster {
@@ -48,6 +67,9 @@ pub struct CpuCluster {
     cycle: u64,
     hit_wakeups: BinaryHeap<Reverse<(u64, u64)>>,
     scratch: Vec<(u64, u64)>,
+    /// The cores as counters during a compute stretch (kept to reuse
+    /// the allocation).
+    lanes: Vec<Lane>,
 }
 
 impl CpuCluster {
@@ -65,6 +87,7 @@ impl CpuCluster {
             cycle: 0,
             hit_wakeups: BinaryHeap::new(),
             scratch: Vec::new(),
+            lanes: Vec::with_capacity(n),
         }
     }
 
@@ -148,41 +171,41 @@ impl CpuCluster {
         }
     }
 
-    /// If the whole cluster is provably replayable — every core either
-    /// stalled on memory or in a closed-form bubble drain (see
-    /// [`Core::draining_bubbles`]), and no outbound requests awaiting
+    /// The earliest scheduled LLC-hit wakeup (`u64::MAX` if none): the
+    /// first cycle whose tick delivers one.
+    fn next_wakeup(&self) -> u64 {
+        self.hit_wakeups
+            .peek()
+            .map_or(u64::MAX, |&Reverse((at, _))| at)
+    }
+
+    /// If the cluster can advance without ticking on its own — every
+    /// core stalled on memory or draining bubbles behind a blocked head
+    /// (see [`CpuCluster::skip_to`]), and no outbound request awaiting
     /// injection — returns the next CPU cycle at which its state can
     /// change on its own: the earliest scheduled LLC-hit wakeup, or
     /// `u64::MAX` when only an external memory completion can unblock
-    /// it. Ticks on cycles strictly before that either are pure no-ops
-    /// or only insert ready bubbles — both reproduced exactly by
-    /// [`CpuCluster::skip_to`] — so a driver may skip to any cycle up
-    /// to the returned one. Returns `None` while any core can make
-    /// observable progress (retire, or LLC traffic).
+    /// it. A caller may jump to any cycle up to the returned one with
+    /// [`CpuCluster::skip_to`]. Returns `None` while any core can make
+    /// observable progress (retire, or LLC traffic); such a cluster
+    /// advances without ticking only through [`CpuCluster::stream`].
     pub fn stalled_until(&self) -> Option<u64> {
         if self.llc.outbox_len() > 0 {
             return None;
         }
-        if self
-            .cores
-            .iter()
-            .any(|c| !c.stalled_on_memory(&self.llc) && !c.draining_bubbles())
-        {
+        if !self.cores.iter().all(|c| c.settled(&self.llc)) {
             return None;
         }
-        Some(
-            self.hit_wakeups
-                .peek()
-                .map_or(u64::MAX, |&Reverse((at, _))| at),
-        )
+        Some(self.next_wakeup())
     }
 
-    /// Advances the cluster clock to `cycle` without simulating the
-    /// intervening cycles, replaying any in-progress bubble drains in
-    /// closed form so the landing state is bit-identical to ticking.
-    /// Sound only when [`CpuCluster::stalled_until`] returned `Some(t)`
-    /// with `t >= cycle` and no memory completion was delivered in
-    /// between.
+    /// Advances the cluster clock to `cycle` without ticking, the first
+    /// of the two ways the cluster advances on counters (the other is
+    /// [`CpuCluster::stream`]): a stalled core stays put, and a core
+    /// draining bubbles dispatches them until its window is full, so
+    /// the landing state is bit-identical to ticking. Sound only when
+    /// [`CpuCluster::stalled_until`] returned `Some(t)` with
+    /// `t >= cycle` and no memory completion was delivered in between.
     ///
     /// # Panics
     ///
@@ -191,10 +214,114 @@ impl CpuCluster {
         debug_assert!(cycle >= self.cycle, "cluster clock cannot go backwards");
         let elapsed = cycle - self.cycle;
         for c in &mut self.cores {
-            // No-op for cores that are genuinely stalled (guards inside).
-            c.fast_forward_bubbles(elapsed);
+            c.drain(elapsed);
         }
         self.cycle = cycle;
+    }
+
+    /// Runs a compute stretch: the second way the cluster advances
+    /// without ticking. While every core's next tick is pure — it only
+    /// retires ready entries and dispatches bubbles, touching neither
+    /// the LLC nor the trace — the cores advance as counters, and each
+    /// window is written once when the stretch ends.
+    ///
+    /// `memory(target)` advances the memory side through the CPU ticks
+    /// up to cycle `target`, exactly as it follows ticks of
+    /// [`CpuCluster::tick`], but stops after the first tick whose memory
+    /// cycles produce a completion and returns `Some` of the cycle that
+    /// tick ends at; `None` means it reached `target` without one. The
+    /// caller delivers completions after the stretch returns.
+    ///
+    /// The stretch stops *before* any tick that would touch the LLC or
+    /// the trace, deliver a hit wakeup, run at or past cycle `until`, or
+    /// leave core `i`'s retired count at `retire_caps[i]` or beyond (a
+    /// caller passes the counts at which it must look, such as a
+    /// warm-up or a budget; a core already there blocks the stretch).
+    /// It stops *after* any tick whose memory cycles produced a
+    /// completion, or that leaves the cluster stalled on memory or
+    /// draining bubbles ([`CpuCluster::stalled_until`]), so a caller's
+    /// jump path sees exactly the cycles it sees when ticking. The
+    /// returned [`Stretch`] says which way it stopped;
+    /// [`Stretch::Declined`] leaves the cluster untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `retire_caps` does not hold one cap per core.
+    pub fn stream(
+        &mut self,
+        retire_caps: &[u64],
+        until: u64,
+        mut memory: impl FnMut(u64) -> Option<u64>,
+    ) -> Stretch {
+        assert_eq!(retire_caps.len(), self.cores.len(), "one cap per core");
+        let wake = self.next_wakeup();
+        let limit = until.min(wake);
+        if self.cycle >= limit || self.llc.outbox_len() > 0 {
+            return Stretch::Declined;
+        }
+        self.lanes.clear();
+        for c in &self.cores {
+            let lane = c.lane(&self.llc);
+            if !lane.pure_next() {
+                return Stretch::Declined;
+            }
+            self.lanes.push(lane);
+        }
+        if self.lanes.iter().all(Lane::settled) {
+            return Stretch::Declined;
+        }
+        let start = self.cycle;
+        let mut end = Stretch::Blocked;
+        while self.cycle < limit {
+            // The ticks every lane can take in one shape at once, within
+            // its cap; 0 when some lane needs a single checked tick.
+            let mut run = limit - self.cycle;
+            for (lane, &cap) in self.lanes.iter().zip(retire_caps) {
+                let (ticks, per_tick) = lane.run();
+                let below_cap = match per_tick {
+                    0 => u64::MAX,
+                    r => cap.saturating_sub(lane.retired + 1) / r,
+                };
+                run = run.min(ticks).min(below_cap);
+            }
+            let single = run == 0;
+            if single {
+                let clear = self.lanes.iter().zip(retire_caps).all(|(lane, &cap)| {
+                    lane.pure_next() && lane.retired + lane.next_retire() < cap
+                });
+                if !clear {
+                    break;
+                }
+                run = 1;
+            }
+            let completed = memory(self.cycle + run);
+            let reached = completed.unwrap_or(self.cycle + run);
+            debug_assert!(reached > self.cycle && reached <= self.cycle + run);
+            let ticks = reached - self.cycle;
+            for lane in &mut self.lanes {
+                if single {
+                    lane.step();
+                } else {
+                    lane.advance(ticks);
+                }
+            }
+            self.cycle = reached;
+            if completed.is_some() {
+                end = Stretch::Completed;
+                break;
+            }
+            if self.lanes.iter().all(Lane::settled) {
+                end = Stretch::Settled(wake);
+                break;
+            }
+        }
+        if self.cycle == start {
+            return Stretch::Declined;
+        }
+        for (c, lane) in self.cores.iter_mut().zip(&self.lanes) {
+            c.land(lane);
+        }
+        end
     }
 }
 
@@ -387,6 +514,25 @@ mod tests {
         // 2 loads + 100 bubbles.
         assert_eq!(ticked.retired(0), 102);
         assert_eq!(skipped.retired(0), 102);
+    }
+
+    #[test]
+    fn bubbles_that_exactly_fill_the_window_drain() {
+        // The tiny window holds 8. After the first tick the head load
+        // waits on memory, 3 of the next item's 7 bubbles are in, and the
+        // 4 left exactly fill the 4 free entries: a drain, so the cluster
+        // can jump, and the jump fills the window as ticking does.
+        let items = vec![
+            TraceItem::load(0, PhysAddr(0x40)),
+            TraceItem::load(7, PhysAddr(0x1000)),
+        ];
+        let mut cl = CpuCluster::new(ClusterConfig::tiny(), vec![boxed(items)]);
+        cl.tick();
+        cl.drain_mem_requests(|_| true);
+        assert_eq!(cl.stalled_until(), Some(u64::MAX));
+        cl.skip_to(cl.cycle() + 5);
+        assert_eq!(cl.stalled_until(), Some(u64::MAX));
+        assert_eq!(cl.retired(0), 0);
     }
 
     #[test]

@@ -81,73 +81,84 @@ impl Core {
         self.window.set_ready(line_addr);
     }
 
-    /// Whether this core's next [`Core::tick`] would be a pure no-op
-    /// because it is waiting on memory: nothing at the window head can
-    /// retire, and the dispatch stage is blocked (window full, or the
-    /// pending load/store would stall on MSHR exhaustion). Only a window
-    /// wakeup — an LLC fill or a scheduled hit — can change that, which
-    /// is what makes whole-cluster skip-ahead sound.
-    pub fn stalled_on_memory(&self, llc: &Llc) -> bool {
+    /// This core reduced to the counters a *pure* tick changes — one
+    /// that neither touches the LLC nor pulls from the trace (see
+    /// [`Lane`]). `llc` answers, once, whether the access dispatch would
+    /// meet next is refused for want of an MSHR; that cannot change
+    /// while ticks stay pure, since only an access or a fill moves the
+    /// LLC.
+    pub(crate) fn lane(&self, llc: &Llc) -> Lane {
+        self.lane_with(|addr| llc.would_stall(self.id, addr))
+    }
+
+    /// [`Core::lane`] with `refused` answering whether the LLC refuses
+    /// an access to an address.
+    fn lane_with(&self, refused: impl Fn(PhysAddr) -> bool) -> Lane {
+        let (bubbles, gate) = match self.current {
+            None => (0, Gate::Pull),
+            Some((item, phase)) => match phase {
+                Phase::Bubbles(n) => (n, Gate::Load(refused(item.read))),
+                Phase::Load => (0, Gate::Load(refused(item.read))),
+                Phase::Store => {
+                    let addr = item.write.expect("store phase implies a write");
+                    (0, Gate::Store(refused(addr)))
+                }
+            },
+        };
+        Lane {
+            ready: self.window.ready_prefix(),
+            occupancy: self.window.occupancy(),
+            bubbles,
+            gate,
+            trace_done: self.trace_done,
+            retired: self.retired,
+            inserted: 0,
+            retired_here: 0,
+            depth: self.window.depth(),
+            width: self.dispatch_width,
+        }
+    }
+
+    /// Whether this core is stalled on memory or draining bubbles
+    /// ([`Lane::settled`]). The LLC is asked only when the answer turns
+    /// on it: not while the window head can retire, nor while bubbles
+    /// are left.
+    pub(crate) fn settled(&self, llc: &Llc) -> bool {
         if self.window.head_ready() {
             return false;
         }
-        let Some((item, phase)) = self.current else {
-            // With no current item the next tick pulls from the trace (or
-            // flags it done) — progress either way, unless the trace is
-            // already exhausted.
-            return self.trace_done;
-        };
-        match phase {
-            Phase::Bubbles(_) => self.window.is_full(),
-            Phase::Load => self.window.is_full() || llc.would_stall(self.id, item.read),
-            Phase::Store => {
-                let addr = item.write.expect("store phase implies a write");
-                llc.would_stall(self.id, addr)
-            }
+        match self.current {
+            Some((_, Phase::Bubbles(_))) => self.lane_with(|_| false).settled(),
+            _ => self.lane(llc).settled(),
         }
     }
 
-    /// Whether this core is in a *bubble drain*: the window head is
-    /// blocked on memory, the window still has free slots, and the
-    /// current item carries at least enough bubbles to fill them. Every
-    /// tick in this state only inserts ready bubbles (retire makes no
-    /// progress, and the window fills before the item's load is
-    /// reached), so the whole stretch can be replayed in closed form by
-    /// [`Core::fast_forward_bubbles`].
-    pub fn draining_bubbles(&self) -> bool {
-        if self.window.head_ready() || self.window.is_empty() || self.window.is_full() {
-            return false;
+    /// Runs `ticks` ticks of a core that is stalled on memory or
+    /// draining bubbles ([`Lane::drain`]); only a drain, mid-bubbles
+    /// with room in the window, changes anything, and it never reaches
+    /// the LLC.
+    pub(crate) fn drain(&mut self, ticks: u64) {
+        if matches!(self.current, Some((_, Phase::Bubbles(_)))) && !self.window.is_full() {
+            let mut lane = self.lane_with(|_| false);
+            lane.drain(ticks);
+            self.land(&lane);
         }
-        matches!(self.current, Some((_, Phase::Bubbles(n))) if n as usize >= self.window.free_slots())
     }
 
-    /// Replays `cycles` ticks of a bubble drain in closed form: inserts
-    /// `min(free_slots, cycles × width)` ready bubbles and advances the
-    /// bubble count, exactly as that many [`Core::tick`] calls would
-    /// (retire stays at zero — the head is blocked — and the LLC is
-    /// never touched, since the window fills before the load phase can
-    /// issue). A no-op unless [`Core::draining_bubbles`] holds, so it is
-    /// safe to call on every core across a cluster skip.
-    pub fn fast_forward_bubbles(&mut self, cycles: u64) {
-        if cycles == 0 || !self.draining_bubbles() {
-            return;
-        }
-        let Some((item, Phase::Bubbles(n))) = self.current else {
-            return;
-        };
-        let free = self.window.free_slots() as u64;
-        let inserts = free.min(cycles.saturating_mul(self.dispatch_width as u64)) as usize;
-        for _ in 0..inserts {
-            self.window.insert(true, 0);
-        }
-        self.current = Some((
-            item,
-            if n as usize > inserts {
-                Phase::Bubbles(n - inserts as u32)
+    /// Writes back a lane taken by [`Core::lane`] and advanced by pure
+    /// ticks: the window once, then the retired count and the bubbles
+    /// left — the state the same ticks through [`Core::tick`] leave.
+    pub(crate) fn land(&mut self, lane: &Lane) {
+        self.window.advance(lane.retired_here, lane.inserted);
+        self.retired = lane.retired;
+        if let Some((item, Phase::Bubbles(_))) = self.current {
+            let phase = if lane.bubbles > 0 {
+                Phase::Bubbles(lane.bubbles)
             } else {
                 Phase::Load
-            },
-        ));
+            };
+            self.current = Some((item, phase));
+        }
     }
 
     /// Executes one CPU cycle: retire, then dispatch up to the width.
@@ -225,6 +236,186 @@ impl Core {
                 }
             }
         }
+    }
+}
+
+/// What dispatch meets once the current item's bubbles are out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Gate {
+    /// The item's load; `true` when the LLC refuses it (no free MSHR),
+    /// which changes nothing.
+    Load(bool),
+    /// The item's store, likewise.
+    Store(bool),
+    /// No current item: dispatch pulls from the trace.
+    Pull,
+}
+
+/// A core as counters: the ready prefix of its window, its occupancy,
+/// the bubbles left in its current item and its retired count.
+///
+/// A *pure* tick — one that touches neither the LLC nor the trace —
+/// only retires ready entries from the window's oldest end and
+/// dispatches ready bubbles, and that moves nothing else. So the
+/// cluster advances lanes instead of cores through compute stretches
+/// (every core pure) and memory-stall jumps (every core stalled or
+/// draining bubbles), and writes each window once when the lanes land
+/// ([`Core::land`]). Entries waiting on memory stay waiting: no wakeup
+/// is delivered while ticks are pure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Lane {
+    /// Ready entries at the window's oldest end, before the first one
+    /// waiting on memory (all of them when none waits). Bubbles join
+    /// the prefix only while it spans the whole window.
+    ready: usize,
+    occupancy: usize,
+    bubbles: u32,
+    gate: Gate,
+    trace_done: bool,
+    /// Instructions retired, in total.
+    pub(crate) retired: u64,
+    /// Bubbles dispatched and entries retired since the lane was taken.
+    inserted: u64,
+    retired_here: u64,
+    depth: usize,
+    width: usize,
+}
+
+impl Lane {
+    /// Entries the next tick retires.
+    pub(crate) fn next_retire(&self) -> u64 {
+        self.ready.min(self.width) as u64
+    }
+
+    /// Whether the next tick is pure: it dispatches no access the LLC
+    /// accepts and pulls nothing from the trace.
+    pub(crate) fn pure_next(&self) -> bool {
+        let room = self.depth - self.occupancy + self.ready.min(self.width);
+        if self.bubbles > 0 {
+            let k = (self.bubbles as usize).min(self.width).min(room);
+            // Still inside the bubbles, or the load that follows them
+            // finds no dispatch slot, no window entry, or no MSHR.
+            return k < self.bubbles as usize
+                || k == self.width
+                || k == room
+                || self.gate == Gate::Load(true);
+        }
+        match self.gate {
+            Gate::Load(refused) => refused || room == 0,
+            Gate::Store(refused) => refused,
+            Gate::Pull => false,
+        }
+    }
+
+    /// Runs one pure tick: retire, then dispatch bubbles.
+    pub(crate) fn step(&mut self) {
+        let r = self.ready.min(self.width);
+        self.ready -= r;
+        self.occupancy -= r;
+        self.retired += r as u64;
+        self.retired_here += r as u64;
+        let k = (self.bubbles as usize)
+            .min(self.width)
+            .min(self.depth - self.occupancy);
+        if self.ready == self.occupancy {
+            self.ready += k;
+        }
+        self.occupancy += k;
+        self.bubbles -= k as u32;
+        self.inserted += k as u64;
+    }
+
+    /// Whether the core is stalled on memory — its tick is a no-op —
+    /// or drains bubbles behind a blocked head into a window they are
+    /// enough to fill ([`CpuCluster::stalled_until`]'s per-core test).
+    /// Once true it stays true through pure ticks.
+    ///
+    /// [`CpuCluster::stalled_until`]: crate::cluster::CpuCluster::stalled_until
+    pub(crate) fn settled(&self) -> bool {
+        if self.ready > 0 {
+            return false;
+        }
+        if self.bubbles > 0 {
+            return self.occupancy > 0 && self.bubbles as usize >= self.depth - self.occupancy;
+        }
+        match self.gate {
+            Gate::Load(refused) => refused || self.occupancy == self.depth,
+            Gate::Store(refused) => refused,
+            Gate::Pull => self.trace_done,
+        }
+    }
+
+    /// The ticks from here that repeat one shape, so [`Lane::advance`]
+    /// can take any number of them at once: `(ticks, retired per tick)`.
+    /// Each such tick dispatches a full width of bubbles, and retires
+    /// either a full width from a ready prefix at least that long or
+    /// nothing behind a blocked head. A lane pure ticks leave unchanged
+    /// (nothing to retire, nothing to dispatch) gives `(u64::MAX, 0)`;
+    /// a next tick of another shape, or an impure one, gives 0 ticks.
+    pub(crate) fn run(&self) -> (u64, u64) {
+        if !self.pure_next() {
+            return (0, 0);
+        }
+        if self.ready == 0 && (self.bubbles == 0 || self.occupancy == self.depth) {
+            return (u64::MAX, 0);
+        }
+        let width = self.width as u64;
+        let bubbles = u64::from(self.bubbles);
+        if self.ready >= self.width {
+            // Bubbles join an all-ready window's prefix, which then
+            // never shrinks; behind a blocked entry the prefix runs out.
+            let limit = if self.ready == self.occupancy {
+                bubbles
+            } else {
+                bubbles.min(self.ready as u64)
+            };
+            (limit / width, width)
+        } else if self.ready == 0 && self.occupancy > 0 {
+            // Behind a blocked head: bubbles fill the window, none retire.
+            let room = (self.depth - self.occupancy) as u64;
+            (bubbles.min(room) / width, 0)
+        } else {
+            (0, 0)
+        }
+    }
+
+    /// Takes `ticks` pure ticks of the shape [`Lane::run`] reports, which
+    /// must cover them, in closed form.
+    pub(crate) fn advance(&mut self, ticks: u64) {
+        let (cover, per_tick) = self.run();
+        debug_assert!(ticks <= cover);
+        if cover == u64::MAX {
+            return;
+        }
+        let retire = (ticks * per_tick) as usize;
+        let dispatch = ticks * self.width as u64;
+        let all_ready = self.ready == self.occupancy;
+        self.occupancy = self.occupancy + dispatch as usize - retire;
+        if all_ready {
+            self.ready = self.occupancy;
+        } else {
+            self.ready -= retire;
+        }
+        self.retired += retire as u64;
+        self.retired_here += retire as u64;
+        self.inserted += dispatch;
+        self.bubbles -= dispatch as u32;
+    }
+
+    /// Runs `ticks` ticks of a lane that is stalled on memory or
+    /// draining bubbles ([`Lane::settled`]) in closed form: a stalled
+    /// lane stays put, and a draining one retires nothing and dispatches
+    /// bubbles until its window is full.
+    pub(crate) fn drain(&mut self, ticks: u64) {
+        debug_assert!(self.settled());
+        if self.bubbles == 0 {
+            return;
+        }
+        let free = (self.depth - self.occupancy) as u64;
+        let k = free.min(ticks.saturating_mul(self.width as u64));
+        self.occupancy += k as usize;
+        self.bubbles -= k as u32;
+        self.inserted += k;
     }
 }
 
@@ -316,6 +507,59 @@ mod tests {
         core.tick(&mut llc, 1, &mut wake);
         assert_eq!(core.retired(), 1);
         assert!(core.is_done());
+    }
+
+    /// Every small lane state: a closed-form run of any length the
+    /// shape covers equals that many single pure steps, and a lane pure
+    /// ticks leave unchanged stays put.
+    #[test]
+    fn lane_runs_equal_single_steps() {
+        let gates = [Gate::Load(false), Gate::Load(true), Gate::Store(true)];
+        let mut runs = 0;
+        for depth in 1..=10 {
+            for width in 1..=5 {
+                for occupancy in 0..=depth {
+                    for ready in 0..=occupancy {
+                        for bubbles in 0..=24 {
+                            for gate in gates {
+                                // Bubbles always precede a load.
+                                if bubbles > 0 && matches!(gate, Gate::Store(_)) {
+                                    continue;
+                                }
+                                let lane = Lane {
+                                    ready,
+                                    occupancy,
+                                    bubbles,
+                                    gate,
+                                    trace_done: false,
+                                    retired: 0,
+                                    inserted: 0,
+                                    retired_here: 0,
+                                    depth,
+                                    width,
+                                };
+                                let (cover, _) = lane.run();
+                                for ticks in 1..=cover.min(12) {
+                                    let mut stepped = lane;
+                                    for _ in 0..ticks {
+                                        assert!(stepped.pure_next(), "{lane:?}");
+                                        stepped.step();
+                                    }
+                                    let mut ran = lane;
+                                    ran.advance(ticks);
+                                    assert_eq!(ran, stepped, "{ticks} ticks from {lane:?}");
+                                    if cover == u64::MAX {
+                                        assert_eq!(ran, lane, "{lane:?} is not frozen");
+                                    }
+                                    runs += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(runs > 10_000, "{runs}");
     }
 
     #[test]

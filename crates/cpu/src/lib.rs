@@ -22,6 +22,6 @@ pub mod trace;
 pub mod window;
 
 pub use cache::{AccessKind, AccessResult, CacheConfig, CacheStats, Llc};
-pub use cluster::{ClusterConfig, CpuCluster, OutboundRequest};
+pub use cluster::{ClusterConfig, CpuCluster, OutboundRequest, Stretch};
 pub use trace::{LoopingTrace, TraceItem, TraceSource, VecTrace};
 pub use window::Window;

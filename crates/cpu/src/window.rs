@@ -60,10 +60,26 @@ impl Window {
         self.load
     }
 
-    /// Unoccupied entries — how many dispatches fit before the window
-    /// is full.
-    pub fn free_slots(&self) -> usize {
-        self.depth - self.load
+    /// Total entries.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Ready entries at the oldest end, before the first entry still
+    /// waiting on memory (the whole occupancy when none waits): what
+    /// [`Window::retire`] can retire without a wakeup.
+    pub fn ready_prefix(&self) -> usize {
+        self.waiting
+            .iter()
+            .map(|&s| {
+                if s >= self.tail {
+                    s - self.tail
+                } else {
+                    s + self.depth - self.tail
+                }
+            })
+            .min()
+            .unwrap_or(self.load)
     }
 
     /// Whether the oldest entry could retire this cycle — i.e. whether
@@ -103,6 +119,51 @@ impl Window {
             n += 1;
         }
         n
+    }
+
+    /// Applies, in one write, what a run of cycles did that only
+    /// retired ready entries (`retired` in total) and dispatched ready
+    /// instructions (`inserted`), interleaved in any order that kept
+    /// the occupancy within the depth. The newest `min(inserted,
+    /// occupancy)` entries are the dispatched ones; entries waiting on
+    /// memory keep their slots. Slots left unoccupied keep stale
+    /// contents, which nothing reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if the run would retire more entries than
+    /// it had.
+    pub fn advance(&mut self, retired: u64, inserted: u64) {
+        debug_assert!(self.load as u64 + inserted >= retired);
+        self.load = (self.load as u64 + inserted - retired) as usize;
+        self.tail = self.slot_after(self.tail, retired);
+        self.head = self.slot_after(self.head, inserted);
+        // The dispatched entries end at the head, wrapping at most once.
+        let fresh = inserted.min(self.load as u64) as usize;
+        let (wrapped, straight) = (fresh.saturating_sub(self.head), fresh.min(self.head));
+        for range in [
+            self.head - straight..self.head,
+            self.depth - wrapped..self.depth,
+        ] {
+            self.ready[range.clone()].fill(true);
+            self.addr[range].fill(NO_ADDR);
+        }
+    }
+
+    /// The ring slot `steps` after `slot`; a division only for a lap or
+    /// more.
+    fn slot_after(&self, slot: usize, steps: u64) -> usize {
+        let steps = if steps < self.depth as u64 {
+            steps as usize
+        } else {
+            (steps % self.depth as u64) as usize
+        };
+        let s = slot + steps;
+        if s >= self.depth {
+            s - self.depth
+        } else {
+            s
+        }
     }
 
     /// The ring slot after `slot`, wrapped by a comparison rather than a
@@ -215,7 +276,7 @@ mod tests {
     fn wraparound_at_depth_one() {
         let mut w = Window::new(1, 4);
         for round in 0..5 {
-            assert_eq!(w.free_slots(), 1);
+            assert_eq!(w.occupancy(), 0);
             w.insert(false, 0x40 + round);
             assert!(w.is_full() && !w.head_ready());
             w.set_ready(0x40 + round);

@@ -146,6 +146,10 @@ pub struct MemoryController {
     /// [`MemoryController::enable_tracing`]). Purely observational:
     /// recording never changes a simulated outcome.
     trace: Option<Box<TraceSink>>,
+    /// Flows emitted so far: the next tail-request flow's id. Request
+    /// ids name LLC MSHR slots and repeat, so flows carry this
+    /// per-controller sequence number instead (unique per channel pid).
+    flows_emitted: u64,
     /// Skip-ahead profiling: dead-window jump lengths, which event
     /// source bounded each jump, and ticked-vs-skipped cycle totals.
     /// Lives outside [`MemStats`] because jump shapes legitimately
@@ -289,6 +293,7 @@ impl MemoryController {
             next_event_cache: None,
             queue_ready_hint: u64::MAX,
             trace: None,
+            flows_emitted: 0,
             skip_profile: SkipProfile::default(),
             next_event_source: EventSource::Completion,
             blame_enabled: false,
@@ -1491,7 +1496,8 @@ impl MemoryController {
     /// The sampling predicate is deterministic — latency at least 4×
     /// the unloaded CAS+burst service time — so traced and untraced
     /// runs (and any two traced runs) see identical simulations and
-    /// identical spans.
+    /// identical spans. Flows are numbered in emission order, so each
+    /// id on a channel names exactly one begin/end pair.
     fn emit_request_flow(
         &mut self,
         entry: &QueueEntry,
@@ -1519,11 +1525,12 @@ impl MemoryController {
         sink.flow(
             TraceCategory::Requests,
             "slow_read",
-            entry.request.id,
+            self.flows_emitted,
             done - latency,
             latency,
             args,
         );
+        self.flows_emitted += 1;
     }
 
     /// Emits an instant migration-lifecycle trace event (couple points,
@@ -1695,11 +1702,39 @@ impl MemoryController {
     /// cycle, only the clock and the busy/idle accounting advance —
     /// exactly what the full tick would have done. Falls back to the
     /// full tick otherwise. Bit-identical to `tick` either way.
+    #[inline]
     pub fn tick_fast(&mut self, completions: &mut Vec<Completion>) {
         match self.next_event_cache {
             Some(r) if r > self.cycle => self.skip_dead_cycles(self.cycle + 1),
             _ => self.tick(completions),
         }
+    }
+
+    /// The cycle through which [`MemoryController::tick_fast`] would
+    /// only pass dead cycles on the memoized next-event bound: `self.cycle`
+    /// when its next call ticks.
+    #[inline]
+    pub fn fast_dead_until(&self) -> u64 {
+        match self.next_event_cache {
+            Some(r) if r > self.cycle => r,
+            _ => self.cycle,
+        }
+    }
+
+    /// Exactly `to - cycle` calls of [`MemoryController::tick_fast`] on
+    /// dead cycles, made at once: each is still recorded as a one-cycle
+    /// jump, so the skip profile is the same too. `to` must not pass
+    /// [`MemoryController::fast_dead_until`].
+    #[inline]
+    pub fn tick_fast_dead(&mut self, to: u64) {
+        debug_assert!(to <= self.fast_dead_until());
+        let n = to - self.cycle;
+        if n == 0 {
+            return;
+        }
+        self.skip_profile
+            .record_unit_jumps(n, self.next_event_source);
+        self.account_dead_cycles(to);
     }
 
     /// A lower bound on the next cycle a read completion can pop: the
@@ -1744,8 +1779,16 @@ impl MemoryController {
     /// window dead via [`MemoryController::next_event_cycle`].
     fn skip_dead_cycles(&mut self, to: u64) {
         debug_assert!(to > self.cycle);
+        self.skip_profile
+            .record_jump(to - self.cycle, self.next_event_source);
+        self.account_dead_cycles(to);
+    }
+
+    /// The statistics every tick over the dead cycles `[self.cycle, to)`
+    /// would have kept: the clock, busy/idle time and relocation-stall
+    /// cycles.
+    fn account_dead_cycles(&mut self, to: u64) {
         let n = to - self.cycle;
-        self.skip_profile.record_jump(n, self.next_event_source);
         if !self.open_banks.is_empty() {
             self.stats.rank_active_cycles += n;
         } else {

@@ -551,9 +551,33 @@ impl MemorySystem {
     /// [`MemorySystem::tick`] with each channel shortcutting its provably
     /// dead cycles (see [`MemoryController::tick_fast`]). Bit-identical
     /// to `tick`.
+    #[inline]
     pub fn tick_fast(&mut self, completions: &mut Vec<Completion>) {
         for ch in &mut self.channels {
             ch.tick_fast(completions);
+        }
+    }
+
+    /// The cycle through which [`MemorySystem::tick_fast`] would only
+    /// pass dead cycles on every channel (`cycle()` when its next call
+    /// ticks some channel).
+    #[inline]
+    pub fn fast_dead_until(&self) -> u64 {
+        self.channels
+            .iter()
+            .map(MemoryController::fast_dead_until)
+            .min()
+            .expect("at least one channel")
+    }
+
+    /// Exactly `to - cycle()` calls of [`MemorySystem::tick_fast`] over
+    /// dead cycles, made at once and recorded as one-cycle jumps, as
+    /// those calls record them. `to` must not pass
+    /// [`MemorySystem::fast_dead_until`].
+    #[inline]
+    pub fn tick_fast_dead(&mut self, to: u64) {
+        for ch in &mut self.channels {
+            ch.tick_fast_dead(to);
         }
     }
 

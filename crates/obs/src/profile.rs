@@ -94,6 +94,16 @@ impl SkipProfile {
         self.skipped_cycles += len;
     }
 
+    /// Records `n` dead-window jumps of one cycle each, all bounded by
+    /// `src` — exactly what `n` single-cycle [`SkipProfile::record_jump`]
+    /// calls record.
+    #[inline]
+    pub fn record_unit_jumps(&mut self, n: u64, src: EventSource) {
+        self.jumps.record_n(1, n);
+        self.triggers[src.index()] += n;
+        self.skipped_cycles += n;
+    }
+
     /// Records one ordinary tick.
     #[inline]
     pub fn record_tick(&mut self) {

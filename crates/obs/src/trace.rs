@@ -184,8 +184,9 @@ pub struct TraceEvent {
     pub pid: u32,
     /// Whether this is a counter sample (`ph: "C"`).
     pub counter: bool,
-    /// Async flow-span id (`ph: "b"/"e"` pair on export) — the request
-    /// id for tail-request spans. `None` for every other event shape.
+    /// Async flow-span id (`ph: "b"/"e"` pair on export) — for
+    /// tail-request spans, the emitting controller's flow sequence
+    /// number, unique per `pid`. `None` for every other event shape.
     pub flow_id: Option<u64>,
     /// Key/value payload (the Chrome `args` object; for a counter
     /// event, the sampled series values).
@@ -230,7 +231,7 @@ impl TraceSink {
         ts: u64,
         args: Vec<(&'static str, u64)>,
     ) {
-        self.span(cat, name, ts, 0, args);
+        self.push(cat, name, ts, 0, None, args);
     }
 
     /// Records a complete span `[ts, ts + dur)` (no-op if the category
@@ -243,23 +244,7 @@ impl TraceSink {
         dur: u64,
         args: Vec<(&'static str, u64)>,
     ) {
-        if !self.categories.contains(cat) {
-            return;
-        }
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TraceEvent {
-            ts,
-            dur,
-            category: cat,
-            name,
-            pid: self.pid,
-            counter: false,
-            flow_id: None,
-            args,
-        });
+        self.push(cat, name, ts, dur, None, args);
     }
 
     /// Records an async flow span `[ts, ts + dur)` with identity `id`
@@ -276,6 +261,22 @@ impl TraceSink {
         dur: u64,
         args: Vec<(&'static str, u64)>,
     ) {
+        self.push(cat, name, ts, dur, Some(id), args);
+    }
+
+    /// The one recording path behind [`TraceSink::instant`],
+    /// [`TraceSink::span`] and [`TraceSink::flow`]: drops filtered
+    /// categories, evicts the oldest event once the ring is full, and
+    /// appends.
+    fn push(
+        &mut self,
+        cat: TraceCategory,
+        name: &'static str,
+        ts: u64,
+        dur: u64,
+        flow_id: Option<u64>,
+        args: Vec<(&'static str, u64)>,
+    ) {
         if !self.categories.contains(cat) {
             return;
         }
@@ -290,7 +291,7 @@ impl TraceSink {
             name,
             pid: self.pid,
             counter: false,
-            flow_id: Some(id),
+            flow_id,
             args,
         });
     }

@@ -9,27 +9,43 @@
 //! # Skip-ahead
 //!
 //! The reference loop advances both clock domains cycle by cycle. With
-//! [`RunConfig::skip_ahead`] enabled (the default), the loop jumps over
-//! windows in which *both* sides are provably inert: the cluster reports
-//! via [`CpuCluster::stalled_until`] that every core is blocked on memory
-//! with nothing to inject, and the memory system's
-//! [`MemorySystem::next_event_cycle`] — the minimum over channels of
-//! each controller's exact bound — bounds the first cycle at which any
-//! DRAM event (command issue, refresh, completion, stall expiry, row
-//! close) can fire on *any* channel. The jump is capped so that the
-//! first DRAM event, the first scheduled CPU wakeup, and the observer's
-//! next exact-cycle boundary are all reached by ordinary stepping —
-//! which is why a skip-ahead run is bit-identical to a per-cycle run
-//! (identical IPC, statistics, and command streams; enforced by the
-//! workspace differential test, including on multi-channel
-//! configurations).
+//! [`RunConfig::skip_ahead`] enabled (the default), the CPU cluster
+//! advances without ticking in two ways, and every simulated number
+//! stays bit-identical to the per-cycle loop (identical IPC, statistics,
+//! and command streams; enforced by the workspace differential tests,
+//! including on multi-channel configurations):
+//!
+//! - **Memory-stall jumps.** When [`CpuCluster::stalled_until`] reports
+//!   every core stalled on memory or draining bubbles behind a blocked
+//!   head, with nothing to inject, both clocks jump. The memory system's
+//!   [`MemorySystem::next_completion_bound`] bounds the first cycle a
+//!   read can complete on *any* channel, and the jump is capped so that
+//!   the first completion, the first scheduled CPU wakeup, and the
+//!   observer's next exact-cycle boundary are all reached by ordinary
+//!   stepping; [`MemorySystem::tick_until`] replays the command-only
+//!   DRAM events inside the window.
+//! - **Compute stretches.** While every core's next tick would only
+//!   retire ready window entries and dispatch bubbles — no LLC access,
+//!   no trace pull — [`CpuCluster::stream`] advances the cores as
+//!   counters. The memory side makes exactly the calls ticking makes:
+//!   one `tick_fast` per DRAM cycle, dead cycles passed in one call
+//!   that still records each as a one-cycle jump, and the observer and
+//!   sampler after each step. A stretch stops before any tick that
+//!   would touch the LLC or the trace, deliver a hit wakeup, or lift a
+//!   core to a *retire cap* — its warm-up or budget count, which the
+//!   loop must see at the exact cycle it is reached — and after any
+//!   tick that delivers a completion or leaves the cluster stalled or
+//!   draining, so the jump path then takes over on exactly the cycles it
+//!   would after ticking. The skip profile is therefore unchanged too.
 //!
 //! [`CpuCluster::stalled_until`]: clr_cpu::cluster::CpuCluster::stalled_until
-//! [`MemorySystem::next_event_cycle`]: clr_memsim::system::MemorySystem::next_event_cycle
+//! [`CpuCluster::stream`]: clr_cpu::cluster::CpuCluster::stream
+//! [`MemorySystem::next_completion_bound`]: clr_memsim::system::MemorySystem::next_completion_bound
+//! [`MemorySystem::tick_until`]: clr_memsim::system::MemorySystem::tick_until
 
 use clr_core::addr::PhysAddr;
 use clr_core::mapping::{PagePlacement, PageProfile};
-use clr_cpu::cluster::{ClusterConfig, CpuCluster};
+use clr_cpu::cluster::{ClusterConfig, CpuCluster, Stretch};
 use clr_cpu::trace::TraceSource;
 use clr_memsim::config::MemConfig;
 use clr_memsim::request::{Completion, MemRequest, RequestKind};
@@ -254,15 +270,17 @@ pub(crate) trait RunObserver {
     fn on_run_start(&mut self, _mem: &mut MemorySystem) {}
 
     /// Called with the memory system immediately after it ticked (or, on
-    /// the skip-ahead path, after a dead-window jump). Channels advance
-    /// in lockstep, so any exact-cycle boundary work the observer does
-    /// here fires at the same cycle on every channel.
+    /// the skip-ahead path, after a jump over several cycles). Channels
+    /// advance in lockstep, so any exact-cycle boundary work the
+    /// observer does here fires at the same cycle on every channel.
     fn after_dram_tick(&mut self, mem: &mut MemorySystem);
 
     /// The next DRAM cycle this observer must see at an *exact* cycle
     /// boundary (e.g. a policy epoch). Skip-ahead never jumps the
     /// controller past it, so boundary work fires at the same cycle as in
-    /// a per-cycle run. `None` means any landing cycle is fine.
+    /// a per-cycle run; [`RunObserver::after_dram_tick`] must do nothing
+    /// at any earlier cycle, which is what lets a jump call it once at
+    /// its landing. `None` means any landing cycle is fine.
     fn next_boundary(&self) -> Option<u64> {
         None
     }
@@ -329,6 +347,33 @@ impl MetricsSampler {
         }
         self.recorder.commit(now, samples);
     }
+}
+
+/// The hooks every step of the memory side ends with, whether it ticked
+/// one DRAM cycle or jumped several: the observer, then the metrics
+/// sampler, so a policy epoch sharing a window boundary updates budgets
+/// and modes before the window closes.
+fn after_dram_step(
+    mem: &mut MemorySystem,
+    observer: &mut dyn RunObserver,
+    sampler: &mut Option<MetricsSampler>,
+) {
+    observer.after_dram_tick(mem);
+    if let Some(s) = sampler.as_mut() {
+        if s.recorder.due(mem.cycle()) {
+            s.sample(mem.cycle(), mem, observer.channel_budgets());
+        }
+    }
+}
+
+/// The next DRAM cycle the memory side must reach by an ordinary step:
+/// the observer's boundary or the sampler's next window close.
+fn exact_boundary(observer: &dyn RunObserver, sampler: &Option<MetricsSampler>) -> u64 {
+    observer.next_boundary().unwrap_or(u64::MAX).min(
+        sampler
+            .as_ref()
+            .map_or(u64::MAX, |s| s.recorder.next_boundary()),
+    )
 }
 
 /// The default observer: does nothing.
@@ -415,44 +460,104 @@ pub(crate) fn run_workloads_observed(
     // the per-core scan can be skipped in between.
     let mut stall_cache: Option<u64> = None;
 
+    // Retired counts the loop must see exactly: each core's warm-up or
+    // budget, until it is reached.
+    let mut retire_caps: Vec<u64> = vec![u64::MAX; n];
+    // How the last compute stretch ended (`Declined` after a tick).
+    let mut stretch = Stretch::Declined;
+
     loop {
-        cluster.tick();
-        let now_dram = mem_sys.cycle();
-        cluster.drain_mem_requests(|req| {
-            let kind = if req.write {
-                RequestKind::Write
-            } else {
-                RequestKind::Read
-            };
-            mem_sys
-                .try_enqueue(MemRequest::new(
-                    req.id,
-                    PhysAddr(req.line_addr),
-                    kind,
-                    now_dram,
-                ))
-                .is_ok()
-        });
-        let due = cluster.cycle() * DRAM_PER_CPU_NUM / DRAM_PER_CPU_DEN;
-        while dram_done < due {
-            if cfg.skip_ahead {
-                mem_sys.tick_fast(&mut completions);
-            } else {
-                mem_sys.tick(&mut completions);
+        // A compute stretch: while every core only retires ready entries
+        // and dispatches bubbles, the cluster advances on counters and
+        // the memory side makes exactly the calls ticking would. A
+        // stretch that stopped before a tick it cannot cover leaves that
+        // tick to the ordinary path.
+        let try_stretch = cfg.skip_ahead
+            && stretch != Stretch::Blocked
+            && !matches!(stall_cache, Some(w) if cluster.cycle() < w);
+        stretch = Stretch::Declined;
+        if try_stretch {
+            for (i, cap) in retire_caps.iter_mut().enumerate() {
+                *cap = if !warmed {
+                    if cluster.retired(i) < cfg.warmup_insts {
+                        cfg.warmup_insts
+                    } else {
+                        u64::MAX
+                    }
+                } else if finish_cycle[i].is_none() {
+                    warm_retired[i] + cfg.budget_insts
+                } else {
+                    u64::MAX
+                };
             }
-            dram_done += 1;
+            stretch = cluster.stream(&retire_caps, cycle_cap, |target| {
+                let mut end = target * DRAM_PER_CPU_NUM / DRAM_PER_CPU_DEN;
+                let mut completed = None;
+                let mut boundary = exact_boundary(observer, &sampler);
+                while dram_done < end {
+                    // Dead cycles pass in one call, up to the first cycle
+                    // an observer or the sampler must see.
+                    let dead = mem_sys.fast_dead_until().min(end).min(boundary);
+                    if dead > dram_done {
+                        mem_sys.tick_fast_dead(dead);
+                        dram_done = dead;
+                    } else {
+                        mem_sys.tick_fast(&mut completions);
+                        dram_done += 1;
+                        if completed.is_none() && !completions.is_empty() {
+                            // The tick this DRAM cycle belongs to ends at
+                            // the first CPU cycle whose due count
+                            // covers it; its remaining cycles still run.
+                            let tick_end =
+                                (dram_done * DRAM_PER_CPU_DEN).div_ceil(DRAM_PER_CPU_NUM);
+                            completed = Some(tick_end);
+                            end = tick_end * DRAM_PER_CPU_NUM / DRAM_PER_CPU_DEN;
+                        }
+                    }
+                    after_dram_step(&mut mem_sys, observer, &mut sampler);
+                    if dram_done >= boundary {
+                        boundary = exact_boundary(observer, &sampler);
+                    }
+                }
+                completed
+            });
+        }
+        if stretch != Stretch::Declined {
             for c in completions.drain(..) {
                 cluster.complete_read(c.id);
                 stall_cache = None;
             }
-            observer.after_dram_tick(&mut mem_sys);
-            // Sample after the observer so a policy epoch sharing the
-            // boundary cycle updates budgets/modes first — the same
-            // ordering the skip-ahead landing uses.
-            if let Some(s) = sampler.as_mut() {
-                if s.recorder.due(mem_sys.cycle()) {
-                    s.sample(mem_sys.cycle(), &mem_sys, observer.channel_budgets());
+        } else {
+            cluster.tick();
+            let now_dram = mem_sys.cycle();
+            cluster.drain_mem_requests(|req| {
+                let kind = if req.write {
+                    RequestKind::Write
+                } else {
+                    RequestKind::Read
+                };
+                mem_sys
+                    .try_enqueue(MemRequest::new(
+                        req.id,
+                        PhysAddr(req.line_addr),
+                        kind,
+                        now_dram,
+                    ))
+                    .is_ok()
+            });
+            let due = cluster.cycle() * DRAM_PER_CPU_NUM / DRAM_PER_CPU_DEN;
+            while dram_done < due {
+                if cfg.skip_ahead {
+                    mem_sys.tick_fast(&mut completions);
+                } else {
+                    mem_sys.tick(&mut completions);
                 }
+                dram_done += 1;
+                for c in completions.drain(..) {
+                    cluster.complete_read(c.id);
+                    stall_cache = None;
+                }
+                after_dram_step(&mut mem_sys, observer, &mut sampler);
             }
         }
         if !warmed {
@@ -496,20 +601,18 @@ pub(crate) fn run_workloads_observed(
         // the next scheduled CPU wakeup, or the observer's boundary —
         // and let ordinary per-cycle stepping take over there.
         if cfg.skip_ahead && completions.is_empty() {
-            let stalled = match stall_cache {
-                Some(w) if cluster.cycle() < w => Some(w),
-                _ => {
-                    let s = cluster.stalled_until();
-                    stall_cache = s;
-                    s
-                }
+            // A stretch that stopped without a completion knows the
+            // verdict already.
+            let stalled = match (stretch, stall_cache) {
+                (Stretch::Blocked, _) => None,
+                (Stretch::Settled(wake), _) => Some(wake),
+                (_, Some(w)) if cluster.cycle() < w => Some(w),
+                _ => cluster.stalled_until(),
             };
+            debug_assert_eq!(stalled, cluster.stalled_until());
+            stall_cache = stalled;
             if let Some(wake) = stalled {
-                let boundary = observer.next_boundary().unwrap_or(u64::MAX).min(
-                    sampler
-                        .as_ref()
-                        .map_or(u64::MAX, |s| s.recorder.next_boundary()),
-                );
+                let boundary = exact_boundary(observer, &sampler);
                 // Completions are the only DRAM→CPU signal, so the jump is
                 // capped by the first possible delivery (and the observer
                 // boundary) — command-only DRAM events inside the window
@@ -536,12 +639,7 @@ pub(crate) fn run_workloads_observed(
                         mem_sys.tick_until(due, &mut completions);
                         dram_done = due;
                         debug_assert!(completions.is_empty());
-                        observer.after_dram_tick(&mut mem_sys);
-                        if let Some(s) = sampler.as_mut() {
-                            if s.recorder.due(mem_sys.cycle()) {
-                                s.sample(mem_sys.cycle(), &mem_sys, observer.channel_budgets());
-                            }
-                        }
+                        after_dram_step(&mut mem_sys, observer, &mut sampler);
                     }
                 }
             }

@@ -65,6 +65,16 @@ fn chrome_trace_json_is_valid_and_complete() {
     assert!(flows > 0, "the contention scenario must sample tail reads");
     assert!(log.events.iter().any(|e| e.counter), "no counter tracks");
     assert_eq!(events.len(), log.events.len() + flows);
+    // Flow ids are a per-channel emission sequence: each (pid, id) is
+    // one buffered flow, exported as exactly one begin and one later end.
+    let mut ids = std::collections::BTreeSet::new();
+    for e in log.events.iter().filter(|e| e.flow_id.is_some()) {
+        let key = (e.pid, e.flow_id);
+        assert!(ids.insert(key), "flow {key:?} emitted twice");
+        assert!(e.dur > 0, "flow {key:?} ends where it begins");
+    }
+    let mut begins = 0;
+    let mut ends = 0;
     for e in events {
         let Json::Object(fields) = e else {
             panic!("event must be an object");
@@ -75,6 +85,8 @@ fn chrome_trace_json_is_valid_and_complete() {
         let Some(Json::String(ph)) = lookup(fields, "ph") else {
             panic!("ph must be a string");
         };
+        begins += usize::from(*ph == "b");
+        ends += usize::from(*ph == "e");
         // Spans carry a duration, instants a scope, flow events an id.
         let needs = match *ph {
             "X" => "dur",
@@ -93,6 +105,7 @@ fn chrome_trace_json_is_valid_and_complete() {
             assert!(series, "counter with no series values");
         }
     }
+    assert_eq!((begins, ends), (flows, flows));
 }
 
 #[test]
