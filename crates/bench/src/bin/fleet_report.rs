@@ -18,9 +18,9 @@
 //! * `CLR_FLEET_CHECK=1` — re-run the fleet on a 1-lane pool and
 //!   assert the JSON is byte-identical (the CI determinism gate).
 //!
-//! Host wall-clock goes to stdout only — the JSON is a pure function
-//! of `(roster, seed, scale)`, so the determinism check is a string
-//! comparison.
+//! Host wall-clock and the process's peak RSS (the last line) go to
+//! stdout only — the JSON is a pure function of `(roster, seed,
+//! scale)`, so the determinism check is a string comparison.
 
 use clr_bench::threads_from_env;
 use clr_fleet::{run_fleet, FleetSpec};
@@ -106,4 +106,7 @@ fn main() {
 
     std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
     println!("\n  wrote BENCH_fleet.json ({} bytes)", json.len());
+    if let Some(mib) = clr_bench::peak_rss_mib() {
+        println!("  host peak RSS: {mib:.1} MiB");
+    }
 }

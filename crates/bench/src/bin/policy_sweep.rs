@@ -5,7 +5,8 @@
 //!
 //! The final stdout block is machine-readable JSON
 //! (`clr-dram/policy-sweep/v7`) so successive PRs can track the
-//! performance trajectory of the policies.
+//! performance trajectory of the policies. The process's peak RSS goes
+//! to stderr, after the checks pass, leaving that block last on stdout.
 //!
 //! Set `CLR_SWEEP=contention` to run only the contention sweep (the CI
 //! smoke cell exercising the channel-sharded path), or
@@ -64,6 +65,14 @@ fn print_placement(report: &policies::PolicySweepReport) {
 }
 
 fn main() {
+    sweep();
+    if let Some(mib) = clr_bench::peak_rss_mib() {
+        eprintln!("policy_sweep: host peak RSS: {mib:.1} MiB");
+    }
+}
+
+/// Runs the sweep `CLR_SWEEP` selects, prints it and checks it.
+fn sweep() {
     let scale = clr_bench::startup("policy sweep (dynamic capacity-latency trade-off, §6)");
     // Skip-ahead is bit-identical to per-cycle stepping; the escape hatch
     // forces the reference walk for A/B timing and for bisecting a

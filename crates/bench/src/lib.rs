@@ -103,6 +103,21 @@ pub fn threads_from_env() -> usize {
         .unwrap_or(1)
 }
 
+/// The process's peak resident set size in MiB: `VmHWM` from
+/// `/proc/self/status`. `None` where `/proc` is absent or the line is
+/// missing.
+pub fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    parse_vm_hwm(&status)
+}
+
+/// The `VmHWM:` line of a `/proc/<pid>/status` text, in MiB.
+fn parse_vm_hwm(status: &str) -> Option<f64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib as f64 / 1024.0)
+}
+
 /// Prints a paper-vs-measured comparison line.
 pub fn compare(label: &str, measured: f64, paper: f64) {
     println!(
@@ -127,6 +142,17 @@ mod tests {
         for bad in ["Smoke", "", " smoke", "fast"] {
             let err = parse_scale(Some(bad)).expect_err(bad);
             assert!(err.contains("smoke, default or full"), "{err}");
+        }
+    }
+
+    #[test]
+    fn peak_rss_reads_vm_hwm() {
+        let status =
+            "Name:\tfleet_report\nVmPeak:\t  20480 kB\nVmHWM:\t    6144 kB\nVmRSS:\t 5120 kB\n";
+        assert_eq!(parse_vm_hwm(status), Some(6.0));
+        assert_eq!(parse_vm_hwm("VmRSS:\t5120 kB\n"), None);
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(peak_rss_mib().is_some_and(|mib| mib > 0.0));
         }
     }
 }

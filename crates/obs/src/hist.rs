@@ -13,6 +13,17 @@
 //! *exact* inverses (the properties the memory system's per-channel
 //! fusion and warmup-window subtraction rely on, enforced by this
 //! crate's property tests and by `MemStats`' exhaustive drift guard).
+//!
+//! A histogram stores counts only up to the highest bucket it has
+//! touched: one whose samples stay at or below 1,000 cycles holds at
+//! most 191 of the [`BUCKETS`] counts, so the many histograms a statistics
+//! block carries (three latency classes, twenty blame causes) cost what
+//! their samples span rather than 15 KiB each. Its `Debug` text lists
+//! all [`BUCKETS`] counts regardless, so the text of a statistics block —
+//! and any digest taken over it — depends on what was recorded, not on
+//! how far the storage has grown.
+
+use std::fmt;
 
 /// Linear sub-buckets per power-of-two range (and the width of the exact
 /// low range). Must be a power of two.
@@ -59,13 +70,22 @@ fn bucket_upper_bound(index: usize) -> u64 {
 
 /// An HDR-style log2-bucketed histogram of `u64` latencies.
 ///
-/// Storage is allocated lazily on the first record, so a zeroed
-/// histogram (e.g. inside a freshly built statistics block) costs three
-/// words. Equality is *semantic*: an empty histogram equals one whose
-/// buckets are allocated but all zero.
-#[derive(Debug, Clone, Default)]
+/// Counts are ragged: `counts[i]` is bucket `i` up to the highest bucket
+/// ever touched, and every bucket past the end reads as zero. Recording
+/// or merging into a higher bucket grows the storage to exactly that
+/// bucket; nothing shrinks it ([`LatencyHistogram::clear`] zeroes in
+/// place). A fresh histogram (e.g. inside a newly built statistics block)
+/// costs three words. Every operation reads a missing tail as zeros, and
+/// equality is *semantic*: histograms with the same count, sum and
+/// buckets are equal however far each one's storage reaches.
+///
+/// `Debug` prints the dense layout: `counts: []` until something is
+/// recorded or merged in, then all [`BUCKETS`] counts, the tail padded
+/// with zeros.
+#[derive(Clone, Default)]
 pub struct LatencyHistogram {
-    /// Bucket counts, either empty (nothing recorded) or `BUCKETS` long.
+    /// Bucket counts up to the highest bucket touched; empty until the
+    /// first record or merge of a non-empty histogram.
     counts: Vec<u64>,
     /// Total samples recorded.
     count: u64,
@@ -90,16 +110,35 @@ impl LatencyHistogram {
         if n == 0 {
             return;
         }
-        if self.counts.is_empty() {
-            self.counts = vec![0; BUCKETS];
-        }
-        self.counts[bucket_index(v)] += n;
+        let i = bucket_index(v);
+        self.grow_to(i + 1);
+        self.counts[i] += n;
         self.count += n;
         self.sum += v * n;
     }
 
-    /// Empties the histogram in place, keeping the bucket allocation so
-    /// a reused accumulator (e.g. a fused per-channel scratch) records
+    /// Extends the storage with zeros to `len` buckets (no-op when it
+    /// already reaches that far), allocating exactly what is asked.
+    fn grow_to(&mut self, len: usize) {
+        if len > self.counts.len() {
+            self.counts.reserve_exact(len - self.counts.len());
+            self.counts.resize(len, 0);
+        }
+    }
+
+    /// The stored counts without their zero tail: the buckets up to the
+    /// highest non-empty one.
+    fn occupied(&self) -> &[u64] {
+        let len = self
+            .counts
+            .iter()
+            .rposition(|&c| c > 0)
+            .map_or(0, |i| i + 1);
+        &self.counts[..len]
+    }
+
+    /// Empties the histogram in place, keeping the bucket storage so a
+    /// reused accumulator (e.g. a fused per-channel scratch) records
     /// again without reallocating.
     pub fn clear(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
@@ -182,10 +221,9 @@ impl LatencyHistogram {
         if other.count == 0 {
             return;
         }
-        if self.counts.is_empty() {
-            self.counts = vec![0; BUCKETS];
-        }
-        for (s, &o) in self.counts.iter_mut().zip(other.counts.iter()) {
+        let theirs = other.occupied();
+        self.grow_to(theirs.len());
+        for (s, &o) in self.counts.iter_mut().zip(theirs) {
             *s += o;
         }
         self.count += other.count;
@@ -206,8 +244,13 @@ impl LatencyHistogram {
             return self.clone();
         }
         debug_assert!(self.count >= earlier.count, "delta_since underflow");
+        let theirs = earlier.occupied();
+        debug_assert!(
+            theirs.len() <= self.counts.len(),
+            "delta_since bucket underflow"
+        );
         let mut counts = self.counts.clone();
-        for (s, &e) in counts.iter_mut().zip(earlier.counts.iter()) {
+        for (s, &e) in counts.iter_mut().zip(theirs) {
             debug_assert!(*s >= e, "delta_since bucket underflow");
             *s -= e;
         }
@@ -233,19 +276,36 @@ impl LatencyHistogram {
 }
 
 impl PartialEq for LatencyHistogram {
-    /// Semantic equality: an unallocated histogram equals an allocated
-    /// all-zero one, so zeroed statistics blocks compare equal however
-    /// they were produced (fresh, merged-empty, or delta-to-self).
+    /// Semantic equality: a missing tail equals zeros, so statistics
+    /// blocks compare equal however they were produced (fresh,
+    /// merged-empty, delta-to-self, or cleared after a high sample).
     fn eq(&self, other: &Self) -> bool {
-        if self.count != other.count || self.sum != other.sum {
-            return false;
+        self.count == other.count && self.sum == other.sum && self.occupied() == other.occupied()
+    }
+}
+
+impl fmt::Debug for LatencyHistogram {
+    /// The dense layout (see [`LatencyHistogram`]): the stored counts
+    /// padded with zeros to all [`BUCKETS`], or `[]` while none are
+    /// stored.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Dense<'a>(&'a [u64]);
+        impl fmt::Debug for Dense<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let pad = if self.0.is_empty() {
+                    0
+                } else {
+                    BUCKETS - self.0.len()
+                };
+                let zeros = std::iter::repeat_n(&0u64, pad);
+                f.debug_list().entries(self.0.iter().chain(zeros)).finish()
+            }
         }
-        match (self.counts.is_empty(), other.counts.is_empty()) {
-            (true, true) => true,
-            (true, false) => other.counts.iter().all(|&c| c == 0),
-            (false, true) => self.counts.iter().all(|&c| c == 0),
-            (false, false) => self.counts == other.counts,
-        }
+        f.debug_struct("LatencyHistogram")
+            .field("counts", &Dense(&self.counts))
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .finish()
     }
 }
 
@@ -327,5 +387,30 @@ mod tests {
         assert_eq!(fused.count(), a.count() + b.count());
         assert_eq!(fused.delta_since(&a), b);
         assert_eq!(fused.delta_since(&b), a);
+    }
+
+    #[test]
+    fn storage_stops_at_the_highest_touched_bucket() {
+        let bound = bucket_index(1_000) + 1;
+        assert_eq!(bound, 191);
+        let mut h = LatencyHistogram::new();
+        let mut fused = LatencyHistogram::new();
+        for v in (0..=1_000u64).rev().step_by(7).chain([1_000, 0, 999]) {
+            h.record(v);
+            fused.merge(&h);
+            assert!(h.counts.len() <= bound && h.counts.capacity() <= bound);
+            assert!(fused.counts.len() <= bound && fused.counts.capacity() <= bound);
+        }
+        let delta = fused.delta_since(&h);
+        assert!(delta.counts.len() <= bound && delta.counts.capacity() <= bound);
+        // Nothing recorded stores nothing; a zero-count merge stores
+        // nothing; clearing keeps the storage.
+        let mut empty = LatencyHistogram::new();
+        empty.record_n(5_000, 0);
+        empty.merge(&LatencyHistogram::new());
+        assert!(empty.counts.is_empty());
+        h.clear();
+        assert_eq!(h.counts.len(), bound);
+        assert_eq!(h, LatencyHistogram::new());
     }
 }

@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use crate::json::Json;
+use crate::json::{self, Json};
 
 /// `pid` used for system-level events (placement pumps, remap installs,
 /// policy-epoch decisions) in the exported trace, distinguishing them
@@ -359,29 +359,32 @@ impl TraceLog {
 
     /// Serializes to Chrome trace-event JSON (the object form, with a
     /// `traceEvents` array) — open the output in Perfetto or
-    /// `chrome://tracing`. Timestamps are DRAM cycles.
+    /// `chrome://tracing`. Timestamps are DRAM cycles. The event array
+    /// streams through [`json::write_object_streaming`]: each event is
+    /// built, printed and dropped in turn, so the export costs the text
+    /// and not a value tree of every event.
     pub fn to_chrome_json(&self) -> String {
-        let mut events = Vec::with_capacity(self.events.len());
-        for e in &self.events {
-            match e.flow_id {
+        let events = self.events.iter().flat_map(|e| {
+            let ph = match e.flow_id {
                 // An async flow span serializes as its begin/end pair;
                 // the payload rides the begin event.
-                Some(_) => {
-                    events.push(chrome_event(e, "b", e.ts, &e.args));
-                    events.push(chrome_event(e, "e", e.ts + e.dur, &[]));
-                }
-                None if e.counter => events.push(chrome_event(e, "C", e.ts, &e.args)),
-                None if e.dur == 0 => events.push(chrome_event(e, "i", e.ts, &e.args)),
-                None => events.push(chrome_event(e, "X", e.ts, &e.args)),
-            }
-        }
+                Some(_) => "b",
+                None if e.counter => "C",
+                None if e.dur == 0 => "i",
+                None => "X",
+            };
+            let end = (ph == "b").then(|| chrome_event(e, "e", e.ts + e.dur, &[]));
+            std::iter::once(chrome_event(e, ph, e.ts, &e.args)).chain(end)
+        });
         let dropped = Json::Str(self.dropped.to_string());
-        Json::Obj(vec![
-            ("traceEvents", Json::Arr(events)),
+        let rest = vec![
             ("displayTimeUnit", "ns".into()),
             ("otherData", Json::Obj(vec![("dropped", dropped)])),
-        ])
-        .to_string()
+        ];
+        let mut out = String::new();
+        json::write_object_streaming(&mut out, "traceEvents", events, rest)
+            .expect("writing to a String cannot fail");
+        out
     }
 }
 
@@ -477,6 +480,38 @@ mod tests {
         assert!(json.ends_with("\"otherData\": {\"dropped\": \"0\"}\n}"));
         // Sinks are drained by collection.
         assert!(a.is_empty() && b.is_empty());
+    }
+
+    #[test]
+    fn chrome_json_text_is_pinned() {
+        let empty = TraceLog::default();
+        assert_eq!(
+            empty.to_chrome_json(),
+            r#"{"traceEvents": [], "displayTimeUnit": "ns", "otherData": {"dropped": "0"}}"#
+        );
+        let mut a = TraceSink::new(&cfg(16), 0);
+        let mut b = TraceSink::new(&cfg(1), 1);
+        a.flow(
+            TraceCategory::Requests,
+            "slow_read",
+            3,
+            100,
+            40,
+            vec![("service", 15)],
+        );
+        b.instant(TraceCategory::Commands, "pre", 2, vec![]);
+        b.instant(TraceCategory::Commands, "act", 5, vec![("bank", 2)]);
+        let log = TraceLog::collect([&mut a, &mut b]);
+        let expected = r#"{
+  "traceEvents": [
+    {"name": "act", "cat": "commands", "ph": "i", "s": "t", "ts": 5, "pid": 1, "tid": 0, "args": {"bank": 2}},
+    {"name": "slow_read", "cat": "requests", "ph": "b", "id": 3, "ts": 100, "pid": 0, "tid": 0, "args": {"service": 15}},
+    {"name": "slow_read", "cat": "requests", "ph": "e", "id": 3, "ts": 140, "pid": 0, "tid": 0, "args": {}}
+  ],
+  "displayTimeUnit": "ns",
+  "otherData": {"dropped": "1"}
+}"#;
+        assert_eq!(log.to_chrome_json(), expected);
     }
 
     #[test]
