@@ -58,7 +58,7 @@ fn main() {
     println!("\nablation: timeout row policy (baseline DDR4)");
     for timeout in [30.0f64, 60.0, 120.0, 240.0, 480.0] {
         let mut cfg = mem_config(None, 64.0);
-        cfg.scheduler.row_policy = clr_memsim::config::RowPolicy::Timeout { ns: timeout };
+        cfg.scheduler.row_timeout_ns = timeout;
         let ipc = ipc_of(cfg, budget);
         println!(
             "  {timeout:>4} ns: IPC {:+.2}% vs 120 ns default",

@@ -92,75 +92,39 @@ impl ClrModeConfig {
     }
 }
 
-/// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RowPolicy {
-    /// Keep rows open until a conflict forces a precharge (classic
-    /// open-page).
-    Open,
-    /// Close a row as soon as no queued request targets it.
-    Closed,
-    /// Close a row after it has been idle for the given time with no
-    /// queued request to it — the paper's policy at 120 ns (Table 2
-    /// footnote).
-    Timeout {
-        /// Idle time before the close, in nanoseconds.
-        ns: f64,
-    },
-}
-
-impl RowPolicy {
-    /// The paper's timeout policy (120 ns).
-    pub fn paper() -> Self {
-        RowPolicy::Timeout { ns: 120.0 }
-    }
-
-    /// Idle threshold in nanoseconds (`None` for open-page).
-    pub fn idle_threshold_ns(&self) -> Option<f64> {
-        match self {
-            RowPolicy::Open => None,
-            RowPolicy::Closed => Some(0.0),
-            RowPolicy::Timeout { ns } => Some(*ns),
-        }
-    }
-}
-
-/// Controller scheduling parameters (Table 2 plus Ramulator defaults).
+/// Controller scheduling parameters: the knobs a caller varies. The rest
+/// is fixed: Table 2's 64-entry read and write queues
+/// ([`SchedulerConfig::READ_QUEUE`], [`SchedulerConfig::WRITE_QUEUE`]),
+/// and the Ramulator-style write drain from
+/// [`SchedulerConfig::WRITE_HIGH_WATERMARK`] queued writes down to
+/// [`SchedulerConfig::WRITE_LOW_WATERMARK`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
-    /// Read queue capacity (entries).
-    pub read_queue: usize,
-    /// Write queue capacity (entries).
-    pub write_queue: usize,
     /// FR-FCFS-Cap: maximum younger row hits served over an older request
     /// to the same bank before the scheduler reverts to oldest-first.
     pub cap: u32,
-    /// Row-buffer management policy.
-    pub row_policy: RowPolicy,
-    /// Start draining writes when the write queue reaches this fill level.
-    pub write_high_watermark: usize,
-    /// Stop draining writes when the write queue falls to this level.
-    pub write_low_watermark: usize,
+    /// The timeout row policy: an open row no queued request targets is
+    /// closed once it has sat idle this long, in nanoseconds (the paper's
+    /// 120 ns, Table 2 footnote; 0 closes it as soon as the bank allows).
+    pub row_timeout_ns: f64,
 }
 
 impl SchedulerConfig {
-    /// Convenience accessor kept for existing call sites: the timeout in
-    /// nanoseconds, or 120 for non-timeout policies (used only for
-    /// display).
-    pub fn row_timeout_ns(&self) -> f64 {
-        self.row_policy.idle_threshold_ns().unwrap_or(120.0)
-    }
+    /// Read queue capacity (entries).
+    pub const READ_QUEUE: usize = 64;
+    /// Write queue capacity (entries).
+    pub const WRITE_QUEUE: usize = 64;
+    /// Writes start draining when this many are queued.
+    pub const WRITE_HIGH_WATERMARK: usize = 48;
+    /// A drain stops when the write queue falls to this many.
+    pub const WRITE_LOW_WATERMARK: usize = 16;
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            read_queue: 64,
-            write_queue: 64,
             cap: 4,
-            row_policy: RowPolicy::paper(),
-            write_high_watermark: 48,
-            write_low_watermark: 16,
+            row_timeout_ns: 120.0,
         }
     }
 }

@@ -10,19 +10,29 @@
 //! read is completing, and no background row close can fire. During a
 //! dead window the controller's externally visible state evolves in a
 //! closed form (only the cycle counter and the per-cycle busy/idle
-//! accounting move), so it can be jumped over:
+//! accounting move), so it can be jumped over.
 //!
-//! * [`MemoryController::next_event_cycle`] computes the earliest cycle
-//!   at which *anything* can happen — the minimum over (1) the next
-//!   in-flight read completion, (2) the next refresh due time (or, while
-//!   a refresh is pending, the cycle its next PRE/REF becomes issuable),
-//!   (3) the relocation-stall expiry, (4) the earliest cycle any queued
-//!   request's next service command satisfies the timing engine, (5) the
-//!   earliest timeout-policy row close, and (6) the earliest issuable
-//!   background-migration command (job starts, phase bursts,
-//!   rate-limiter windows — see [`crate::migrate`]). Everything it reads
-//!   is constant across a dead window, so the bound is exact, not
-//!   heuristic.
+//! Each command source states its issue rule once, in one function that
+//! answers: what would this source issue at `now`, or else from which
+//! cycle could it issue? The sources are a pending refresh
+//! (`refresh_next`: the PRE of an open bank, then the REF), the queue
+//! the drain policy selects (`queue_next`, one FR-FCFS-Cap pass), the
+//! timeout row policy (`timeout_close`) and background migration
+//! (`migration_next`: the eager pass and the idle-slot pass, with every
+//! gate; see [`crate::migrate`]). A tick issues what an answer names; a
+//! source that issues nothing hands back its cycle instead.
+//!
+//! * [`MemoryController::next_event_cycle`] is the earliest cycle at
+//!   which *anything* can happen: the minimum of those cycles, the next
+//!   in-flight read completion, the next refresh due time and the
+//!   relocation-stall expiry. Everything the answers read is constant
+//!   across a dead window, so the bound is exact, not heuristic.
+//! * The bound is memoized, and the memo never lies in the past. A tick
+//!   that issued a command (a row close included) clears it; every other
+//!   tick stores the bound its sources priced, so the walk never pays
+//!   for a bound twice. An enqueue merges its own candidate or clears the
+//!   memo, and mode applications and migration dispatches clear it. Only
+//!   a query on a cleared memo evaluates the sources from scratch.
 //! * [`MemoryController::tick_until`] advances to a target cycle by
 //!   alternating O(1) dead-window jumps with ordinary [`tick`]s at event
 //!   cycles.
@@ -40,9 +50,9 @@
 //! migration work and the banks a migration holds (where a job is
 //! queued, started or finished, inside [`crate::migrate`]), and each
 //! queue's banks with queued demand (in its [`LaneCache`]). The
-//! busy/idle accounting, the timeout close and its bound, refresh's
-//! PRE-out, the migration serve pass in its round-robin order and the
-//! migration bound walk these sets, and per-bank counts answer whether
+//! busy/idle accounting, the timeout close, refresh's PRE-out and the
+//! migration passes in their round-robin order walk these sets, and
+//! per-bank counts answer whether
 //! demand waits on a bank's open or migrating row. The FR-FCFS-Cap pass
 //! ([`scheduler::pick_cached`]) prices the banks with queued demand once
 //! and returns the decision together with the exact queue bound.
@@ -61,11 +71,11 @@ use clr_obs::{
 
 use crate::bankstate::{BankSet, BankState};
 use crate::command::{Command, IssuedCommand};
-use crate::config::{ClrModeConfig, MemConfig};
+use crate::config::{ClrModeConfig, MemConfig, SchedulerConfig};
 use crate::cycletimings::CycleTimings;
 use crate::engine::{Target, TimingEngine, Touched};
 use crate::frames::FrameDirectory;
-use crate::migrate::{MigrationEngine, MigrationStep, PlacementEvent};
+use crate::migrate::{MigrationEngine, MigrationStep, NextMigrationCommand, PlacementEvent};
 use crate::refresh::RefreshScheduler;
 use crate::request::{Completion, MemRequest, RequestKind};
 use crate::scheduler::{self, Decision, LaneCache, QueueEntry, RowWatch};
@@ -110,7 +120,8 @@ pub struct MemoryController {
     /// Queue service is suspended until this cycle while relocation
     /// (mode-migration data movement) occupies the channel.
     maintenance_until: u64,
-    timeout_cycles: Option<u64>,
+    /// The timeout row policy's idle time before a close, in cycles.
+    timeout_cycles: u64,
     addr_mask: u64,
     command_log: Option<Vec<IssuedCommand>>,
     /// Incrementally maintained per-bank scheduler lanes for the read
@@ -131,17 +142,11 @@ pub struct MemoryController {
     /// consecutive couplings spread their write-back load instead of
     /// piling onto one partner bank.
     dest_cursor: usize,
-    /// Memoized raw next-event bound (unclamped). Controller state only
-    /// changes at event ticks, on enqueue, and on mode application — the
-    /// only places that clear this — so dead ticks, dead-window jumps,
-    /// and repeated queries all reuse one evaluation. A dead tick
-    /// re-fills it almost for free from the scheduling pass it already
-    /// ran (see `queue_ready_hint`).
+    /// The memoized next-event bound, never before the current cycle. A
+    /// tick that issues clears it, every other tick stores the bound its
+    /// sources priced, and dead-window jumps and repeated queries reuse
+    /// it (see the module docs).
     next_event_cache: Option<u64>,
-    /// The queue's next-ready bound produced as a byproduct of this
-    /// tick's failed scheduling pass (`u64::MAX` otherwise). Only
-    /// meaningful within the tick that set it.
-    queue_ready_hint: u64,
     /// Structured event-trace sink (off by default; see
     /// [`MemoryController::enable_tracing`]). Purely observational:
     /// recording never changes a simulated outcome.
@@ -179,6 +184,18 @@ pub struct MemoryController {
     /// against the eager walk after each one.
     #[cfg(test)]
     blame_boundaries: u64,
+}
+
+/// The cycle from which each command source could next issue, as a tick
+/// that issued nothing priced it (`u64::MAX`: not before a state
+/// change). `None` marks a source the tick did not price; the next-event
+/// bound evaluates it itself, as on a from-scratch query.
+#[derive(Debug, Default, Clone, Copy)]
+struct SourceCycles {
+    refresh: Option<u64>,
+    queue: Option<u64>,
+    timeout: Option<u64>,
+    migration: Option<u64>,
 }
 
 impl MemoryController {
@@ -238,10 +255,8 @@ impl MemoryController {
         };
 
         let timeout_cycles = config
-            .scheduler
-            .row_policy
-            .idle_threshold_ns()
-            .map(|ns| config.interface.ns_to_cycles(ns));
+            .interface
+            .ns_to_cycles(config.scheduler.row_timeout_ns);
         let mut modes = ModeTable::new(g);
         // Initial layout: the paper's contiguous low-row prefix. A policy
         // runtime may rewrite this at any epoch via `apply_row_modes`.
@@ -264,8 +279,8 @@ impl MemoryController {
                     }
                 })
                 .collect(),
-            read_q: Vec::with_capacity(config.scheduler.read_queue),
-            write_q: Vec::with_capacity(config.scheduler.write_queue),
+            read_q: Vec::with_capacity(SchedulerConfig::READ_QUEUE),
+            write_q: Vec::with_capacity(SchedulerConfig::WRITE_QUEUE),
             refresh,
             pending_refresh: None,
             draining_writes: false,
@@ -291,7 +306,6 @@ impl MemoryController {
             frames: FrameDirectory::new(banks_total),
             dest_cursor: 0,
             next_event_cache: None,
-            queue_ready_hint: u64::MAX,
             trace: None,
             flows_emitted: 0,
             skip_profile: SkipProfile::default(),
@@ -366,11 +380,6 @@ impl MemoryController {
         self.blame_enabled = true;
     }
 
-    /// Whether wait-cause attribution is on.
-    pub fn blame_enabled(&self) -> bool {
-        self.blame_enabled
-    }
-
     /// The wait cause of a served-queue `entry` right now — the
     /// per-entry part of the taxonomy, priority top to bottom — with the
     /// keys that say when it can next change:
@@ -398,19 +407,7 @@ impl MemoryController {
         {
             return (WaitCause::MigrationBlock, 0, u64::MAX);
         }
-        // The entry's next command, exactly as `note_enqueue_event`
-        // derives it for the event bound.
-        let (cmd, target) = match banks[bank].open_row {
-            Some(open) if open == row => (scheduler::column_command(entry), entry.target),
-            Some(_) => (
-                Command::Pre,
-                Target {
-                    mode: banks[bank].open_mode,
-                    ..entry.target
-                },
-            ),
-            None => (Command::Act, entry.target),
-        };
+        let (cmd, target) = Self::demand_command(banks, entry);
         let bit = Touched::bit(cmd);
         let full = engine.earliest(cmd, target);
         if full <= now {
@@ -431,6 +428,35 @@ impl MemoryController {
             WaitCause::Bus
         };
         (cause, bit, full)
+    }
+
+    /// A demand entry's next service command and its target: the column
+    /// command on a row hit, the PRE of the open row (in the mode it was
+    /// opened in) on a conflict, the ACT on a closed bank.
+    fn demand_command(banks: &[BankState], entry: &QueueEntry) -> (Command, Target) {
+        let bank = &banks[entry.target.bank];
+        match bank.open_row {
+            Some(open) if open == entry.decoded.row => {
+                (scheduler::column_command(entry), entry.target)
+            }
+            Some(_) => (
+                Command::Pre,
+                Target {
+                    mode: bank.open_mode,
+                    ..entry.target
+                },
+            ),
+            None => (Command::Act, entry.target),
+        }
+    }
+
+    /// A state change outside a tick (a mode application or a migration
+    /// dispatch): the next-event bound is re-derived, and as a blame
+    /// boundary it re-derives every queued entry's cause.
+    fn note_state_change(&mut self) {
+        self.next_event_cache = None;
+        self.blame_stale = true;
+        self.reblame_queues();
     }
 
     /// The queue-wide causes `(reads, writes)` at this boundary: a
@@ -573,6 +599,29 @@ impl MemoryController {
         )
     }
 
+    /// Checks the next-event memo the way a test must: when set, it does
+    /// not lie in the past and equals a from-scratch evaluation at the
+    /// current cycle (which leaves the jump attribution untouched).
+    #[cfg(test)]
+    fn assert_memo_exact(&mut self, context: &str) {
+        let Some(memo) = self.next_event_cache else {
+            return;
+        };
+        assert!(
+            memo >= self.cycle,
+            "{context}: memo {memo} lies before cycle {}",
+            self.cycle
+        );
+        let source = self.next_event_source;
+        let fresh = self.compute_next_event(SourceCycles::default());
+        self.next_event_source = source;
+        assert_eq!(
+            memo, fresh,
+            "{context}: memo vs from scratch @ {}",
+            self.cycle
+        );
+    }
+
     fn log_command(
         &mut self,
         cycle: u64,
@@ -674,12 +723,10 @@ impl MemoryController {
             self.stats.mode_transitions += changed;
             self.maintenance_until = self.maintenance_until.max(self.cycle) + stall_cycles;
             self.retune_refresh();
-            self.next_event_cache = None;
             // The stall window opening is a blame boundary: queued
             // requests charge RelocationStall from here, not from the
             // next state-changing tick.
-            self.blame_stale = true;
-            self.reblame_queues();
+            self.note_state_change();
         }
         changed
     }
@@ -761,9 +808,7 @@ impl MemoryController {
             self.retune_refresh();
         }
         if flips > 0 || jobs > 0 {
-            self.next_event_cache = None;
-            self.blame_stale = true;
-            self.reblame_queues();
+            self.note_state_change();
         }
         jobs
     }
@@ -872,9 +917,7 @@ impl MemoryController {
         }
         let ok = self.migration.dispatch_evacuate_out(bank, row, self.cycle);
         if ok {
-            self.next_event_cache = None;
-            self.blame_stale = true;
-            self.reblame_queues();
+            self.note_state_change();
         }
         ok
     }
@@ -892,9 +935,7 @@ impl MemoryController {
             if self.frames.take_exact(bank, row) {
                 self.stats.frames_reused += 1;
             }
-            self.next_event_cache = None;
-            self.blame_stale = true;
-            self.reblame_queues();
+            self.note_state_change();
         }
         ok
     }
@@ -1040,7 +1081,7 @@ impl MemoryController {
                     self.merge_event_bound(self.cycle + 1, EventSource::Completion);
                     return Ok(());
                 }
-                if self.read_q.len() >= self.config.scheduler.read_queue {
+                if self.read_q.len() >= SchedulerConfig::READ_QUEUE {
                     self.stats.queue_rejections += 1;
                     return Err(request); // no state changed; bound holds
                 }
@@ -1063,7 +1104,7 @@ impl MemoryController {
                 Ok(())
             }
             RequestKind::Write => {
-                if self.write_q.len() >= self.config.scheduler.write_queue {
+                if self.write_q.len() >= SchedulerConfig::WRITE_QUEUE {
                     self.stats.queue_rejections += 1;
                     return Err(request); // no state changed; bound holds
                 }
@@ -1101,10 +1142,10 @@ impl MemoryController {
     /// drains writes with `writes` queued, from its current drain state.
     fn drains_at(&self, writes: usize) -> bool {
         let mut draining = self.draining_writes;
-        if !draining && writes >= self.config.scheduler.write_high_watermark {
+        if !draining && writes >= SchedulerConfig::WRITE_HIGH_WATERMARK {
             draining = true;
         }
-        if draining && writes <= self.config.scheduler.write_low_watermark {
+        if draining && writes <= SchedulerConfig::WRITE_LOW_WATERMARK {
             draining = false;
         }
         draining
@@ -1117,63 +1158,43 @@ impl MemoryController {
     }
 
     /// Updates the memoized next-event bound for an entry about to join a
-    /// queue. Exact, O(1): an enqueue cannot change any existing lane's
-    /// readiness, so the bound only gains the new entry's own earliest —
-    /// unless it flips the drain policy's queue selection, where the
-    /// bound must be rebuilt from the other queue.
+    /// queue, keeping it exact. The entry adds its own candidate to the
+    /// queue it joins; anything else it can move clears the memo: the
+    /// timeout close of the open row it wants (never due before
+    /// `last_use + timeout`, so only one at or before the memo can be the
+    /// bound), a flip of the drain policy's queue selection, and, while
+    /// migration work is pending, the migration gates, which read the
+    /// queues.
     fn note_enqueue_event(&mut self, entry: &QueueEntry, to_writes: bool) {
+        let Some(memo) = self.next_event_cache else {
+            return;
+        };
+        let bank = &self.banks[entry.target.bank];
+        if bank.open_row == Some(entry.decoded.row)
+            && bank.last_use_cycle + self.timeout_cycles <= memo
+        {
+            self.next_event_cache = None;
+            return;
+        }
         if self.pending_refresh.is_some() || self.cycle < self.maintenance_until {
-            // Queue service is preempted: no queue event can fire before
-            // the preemption-end stop point already in the bound (the
-            // REF issue or the stall expiry), and both re-derive the
-            // bound with the queue included. Merging the new entry's
-            // readiness here would only wedge a stale `<= now` value
-            // into the memo and disable jumping for the whole window.
+            // Queue service is preempted: neither the queues nor
+            // migration is in the bound, the preemption's end is.
             return;
         }
         let (reads, writes) = (self.read_q.len(), self.write_q.len());
-        let before = self.queue_selection(reads, writes);
+        let selected = self.queue_selection(reads, writes);
         let after = if to_writes {
             self.queue_selection(reads, writes + 1)
         } else {
             self.queue_selection(reads + 1, writes)
         };
-        if before != after {
+        if after != selected || self.migration.pending_jobs() > 0 {
             self.next_event_cache = None;
-            return;
+        } else if selected == to_writes {
+            let (cmd, target) = Self::demand_command(&self.banks, entry);
+            let at = self.engine.earliest(cmd, target).max(self.cycle);
+            self.merge_event_bound(at, EventSource::QueueReady);
         }
-        if after != to_writes {
-            // The unselected queue is not serviced this window; existing
-            // events are unaffected.
-            return;
-        }
-        let bank = entry.target.bank;
-        if self.migration.is_mid_phase(bank)
-            || self.migration.blocked_row(bank) == Some(entry.decoded.row)
-        {
-            // The entry waits on the in-flight migration (the job holds
-            // the bank, or the entry targets the migrating row) — but
-            // its arrival can *enable* the job's eager finish
-            // (demand-pressure priority), so the memoized bound must be
-            // re-derived rather than merely merged.
-            self.next_event_cache = None;
-            return;
-        }
-        let (cmd, target) = match self.banks[bank].open_row {
-            Some(row) if row == entry.decoded.row => {
-                (scheduler::column_command(entry), entry.target)
-            }
-            Some(_) => (
-                Command::Pre,
-                Target {
-                    mode: self.banks[bank].open_mode,
-                    ..entry.target
-                },
-            ),
-            None => (Command::Act, entry.target),
-        };
-        let at = self.engine.earliest(cmd, target);
-        self.merge_event_bound(at, EventSource::QueueReady);
     }
 
     fn make_entry(&self, request: MemRequest) -> QueueEntry {
@@ -1225,11 +1246,13 @@ impl MemoryController {
                 changed = true;
             }
         }
+        // 3. At most one command issues. Each source in turn issues what
+        // its answer names, or prices the cycle it could issue from.
+        let mut priced = SourceCycles::default();
         let mut issued = false;
-        let mut served = false;
-        self.queue_ready_hint = u64::MAX;
         if let Some(mode) = self.pending_refresh {
-            issued = self.progress_refresh(mode, now);
+            priced.refresh = self.progress_refresh(mode, now).err();
+            issued = priced.refresh.is_none();
         } else if now < self.maintenance_until {
             // Relocation work from a stall-mode transition batch occupies
             // the channel: queue service pauses, refresh does not.
@@ -1241,28 +1264,27 @@ impl MemoryController {
             // demand: finishing eagerly bounds how long the bank blocks
             // demand to the job's own execution time, instead of letting
             // a saturated bus hold the bank hostage indefinitely.
-            let migration_work = self.migration.pending_jobs() > 0;
-            if migration_work {
-                issued = self.serve_migration(now, false, u64::MAX);
-            }
+            issued = self.serve_migration(now, false, u64::MAX).is_ok();
             if !issued {
-                issued = self.serve_queues(now);
-                served = true;
+                priced.queue = self.serve_queues(now).err();
+                issued = priced.queue.is_none();
             }
-            if !issued && migration_work {
+            if let Some(queue) = priced.queue {
                 // The failed scheduling pass priced the selected queue's
                 // next-ready cycle; migration may use the slot only if
                 // its command's shadow ends before that.
-                issued = self.serve_migration(now, true, self.queue_ready_hint);
+                priced.migration = self.serve_migration(now, true, queue).err();
+                issued = priced.migration.is_none();
             }
         }
 
-        // 3. Timeout row policy as background work.
+        // 4. Timeout row policy as background work.
         if !issued && now >= self.maintenance_until {
-            changed |= self.close_expired_row(now);
+            priced.timeout = self.close_expired_row(now).err();
+            issued = priced.timeout.is_none();
         }
 
-        // 4. Background accounting.
+        // 5. Background accounting.
         if !self.open_banks.is_empty() {
             self.stats.rank_active_cycles += 1;
         } else {
@@ -1270,22 +1292,19 @@ impl MemoryController {
         }
 
         if changed || issued {
-            // Only ticks that actually did something move the next-event
-            // bound; dead ticks keep the memoized value.
-            self.next_event_cache = None;
             // State-changing ticks are blame boundaries; dead ticks (and
             // the dead-window jumps that replace them) charge nothing at
             // the time, which is what keeps the budgets bit-identical
             // across per-cycle and skip-ahead walks.
             self.reblame_queues();
-        } else if self.next_event_cache.is_none() {
-            // A dead tick re-derives the bound almost for free: its
-            // failed scheduling pass already priced the queue (the
-            // dominant term), so only the cheap components remain.
-            let hint = served.then_some(self.queue_ready_hint);
-            let r = self.compute_next_event(hint);
-            self.next_event_cache = Some(r);
         }
+        // The memo rule: a tick that issued clears the bound; any other
+        // tick priced every source it needs and stores the bound.
+        self.next_event_cache = if issued {
+            None
+        } else {
+            Some(self.compute_next_event(priced))
+        };
         self.cycle += 1;
         self.stats.cycles = self.cycle;
     }
@@ -1298,11 +1317,9 @@ impl MemoryController {
     pub fn tick_until(&mut self, target: u64, completions: &mut Vec<Completion>) {
         while self.cycle < target {
             // Jump only on a memoized bound; otherwise tick — event ticks
-            // do real work, and the first dead tick after them re-fills
-            // the memo as a byproduct of its own scheduling pass, so the
-            // walk never pays a from-scratch event computation (the exact
-            // pricing pass walks every candidate; a failing serve pass
-            // prunes, so it is the cheaper way to re-derive the bound).
+            // do real work, and a tick that issues nothing stores the
+            // bound its own serve passes priced, so the walk never pays a
+            // from-scratch event computation.
             match self.next_event_cache {
                 Some(r) if r > self.cycle => self.skip_dead_cycles(r.min(target)),
                 _ => self.tick(completions),
@@ -1322,134 +1339,172 @@ impl MemoryController {
     /// registers, queue contents, bank states, refresh due times) are
     /// constant across a dead window, so re-evaluating at the returned
     /// cycle finds a real event (or a newly computed later bound). The
-    /// evaluation is memoized: dead ticks and dead-window jumps reuse it,
-    /// and it is recomputed only after a state-changing tick, enqueue, or
-    /// mode application.
+    /// evaluation is memoized: a tick that issues nothing stores the
+    /// bound it priced, dead-window jumps and repeated queries reuse it,
+    /// and only a query after an issue, an enqueue that moved more than
+    /// its own candidate, or a mode application evaluates from scratch.
     pub fn next_event_cycle(&mut self) -> u64 {
-        let now = self.cycle;
-        let raw = match self.next_event_cache {
-            Some(r) if r > now => r,
-            _ => {
-                let r = self.compute_next_event(None);
-                self.next_event_cache = Some(r);
-                r
-            }
-        };
-        if raw == u64::MAX {
-            u64::MAX
-        } else {
-            raw.max(now)
+        if let Some(r) = self.next_event_cache {
+            return r;
         }
+        let r = self.compute_next_event(SourceCycles::default());
+        self.next_event_cache = Some(r);
+        r
     }
 
-    /// The uncached next-event evaluation (see
-    /// [`MemoryController::next_event_cycle`]). `queue_ready` carries the
-    /// bound a just-failed scheduling pass already derived for the
-    /// selected queue, sparing the rescan.
-    fn compute_next_event(&mut self, queue_ready: Option<u64>) -> u64 {
+    /// The next-event bound at the current cycle, clamped to it (see
+    /// [`MemoryController::next_event_cycle`]). `priced` carries what a
+    /// tick that issued nothing already priced; a source it leaves out is
+    /// evaluated here, as on a from-scratch query.
+    fn compute_next_event(&mut self, priced: SourceCycles) -> u64 {
         let now = self.cycle;
         // Track which source produced the minimum so skip-ahead
         // profiling can attribute each dead-window jump.
         let mut next = u64::MAX;
         let mut source = EventSource::Completion;
-        let fold = |next: &mut u64, source: &mut EventSource, t: u64, s: EventSource| {
-            if t < *next {
-                *next = t;
-                *source = s;
+        let mut fold = |t: u64, s: EventSource| {
+            if t < next {
+                next = t;
+                source = s;
             }
         };
-        // 1. In-flight read completions are delivered at their cycle.
+        // In-flight read completions are delivered at their cycle.
         if let Some(&Reverse((done, _))) = self.inflight.peek() {
-            fold(&mut next, &mut source, done, EventSource::Completion);
+            fold(done, EventSource::Completion);
         }
-        let maintenance_active = now < self.maintenance_until;
+        let serving = now >= self.maintenance_until;
         if let Some(mode) = self.pending_refresh {
-            // 2a. A pending refresh progresses (PRE of an open bank, or
-            // the REF itself) as soon as the engine allows.
-            let t = self.refresh_progress_ready_cycle(mode);
-            fold(&mut next, &mut source, t, EventSource::Refresh);
-            // The timeout row policy still runs while refresh is blocked
-            // (it fires whenever no command issued and no stall holds).
-            if !maintenance_active {
-                if let Some(t) = self.next_timeout_close_cycle() {
-                    fold(&mut next, &mut source, t, EventSource::TimeoutClose);
-                }
+            // A pending refresh preempts the queues and migration; the
+            // timeout row policy still runs unless a stall holds.
+            let t = priced
+                .refresh
+                .unwrap_or_else(|| self.refresh_next(mode, now).err().unwrap_or(now));
+            fold(t, EventSource::Refresh);
+            if serving {
+                let t = priced
+                    .timeout
+                    .unwrap_or_else(|| self.timeout_close(now).err().unwrap_or(now));
+                fold(t, EventSource::TimeoutClose);
             }
         } else {
-            // 2b. Refresh becoming due preempts queue service.
             if let Some(due) = self.refresh.next_due_cycle() {
-                fold(&mut next, &mut source, due, EventSource::Refresh);
+                fold(due, EventSource::Refresh);
             }
-            if maintenance_active {
-                // 3. Queue service resumes when the relocation stall ends.
-                fold(
-                    &mut next,
-                    &mut source,
-                    self.maintenance_until,
-                    EventSource::RelocationStall,
-                );
+            if !serving {
+                // Queue service resumes when the relocation stall ends.
+                fold(self.maintenance_until, EventSource::RelocationStall);
             } else {
-                // 4. The earliest issuable command of the queue the
-                // drain policy would select this window.
-                let t = match queue_ready {
-                    Some(hint) => hint,
-                    None => self.next_queue_ready_cycle(),
-                };
-                fold(&mut next, &mut source, t, EventSource::QueueReady);
-                // 5. Timeout-policy background row close.
-                if let Some(t) = self.next_timeout_close_cycle() {
-                    fold(&mut next, &mut source, t, EventSource::TimeoutClose);
-                }
-                // 6. The earliest issuable background-migration command
-                // (rate-limiter gated).
-                if let Some(t) = self.migration_next_ready() {
-                    fold(&mut next, &mut source, t, EventSource::Migration);
-                }
+                let queue = priced
+                    .queue
+                    .unwrap_or_else(|| self.queue_next(now).err().unwrap_or(now));
+                fold(queue, EventSource::QueueReady);
+                let t = priced
+                    .timeout
+                    .unwrap_or_else(|| self.timeout_close(now).err().unwrap_or(now));
+                fold(t, EventSource::TimeoutClose);
+                let t = priced
+                    .migration
+                    .unwrap_or_else(|| self.migration_next(now, true, queue).err().unwrap_or(now));
+                fold(t, EventSource::Migration);
             }
         }
         self.next_event_source = source;
-        next
+        next.max(now)
     }
 
-    /// The earliest cycle ≥ now at which any bank's next migration
-    /// command satisfies the timing engine, the rate limiter (job starts
-    /// only), and the start-eligibility rules (`None` when no migration
-    /// work is pending). Like the queue bound, every input is constant
-    /// across a dead window, so the value is an exact event bound.
-    fn migration_next_ready(&self) -> Option<u64> {
-        if self.migration.pending_jobs() == 0 {
-            return None;
-        }
-        let rate_gate = self.migration.rate_gate(self.cycle);
-        let mut next: Option<u64> = None;
-        let mut fold = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
+    /// What background migration would issue at `now`, as `(bank,
+    /// command)`, or else the earliest cycle it could. Banks are visited
+    /// round-robin so one bank's backlog cannot starve the rest; the first
+    /// bank whose command passes every gate answers.
+    ///
+    /// With `idle_slot` false, only jobs demand is waiting on are
+    /// eligible (the eager pass). In an idle slot, with `demand_ready` the
+    /// scheduling pass's next-ready bound, a queued job may also start on
+    /// a closed bank no demand is queued for (past the rate limiter), and
+    /// every in-flight job may step, except that a same-bank write-back
+    /// ACT waits for a write-drain episode or an empty controller and
+    /// that a phase-start ACT may not cast its tRRD shadow onto the next
+    /// demand-ready cycle. Every gate reads state that is constant across
+    /// a dead window, so the answer is an exact event bound; a gate that
+    /// holds through the window prices its bank at `u64::MAX`, since only
+    /// an event (the demand issue at `demand_ready` included) can open it.
+    fn migration_next(
+        &mut self,
+        now: u64,
+        idle_slot: bool,
+        demand_ready: u64,
+    ) -> Result<(usize, NextMigrationCommand), u64> {
+        let rate_gate = self.migration.rate_gate(now);
+        let mut next = u64::MAX;
         for b in self.migration.banks_with_work() {
-            let open = self.banks[b].open_row.map(|r| (r, self.banks[b].open_mode));
-            if self.migration.is_busy(b) {
-                // A role blocked on another side's progress (a write
-                // burst waiting for unread data, a completion waiting for
-                // the couple point) has no command; the event that
-                // releases it is priced on the other bank.
-                if let Some(nc) = self.migration.next_command(b, open) {
-                    fold(
-                        self.engine
-                            .earliest(nc.command, self.bank_target(b, nc.mode)),
-                    );
+            let busy = self.migration.is_busy(b);
+            // Demand waiting on the job justifies forcing it through at
+            // demand priority: blocked-row waiters any time, any waiter
+            // once the job holds the whole bank. A mid-phase burst train
+            // also finishes contiguously (one turnaround instead of one
+            // per dribbled burst).
+            let eager = busy
+                && (self.migration.is_mid_phase(b)
+                    || self
+                        .migration
+                        .blocked_row(b)
+                        .is_some_and(|row| self.demand_for(b, RowWatch::Migrating, row)));
+            if busy {
+                if !idle_slot && !eager {
+                    continue;
                 }
-            } else if open.is_none()
-                && !self.read_lanes.has_entries(b)
-                && !self.write_lanes.has_entries(b)
+                // The write-back burst rides a write-drain episode (the
+                // rank is already turned around for writes) or an empty
+                // controller; blocked-row demand still forces it through.
+                // The drain state is the one the tick's queue pass
+                // settles, so a query between ticks reads it the same.
+                if idle_slot
+                    && !eager
+                    && self.migration.pending_writeback_act(b)
+                    && !self.drains_at(self.write_q.len())
+                    && !(self.read_q.is_empty() && self.write_q.is_empty())
+                {
+                    continue;
+                }
+            } else if !idle_slot
+                || self.read_lanes.has_entries(b)
+                || self.write_lanes.has_entries(b)
             {
-                // A start needs a closed bank no demand is queued for;
-                // otherwise it waits for the bank to close (demand PRE or
-                // timeout close) or the queue to drain — all events.
-                if let Some((_row, from)) = self.migration.queued_start(b) {
-                    let target = self.bank_target(b, from);
-                    fold(self.engine.earliest(Command::Act, target).max(rate_gate));
-                }
+                // A start must take an idle slot on a bank demand is not
+                // using (and pass the rate limiter, priced below).
+                continue;
             }
+            let open = self.banks[b].open_row.map(|r| (r, self.banks[b].open_mode));
+            // A role blocked on another side's progress (a write burst
+            // waiting for unread data, a completion waiting for the
+            // couple point) has no command: the event that releases it
+            // is priced on the other bank.
+            let Some(nc) = self.migration.next_command(b, open) else {
+                continue;
+            };
+            let mut at = self
+                .engine
+                .earliest(nc.command, self.bank_target(b, nc.mode));
+            if !busy {
+                at = at.max(rate_gate);
+            }
+            if idle_slot
+                && !eager
+                && demand_ready != u64::MAX
+                && nc.command == Command::Act
+                && at.max(now) + self.migration_act_shadow() >= demand_ready
+            {
+                // Idle-slot phase starts must stay invisible to demand:
+                // skip the slot if the ACT's cross-bank shadow (tRRD)
+                // would reach the next demand-ready cycle.
+                continue;
+            }
+            if at <= now {
+                return Ok((b, nc));
+            }
+            next = next.min(at);
         }
-        next
+        Err(next)
     }
 
     /// The cycles by which an idle-slot migration ACT could delay the
@@ -1548,153 +1603,85 @@ impl MemoryController {
         }
     }
 
-    /// Issues one background-migration command if any bank's next
-    /// migration step is engine-ready (and, for job starts, the rate
-    /// limiter allows it). With `idle_slot` false, only jobs demand is
-    /// waiting on are eligible; in idle slots (`demand_ready` carries the
-    /// scheduling pass's next-ready bound) phase-start ACTs are
-    /// additionally tRRD-shadow-gated so relocation never delays an
-    /// imminent demand activate. Banks are visited round-robin so one
-    /// bank's backlog cannot starve the rest. Returns whether a command
-    /// issued.
-    fn serve_migration(&mut self, now: u64, idle_slot: bool, demand_ready: u64) -> bool {
-        // The rate limiter is global and applies to every start, so when
-        // it is closed only busy banks merit a look.
-        let start_blocked = self.migration.rate_gate(now) > now;
-        for b in self.migration.banks_with_work() {
-            let busy = self.migration.is_busy(b);
-            if !busy && start_blocked {
-                continue;
+    /// Issues the background-migration command `migration_next` names at
+    /// `now`, or returns the cycle it gave instead.
+    fn serve_migration(&mut self, now: u64, idle_slot: bool, demand_ready: u64) -> Result<(), u64> {
+        let (b, nc) = self.migration_next(now, idle_slot, demand_ready)?;
+        let target = self.bank_target(b, nc.mode);
+        match nc.command {
+            Command::Act => {
+                self.open_row(b, nc.row, nc.mode, now);
+                self.engine.issue(Command::Act, target, now);
+                self.stats.record_migration_act(nc.mode);
+                self.migration.note_act(b, now);
+                self.blame_stale = true;
+                self.log_command_tagged(now, Command::Act, b, nc.row, nc.mode, true);
             }
-            // Demand waiting on the job justifies forcing it through at
-            // demand priority: blocked-row waiters any time, any waiter
-            // once the job holds the whole bank. A mid-phase burst train
-            // also finishes contiguously (one turnaround instead of one
-            // per dribbled burst).
-            let eager = busy
-                && (self.migration.is_mid_phase(b)
-                    || self
-                        .migration
-                        .blocked_row(b)
-                        .is_some_and(|row| self.demand_for(b, RowWatch::Migrating, row)));
-            if busy {
-                if !idle_slot && !eager {
-                    continue;
-                }
-                // The write-back burst rides a write-drain episode (the
-                // rank is already turned around for writes) or an empty
-                // controller; blocked-row demand still forces it through.
-                if idle_slot
-                    && self.migration.pending_writeback_act(b)
-                    && !eager
-                    && !self.draining_writes
-                    && !(self.read_q.is_empty() && self.write_q.is_empty())
-                {
-                    continue;
-                }
-            } else if !idle_slot
-                || self.read_lanes.has_entries(b)
-                || self.write_lanes.has_entries(b)
-            {
-                // A start must take an idle slot on a bank demand is not
-                // using (and pass the rate limiter, checked above).
-                continue;
-            }
-            let open = self.banks[b].open_row.map(|r| (r, self.banks[b].open_mode));
-            let Some(nc) = self.migration.next_command(b, open) else {
-                continue;
-            };
-            if idle_slot
-                && !eager
-                && demand_ready != u64::MAX
-                && nc.command == Command::Act
-                && now + self.migration_act_shadow() >= demand_ready
-            {
-                // Idle-slot phase starts must stay invisible to demand:
-                // skip the slot if the ACT's cross-bank shadow (tRRD)
-                // would reach the next demand-ready cycle.
-                continue;
-            }
-            let target = self.bank_target(b, nc.mode);
-            if !self.engine.can_issue(nc.command, target, now) {
-                continue;
-            }
-            match nc.command {
-                Command::Act => {
-                    self.open_row(b, nc.row, nc.mode, now);
-                    self.engine.issue(Command::Act, target, now);
-                    self.stats.record_migration_act(nc.mode);
-                    self.migration.note_act(b, now);
-                    self.blame_stale = true;
-                    self.log_command_tagged(now, Command::Act, b, nc.row, nc.mode, true);
-                }
-                Command::Pre => {
-                    let closed = self.close_row(b);
-                    self.engine.issue(Command::Pre, target, now);
-                    self.stats.record_migration_pre(closed);
-                    let step = self.migration.note_pre(b);
-                    self.blame_stale = true;
-                    match step {
-                        MigrationStep::Couple { row, to } => {
-                            // The couple point: the row's mode flips here;
-                            // the write-back re-activates in the new mode.
-                            self.modes.set(b, row, to);
-                            self.stats.mode_transitions += 1;
-                            self.retune_refresh();
-                            self.trace_migration_instant("couple_point", now, b as u32, row);
-                        }
-                        MigrationStep::Complete {
-                            row,
-                            cross_bank,
-                            dispatched_at,
-                            ..
-                        } => {
-                            self.stats.migration_jobs_completed += 1;
-                            if cross_bank {
-                                self.stats.migration_cross_bank_jobs += 1;
-                            }
-                            self.note_migration_done("couple", dispatched_at, now, b as u32, row);
-                        }
-                        MigrationStep::StagedOut {
-                            bank,
-                            row,
-                            dispatched_at,
-                        } => {
-                            // The data left for another channel; the frame
-                            // is freed only once the system confirms the
-                            // landing (note_frame_freed).
-                            self.stats.migration_evacuations += 1;
-                            self.note_migration_done("stage_out", dispatched_at, now, bank, row);
-                        }
-                        MigrationStep::Filled {
-                            bank,
-                            row,
-                            dispatched_at,
-                        } => {
-                            self.stats.migration_fills += 1;
-                            self.note_migration_done("fill_in", dispatched_at, now, bank, row);
-                        }
-                        MigrationStep::InProgress => {}
+            Command::Pre => {
+                let closed = self.close_row(b);
+                self.engine.issue(Command::Pre, target, now);
+                self.stats.record_migration_pre(closed);
+                let step = self.migration.note_pre(b);
+                self.blame_stale = true;
+                match step {
+                    MigrationStep::Couple { row, to } => {
+                        // The couple point: the row's mode flips here;
+                        // the write-back re-activates in the new mode.
+                        self.modes.set(b, row, to);
+                        self.stats.mode_transitions += 1;
+                        self.retune_refresh();
+                        self.trace_migration_instant("couple_point", now, b as u32, row);
                     }
-                    self.log_command_tagged(now, Command::Pre, b, 0, closed, true);
-                }
-                Command::Rd | Command::Wr => {
-                    self.banks[b].access(now);
-                    self.engine.issue(nc.command, target, now);
-                    if nc.command == Command::Rd {
-                        self.stats.migration_reads += 1;
-                    } else {
-                        self.stats.migration_writes += 1;
+                    MigrationStep::Complete {
+                        row,
+                        cross_bank,
+                        dispatched_at,
+                        ..
+                    } => {
+                        self.stats.migration_jobs_completed += 1;
+                        if cross_bank {
+                            self.stats.migration_cross_bank_jobs += 1;
+                        }
+                        self.note_migration_done("couple", dispatched_at, now, b as u32, row);
                     }
-                    self.migration.note_column(b, now);
-                    self.log_command_tagged(now, nc.command, b, nc.row, nc.mode, true);
+                    MigrationStep::StagedOut {
+                        bank,
+                        row,
+                        dispatched_at,
+                    } => {
+                        // The data left for another channel; the frame
+                        // is freed only once the system confirms the
+                        // landing (note_frame_freed).
+                        self.stats.migration_evacuations += 1;
+                        self.note_migration_done("stage_out", dispatched_at, now, bank, row);
+                    }
+                    MigrationStep::Filled {
+                        bank,
+                        row,
+                        dispatched_at,
+                    } => {
+                        self.stats.migration_fills += 1;
+                        self.note_migration_done("fill_in", dispatched_at, now, bank, row);
+                    }
+                    MigrationStep::InProgress => {}
                 }
-                Command::Ref => unreachable!("migration never issues REF"),
+                self.log_command_tagged(now, Command::Pre, b, 0, closed, true);
             }
-            self.stats.migration_slot_cycles += 1;
-            return true;
+            Command::Rd | Command::Wr => {
+                self.banks[b].access(now);
+                self.engine.issue(nc.command, target, now);
+                if nc.command == Command::Rd {
+                    self.stats.migration_reads += 1;
+                } else {
+                    self.stats.migration_writes += 1;
+                }
+                self.migration.note_column(b, now);
+                self.log_command_tagged(now, nc.command, b, nc.row, nc.mode, true);
+            }
+            Command::Ref => unreachable!("migration never issues REF"),
         }
-        false
+        self.stats.migration_slot_cycles += 1;
+        Ok(())
     }
 
     /// [`MemoryController::tick`], shortcutting provably dead cycles:
@@ -1801,21 +1788,32 @@ impl MemoryController {
         self.stats.cycles = to;
     }
 
-    /// The cycle a pending refresh can next make progress: the PRE of the
-    /// first still-open bank, else the REF across every rank (mirrors
-    /// [`MemoryController::progress_refresh`]'s issue conditions).
-    fn refresh_progress_ready_cycle(&self, mode: RowMode) -> u64 {
-        if let Some(b) = self.open_banks.first() {
-            let target = self.bank_target(b, self.banks[b].open_mode);
-            return self.engine.earliest(Command::Pre, target);
+    /// What a pending refresh of `mode` would issue at `now`: the PRE of
+    /// the lowest open bank (`Some(bank)`), else, once every bank is
+    /// closed, the REF on every rank (`None`); or else the cycle it can
+    /// next make progress.
+    fn refresh_next(&self, mode: RowMode, now: u64) -> Result<Option<usize>, u64> {
+        let (step, at) = match self.open_banks.first() {
+            Some(b) => {
+                let target = self.bank_target(b, self.banks[b].open_mode);
+                (Some(b), self.engine.earliest(Command::Pre, target))
+            }
+            None => {
+                let at = (0..self.ranks())
+                    .map(|r| {
+                        self.engine
+                            .earliest(Command::Ref, self.rank_target(r, mode))
+                    })
+                    .max()
+                    .unwrap_or(0);
+                (None, at)
+            }
+        };
+        if at <= now {
+            Ok(step)
+        } else {
+            Err(at)
         }
-        (0..self.ranks())
-            .map(|r| {
-                self.engine
-                    .earliest(Command::Ref, self.rank_target(r, mode))
-            })
-            .max()
-            .unwrap_or(0)
     }
 
     /// Flat ranks behind this controller.
@@ -1834,26 +1832,18 @@ impl MemoryController {
         }
     }
 
-    /// The earliest cycle the queue the drain policy would select can
-    /// issue a command. Replays the write-drain hysteresis against the
-    /// current queue lengths without mutating it (the lengths — and hence
-    /// the selection — are constant across a dead window; `serve_queues`
-    /// re-derives the same state at the event cycle).
-    fn next_queue_ready_cycle(&mut self) -> u64 {
-        let use_writes = self.queue_selection(self.read_q.len(), self.write_q.len());
-        self.schedule(use_writes, self.cycle).1
-    }
-
-    /// The FR-FCFS-Cap pass over the read or write queue at `now`: the
-    /// decision and the queue's exact next-ready bound (see
+    /// What the queue the drain policy selects would issue at `now`: the
+    /// FR-FCFS-Cap decision, with whether it serves the write queue; or
+    /// else the queue's exact next-ready cycle (see
     /// [`scheduler::pick_cached`]).
-    fn schedule(&mut self, use_writes: bool, now: u64) -> (Option<Decision>, u64) {
+    fn queue_next(&mut self, now: u64) -> Result<(bool, Decision), u64> {
+        let use_writes = self.queue_selection(self.read_q.len(), self.write_q.len());
         let (q, lanes) = if use_writes {
             (&self.write_q, &mut self.write_lanes)
         } else {
             (&self.read_q, &mut self.read_lanes)
         };
-        scheduler::pick_cached(
+        match scheduler::pick_cached(
             q,
             &self.banks,
             &self.engine,
@@ -1864,7 +1854,10 @@ impl MemoryController {
             self.migration.held_banks(),
             self.migration.blocked_rows(),
             self.migration.read_ok_rows(),
-        )
+        ) {
+            (Some(decision), _) => Ok((use_writes, decision)),
+            (None, bound) => Err(bound),
+        }
     }
 
     /// Whether any queued read or write targets `row` of `bank`, where
@@ -1897,89 +1890,72 @@ impl MemoryController {
         closed
     }
 
-    /// The earliest cycle the timeout row policy can close an idle open
-    /// row no queued request wants (`None` under open-page, or when every
-    /// open row is still wanted — a wanted row's service is covered by
-    /// the queue-readiness event instead). Only open banks are visited.
-    fn next_timeout_close_cycle(&mut self) -> Option<u64> {
-        let timeout_cycles = self.timeout_cycles?;
-        let mut next: Option<u64> = None;
+    /// What the timeout row policy would close at `now`: the first open
+    /// bank whose row has sat idle for the timeout, that no queued request
+    /// wants and no migration holds, once its PRE is ready; or else the
+    /// earliest cycle such a close can fire (`u64::MAX` when every open
+    /// row is wanted or held: a wanted row's service is a queue event).
+    fn timeout_close(&mut self, now: u64) -> Result<usize, u64> {
+        let mut next = u64::MAX;
         for b in self.open_banks.iter() {
             let Some(row) = self.banks[b].open_row else {
                 continue;
             };
-            // A bank's close cycle is at least `last_use + timeout`, so
-            // one that cannot beat the running minimum is settled before
-            // the wanted check or the engine query is paid — in a busy
-            // system most open rows were touched recently and fall here.
-            let floor = self.banks[b].last_use_cycle + timeout_cycles;
-            if next.is_some_and(|n| floor >= n) {
-                continue;
-            }
-            if self.migration.is_mid_phase(b) {
-                continue;
-            }
-            if self.demand_for(b, RowWatch::Open, row) {
+            // A bank's close cycle is at least `last_use + timeout`, so one
+            // that cannot beat the running minimum (which lies after `now`)
+            // is settled before the wanted check or the engine query is
+            // paid — in a busy system most open rows were touched recently
+            // and fall here.
+            let floor = self.banks[b].last_use_cycle + self.timeout_cycles;
+            if floor >= next
+                || self.migration.is_mid_phase(b)
+                || self.demand_for(b, RowWatch::Open, row)
+            {
                 continue;
             }
             let target = self.bank_target(b, self.banks[b].open_mode);
-            let t = floor.max(self.engine.earliest(Command::Pre, target));
-            next = Some(next.map_or(t, |n| n.min(t)));
+            let at = floor.max(self.engine.earliest(Command::Pre, target));
+            if at <= now {
+                return Ok(b);
+            }
+            next = next.min(at);
         }
-        next
+        Err(next)
     }
 
-    /// Progress the pending refresh: close open banks, then issue REF to
-    /// every rank. Returns whether a command issued this cycle.
-    fn progress_refresh(&mut self, mode: RowMode, now: u64) -> bool {
-        // Close the lowest open bank first (one PRE per cycle).
-        if let Some(b) = self.open_banks.first() {
-            let target = self.bank_target(b, self.banks[b].open_mode);
-            if !self.engine.can_issue(Command::Pre, target, now) {
-                return false; // wait for tRAS/tWR of that bank
-            }
-            let closed = self.close_row(b);
-            self.engine.issue(Command::Pre, target, now);
-            self.stats.record_pre(closed);
-            self.log_command(now, Command::Pre, b, 0, closed);
+    /// Progresses the pending refresh: issues the PRE or the REF
+    /// `refresh_next` names at `now`, or returns the cycle it gave
+    /// instead.
+    fn progress_refresh(&mut self, mode: RowMode, now: u64) -> Result<(), u64> {
+        if let Some(b) = self.refresh_next(mode, now)? {
+            // Close the lowest open bank first (one PRE per cycle).
+            self.precharge(b, now);
             // Refresh may close a bank out from under an in-flight
             // migration job; its phase re-activates after the blackout.
             self.migration.on_forced_precharge(b);
             self.blame_stale = true;
-            return true;
+            return Ok(());
         }
         // All banks closed: issue REF (modelled on every rank this cycle).
-        let ranks = self.ranks();
-        if (0..ranks).all(|r| {
-            self.engine
-                .can_issue(Command::Ref, self.rank_target(r, mode), now)
-        }) {
-            let rfc = self.engine.timings().for_mode(mode).rfc;
-            for r in 0..ranks {
-                let t = self.rank_target(r, mode);
-                self.engine.issue(Command::Ref, t, now);
-            }
-            self.stats.record_ref(mode);
-            self.stats.refresh_busy_cycles += rfc;
-            self.refresh.mark_issued(mode);
-            self.pending_refresh = None;
-            self.log_command(now, Command::Ref, 0, 0, mode);
-            return true;
+        let rfc = self.engine.timings().for_mode(mode).rfc;
+        for r in 0..self.ranks() {
+            let t = self.rank_target(r, mode);
+            self.engine.issue(Command::Ref, t, now);
         }
-        false
+        self.stats.record_ref(mode);
+        self.stats.refresh_busy_cycles += rfc;
+        self.refresh.mark_issued(mode);
+        self.pending_refresh = None;
+        self.log_command(now, Command::Ref, 0, 0, mode);
+        Ok(())
     }
 
-    /// Serve read/write queues under the drain policy. Returns whether a
-    /// command issued.
-    fn serve_queues(&mut self, now: u64) -> bool {
-        let use_writes = self.queue_selection(self.read_q.len(), self.write_q.len());
+    /// Serves the read/write queues under the drain policy: settles the
+    /// drain state, then issues the command `queue_next` names at `now`,
+    /// or returns the cycle it gave instead.
+    fn serve_queues(&mut self, now: u64) -> Result<(), u64> {
         self.draining_writes = self.drains_at(self.write_q.len());
-
-        let (decision, bound) = self.schedule(use_writes, now);
-        self.queue_ready_hint = bound;
-        let Some(d) = decision else {
-            return false;
-        };
+        let (use_writes, d) = self.queue_next(now)?;
         let (q, lanes) = if use_writes {
             (&mut self.write_q, &mut self.write_lanes)
         } else {
@@ -2084,41 +2060,25 @@ impl MemoryController {
             }
             Command::Ref => unreachable!("REF is never scheduled from the queues"),
         }
-        true
+        Ok(())
     }
 
-    /// Close an open row per the configured row policy (closed-page or
-    /// timeout) when no queued request targets it, returning whether a
-    /// PRE issued. Open-page never closes in the background.
-    fn close_expired_row(&mut self, now: u64) -> bool {
-        let Some(timeout_cycles) = self.timeout_cycles else {
-            return false; // open-page policy
-        };
-        for b in self.open_banks.iter() {
-            let Some(row) = self.banks[b].open_row else {
-                continue;
-            };
-            if self.migration.is_mid_phase(b) {
-                // An in-flight migration holds this row buffer; its own
-                // PRE closes it.
-                continue;
-            }
-            if now.saturating_sub(self.banks[b].last_use_cycle) < timeout_cycles {
-                continue;
-            }
-            if self.demand_for(b, RowWatch::Open, row) {
-                continue;
-            }
-            let target = self.bank_target(b, self.banks[b].open_mode);
-            if self.engine.can_issue(Command::Pre, target, now) {
-                let closed = self.close_row(b);
-                self.engine.issue(Command::Pre, target, now);
-                self.stats.record_pre(closed);
-                self.log_command(now, Command::Pre, b, 0, closed);
-                return true;
-            }
-        }
-        false
+    /// Closes the idle open row `timeout_close` names at `now`, or returns
+    /// the cycle it gave instead.
+    fn close_expired_row(&mut self, now: u64) -> Result<(), u64> {
+        let b = self.timeout_close(now)?;
+        self.precharge(b, now);
+        Ok(())
+    }
+
+    /// Issues the controller's own PRE of bank `b`'s open row (a refresh
+    /// PRE-out or a timeout close), in the mode the row was opened in.
+    fn precharge(&mut self, b: usize, now: u64) {
+        let target = self.bank_target(b, self.banks[b].open_mode);
+        let closed = self.close_row(b);
+        self.engine.issue(Command::Pre, target, now);
+        self.stats.record_pre(closed);
+        self.log_command(now, Command::Pre, b, 0, closed);
     }
 
     fn bank_target(&self, flat_bank: usize, mode: RowMode) -> Target {
@@ -2225,12 +2185,14 @@ mod tests {
     fn queue_rejection_backpressure() {
         let mut cfg = MemConfig::paper_tiny();
         cfg.refresh_enabled = false;
-        cfg.scheduler.read_queue = 2;
         let mut mc = MemoryController::new(cfg);
-        assert!(mc.try_enqueue(read(1, 0x00, 0)).is_ok());
-        assert!(mc.try_enqueue(read(2, 0x40, 0)).is_ok());
-        assert!(mc.try_enqueue(read(3, 0x80, 0)).is_err());
+        let full = SchedulerConfig::READ_QUEUE as u64;
+        for i in 0..full {
+            assert!(mc.try_enqueue(read(i, i * 0x40, 0)).is_ok());
+        }
+        assert!(mc.try_enqueue(read(full, full * 0x40, 0)).is_err());
         assert_eq!(mc.stats().queue_rejections, 1);
+        assert_eq!(mc.pending_reads(), SchedulerConfig::READ_QUEUE);
     }
 
     #[test]
@@ -2323,28 +2285,11 @@ mod tests {
     }
 
     #[test]
-    fn open_page_policy_never_closes_idle_rows() {
-        let mut cfg = MemConfig::paper_tiny();
-        cfg.refresh_enabled = false;
-        cfg.scheduler.row_policy = crate::config::RowPolicy::Open;
-        let mut mc = MemoryController::new(cfg);
-        mc.try_enqueue(read(1, 0x0, 0)).unwrap();
-        let mut done = Vec::new();
-        for _ in 0..5_000 {
-            mc.tick(&mut done);
-        }
-        assert!(
-            mc.banks.iter().any(|b| b.open_row.is_some()),
-            "open-page must keep the row open"
-        );
-        assert_eq!(mc.stats().pres(), 0);
-    }
-
-    #[test]
     fn closed_page_policy_closes_immediately() {
         let mut cfg = MemConfig::paper_tiny();
         cfg.refresh_enabled = false;
-        cfg.scheduler.row_policy = crate::config::RowPolicy::Closed;
+        // Closed-page is the timeout policy with no idle time.
+        cfg.scheduler.row_timeout_ns = 0.0;
         let mut mc = MemoryController::new(cfg);
         mc.try_enqueue(read(1, 0x0, 0)).unwrap();
         let mut done = Vec::new();
@@ -2815,6 +2760,105 @@ mod tests {
     }
 
     #[test]
+    fn writeback_waiting_for_a_drain_episode_is_jumped() {
+        // A same-bank coupling past its couple point holds its write-back
+        // ACT for a write-drain episode. Reads to other banks keep the
+        // queue busy without ever draining writes, so the ACT waits
+        // until they are served. The wait is a gate, not an event: the
+        // skip-ahead walk must jump it (the bound leaves the gated ACT
+        // out) instead of ticking every cycle, and stay bit-identical to
+        // per-cycle stepping.
+        use crate::migrate::RelocationConfig;
+        let run = |skip: bool| {
+            let mut cfg = MemConfig::tiny_clr(0.0);
+            cfg.refresh_enabled = false;
+            cfg.relocation = RelocationConfig::background();
+            let row_stride = cfg.geometry.capacity_bytes() / cfg.geometry.rows as u64;
+            let bank_stride = cfg.geometry.row_bytes();
+            let mut mc = MemoryController::new(cfg);
+            mc.enable_command_log();
+            assert_eq!(
+                mc.begin_row_migrations(&[(0, 0, RowMode::HighPerformance)]),
+                1
+            );
+            let mut done = Vec::new();
+            while !mc.migration.pending_writeback_act(0) {
+                mc.tick(&mut done);
+            }
+            // Row conflicts on banks 1..4 keep the read queue busy.
+            for i in 0..24u64 {
+                let addr = (i % 6) * row_stride + (1 + i % 3) * bank_stride;
+                mc.try_enqueue(read(i, addr, mc.cycle())).unwrap();
+            }
+            let (start, ticked) = (mc.cycle(), mc.skip_profile().ticked_cycles);
+            while mc.pending_reads() > 0 {
+                assert!(mc.migration.pending_writeback_act(0), "the ACT waits");
+                if skip {
+                    mc.tick_until(mc.cycle() + 1, &mut done);
+                } else {
+                    mc.tick(&mut done);
+                }
+            }
+            let waited = mc.cycle() - start;
+            let wait_ticks = mc.skip_profile().ticked_cycles - ticked;
+            mc.tick_until(mc.cycle() + 5_000, &mut done);
+            assert_eq!(mc.pending_migrations(), 0, "the drained gate let it finish");
+            let log = mc.command_log().unwrap().to_vec();
+            (log, done, mc.stats().clone(), waited, wait_ticks)
+        };
+        let (log_a, done_a, stats_a, waited, per_cycle_ticks) = run(false);
+        let (log_b, done_b, stats_b, waited_b, skip_ticks) = run(true);
+        assert_eq!(log_a, log_b, "command logs diverge");
+        assert_eq!(done_a, done_b, "completions diverge");
+        assert_eq!(stats_a, stats_b, "statistics diverge");
+        assert_eq!(waited, waited_b);
+        assert_eq!(per_cycle_ticks, waited);
+        // About 200 waiting cycles: a bound that prices the gated ACT as
+        // ready ticks 192 of them, the gated bound 80.
+        assert!(waited > 150, "the reads held the ACT for {waited} cycles");
+        assert!(
+            skip_ticks * 2 < waited,
+            "{skip_ticks} of {waited} waiting cycles ticked"
+        );
+    }
+
+    #[test]
+    fn an_enqueue_that_starts_a_drain_opens_the_writeback_gate() {
+        // The write-back gate reads the drain state a tick would settle,
+        // so a query between an enqueue and the next tick (the run
+        // loop's completion bound) sees the drain the enqueue started.
+        use crate::migrate::RelocationConfig;
+        let mut cfg = MemConfig::tiny_clr(0.0);
+        cfg.refresh_enabled = false;
+        cfg.relocation = RelocationConfig::background();
+        let row_stride = cfg.geometry.capacity_bytes() / cfg.geometry.rows as u64;
+        let bank_stride = cfg.geometry.row_bytes();
+        let mut mc = MemoryController::new(cfg);
+        mc.begin_row_migrations(&[(0, 0, RowMode::HighPerformance)]);
+        let mut done = Vec::new();
+        while !mc.migration.pending_writeback_act(0) {
+            mc.tick(&mut done);
+        }
+        for i in 0..8u64 {
+            let addr = (i % 4) * row_stride + bank_stride;
+            mc.try_enqueue(read(i, addr, mc.cycle())).unwrap();
+        }
+        mc.tick_until(mc.cycle() + 40, &mut done);
+        let now = mc.cycle();
+        assert!(mc.pending_reads() > 0);
+        assert!(mc.migration_next(now, true, u64::MAX).is_err(), "gated");
+        for i in 0..SchedulerConfig::WRITE_HIGH_WATERMARK as u64 {
+            let addr = (2 + i % 8) * bank_stride + (4 + i / 8) * row_stride;
+            mc.try_enqueue(write(100 + i, addr, now)).unwrap();
+        }
+        let (bank, nc) = mc
+            .migration_next(now, true, u64::MAX)
+            .expect("drain opens it");
+        assert_eq!((bank, nc.command), (0, Command::Act));
+        assert_eq!(mc.next_event_cycle(), now);
+    }
+
+    #[test]
     fn cross_bank_placement_overlaps_read_out_and_write_back() {
         use crate::frames::DestinationPicker;
         use crate::migrate::RelocationConfig;
@@ -2954,9 +2998,14 @@ mod tests {
         // (same-bank and cross-bank placement), refresh and the timeout
         // row policy on: after every `tick` and `tick_until` the
         // open-row set and the migration-work set must equal a rescan.
+        // A set next-event memo must equal a from-scratch bound after
+        // every enqueue, `tick` and `tick_until`; the walk also queries
+        // the bound between enqueues and ticks, as the run loop does, and
+        // must stay bit-identical to a per-cycle twin.
         use crate::frames::DestinationPicker;
         use crate::migrate::RelocationConfig;
-        let check = |mc: &MemoryController, step: usize| {
+        let check = |mc: &mut MemoryController, step: usize| {
+            mc.assert_memo_exact(&format!("step {step}"));
             let banks = 0..mc.banks.len();
             let open: Vec<usize> = banks
                 .clone()
@@ -2981,7 +3030,10 @@ mod tests {
             cfg.geometry.banks_per_group = 4;
             let row_stride = cfg.geometry.capacity_bytes() / cfg.geometry.rows as u64;
             let bank_stride = cfg.geometry.row_bytes();
-            let mut mc = MemoryController::new(cfg);
+            let mut mc = MemoryController::new(cfg.clone());
+            let mut twin = MemoryController::new(cfg);
+            mc.enable_command_log();
+            twin.enable_command_log();
             let banks = mc.banks.len();
             let mut state = 0xB4C5_E75E_0F0D_D1E5u64;
             let mut rng = move || {
@@ -2990,7 +3042,7 @@ mod tests {
                 state ^= state << 17;
                 state
             };
-            let mut done = Vec::new();
+            let (mut done, mut twin_done) = (Vec::new(), Vec::new());
             for step in 0..3_000 {
                 for id in 0..rng() % 3 {
                     let addr = (rng() % 8) * row_stride
@@ -3006,6 +3058,11 @@ mod tests {
                         req
                     };
                     let _ = mc.try_enqueue(req);
+                    let _ = twin.try_enqueue(req);
+                    mc.assert_memo_exact(&format!("step {step} enqueue"));
+                }
+                if rng() % 4 == 0 {
+                    mc.next_event_cycle();
                 }
                 if step % 200 == 0 {
                     let changes: Vec<(usize, u32, RowMode)> = (0..3)
@@ -3015,6 +3072,7 @@ mod tests {
                         })
                         .collect();
                     mc.begin_row_migrations(&changes);
+                    twin.begin_row_migrations(&changes);
                 }
                 if rng() % 2 == 0 {
                     mc.tick(&mut done);
@@ -3022,8 +3080,14 @@ mod tests {
                     let to = mc.cycle() + 1 + rng() % 48;
                     mc.tick_until(to, &mut done);
                 }
-                check(&mc, step);
+                while twin.cycle() < mc.cycle() {
+                    twin.tick(&mut twin_done);
+                }
+                check(&mut mc, step);
             }
+            assert_eq!(mc.command_log(), twin.command_log(), "{placement:?}");
+            assert_eq!(done, twin_done, "{placement:?}");
+            assert_eq!(mc.stats(), twin.stats(), "{placement:?}");
             let s = mc.stats();
             assert!(s.migration_jobs_completed > 0, "{placement:?}: jobs ran");
             assert!(s.refs() > 0 && s.pres() > 0 && !done.is_empty());
@@ -3041,7 +3105,8 @@ mod tests {
         // start while their destination banks serve it. After every
         // blame boundary — enqueue, state-changing tick, mode
         // application, dispatch — each queued entry's frozen cause must
-        // equal the eager walk's.
+        // equal the eager walk's, and after every enqueue and tick a set
+        // next-event memo must equal a from-scratch bound.
         use crate::frames::DestinationPicker;
         use crate::migrate::RelocationConfig;
         let check = |mc: &MemoryController, seen: &mut u64, step: usize, what: &str| {
@@ -3117,6 +3182,7 @@ mod tests {
                     id += 1;
                     let _ = mc.try_enqueue(MemRequest::new(id, PhysAddr(addr), kind, arrival));
                     check(&mc, &mut seen, step, "enqueue");
+                    mc.assert_memo_exact(&format!("{placement:?} step {step} enqueue"));
                 }
                 if step % if phase == 2 { 100 } else { 400 } == 0 && step < steps {
                     // Promote hot rows (couplings) and demote others
@@ -3150,6 +3216,7 @@ mod tests {
                 }
                 mc.tick(&mut done);
                 check(&mc, &mut seen, step, "tick");
+                mc.assert_memo_exact(&format!("{placement:?} step {step}"));
             }
             assert!(
                 mc.blame_boundaries > 10_000,

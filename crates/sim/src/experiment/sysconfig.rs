@@ -4,7 +4,7 @@
 use clr_core::mode::RowMode;
 use clr_core::timing::ClrTimings;
 use clr_cpu::cluster::ClusterConfig;
-use clr_memsim::config::MemConfig;
+use clr_memsim::config::{MemConfig, SchedulerConfig};
 
 use crate::report::Table;
 
@@ -37,8 +37,8 @@ pub fn render() -> String {
         format!(
             "FR-FCFS-Cap (cap {}), timeout row policy ({} ns), {}-entry read/write queues",
             mem.scheduler.cap,
-            mem.scheduler.row_timeout_ns(),
-            mem.scheduler.read_queue
+            mem.scheduler.row_timeout_ns,
+            SchedulerConfig::READ_QUEUE
         ),
     ]);
     t.row(vec![
@@ -75,9 +75,19 @@ pub fn render() -> String {
 mod tests {
     #[test]
     fn dump_mentions_key_components() {
-        let s = super::render();
-        assert!(s.contains("FR-FCFS-Cap"));
-        assert!(s.contains("DDR4"));
-        assert!(s.contains("8 MB"));
+        // The whole Table 2 text, column padding included.
+        let expected = [
+            "Table 2 — simulated system configuration",
+            "",
+            "component             configuration                                                               ",
+            "--------------------------------------------------------------------------------------------------",
+            "Processor             1-4 cores, 4 GHz, 4-wide issue, 8 MSHRs/core, 128-entry window              ",
+            "LLC                   64 B cacheline, 8-way associative, 8 MB total                               ",
+            "Memory controller     FR-FCFS-Cap (cap 4), timeout row policy (120 ns), 64-entry read/write queues",
+            "DRAM                  1 channel, 1 rank, DDR4, 1200 MHz bus, 16 Gb chips, 4 bank groups x 4 banks ",
+            "Timings (baseline)    tRCD 13.8 tRAS 39.4 tRP 15.5 tWR 12.5 ns                                    ",
+            "Timings (high-perf.)  tRCD 5.5 tRAS 14.1 tRP 8.3 tWR 8.1 ns                                       ",
+        ];
+        assert_eq!(super::render(), expected.join("\n") + "\n");
     }
 }
