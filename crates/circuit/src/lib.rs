@@ -9,14 +9,20 @@
 //!   positions a row/column bitset pattern marks as possibly nonzero, so a
 //!   solve costs about its nonzeros' worth of multiply-adds (a few hundred
 //!   for a subarray netlist) instead of n³/3, and returns dense
-//!   elimination's solution bit for bit,
+//!   elimination's solution bit for bit; and its compiled replay
+//!   ([`matrix::Schedule`]), the same elimination flattened into index
+//!   lists for one pattern and pivot order, which does the same
+//!   operations in the same order without row swaps or bitset walks,
 //! * [`devices`] — resistor/capacitor/MOSFET (square-law, symmetric
 //!   source/drain) companion models,
 //! * [`netlist`] — circuit construction,
 //! * [`transient`] — backward-Euler + Newton–Raphson transient engine
 //!   with externally slewable sources (wordlines, sense enables, ...); the
-//!   linear stamps are cached per step size, so a Newton iteration only
-//!   copies them, stamps the MOSFETs and solves,
+//!   linear stamps are cached per step size with the elimination their
+//!   first solve compiled, so a Newton iteration only copies them, stamps
+//!   the MOSFETs and replays (falling back to the pattern LU and
+//!   recompiling when the pivot order changes: 9 of nominal Table 1's
+//!   42,398 solves),
 //! * [`dram`] — subarray netlists for the open-bitline baseline and
 //!   CLR-DRAM's max-capacity / high-performance topologies (Figures 4–6),
 //! * [`scenario`] — ACT → restore → PRE and write-recovery state machines

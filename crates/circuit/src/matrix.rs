@@ -1,5 +1,5 @@
 //! Pattern-aware LU factorization with partial pivoting, sized for MNA
-//! systems of a few dozen unknowns.
+//! systems of a few dozen unknowns, and its compiled replay.
 //!
 //! Values live in a dense row-major array. Next to it, every row and every
 //! column keeps a bitset of the positions that can be nonzero: a superset
@@ -10,6 +10,21 @@
 //! carries the bits along on row swaps; back substitution walks U's row
 //! patterns.
 //!
+//! # Compiled replay
+//!
+//! A Newton loop solves one pattern many times, and its pivot order
+//! rarely changes. [`Schedule::compile`] runs the elimination
+//! symbolically, on the pattern alone with the pivot rows one solve took
+//! ([`Matrix::solve_recording`]), and assumes every fill-in position
+//! nonzero. It flattens each pivot step into index lists: the candidate
+//! slots in the order the pivot search visits them, the pivot, the target
+//! rows, and the pivot row's columns, which are also U's row for back
+//! substitution. The row swaps are resolved at compile time (each slot
+//! names the row its values were stamped in), so [`Schedule::replay`]
+//! moves no row and walks no bitset. When a replay's pivot search picks
+//! another row than the compiled one, it stops with [`Replay::Diverged`];
+//! the caller then solves with the pattern LU and compiles again.
+//!
 //! # Cost
 //!
 //! A solve costs about the sum over pivots of (rows below × columns to the
@@ -17,7 +32,11 @@
 //! per swap — it scales with the nonzeros and their fill-in, not with n³.
 //! The subarray netlists of [`crate::dram`] (about 33 unknowns and 100
 //! nonzeros) factor in about 230 multiply-adds, against about 12,000 for
-//! dense elimination.
+//! dense elimination. A replay does the same multiply-adds (plus those of
+//! fill-in a zero multiplier spared the solve) over flat index lists, with
+//! no swap or bitset word in between. What is left is latency: the chain
+//! from each division through its row update to the next pivot, and back
+//! substitution's ordered sums.
 //!
 //! # Bit identity with dense elimination
 //!
@@ -31,6 +50,14 @@
 //! elimination's bit for bit, up to the sign of a zero, and the singular
 //! verdicts agree. `tests/prop.rs` checks both against the dense loop on
 //! random sparse systems.
+//!
+//! A replay keeps every operation of the pattern LU, in the same order.
+//! Its extra positions (fill-in the solve skipped) hold exact zeros: a
+//! zero never wins the strict-maximum pivot search, gives a zero
+//! multiplier, which is skipped as in the solve, or is one of the
+//! skippable updates above. So a replay that does not diverge returns the
+//! pattern LU's solution and verdict, up to the sign of a zero;
+//! `tests/prop.rs` holds it to the dense loop too.
 
 /// A square matrix: dense row-major values plus row and column nonzero
 /// patterns.
@@ -136,20 +163,29 @@ impl Matrix {
     ///
     /// Returns `false` if the matrix is numerically singular.
     pub fn solve_in_place(&mut self, b: &mut [f64]) -> bool {
+        self.solve_recording(b, &mut Vec::new())
+    }
+
+    /// [`Matrix::solve_in_place`] that also records, for every column in
+    /// turn, the row its pivot came from: the pivot order
+    /// [`Schedule::compile`] takes. A singular solve records the columns
+    /// before the singular one.
+    pub fn solve_recording(&mut self, b: &mut [f64], pivots: &mut Vec<usize>) -> bool {
         assert_eq!(b.len(), self.n, "rhs dimension mismatch");
+        pivots.clear();
         // One word per bitset (n ≤ 64) is the common case; its own
         // instance lets the compiler fold the word loops away.
         if self.words == 1 {
-            self.factor_solve::<1>(b)
+            self.factor_solve::<1>(b, pivots)
         } else {
-            self.factor_solve::<0>(b)
+            self.factor_solve::<0>(b, pivots)
         }
     }
 
-    /// [`Matrix::solve_in_place`] over bitsets of `W` words (`W = 0`: the
+    /// [`Matrix::solve_recording`] over bitsets of `W` words (`W = 0`: the
     /// matrix's own word count). Bitsets are walked one copied word at a
     /// time ([`ones`]), so the loops may mark fill-in while they walk.
-    fn factor_solve<const W: usize>(&mut self, b: &mut [f64]) -> bool {
+    fn factor_solve<const W: usize>(&mut self, b: &mut [f64], pivots: &mut Vec<usize>) -> bool {
         let n = self.n;
         let w = if W == 0 { self.words } else { W };
         for k in 0..n {
@@ -169,6 +205,7 @@ impl Matrix {
             if max < PIVOT_MIN {
                 return false;
             }
+            pivots.push(p);
             if p != k {
                 self.swap_rows::<W>(k, p);
                 b.swap(k, p);
@@ -192,20 +229,7 @@ impl Matrix {
                     b[r] -= f * bk;
                     updated |= 1 << (r % 64);
                 }
-                // Fill-in: the updated rows take the pivot row's pattern.
-                let updated_rows = Ones {
-                    word: updated,
-                    base: j * 64,
-                };
-                for i in right / 64..w {
-                    let upper = ones(bits(&self.rows, k, w), i, right);
-                    for r in updated_rows {
-                        self.rows[r * w + i] |= upper.word;
-                    }
-                    for c in upper {
-                        self.cols[c * w + j] |= updated;
-                    }
-                }
+                self.fill::<W>(k, j, updated);
             }
         }
         // Back substitution over U's pattern.
@@ -220,6 +244,27 @@ impl Matrix {
             b[k] = s / self.a[k * n + k];
         }
         true
+    }
+
+    /// Fill-in of pivot step `k`: the rows of word `j` set in `updated`
+    /// take the pivot row's pattern right of `k` (`W` as in
+    /// [`Matrix::factor_solve`]).
+    fn fill<const W: usize>(&mut self, k: usize, j: usize, updated: u64) {
+        let w = if W == 0 { self.words } else { W };
+        let right = k + 1;
+        let updated_rows = Ones {
+            word: updated,
+            base: j * 64,
+        };
+        for i in right / 64..w {
+            let upper = ones(bits(&self.rows, k, w), i, right);
+            for r in updated_rows {
+                self.rows[r * w + i] |= upper.word;
+            }
+            for c in upper {
+                self.cols[c * w + j] |= updated;
+            }
+        }
     }
 
     /// Swaps rows `k` and `p` with their patterns (`W` as in
@@ -242,6 +287,205 @@ impl Matrix {
             }
             self.rows.swap(k * w + i, p * w + i);
         }
+    }
+}
+
+/// The LU elimination of one pattern under one pivot order, compiled to
+/// flat index lists (see the module docs). Slots are row-major positions
+/// `row · n + column` in the rows the values were stamped in.
+#[derive(Debug, Clone)]
+pub struct Schedule {
+    n: usize,
+    /// The compiled pattern's row bitsets, which a replayed matrix's
+    /// pattern must lie within (checked in debug builds).
+    pattern: Vec<u64>,
+    /// The pivot swaps `(k, p)` with `p ≠ k`, in step order.
+    swaps: Vec<(u32, u32)>,
+    steps: Vec<Step>,
+    /// Each step's candidate slots in search order, the diagonal first.
+    candidates: Vec<u32>,
+    /// Each step's target rows in elimination order: the slot of the row's
+    /// column 0, and the row's right-hand-side position after all swaps.
+    targets: Vec<(u32, u32)>,
+    /// Each step's pivot row columns right of the pivot, ascending.
+    columns: Vec<u32>,
+}
+
+/// One pivot step of a [`Schedule`]: its runs in the flat lists (start,
+/// end), the compiled pivot and the pivot row.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    candidates: (u32, u32),
+    targets: (u32, u32),
+    columns: (u32, u32),
+    /// Index of the pivot among the step's candidates.
+    pick: u32,
+    /// Slot of the pivot row's column 0.
+    row: u32,
+}
+
+/// How a [`Schedule::replay`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replay {
+    /// `b` holds the solution.
+    Solved,
+    /// The matrix is numerically singular, the pattern LU's verdict too.
+    Singular,
+    /// A pivot search picked another row than the compiled one. The
+    /// values and `b` are spent; solve again with the pattern LU.
+    Diverged,
+}
+
+impl Schedule {
+    /// Compiles the elimination of `pattern`'s pattern (its values are not
+    /// read) under `pivots`, one pivot row per column as
+    /// [`Matrix::solve_recording`] reports them for a matrix of this
+    /// pattern. Every fill-in position is assumed nonzero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pivots` does not name one row per column that the
+    /// pattern allows as that column's pivot.
+    pub fn compile(pattern: &Matrix, pivots: &[usize]) -> Schedule {
+        let n = pattern.n;
+        let w = pattern.words;
+        assert_eq!(pivots.len(), n, "one pivot row per column");
+        assert!(u32::try_from(n * n).is_ok(), "slots fit in u32");
+        let slot = |row: usize, c: usize| (row * n + c) as u32;
+        let mut m = pattern.clone();
+        // Position → row the values sit in.
+        let mut rows: Vec<usize> = (0..n).collect();
+        let mut target_rows = Vec::new();
+        let mut s = Schedule {
+            n,
+            pattern: pattern.rows.clone(),
+            swaps: Vec::new(),
+            steps: Vec::with_capacity(n),
+            candidates: Vec::new(),
+            targets: Vec::new(),
+            columns: Vec::new(),
+        };
+        let run = |start: usize, end: usize| (start as u32, end as u32);
+        for (k, &p) in pivots.iter().enumerate() {
+            let right = k + 1;
+            let first = s.candidates.len();
+            s.candidates.push(slot(rows[k], k));
+            let mut pick = (p == k).then_some(0);
+            for j in right / 64..w {
+                for r in ones(bits(&m.cols, k, w), j, right) {
+                    if r == p {
+                        pick = Some(s.candidates.len() - first);
+                    }
+                    s.candidates.push(slot(rows[r], k));
+                }
+            }
+            let pick = pick.expect("the pivot row is a candidate of its column");
+            if p != k {
+                m.swap_rows::<0>(k, p);
+                rows.swap(k, p);
+                s.swaps.push((k as u32, p as u32));
+            }
+            let columns = s.columns.len();
+            for i in right / 64..w {
+                s.columns
+                    .extend(ones(bits(&m.rows, k, w), i, right).map(|c| c as u32));
+            }
+            let targets = target_rows.len();
+            for j in right / 64..w {
+                let below = ones(bits(&m.cols, k, w), j, right);
+                target_rows.extend(below.map(|r| rows[r]));
+                m.fill::<0>(k, j, below.word);
+            }
+            s.steps.push(Step {
+                candidates: run(first, s.candidates.len()),
+                targets: run(targets, target_rows.len()),
+                columns: run(columns, s.columns.len()),
+                pick: pick as u32,
+                row: slot(rows[k], 0),
+            });
+        }
+        let mut position = vec![0; n];
+        for (pos, &row) in rows.iter().enumerate() {
+            position[row] = pos;
+        }
+        s.targets = target_rows
+            .iter()
+            .map(|&row| (slot(row, 0), position[row] as u32))
+            .collect();
+        s
+    }
+
+    /// Solves `A·x = b` in place (`b` becomes `x`) for a matrix `m` of
+    /// the compiled pattern with the compiled elimination, as
+    /// [`Matrix::solve_in_place`] would, up to the sign of a zero. `m`'s
+    /// values are destroyed; its pattern is left as it is.
+    pub fn replay(&self, m: &mut Matrix, b: &mut [f64]) -> Replay {
+        assert_eq!((m.n, b.len()), (self.n, self.n), "dimension mismatch");
+        debug_assert!(
+            m.rows.iter().zip(&self.pattern).all(|(m, s)| m & !s == 0),
+            "the matrix has nonzeros outside the compiled pattern"
+        );
+        let a = &mut m.a[..];
+        // Every row's right-hand side goes straight to its final position.
+        for &(k, p) in &self.swaps {
+            b.swap(k as usize, p as usize);
+        }
+        for (k, step) in self.steps.iter().enumerate() {
+            let candidates = self.step_candidates(step);
+            let mut pick = 0;
+            let mut max = a[candidates[0] as usize].abs();
+            for (i, &slot) in candidates.iter().enumerate().skip(1) {
+                let v = a[slot as usize].abs();
+                if v > max {
+                    max = v;
+                    pick = i;
+                }
+            }
+            if max < PIVOT_MIN {
+                return Replay::Singular;
+            }
+            if pick != step.pick as usize {
+                return Replay::Diverged;
+            }
+            let row = step.row as usize;
+            let pivot = a[row + k];
+            let bk = b[k];
+            let columns = self.step_columns(step);
+            for &(t, q) in self.step_targets(step) {
+                let t = t as usize;
+                let f = a[t + k] / pivot;
+                if f == 0.0 {
+                    continue;
+                }
+                for &c in columns {
+                    let c = c as usize;
+                    a[t + c] -= f * a[row + c];
+                }
+                b[q as usize] -= f * bk;
+            }
+        }
+        for (k, step) in self.steps.iter().enumerate().rev() {
+            let row = step.row as usize;
+            let mut s = b[k];
+            for &c in self.step_columns(step) {
+                let c = c as usize;
+                s -= a[row + c] * b[c];
+            }
+            b[k] = s / a[row + k];
+        }
+        Replay::Solved
+    }
+
+    fn step_candidates(&self, step: &Step) -> &[u32] {
+        &self.candidates[step.candidates.0 as usize..step.candidates.1 as usize]
+    }
+
+    fn step_targets(&self, step: &Step) -> &[(u32, u32)] {
+        &self.targets[step.targets.0 as usize..step.targets.1 as usize]
+    }
+
+    fn step_columns(&self, step: &Step) -> &[u32] {
+        &self.columns[step.columns.0 as usize..step.columns.1 as usize]
     }
 }
 

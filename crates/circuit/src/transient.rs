@@ -15,9 +15,18 @@
 //! re-stamp would use — resistors, capacitors, then MOSFETs in netlist
 //! order — and the source incidences sit where nothing else stamps, so the
 //! iterates match a per-iteration re-stamp bit for bit.
+//!
+//! The stamp also keeps the elimination its first solve compiled
+//! ([`Schedule`]), and every later iteration replays it: the pattern LU's
+//! operations in the same order, with the row swaps resolved at compile
+//! time, so the iterates are the pattern LU's up to the sign of a zero. A
+//! replay whose pivot search leaves the compiled order stops; the
+//! iteration is stamped again, solved by the pattern LU, and its pivot
+//! order compiled. Nominal Table 1 makes 42,398 Newton solves, 9 of them
+//! through the pattern LU.
 
 use crate::devices::{Node, GMIN};
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Replay, Schedule};
 use crate::netlist::{Netlist, SourceId};
 
 /// A running transient simulation.
@@ -39,6 +48,8 @@ pub struct Transient {
     x: Vec<f64>,
     /// Node voltages of the current Newton iterate.
     v_iter: Vec<f64>,
+    /// Pivot order of the last pattern-LU solve.
+    pivots: Vec<usize>,
 }
 
 /// Resistor conductances, capacitor `C/dt` companions and source
@@ -52,6 +63,10 @@ struct LinearStamp {
     /// Where each MOSFET stamps, in netlist order.
     mosfets: Vec<MosStamp>,
     g: Matrix,
+    /// The elimination compiled from the pivot order of the last solve the
+    /// pattern LU made on this stamp; `None` before the first and after a
+    /// singular one.
+    lu: Option<Schedule>,
 }
 
 /// Where one MOSFET stamps: its drain and source unknowns, and the matrix
@@ -118,6 +133,56 @@ impl LinearStamp {
             connected,
             mosfets,
             g,
+            lu: None,
+        }
+    }
+
+    /// Stamps one Newton iteration at the node voltages `v_iter` on top of
+    /// the linear part `g` already holds: the MOSFET Jacobian terms into
+    /// `g`, and the history, MOSFET and source terms into `x`.
+    fn stamp_iteration(
+        &self,
+        net: &Netlist,
+        v_iter: &[f64],
+        hist: &[f64],
+        g: &mut Matrix,
+        x: &mut Vec<f64>,
+    ) {
+        x.clear();
+        x.extend_from_slice(hist);
+        for (m, stamp) in net.mosfets.iter().zip(&self.mosfets) {
+            let (vd, vg, vs) = (v_iter[m.d], v_iter[m.g], v_iter[m.s]);
+            let lin = m.linearize(vd, vg, vs);
+            // GMIN across the channel, then the Jacobian rows for KCL at d
+            // (+I) and s (−I).
+            let terms = [
+                GMIN,
+                GMIN,
+                -GMIN,
+                -GMIN,
+                lin.di_dvd,
+                lin.di_dvg,
+                lin.di_dvs,
+                -lin.di_dvd,
+                -lin.di_dvg,
+                -lin.di_dvs,
+            ];
+            for (&slot, term) in stamp.slots.iter().zip(terms) {
+                if let Some(slot) = slot {
+                    g.add_at(slot, term);
+                }
+            }
+            let i_lin = lin.ids - lin.di_dvd * vd - lin.di_dvg * vg - lin.di_dvs * vs;
+            if let Some(d) = stamp.d {
+                x[d] -= i_lin;
+            }
+            if let Some(s) = stamp.s {
+                x[s] += i_lin;
+            }
+        }
+        let nodes = net.nodes();
+        for (j, &si) in self.connected.iter().enumerate() {
+            x[nodes - 1 + j] = net.sources[si].value;
         }
     }
 }
@@ -151,6 +216,7 @@ impl Transient {
             hist: Vec::new(),
             x: Vec::new(),
             v_iter: Vec::new(),
+            pivots: Vec::new(),
         }
     }
 
@@ -263,9 +329,10 @@ impl Transient {
             hist,
             x,
             v_iter,
+            pivots,
             ..
         } = self;
-        let linear = linear.as_ref().expect("stamped above");
+        let linear = linear.as_mut().expect("stamped above");
         let nodes = net.nodes();
 
         // Backward-Euler history current of every capacitor, from the
@@ -288,42 +355,24 @@ impl Transient {
         loop {
             iters += 1;
             g.copy_from(&linear.g);
-            x.clone_from(hist);
-            for (m, stamp) in net.mosfets.iter().zip(&linear.mosfets) {
-                let (vd, vg, vs) = (v_iter[m.d], v_iter[m.g], v_iter[m.s]);
-                let lin = m.linearize(vd, vg, vs);
-                // GMIN across the channel, then the Jacobian rows for KCL
-                // at d (+I) and s (−I).
-                let terms = [
-                    GMIN,
-                    GMIN,
-                    -GMIN,
-                    -GMIN,
-                    lin.di_dvd,
-                    lin.di_dvg,
-                    lin.di_dvs,
-                    -lin.di_dvd,
-                    -lin.di_dvg,
-                    -lin.di_dvs,
-                ];
-                for (&slot, term) in stamp.slots.iter().zip(terms) {
-                    if let Some(slot) = slot {
-                        g.add_at(slot, term);
+            linear.stamp_iteration(net, v_iter, hist, g, x);
+            let replayed = linear.lu.as_ref().map(|lu| lu.replay(g, x));
+            count_solve(matches!(replayed, Some(Replay::Solved | Replay::Singular)));
+            let solved = match replayed {
+                Some(Replay::Solved) => true,
+                Some(Replay::Singular) => false,
+                Some(Replay::Diverged) | None => {
+                    if replayed.is_some() {
+                        // The replay spent the values and the right-hand side.
+                        g.copy_from(&linear.g);
+                        linear.stamp_iteration(net, v_iter, hist, g, x);
                     }
+                    let solved = g.solve_recording(x, pivots);
+                    linear.lu = solved.then(|| Schedule::compile(&linear.g, pivots));
+                    solved
                 }
-                let i_lin = lin.ids - lin.di_dvd * vd - lin.di_dvg * vg - lin.di_dvs * vs;
-                if let Some(d) = stamp.d {
-                    x[d] -= i_lin;
-                }
-                if let Some(s) = stamp.s {
-                    x[s] += i_lin;
-                }
-            }
-            for (j, &si) in linear.connected.iter().enumerate() {
-                x[nodes - 1 + j] = net.sources[si].value;
-            }
-
-            if !g.solve_in_place(x) {
+            };
+            if !solved {
                 return false;
             }
             // Damped update + convergence check.
@@ -345,6 +394,25 @@ impl Transient {
         true
     }
 }
+
+#[cfg(test)]
+thread_local! {
+    /// Newton solves made on this thread: (replayed, solved by the pattern
+    /// LU).
+    static SOLVES: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Counts one Newton solve (test builds only).
+#[cfg(test)]
+fn count_solve(replayed: bool) {
+    SOLVES.with(|c| {
+        let (r, f) = c.get();
+        c.set(if replayed { (r + 1, f) } else { (r, f + 1) });
+    });
+}
+
+#[cfg(not(test))]
+fn count_solve(_replayed: bool) {}
 
 /// Unknown index of a node: node k (k ≥ 1) → k − 1; ground has none.
 /// Source branch j is unknown `nodes − 1 + j`.
@@ -456,6 +524,21 @@ mod tests {
         sim.run(1.0);
         // Node holds its charge (no discharge path).
         assert!((sim.v(n) - 1.0).abs() < 0.01, "v {}", sim.v(n));
+    }
+
+    /// The compiled replay carries nominal Table 1. A replay that keeps
+    /// diverging (say, one whose pivot search starts from the wrong
+    /// diagonal slot) still returns the pattern LU's results through the
+    /// fallback, only slower, so only a count shows it.
+    #[test]
+    fn replay_carries_nominal_table1() {
+        SOLVES.with(|c| c.set((0, 0)));
+        crate::timing::measure_table1(&crate::CircuitParams::default_22nm());
+        let (replayed, full) = SOLVES.with(|c| c.get());
+        assert!(
+            replayed >= 99 * (replayed + full) / 100,
+            "{replayed} replayed, {full} by the pattern LU"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests of the circuit solver's numerical core.
 
-use clr_circuit::matrix::Matrix;
+use clr_circuit::matrix::{Matrix, Replay, Schedule};
 use clr_circuit::netlist::Netlist;
 use clr_circuit::params::{CircuitParams, MosParams};
 use clr_circuit::transient::Transient;
@@ -121,23 +121,142 @@ fn mna_system(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     (a, b)
 }
 
-/// Solves `mna_system(n, seed)` with the pattern-aware solver and with the
-/// dense oracle: `(pattern verdict, pattern x, dense verdict, dense x)`.
-/// The pattern solver's matrix also marks a few explicit zeros, since its
-/// pattern may be any superset of the nonzeros.
+/// Solves `mna_system(n, seed)` with the pattern-aware solver (over
+/// `pattern_of` its values) and with the dense oracle: `(pattern verdict,
+/// pattern x, dense verdict, dense x)`.
 fn solve_both(n: usize, seed: u64) -> (bool, Vec<f64>, bool, Vec<f64>) {
     let (a, b) = mna_system(n, seed);
-    let mut m = Matrix::zeros(n);
-    for (i, &v) in a.iter().enumerate() {
-        if v != 0.0 || i % 7 == 0 {
-            m.set(i / n, i % n, v);
-        }
-    }
+    let mut m = marked(n, &pattern_of(&a), &a);
     let mut x = b.clone();
     let ok = m.solve_in_place(&mut x);
     let (mut dense, mut x_dense) = (a, b);
     let dense_ok = dense_solve(&mut dense, n, &mut x_dense);
     (ok, x, dense_ok, x_dense)
+}
+
+/// The positions marked for values `a`: the nonzeros and every seventh
+/// position, since a pattern may be any superset of the nonzeros.
+fn pattern_of(a: &[f64]) -> Vec<bool> {
+    a.iter()
+        .enumerate()
+        .map(|(i, &v)| v != 0.0 || i % 7 == 0)
+        .collect()
+}
+
+/// An `n × n` matrix marked at every position of `pattern`, holding
+/// `values` there.
+fn marked(n: usize, pattern: &[bool], values: &[f64]) -> Matrix {
+    let mut m = Matrix::zeros(n);
+    for (i, _) in pattern.iter().enumerate().filter(|(_, &p)| p) {
+        m.set(i / n, i % n, values[i]);
+    }
+    m
+}
+
+/// New values on `pattern`, drawn from `a` in one of four ways, by the
+/// seed:
+/// - every column scaled by a log-uniform factor over two decades, which
+///   in exact arithmetic keeps the pivot order (partial pivoting of `A·D`
+///   picks `A`'s rows);
+/// - the same, then a tenth of the marked positions flipped between an
+///   exact zero and a value: a multiplier exactly zero in one solve turns
+///   nonzero in the next, and the reverse;
+/// - every row scaled by a factor over six decades, which reorders the
+///   pivots;
+/// - one column zeroed: singular, and the columns before it keep their
+///   pivots.
+fn revalue(n: usize, pattern: &[bool], a: &[f64], seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0005_eed0_f2e5_a1ce);
+    let mut v = a.to_vec();
+    let mode = rng.gen_range(0..4);
+    if mode < 2 {
+        for c in 0..n {
+            let f = 10f64.powf(rng.gen_range(-1.0..1.0));
+            (0..n).for_each(|r| v[r * n + c] *= f);
+        }
+    }
+    match mode {
+        1 => {
+            for i in (0..n * n).filter(|&i| pattern[i]) {
+                if rng.gen_bool(0.1) {
+                    v[i] = if v[i] == 0.0 {
+                        rng.gen_range(-1e-3..1e-3)
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+        2 => {
+            for row in v.chunks_mut(n) {
+                let f = 10f64.powf(rng.gen_range(-3.0..3.0));
+                row.iter_mut().for_each(|x| *x *= f);
+            }
+        }
+        3 => {
+            let c = rng.gen_range(0..n);
+            (0..n).for_each(|r| v[r * n + c] = 0.0);
+        }
+        _ => {}
+    }
+    v
+}
+
+/// What one replay check saw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    /// The first solve was singular, so nothing was compiled.
+    NoSchedule,
+    /// The replay ended as this.
+    Replayed(Replay),
+}
+
+/// Compiles the elimination of `mna_system(n, seed)`'s pattern from a
+/// pattern-LU solve of its values, replays it on `revalue`d values of the
+/// same pattern, and holds the outcome to the dense oracle: a solved
+/// replay returns the oracle's solution, a singular one matches its
+/// verdict, and a diverged one is followed, as the transient engine does,
+/// by a pattern-LU solve that matches the oracle and a recompiled schedule
+/// that replays the same values without diverging.
+fn replay_against_dense(n: usize, seed: u64) -> Result<Seen, String> {
+    let (a, b) = mna_system(n, seed);
+    let pattern = pattern_of(&a);
+    let first = marked(n, &pattern, &a);
+    let mut pivots = Vec::new();
+    if !first.clone().solve_recording(&mut b.clone(), &mut pivots) {
+        return Ok(Seen::NoSchedule);
+    }
+    let schedule = Schedule::compile(&first, &pivots);
+    let a2 = revalue(n, &pattern, &a, seed);
+    let second = marked(n, &pattern, &a2);
+    let (mut dense, mut x_dense) = (a2, b.clone());
+    let dense_ok = dense_solve(&mut dense, n, &mut x_dense);
+    let mut x = b.clone();
+    let replay = schedule.replay(&mut second.clone(), &mut x);
+    match replay {
+        Replay::Solved if !dense_ok => return Err("replay solved a singular system".into()),
+        Replay::Solved if x != x_dense => return Err(format!("{x:?} != {x_dense:?}")),
+        Replay::Singular if dense_ok => return Err("replay found a regular system singular".into()),
+        Replay::Solved | Replay::Singular => {}
+        Replay::Diverged => {
+            let mut x = b.clone();
+            let ok = second.clone().solve_recording(&mut x, &mut pivots);
+            if ok != dense_ok || (ok && x != x_dense) {
+                return Err(format!(
+                    "pattern LU {ok} {x:?} vs dense {dense_ok} {x_dense:?}"
+                ));
+            }
+            if ok {
+                let recompiled = Schedule::compile(&second, &pivots);
+                let mut x = b.clone();
+                let again = recompiled.replay(&mut second.clone(), &mut x);
+                if again != Replay::Solved || x != x_dense {
+                    return Err(format!("recompiled replay {again:?}: {x:?} vs {x_dense:?}"));
+                }
+            }
+        }
+    }
+    Ok(Seen::Replayed(replay))
 }
 
 proptest! {
@@ -194,6 +313,22 @@ proptest! {
         if ok {
             prop_assert_eq!(x, x_dense);
         }
+    }
+
+    /// A compiled elimination replayed on new values of its pattern agrees
+    /// with the dense loop, diverging, singular and zero-multiplier cases
+    /// included.
+    #[test]
+    fn replay_matches_dense_oracle(n in 1usize..=48, seed in any::<u64>()) {
+        let seen = replay_against_dense(n, seed);
+        prop_assert!(seen.is_ok(), "{:?}", seen);
+    }
+
+    /// The same past one 64-bit pattern word per row and column.
+    #[test]
+    fn replay_matches_dense_oracle_across_words(n in 60usize..=140, seed in any::<u64>()) {
+        let seen = replay_against_dense(n, seed);
+        prop_assert!(seen.is_ok(), "{:?}", seen);
     }
 
     /// An RC divider driven by a source settles to the exact voltage
@@ -302,4 +437,18 @@ fn mna_systems_cover_swaps_and_singular_cases() {
     assert!(singular >= 10, "{singular} singular of 200");
     assert!(solved >= 100, "{solved} solved of 200");
     assert!(zero_diagonal >= 100, "{zero_diagonal} with a zero diagonal");
+}
+
+/// The replay checks reach every outcome: solved replays, singular ones,
+/// and pivot orders the new values change, which force a recompile.
+#[test]
+fn replay_checks_cover_every_outcome() {
+    let seen: Vec<Seen> = (0..200)
+        .map(|seed| replay_against_dense(24, seed).unwrap_or_else(|e| panic!("seed {seed}: {e}")))
+        .collect();
+    let count = |r| seen.iter().filter(|&&s| s == Seen::Replayed(r)).count();
+    let counts = [Replay::Solved, Replay::Singular, Replay::Diverged].map(count);
+    assert!(counts[0] >= 20, "{counts:?} solved, singular, diverged");
+    assert!(counts[1] >= 10, "{counts:?} solved, singular, diverged");
+    assert!(counts[2] >= 20, "{counts:?} solved, singular, diverged");
 }

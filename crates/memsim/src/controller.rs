@@ -123,6 +123,9 @@ pub struct MemoryController {
     /// The timeout row policy's idle time before a close, in cycles.
     timeout_cycles: u64,
     addr_mask: u64,
+    /// log2 of the burst size: an address shifted right by it is its line
+    /// index, the unit read forwarding matches on.
+    line_shift: u32,
     command_log: Option<Vec<IssuedCommand>>,
     /// Incrementally maintained per-bank scheduler lanes for the read
     /// queue: rebuilt per bank only when its queue composition or bank
@@ -262,6 +265,8 @@ impl MemoryController {
         // runtime may rewrite this at any epoch via `apply_row_modes`.
         modes.set_fraction_high_performance(fraction_hp);
         let addr_mask = g.capacity_bytes() - 1;
+        let burst = g.burst_bytes();
+        assert!(burst.is_power_of_two(), "burst of {burst} bytes");
 
         MemoryController {
             engine,
@@ -294,6 +299,7 @@ impl MemoryController {
             maintenance_until: 0,
             timeout_cycles,
             addr_mask,
+            line_shift: burst.trailing_zeros(),
             command_log: None,
             read_lanes: LaneCache::new(banks_total),
             write_lanes: LaneCache::new(banks_total),
@@ -1068,13 +1074,13 @@ impl MemoryController {
     /// Reads matching a queued write's line are served by forwarding.
     pub fn try_enqueue(&mut self, request: MemRequest) -> Result<(), MemRequest> {
         let masked = PhysAddr(request.addr.0 & self.addr_mask);
-        let line = masked.line(self.config.geometry.burst_bytes());
         match request.kind {
             RequestKind::Read => {
+                let line = masked.0 >> self.line_shift;
                 if self
                     .write_q
                     .iter()
-                    .any(|e| e.request.addr.line(self.config.geometry.burst_bytes()) == line)
+                    .any(|e| e.request.addr.0 >> self.line_shift == line)
                 {
                     self.stats.forwarded_reads += 1;
                     self.inflight.push(Reverse((self.cycle + 1, request.id)));
@@ -1163,8 +1169,14 @@ impl MemoryController {
     /// timeout close of the open row it wants (never due before
     /// `last_use + timeout`, so only one at or before the memo can be the
     /// bound), a flip of the drain policy's queue selection, and, while
-    /// migration work is pending, the migration gates, which read the
-    /// queues.
+    /// migration work is pending, what the migration gates read of the
+    /// queues: demand on a bank with migration work, an empty controller
+    /// (the write-back gate opens for it), a drain start (the write-back
+    /// gate opens for one), and the demand-ready cycle that keeps idle-slot
+    /// ACTs out of its tRRD shadow. The entry's candidate lowers that
+    /// cycle: a candidate at or before the memo is the new bound itself,
+    /// and one more than a shadow after it gates no ACT the memo could be
+    /// made of, so only a candidate in between clears the memo.
     fn note_enqueue_event(&mut self, entry: &QueueEntry, to_writes: bool) {
         let Some(memo) = self.next_event_cache else {
             return;
@@ -1182,18 +1194,27 @@ impl MemoryController {
             return;
         }
         let (reads, writes) = (self.read_q.len(), self.write_q.len());
-        let selected = self.queue_selection(reads, writes);
-        let after = if to_writes {
-            self.queue_selection(reads, writes + 1)
+        let (reads_after, writes_after) = if to_writes {
+            (reads, writes + 1)
         } else {
-            self.queue_selection(reads + 1, writes)
+            (reads + 1, writes)
         };
-        if after != selected || self.migration.pending_jobs() > 0 {
+        let selected = self.queue_selection(reads, writes);
+        let migrating = self.migration.pending_jobs() > 0;
+        let gates_move = migrating
+            && (self.migration.bank_has_work(entry.target.bank)
+                || reads + writes == 0
+                || self.drains_at(writes_after) != self.drains_at(writes));
+        if self.queue_selection(reads_after, writes_after) != selected || gates_move {
             self.next_event_cache = None;
         } else if selected == to_writes {
             let (cmd, target) = Self::demand_command(&self.banks, entry);
             let at = self.engine.earliest(cmd, target).max(self.cycle);
-            self.merge_event_bound(at, EventSource::QueueReady);
+            if migrating && at > memo && at <= memo.saturating_add(self.migration_act_shadow()) {
+                self.next_event_cache = None;
+            } else {
+                self.merge_event_bound(at, EventSource::QueueReady);
+            }
         }
     }
 
@@ -2856,6 +2877,45 @@ mod tests {
             .expect("drain opens it");
         assert_eq!((bank, nc.command), (0, Command::Act));
         assert_eq!(mc.next_event_cycle(), now);
+    }
+
+    #[test]
+    fn a_drain_start_without_a_queue_flip_keeps_the_memo_exact() {
+        // With no read queued the write queue is selected already, so the
+        // write that reaches the high watermark starts a drain without
+        // flipping the selection. The drain opens a same-bank coupling's
+        // write-back gate; with the queued writes held far off (a row
+        // conflict on a bank whose row was just opened), the ungated ACT
+        // becomes the bound, and a memo kept across the enqueue would miss
+        // it. The run loop queries the bound after every enqueue.
+        use crate::migrate::RelocationConfig;
+        let mut cfg = MemConfig::tiny_clr(0.0);
+        cfg.refresh_enabled = false;
+        cfg.relocation = RelocationConfig::background();
+        let row_stride = cfg.geometry.capacity_bytes() / cfg.geometry.rows as u64;
+        let bank_stride = cfg.geometry.row_bytes();
+        let mut mc = MemoryController::new(cfg);
+        mc.begin_row_migrations(&[(0, 0, RowMode::HighPerformance)]);
+        let mut done = Vec::new();
+        while !mc.migration.pending_writeback_act(0) {
+            mc.tick(&mut done);
+        }
+        // Open row 1 of bank 1 with one served write.
+        mc.try_enqueue(write(0, row_stride + bank_stride, mc.cycle()))
+            .unwrap();
+        while mc.pending_writes() > 0 {
+            mc.tick(&mut done);
+        }
+        assert!(mc.migration.pending_writeback_act(0), "the ACT still waits");
+        let now = mc.cycle();
+        for i in 1..=SchedulerConfig::WRITE_HIGH_WATERMARK as u64 {
+            mc.try_enqueue(write(i, 2 * row_stride + bank_stride, now))
+                .unwrap();
+            mc.assert_memo_exact(&format!("write {i}"));
+            mc.next_event_cycle();
+        }
+        assert!(mc.drains_at(mc.pending_writes()), "a drain started");
+        assert_eq!(mc.pending_reads(), 0);
     }
 
     #[test]
