@@ -1,6 +1,6 @@
-//! Runs the system-level ablations DESIGN.md calls out and prints their
-//! impact (complementing the Criterion `ablations` bench, which measures
-//! runtime cost rather than simulated outcomes).
+//! Runs four system-level ablations and prints their simulated impact:
+//! early termination of charge restoration, the FR-FCFS cap, the timeout
+//! row policy, and heterogeneous refresh of high-performance rows.
 
 use clr_memsim::config::{ClrModeConfig, MemConfig};
 use clr_sim::experiment::mem_config;

@@ -3,8 +3,7 @@
 //! Every binary prints the paper-corresponding rows/series to stdout and
 //! honours the `CLR_SCALE` environment variable (`smoke` / `default` /
 //! `full`). Measured-vs-paper comparisons accompany each table so the
-//! reproduction can be judged at a glance; see EXPERIMENTS.md for recorded
-//! outputs.
+//! reproduction can be judged at a glance.
 //!
 //! This crate is where the workspace reads its `CLR_*` environment
 //! variables: the library crates take explicit configuration, and the

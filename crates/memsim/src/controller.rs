@@ -75,7 +75,9 @@ use crate::config::{ClrModeConfig, MemConfig, SchedulerConfig};
 use crate::cycletimings::CycleTimings;
 use crate::engine::{Target, TimingEngine, Touched};
 use crate::frames::FrameDirectory;
-use crate::migrate::{MigrationEngine, MigrationStep, NextMigrationCommand, PlacementEvent};
+use crate::migrate::{
+    JobKind, MigrationEngine, MigrationStep, NextMigrationCommand, PlacementEvent,
+};
 use crate::refresh::RefreshScheduler;
 use crate::request::{Completion, MemRequest, RequestKind};
 use crate::scheduler::{self, Decision, LaneCache, QueueEntry, RowWatch};
@@ -401,15 +403,16 @@ impl MemoryController {
         now: u64,
     ) -> (WaitCause, u8, u64) {
         let bank = entry.target.bank;
-        let row = entry.decoded.row;
-        // Mirrors the scheduler's exclusion rules: a held bank blocks
-        // everything; a migrating row blocks writes always and reads
-        // unless the read-out source still sits intact in the row
-        // buffer. Only a migration step moves these.
-        let is_read = entry.request.kind == RequestKind::Read;
+        // A held bank blocks everything, and a migrating row what the
+        // scheduler excludes. Only a migration step moves these.
         if migration.is_mid_phase(bank)
-            || (migration.blocked_row(bank) == Some(row)
-                && !(is_read && migration.read_ok_rows()[bank] == row))
+            || scheduler::entry_excluded(
+                migration.blocked_rows(),
+                migration.read_ok_rows(),
+                bank,
+                entry.decoded.row,
+                entry.request.kind,
+            )
         {
             return (WaitCause::MigrationBlock, 0, u64::MAX);
         }
@@ -821,68 +824,40 @@ impl MemoryController {
 
     /// Picks the destination frame for a coupling's displaced half-row
     /// under the configured [`DestinationPicker`]. Same-bank placement is
-    /// the legacy scan: a max-capacity row of the same bank with no
-    /// pending migration role, scanned deterministically from half a
-    /// bank away (so destinations land far from the contiguous fast-row
-    /// prefix). Cross-bank placement prefers a frame in another bank —
-    /// known-free directory frames first, then the same deterministic
-    /// scan — falling back to the same-bank scan on single-bank
-    /// geometries. `None` when no frame exists anywhere — the coupling
-    /// is then impossible and skipped, exactly as an OS with no free
-    /// frame would decline it.
+    /// the legacy scan: a free frame of the same bank, scanned
+    /// deterministically from half a bank away (so destinations land far
+    /// from the contiguous fast-row prefix). Cross-bank placement prefers
+    /// a frame in another bank, rotating over the banks from opposite the
+    /// source and advanced by a cursor so consecutive couplings spread
+    /// their write-back load (see `find_frame`); it falls back to the
+    /// same-bank scan on single-bank geometries. `None` when no frame
+    /// exists anywhere — the coupling is then impossible and skipped,
+    /// exactly as an OS with no free frame would decline it. A known-free
+    /// directory frame leaves the directory when the coupling dispatches.
     fn pick_migration_dest(&mut self, bank: usize, row: u32) -> Option<(usize, u32)> {
-        if self.config.placement.is_cross_bank() {
-            if let Some(hit) = self.pick_cross_bank_dest(bank, row) {
+        let (banks, start_row) = (self.banks.len(), row + self.config.geometry.rows / 2);
+        if self.config.placement.is_cross_bank() && banks > 1 {
+            let first = bank + banks / 2 + self.dest_cursor;
+            if let Some(hit) = self.find_frame(first, Some(bank), start_row) {
+                self.dest_cursor = (self.dest_cursor + 1) % banks;
                 return Some(hit);
             }
         }
-        let rows = self.config.geometry.rows;
-        (0..rows)
-            .map(|k| (row + rows / 2 + k) % rows)
-            .find(|&cand| {
-                cand != row
-                    && self.modes.mode_of(bank, cand) == RowMode::MaxCapacity
-                    && !self.migration.is_row_pending(bank, cand)
-            })
+        self.scan_free_frame(bank, start_row, Some(row))
             .map(|r| (bank, r))
-    }
-
-    /// The cross-bank destination scan: rotate over the other banks
-    /// (starting opposite the source, advanced by a cursor so
-    /// consecutive couplings spread), preferring each bank's known-free
-    /// frames before its deterministic row scan.
-    fn pick_cross_bank_dest(&mut self, bank: usize, row: u32) -> Option<(usize, u32)> {
-        let banks = self.banks.len();
-        if banks < 2 {
-            return None;
-        }
-        let rows = self.config.geometry.rows;
-        let start = bank + banks / 2 + self.dest_cursor;
-        for k in 0..banks {
-            let cand_bank = (start + k) % banks;
-            if cand_bank == bank {
-                continue;
-            }
-            let (frames, modes, migration) = (&mut self.frames, &self.modes, &self.migration);
-            if let Some(r) = frames.take_in_bank(cand_bank, |r| {
-                modes.mode_of(cand_bank, r) == RowMode::MaxCapacity
-                    && !migration.is_row_pending(cand_bank, r)
-            }) {
-                self.stats.frames_reused += 1;
-                self.dest_cursor = (self.dest_cursor + 1) % banks;
-                return Some((cand_bank, r));
-            }
-            if let Some(r) = self.scan_mc_frame(cand_bank, row + rows / 2) {
-                self.dest_cursor = (self.dest_cursor + 1) % banks;
-                return Some((cand_bank, r));
-            }
-        }
-        None
     }
 
     /// Migration jobs dispatched but not yet complete.
     pub fn pending_migrations(&self) -> usize {
         self.migration.pending_jobs()
+    }
+
+    /// Migration jobs dispatched so far, of every kind. At every cycle
+    /// it equals the sum of [`MemStats`]'s `migration_jobs_completed`,
+    /// `migration_evacuations` and `migration_fills` and
+    /// [`MemoryController::pending_migrations`].
+    pub fn migration_jobs_dispatched(&self) -> u64 {
+        self.migration.jobs_dispatched()
     }
 
     /// Drains completed `(bank, row, mode)` migrations since the last
@@ -981,36 +956,47 @@ impl MemoryController {
     /// directory when the fill actually dispatches, so aborted moves
     /// lose nothing.
     pub fn reserve_import_frame(&mut self, hint: usize) -> Option<(usize, u32)> {
-        let banks = self.banks.len();
-        let rows = self.config.geometry.rows;
-        for k in 0..banks {
-            let bank = (hint + k) % banks;
-            if let Some(r) = self.frames.peek_in_bank(bank, |r| {
-                self.modes.mode_of(bank, r) == RowMode::MaxCapacity
-                    && !self.migration.is_row_pending(bank, r)
-            }) {
-                self.migration.reserve(bank, r);
-                return Some((bank, r));
-            }
-            if let Some(r) = self.scan_mc_frame(bank, rows / 2) {
-                self.migration.reserve(bank, r);
-                return Some((bank, r));
-            }
-        }
-        None
+        let (bank, row) = self.find_frame(hint, None, self.config.geometry.rows / 2)?;
+        self.migration.reserve(bank, row);
+        Some((bank, row))
     }
 
-    /// The shared allocatability scan: the first max-capacity row of
-    /// `bank` with no pending migration role, walking `rows` entries
-    /// from `start_row` (wrapping) — the deterministic fallback every
-    /// destination picker uses when the directory has no known-free
-    /// frame.
-    fn scan_mc_frame(&self, bank: usize, start_row: u32) -> Option<u32> {
+    /// Whether `(bank, row)` can take moved data: a max-capacity row with
+    /// no pending migration role.
+    fn is_free_frame(&self, bank: usize, row: u32) -> bool {
+        self.modes.mode_of(bank, row) == RowMode::MaxCapacity
+            && !self.migration.is_row_pending(bank, row)
+    }
+
+    /// The shared frame search over the banks from `first` on (wrapping),
+    /// `skip` excepted: each bank's known-free directory frames first,
+    /// then its scan from `start_row`.
+    fn find_frame(
+        &self,
+        first: usize,
+        skip: Option<usize>,
+        start_row: u32,
+    ) -> Option<(usize, u32)> {
+        let banks = self.banks.len();
+        (0..banks)
+            .map(|k| (first + k) % banks)
+            .filter(|&b| Some(b) != skip)
+            .find_map(|b| {
+                let known = self.frames.peek_in_bank(b, |r| self.is_free_frame(b, r));
+                known
+                    .or_else(|| self.scan_free_frame(b, start_row, None))
+                    .map(|r| (b, r))
+            })
+    }
+
+    /// The first free frame of `bank` other than `except`, walking every
+    /// row from `start_row` (wrapping) — the deterministic fallback when
+    /// the directory has no known-free frame.
+    fn scan_free_frame(&self, bank: usize, start_row: u32, except: Option<u32>) -> Option<u32> {
         let rows = self.config.geometry.rows;
-        (0..rows).map(|k| (start_row + k) % rows).find(|&cand| {
-            self.modes.mode_of(bank, cand) == RowMode::MaxCapacity
-                && !self.migration.is_row_pending(bank, cand)
-        })
+        (0..rows)
+            .map(|k| (start_row + k) % rows)
+            .find(|&r| Some(r) != except && self.is_free_frame(bank, r))
     }
 
     /// Starts counting per-row column accesses for telemetry export.
@@ -1165,18 +1151,19 @@ impl MemoryController {
 
     /// Updates the memoized next-event bound for an entry about to join a
     /// queue, keeping it exact. The entry adds its own candidate to the
-    /// queue it joins; anything else it can move clears the memo: the
-    /// timeout close of the open row it wants (never due before
-    /// `last_use + timeout`, so only one at or before the memo can be the
-    /// bound), a flip of the drain policy's queue selection, and, while
-    /// migration work is pending, what the migration gates read of the
-    /// queues: demand on a bank with migration work, an empty controller
-    /// (the write-back gate opens for it), a drain start (the write-back
-    /// gate opens for one), and the demand-ready cycle that keeps idle-slot
-    /// ACTs out of its tRRD shadow. The entry's candidate lowers that
-    /// cycle: a candidate at or before the memo is the new bound itself,
-    /// and one more than a shadow after it gates no ACT the memo could be
-    /// made of, so only a candidate in between clears the memo.
+    /// queue it joins, if the scheduling pass prices it; anything else it
+    /// can move clears the memo: the timeout close of the open row it
+    /// wants (never due before `last_use + timeout`, so only one at or
+    /// before the memo can be the bound), a flip of the drain policy's
+    /// queue selection, and, while migration work is pending, what the
+    /// migration gates read of the queues: a job's start or eagerness
+    /// (see `moves_a_job_gate`), an empty controller (the write-back gate
+    /// opens for it), a drain start (the write-back gate opens for one),
+    /// and the demand-ready cycle that keeps idle-slot ACTs out of its
+    /// tRRD shadow. The entry's candidate lowers that cycle: a candidate
+    /// at or before the memo is the new bound itself, and one more than a
+    /// shadow after it gates no ACT the memo could be made of, so only a
+    /// candidate in between clears the memo.
     fn note_enqueue_event(&mut self, entry: &QueueEntry, to_writes: bool) {
         let Some(memo) = self.next_event_cache else {
             return;
@@ -1202,12 +1189,12 @@ impl MemoryController {
         let selected = self.queue_selection(reads, writes);
         let migrating = self.migration.pending_jobs() > 0;
         let gates_move = migrating
-            && (self.migration.bank_has_work(entry.target.bank)
+            && (self.moves_a_job_gate(entry)
                 || reads + writes == 0
                 || self.drains_at(writes_after) != self.drains_at(writes));
         if self.queue_selection(reads_after, writes_after) != selected || gates_move {
             self.next_event_cache = None;
-        } else if selected == to_writes {
+        } else if selected == to_writes && self.is_priced(entry) {
             let (cmd, target) = Self::demand_command(&self.banks, entry);
             let at = self.engine.earliest(cmd, target).max(self.cycle);
             if migrating && at > memo && at <= memo.saturating_add(self.migration_act_shadow()) {
@@ -1216,6 +1203,39 @@ impl MemoryController {
                 self.merge_event_bound(at, EventSource::QueueReady);
             }
         }
+    }
+
+    /// Whether demand `entry` changes what a migration job's gates read
+    /// of the queues on its bank: it is the first demand on a bank whose
+    /// queued job could start (a start takes a bank no demand is queued
+    /// for), or it targets the migrating row of an in-flight job that is
+    /// not yet eager (demand waiting on that row forces the job through).
+    fn moves_a_job_gate(&mut self, entry: &QueueEntry) -> bool {
+        let (bank, row) = (entry.target.bank, entry.decoded.row);
+        if !self.migration.is_busy(bank) {
+            return self.migration.bank_has_work(bank)
+                && !self.read_lanes.has_entries(bank)
+                && !self.write_lanes.has_entries(bank);
+        }
+        !self.migration.is_mid_phase(bank)
+            && self.migration.blocked_row(bank) == Some(row)
+            && !self.demand_for(bank, RowWatch::Migrating, row)
+    }
+
+    /// Whether the scheduling pass prices `entry` once it is queued: not
+    /// while a migration blocks its row for it, and on a bank a migration
+    /// holds only as a read hit to the read-out row (see
+    /// [`scheduler::pick_cached`]).
+    fn is_priced(&self, entry: &QueueEntry) -> bool {
+        let (bank, row, kind) = (entry.target.bank, entry.decoded.row, entry.request.kind);
+        let read_ok = self.migration.read_ok_rows();
+        if scheduler::entry_excluded(self.migration.blocked_rows(), read_ok, bank, row, kind) {
+            return false;
+        }
+        !self.migration.is_mid_phase(bank)
+            || (kind == RequestKind::Read
+                && self.banks[bank].open_row == Some(row)
+                && read_ok[bank] == row)
     }
 
     fn make_entry(&self, request: MemRequest) -> QueueEntry {
@@ -1653,36 +1673,22 @@ impl MemoryController {
                         self.retune_refresh();
                         self.trace_migration_instant("couple_point", now, b as u32, row);
                     }
-                    MigrationStep::Complete {
+                    MigrationStep::Done {
+                        kind,
                         row,
                         cross_bank,
                         dispatched_at,
-                        ..
                     } => {
-                        self.stats.migration_jobs_completed += 1;
-                        if cross_bank {
-                            self.stats.migration_cross_bank_jobs += 1;
-                        }
-                        self.note_migration_done("couple", dispatched_at, now, b as u32, row);
-                    }
-                    MigrationStep::StagedOut {
-                        bank,
-                        row,
-                        dispatched_at,
-                    } => {
-                        // The data left for another channel; the frame
-                        // is freed only once the system confirms the
-                        // landing (note_frame_freed).
-                        self.stats.migration_evacuations += 1;
-                        self.note_migration_done("stage_out", dispatched_at, now, bank, row);
-                    }
-                    MigrationStep::Filled {
-                        bank,
-                        row,
-                        dispatched_at,
-                    } => {
-                        self.stats.migration_fills += 1;
-                        self.note_migration_done("fill_in", dispatched_at, now, bank, row);
+                        let (done, name) = match kind {
+                            JobKind::Couple => (&mut self.stats.migration_jobs_completed, "couple"),
+                            JobKind::EvacuateOut => {
+                                (&mut self.stats.migration_evacuations, "stage_out")
+                            }
+                            JobKind::FillIn => (&mut self.stats.migration_fills, "fill_in"),
+                        };
+                        *done += 1;
+                        self.stats.migration_cross_bank_jobs += u64::from(cross_bank);
+                        self.note_migration_done(name, dispatched_at, now, b as u32, row);
                     }
                     MigrationStep::InProgress => {}
                 }
@@ -2120,6 +2126,18 @@ mod tests {
 
     fn write(id: u64, addr: u64, at: u64) -> MemRequest {
         MemRequest::new(id, PhysAddr(addr), RequestKind::Write, at)
+    }
+
+    /// Every dispatched migration job is pending or counted once, at its
+    /// terminal step, by the statistic of its kind.
+    fn assert_jobs_accounted(mc: &MemoryController, context: &str) {
+        let s = mc.stats();
+        let ended = s.migration_jobs_completed + s.migration_evacuations + s.migration_fills;
+        assert_eq!(
+            mc.migration_jobs_dispatched(),
+            ended + mc.pending_migrations() as u64,
+            "{context}: dispatched jobs vs ended + pending"
+        );
     }
 
     fn run_until_done(mc: &mut MemoryController, limit: u64) -> Vec<Completion> {
@@ -2981,6 +2999,14 @@ mod tests {
             cfg.placement = DestinationPicker::CrossBank;
             let mut mc = MemoryController::new(cfg);
             mc.enable_command_log();
+            let categories = clr_obs::CategorySet::none().with(TraceCategory::Migration);
+            mc.enable_tracing(
+                &TraceConfig {
+                    categories,
+                    capacity: 1 << 16,
+                },
+                0,
+            );
             mc.try_enqueue(read(1, 0x0, 0)).unwrap();
             mc.try_enqueue(read(2, 0x1000, 0)).unwrap();
             let mut done = Vec::new();
@@ -3001,21 +3027,32 @@ mod tests {
             step_to(&mut mc, &mut done, 10_000);
             mc.try_enqueue(read(3, 0x0, mc.cycle())).unwrap();
             step_to(&mut mc, &mut done, 60_000);
+            let trace = mc.trace_sink_mut().unwrap().drain();
             (
                 mc.command_log().unwrap().to_vec(),
                 done,
                 mc.stats().clone(),
                 mc.pending_migrations(),
+                trace,
             )
         };
-        let (log_a, done_a, stats_a, pend_a) = run(false);
-        let (log_b, done_b, stats_b, pend_b) = run(true);
+        let (log_a, done_a, stats_a, pend_a, trace_a) = run(false);
+        let (log_b, done_b, stats_b, pend_b, trace_b) = run(true);
         assert_eq!(log_a, log_b, "command logs diverge");
         assert_eq!(done_a, done_b, "completions diverge");
         assert_eq!(stats_a, stats_b, "statistics diverge");
         assert_eq!(pend_a, pend_b);
         assert_eq!(pend_a, 0, "all jobs completed in the horizon");
         assert!(stats_a.migration_cross_bank_jobs > 0, "cross-bank jobs ran");
+        // The migration spans and couple points (name, bank, row, start
+        // cycle, duration), identical across walks and pinned.
+        assert_eq!(trace_a, trace_b, "migration traces diverge");
+        let hash = trace_a.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, e| {
+            let text = format!("{} {} {} {:?};", e.name, e.ts, e.dur, e.args);
+            text.bytes()
+                .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        });
+        assert_eq!((trace_a.len(), hash), (8, 0xc740_8ea3_1bef_35bc));
     }
 
     #[test]
@@ -3039,6 +3076,8 @@ mod tests {
         }
         assert_eq!(mc.pending_migrations(), 0);
         assert_eq!(mc.stats().migration_fills, 1);
+        assert_eq!(mc.migration_jobs_dispatched(), 1);
+        assert_jobs_accounted(&mc, "after the fill");
         assert!(
             !mc.is_row_migrating(bank, row),
             "fill released the reservation"
@@ -3061,11 +3100,13 @@ mod tests {
         // A set next-event memo must equal a from-scratch bound after
         // every enqueue, `tick` and `tick_until`; the walk also queries
         // the bound between enqueues and ticks, as the run loop does, and
-        // must stay bit-identical to a per-cycle twin.
+        // must stay bit-identical to a per-cycle twin. Every dispatched
+        // job stays accounted for.
         use crate::frames::DestinationPicker;
         use crate::migrate::RelocationConfig;
         let check = |mc: &mut MemoryController, step: usize| {
             mc.assert_memo_exact(&format!("step {step}"));
+            assert_jobs_accounted(mc, &format!("step {step}"));
             let banks = 0..mc.banks.len();
             let open: Vec<usize> = banks
                 .clone()
@@ -3081,7 +3122,13 @@ mod tests {
             let rescan: Vec<usize> = banks.filter(|&b| mc.migration.bank_has_work(b)).collect();
             assert_eq!(work, rescan, "step {step}");
         };
-        for placement in [DestinationPicker::SameBank, DestinationPicker::CrossBank] {
+        // The last run also sends demand to rows 32..40, the same-bank
+        // destination frames of couplings of rows 0..8.
+        for (placement, frame_demand) in [
+            (DestinationPicker::SameBank, false),
+            (DestinationPicker::CrossBank, false),
+            (DestinationPicker::SameBank, true),
+        ] {
             let mut cfg = MemConfig::tiny_clr(0.0);
             cfg.refresh_enabled = true;
             cfg.relocation = RelocationConfig::background();
@@ -3105,9 +3152,14 @@ mod tests {
             let (mut done, mut twin_done) = (Vec::new(), Vec::new());
             for step in 0..3_000 {
                 for id in 0..rng() % 3 {
-                    let addr = (rng() % 8) * row_stride
-                        + (rng() % banks as u64) * bank_stride
-                        + (rng() % 4) * 64;
+                    let row = rng() % 8
+                        + if frame_demand && rng() % 4 == 0 {
+                            32
+                        } else {
+                            0
+                        };
+                    let addr =
+                        row * row_stride + (rng() % banks as u64) * bank_stride + (rng() % 4) * 64;
                     let req = MemRequest::new(id, PhysAddr(addr), RequestKind::Read, mc.cycle());
                     let req = if rng() % 3 == 0 {
                         MemRequest {

@@ -25,11 +25,11 @@
 //!
 //! [`FrameDirectory`] is the bookkeeping half: per-bank sets of
 //! explicitly *freed* frames (rows whose contents were evacuated
-//! elsewhere) that destination pickers consume first, plus counters the
-//! rebalancer and the sweep report read. [`CapacityRebalancer`] is the
-//! decision half: a pure, deterministic planner that turns per-channel
-//! demand telemetry into "move K frames from channel A to channel B"
-//! plans.
+//! elsewhere) that destination pickers consume first; the controller's
+//! [`MemStats`](crate::stats::MemStats) counts frames freed and reused.
+//! [`CapacityRebalancer`] is the decision half: a pure, deterministic
+//! planner that turns per-channel demand telemetry into "move K frames
+//! from channel A to channel B" plans.
 //!
 //! [`clr_policy`-side budget rebalancing]: DestinationPicker::CrossChannel
 
@@ -89,10 +89,6 @@ impl DestinationPicker {
 pub struct FrameDirectory {
     /// Explicitly freed frames per flat bank.
     freed: Vec<BTreeSet<u32>>,
-    /// Frames freed over the directory's lifetime.
-    freed_total: u64,
-    /// Frames handed out over the directory's lifetime.
-    consumed_total: u64,
 }
 
 impl FrameDirectory {
@@ -100,22 +96,13 @@ impl FrameDirectory {
     pub fn new(banks: usize) -> Self {
         FrameDirectory {
             freed: vec![BTreeSet::new(); banks],
-            freed_total: 0,
-            consumed_total: 0,
         }
-    }
-
-    /// Number of banks tracked.
-    pub fn banks(&self) -> usize {
-        self.freed.len()
     }
 
     /// Marks `(bank, row)` as a known-free frame (its contents moved
     /// elsewhere).
     pub fn free(&mut self, bank: usize, row: u32) {
-        if self.freed[bank].insert(row) {
-            self.freed_total += 1;
-        }
+        self.freed[bank].insert(row);
     }
 
     /// Whether `(bank, row)` is a known-free frame.
@@ -123,45 +110,18 @@ impl FrameDirectory {
         self.freed[bank].contains(&row)
     }
 
-    /// The lowest known-free frame in `bank` passing `usable`, removed
-    /// from the directory.
-    pub fn take_in_bank(
-        &mut self,
-        bank: usize,
-        mut usable: impl FnMut(u32) -> bool,
-    ) -> Option<u32> {
-        let row = self.freed[bank].iter().copied().find(|&r| usable(r))?;
-        self.freed[bank].remove(&row);
-        self.consumed_total += 1;
-        Some(row)
-    }
-
     /// The lowest known-free frame in `bank` passing `usable`, *left in
-    /// the directory* — for reservations that may still be aborted (the
-    /// reservation itself keeps pickers away; the frame is consumed only
-    /// when data actually lands in it).
+    /// the directory*: a pick is consumed with
+    /// [`FrameDirectory::take_exact`] only once its job dispatches, so an
+    /// aborted reservation loses nothing.
     pub fn peek_in_bank(&self, bank: usize, mut usable: impl FnMut(u32) -> bool) -> Option<u32> {
         self.freed[bank].iter().copied().find(|&r| usable(r))
     }
 
-    /// Removes `(bank, row)` from the free set if present (a picker or
-    /// reservation chose it through another path).
+    /// Removes `(bank, row)` from the free set, returning whether it was
+    /// there (a dispatched job consumed it).
     pub fn take_exact(&mut self, bank: usize, row: u32) -> bool {
-        let hit = self.freed[bank].remove(&row);
-        if hit {
-            self.consumed_total += 1;
-        }
-        hit
-    }
-
-    /// Frames freed over the directory's lifetime.
-    pub fn freed_total(&self) -> u64 {
-        self.freed_total
-    }
-
-    /// Frames consumed over the directory's lifetime.
-    pub fn consumed_total(&self) -> u64 {
-        self.consumed_total
+        self.freed[bank].remove(&row)
     }
 }
 
@@ -294,13 +254,13 @@ mod tests {
         d.free(1, 9);
         d.free(1, 3);
         d.free(1, 3); // idempotent
-        assert_eq!(d.freed_total(), 2);
         assert!(d.is_free(1, 9) && d.is_free(1, 3));
-        // Lowest usable row first; the filter skips unusable candidates.
-        assert_eq!(d.take_in_bank(1, |r| r != 3), Some(9));
-        assert_eq!(d.take_in_bank(1, |_| true), Some(3));
-        assert_eq!(d.take_in_bank(1, |_| true), None);
-        assert_eq!(d.consumed_total(), 2);
+        // Lowest usable row first; the filter skips unusable candidates,
+        // and a peek leaves the frame in place.
+        assert_eq!(d.peek_in_bank(1, |r| r != 3), Some(9));
+        assert_eq!(d.peek_in_bank(1, |_| true), Some(3));
+        assert!(d.take_exact(1, 3) && d.take_exact(1, 9));
+        assert_eq!(d.peek_in_bank(1, |_| true), None);
         assert!(!d.is_free(1, 9) && !d.is_free(1, 3));
     }
 

@@ -48,14 +48,20 @@
 //! kinds ([`JobKind`]): the coupling itself, an **evacuate-out**
 //! (read-out only; the data leaves the channel) and a **fill-in**
 //! (write-back only; the data arrives from another channel), the last
-//! two staged by [`MemorySystem::pump_placement`]. Completed placement
-//! work is reported as [`PlacementEvent`]s so the system can install
-//! [`RemapTable`](crate::system::RemapTable) entries.
+//! two staged by [`MemorySystem::pump_placement`]. Every kind ends the
+//! same way: its terminal PRE (the write-back side's, or an
+//! evacuate-out's read-out PRE) reports one [`MigrationStep::Done`],
+//! releases the job's roles and reservations and records one
+//! [`PlacementEvent`] built from the job, from which the system installs
+//! [`RemapTable`](crate::system::RemapTable) entries. The one exception
+//! is an evacuate-out's source row, which stays reserved until the
+//! system confirms that the data landed on the other channel.
 //!
-//! Jobs queue per owning bank and at most one migration role (job source
-//! *or* destination) is in flight per bank. Under
-//! [`RelocationMode::Background`] a job *starts* only on a cycle where
-//! no demand command could issue, on a closed bank with no queued
+//! Jobs queue per owning bank in a plain FIFO; a frame move jumps ahead
+//! of the bank's couplings, which keep their order. At most one
+//! migration role (job source *or* destination) is in flight per bank.
+//! Under [`RelocationMode::Background`] a job *starts* only on a cycle
+//! where no demand command could issue, on a closed bank with no queued
 //! demand, outside the tRRD shadow of imminent demand activates; once a
 //! side's ACT has issued, the burst train finishes contiguously, and a
 //! job that demand is actually waiting on finishes at demand priority.
@@ -73,7 +79,7 @@
 //! [`ModeTable`]: clr_core::mode::ModeTable
 //! [`MemorySystem::pump_placement`]: crate::system::MemorySystem::pump_placement
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use clr_core::mode::RowMode;
 
@@ -198,19 +204,9 @@ struct JobState {
     wr_remaining: u32,
 }
 
-impl JobState {
-    /// A job that reads `rd` bursts out and writes `wr` bursts back
-    /// (`rd == 0`: no read-out side).
-    fn new(rd: u32, wr: u32) -> Self {
-        JobState {
-            src_opened: false,
-            rd_remaining: rd,
-            src_done: rd == 0,
-            dest_opened: false,
-            wr_remaining: wr,
-        }
-    }
-}
+/// The modes a frame move's half reads and writes: a moved frame stays
+/// max-capacity.
+const FRAME_MOVE: (RowMode, RowMode) = (RowMode::MaxCapacity, RowMode::MaxCapacity);
 
 /// One row's relocation, decomposed into commands.
 #[derive(Debug, Clone, Copy)]
@@ -270,36 +266,18 @@ pub enum MigrationStep {
         /// Mode to flip it to.
         to: RowMode,
     },
-    /// A coupling finished; its banks are free again.
-    Complete {
-        /// The migrated row.
+    /// A job of any kind finished; its banks are free again. For an
+    /// evacuate-out the row's data is staged for a fill on another
+    /// channel, and its source row stays reserved until the system
+    /// confirms the landing.
+    Done {
+        /// What the job moved.
+        kind: JobKind,
+        /// The job's source row (a fill-in's frame).
         row: u32,
-        /// Its (already applied) final mode.
-        to: RowMode,
         /// Whether the destination frame lived in another bank (the
-        /// overlapped two-bank execution).
+        /// overlapped two-bank execution of a coupling).
         cross_bank: bool,
-        /// Cycle the job was dispatched, for end-to-end job latency.
-        dispatched_at: u64,
-    },
-    /// A cross-channel move's read-out half finished; the row's data is
-    /// staged for a fill on another channel (the source row stays
-    /// reserved until the system confirms the landing).
-    StagedOut {
-        /// Source bank read out.
-        bank: u32,
-        /// Source row read out.
-        row: u32,
-        /// Cycle the job was dispatched, for end-to-end job latency.
-        dispatched_at: u64,
-    },
-    /// A cross-channel move's write-back half finished; the data landed
-    /// in this channel's frame.
-    Filled {
-        /// Destination bank filled.
-        bank: u32,
-        /// Destination row filled.
-        row: u32,
         /// Cycle the job was dispatched, for end-to-end job latency.
         dispatched_at: u64,
     },
@@ -307,9 +285,9 @@ pub enum MigrationStep {
 
 /// A completed placement action, drained by the memory system to update
 /// the capacity directory and the remap table. `bank`/`row` is the
-/// source location, `dest_bank`/`dest` the destination (both `u32::MAX`
-/// for [`JobKind::EvacuateOut`], whose destination lives on another
-/// channel).
+/// owning bank and source row (a fill-in's frame), `dest_bank`/`dest`
+/// the destination (both `u32::MAX` for [`JobKind::EvacuateOut`], whose
+/// destination lives on another channel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementEvent {
     /// What kind of job completed.
@@ -324,95 +302,6 @@ pub struct PlacementEvent {
     pub dest: u32,
 }
 
-/// Sentinel slot index for [`JobArena`] links.
-const NIL: u32 = u32::MAX;
-
-/// Per-bank migration-job FIFOs backed by one shared slab: jobs live in
-/// a single contiguous `Vec` with intrusive `next` links and per-bank
-/// `head`/`tail` cursors, so steady-state push/pop recycles slots from
-/// the free list instead of reallocating per-bank ring buffers. Queue
-/// order is identical to the `Vec<VecDeque>` it replaces.
-#[derive(Debug)]
-struct JobArena {
-    jobs: Vec<MigrationJob>,
-    /// Next slot in the owning bank's FIFO (`NIL` at the tail).
-    next: Vec<u32>,
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    free: Vec<u32>,
-}
-
-impl JobArena {
-    fn new(banks: usize) -> Self {
-        JobArena {
-            jobs: Vec::new(),
-            next: Vec::new(),
-            head: vec![NIL; banks],
-            tail: vec![NIL; banks],
-            free: Vec::new(),
-        }
-    }
-
-    fn banks(&self) -> usize {
-        self.head.len()
-    }
-
-    fn alloc(&mut self, job: MigrationJob) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.jobs[slot as usize] = job;
-            self.next[slot as usize] = NIL;
-            slot
-        } else {
-            self.jobs.push(job);
-            self.next.push(NIL);
-            (self.jobs.len() - 1) as u32
-        }
-    }
-
-    fn push_back(&mut self, bank: usize, job: MigrationJob) {
-        let slot = self.alloc(job);
-        match self.tail[bank] {
-            NIL => self.head[bank] = slot,
-            t => self.next[t as usize] = slot,
-        }
-        self.tail[bank] = slot;
-    }
-
-    fn push_front(&mut self, bank: usize, job: MigrationJob) {
-        let slot = self.alloc(job);
-        self.next[slot as usize] = self.head[bank];
-        self.head[bank] = slot;
-        if self.tail[bank] == NIL {
-            self.tail[bank] = slot;
-        }
-    }
-
-    fn front(&self, bank: usize) -> Option<&MigrationJob> {
-        match self.head[bank] {
-            NIL => None,
-            h => Some(&self.jobs[h as usize]),
-        }
-    }
-
-    fn pop_front(&mut self, bank: usize) -> Option<MigrationJob> {
-        let h = self.head[bank];
-        if h == NIL {
-            return None;
-        }
-        let job = self.jobs[h as usize];
-        self.head[bank] = self.next[h as usize];
-        if self.head[bank] == NIL {
-            self.tail[bank] = NIL;
-        }
-        self.free.push(h);
-        Some(job)
-    }
-
-    fn is_empty(&self, bank: usize) -> bool {
-        self.head[bank] == NIL
-    }
-}
-
 /// Per-bank job queues plus the rate limiter — the bookkeeping half of
 /// background migration (the controller owns all protocol state).
 #[derive(Debug)]
@@ -422,7 +311,8 @@ pub struct MigrationEngine {
     /// burst per column access (matches the relocation cost model's
     /// `bursts_per_row`). Whole-row frame moves transfer twice this.
     bursts_per_phase: u32,
-    queues: JobArena,
+    /// Each bank's queued jobs, front first.
+    queues: Vec<VecDeque<MigrationJob>>,
     active: Vec<Option<MigrationJob>>,
     /// For banks serving as the *destination* side of an active job: the
     /// owning bank (the bank itself for same-bank couplings and
@@ -449,6 +339,8 @@ pub struct MigrationEngine {
     /// dispatchers consult.
     reserved: BTreeSet<(u32, u32)>,
     pending_jobs: usize,
+    /// Jobs dispatched over the engine's lifetime, of every kind.
+    dispatched: u64,
     /// Completed coupling `(bank, row, mode)` transitions awaiting a
     /// drain by the policy driver.
     completed: Vec<(u32, u32, RowMode)>,
@@ -484,7 +376,7 @@ impl MigrationEngine {
         MigrationEngine {
             cfg,
             bursts_per_phase: bursts,
-            queues: JobArena::new(banks),
+            queues: vec![VecDeque::new(); banks],
             active: vec![None; banks],
             dest_of: vec![None; banks],
             held: BankSet::default(),
@@ -493,6 +385,7 @@ impl MigrationEngine {
             readout_src: vec![u32::MAX; banks],
             reserved: BTreeSet::new(),
             pending_jobs: 0,
+            dispatched: 0,
             completed: Vec::new(),
             placements: Vec::new(),
             log_couple_placements: false,
@@ -509,14 +402,15 @@ impl MigrationEngine {
         self.log_couple_placements = true;
     }
 
-    /// Column bursts of a whole-row frame move (both halves of the row).
-    pub fn bursts_per_frame_move(&self) -> u32 {
-        self.bursts_per_phase * 2
-    }
-
     /// Jobs dispatched but not yet complete (queued + in flight).
     pub fn pending_jobs(&self) -> usize {
         self.pending_jobs
+    }
+
+    /// Jobs dispatched so far, of every kind: each is later counted
+    /// once, as a completed coupling, evacuate-out or fill-in.
+    pub fn jobs_dispatched(&self) -> u64 {
+        self.dispatched
     }
 
     /// Whether bank `b` has an in-flight migration role (job source or
@@ -528,7 +422,7 @@ impl MigrationEngine {
     /// Whether bank `b` has any migration work to consider at all — an
     /// in-flight role (source or destination) or a queued job.
     pub fn bank_has_work(&self, bank: usize) -> bool {
-        self.is_busy(bank) || !self.queues.is_empty(bank)
+        self.is_busy(bank) || !self.queues[bank].is_empty()
     }
 
     /// Re-derives `bank`'s membership of the work set after a job was
@@ -628,26 +522,14 @@ impl MigrationEngine {
         to: RowMode,
         now: u64,
     ) -> bool {
-        if self.is_row_pending(bank, row)
-            || self.is_row_pending(dest_bank, dest)
-            || (bank == dest_bank && row == dest)
-        {
-            return false;
+        let admitted = !self.is_row_pending(bank, row)
+            && !self.is_row_pending(dest_bank, dest)
+            && (bank, row) != (dest_bank, dest);
+        if admitted {
+            let dest = (dest_bank as u32, dest);
+            self.enqueue(bank, JobKind::Couple, row, dest, (from, to), now);
         }
-        self.enqueue_job(
-            bank,
-            MigrationJob {
-                kind: JobKind::Couple,
-                row,
-                dest,
-                dest_bank: dest_bank as u32,
-                from,
-                to,
-                dispatched_at: now,
-                state: JobState::new(self.bursts_per_phase, self.bursts_per_phase),
-            },
-        );
-        true
+        admitted
     }
 
     /// Dispatches the read-out half of a cross-channel frame move: the
@@ -656,23 +538,12 @@ impl MigrationEngine {
     /// landing and releases it). Returns `false` if the row has a
     /// pending role.
     pub fn dispatch_evacuate_out(&mut self, bank: usize, row: u32, now: u64) -> bool {
-        if self.is_row_pending(bank, row) {
-            return false;
+        let admitted = !self.is_row_pending(bank, row);
+        if admitted {
+            let none = (u32::MAX, u32::MAX);
+            self.enqueue(bank, JobKind::EvacuateOut, row, none, FRAME_MOVE, now);
         }
-        self.enqueue_job(
-            bank,
-            MigrationJob {
-                kind: JobKind::EvacuateOut,
-                row,
-                dest: u32::MAX,
-                dest_bank: u32::MAX,
-                from: RowMode::MaxCapacity,
-                to: RowMode::MaxCapacity,
-                dispatched_at: now,
-                state: JobState::new(self.bursts_per_frame_move(), 0),
-            },
-        );
-        true
+        admitted
     }
 
     /// Dispatches the write-back half of a cross-channel frame move: a
@@ -681,39 +552,64 @@ impl MigrationEngine {
     /// [`MigrationEngine::reserve`]; the job adopts that reservation as
     /// its own entry. Returns `false` if the frame is not reserved.
     pub fn dispatch_fill(&mut self, bank: usize, row: u32, now: u64) -> bool {
-        if !self.is_row_pending(bank, row) {
-            return false;
+        let admitted = self.is_row_pending(bank, row);
+        if admitted {
+            let frame = (bank as u32, row);
+            self.enqueue(bank, JobKind::FillIn, row, frame, FRAME_MOVE, now);
         }
-        self.enqueue_job(
-            bank,
-            MigrationJob {
-                kind: JobKind::FillIn,
-                row,
-                dest: row,
-                dest_bank: bank as u32,
-                from: RowMode::MaxCapacity,
-                to: RowMode::MaxCapacity,
-                dispatched_at: now,
-                state: JobState::new(0, self.bursts_per_frame_move()),
-            },
-        );
-        true
+        admitted
     }
 
-    fn enqueue_job(&mut self, bank: usize, job: MigrationJob) {
-        self.reserved.insert((bank as u32, job.row));
+    /// Builds a job of `kind` owned by `bank` and queues it: the one
+    /// constructor and enqueue path of every dispatch. A coupling moves
+    /// half a row each way; a frame move's half moves a whole row one
+    /// way. The job reserves its source row and, when it has a
+    /// write-back side (`dest.0 != u32::MAX`), its destination frame.
+    fn enqueue(
+        &mut self,
+        bank: usize,
+        kind: JobKind,
+        row: u32,
+        (dest_bank, dest): (u32, u32),
+        (from, to): (RowMode, RowMode),
+        now: u64,
+    ) {
+        let p = self.bursts_per_phase;
+        let (rd, wr) = match kind {
+            JobKind::Couple => (p, p),
+            JobKind::EvacuateOut => (2 * p, 0),
+            JobKind::FillIn => (0, 2 * p),
+        };
+        let job = MigrationJob {
+            kind,
+            row,
+            dest,
+            dest_bank,
+            from,
+            to,
+            dispatched_at: now,
+            state: JobState {
+                src_opened: false,
+                rd_remaining: rd,
+                src_done: rd == 0,
+                dest_opened: false,
+                wr_remaining: wr,
+            },
+        };
+        self.reserved.insert((bank as u32, row));
         if let Some(db) = job.write_bank() {
-            self.reserved.insert((db as u32, job.dest));
+            self.reserved.insert((db as u32, dest));
         }
         // The capacity directory's frame moves are few and system-wide
         // (a stuck move pins reservations on two channels), so they jump
         // the bank's coupling backlog; couplings keep FIFO order among
         // themselves.
-        match job.kind {
-            JobKind::Couple => self.queues.push_back(bank, job),
-            _ => self.queues.push_front(bank, job),
+        match kind {
+            JobKind::Couple => self.queues[bank].push_back(job),
+            _ => self.queues[bank].push_front(job),
         }
         self.pending_jobs += 1;
+        self.dispatched += 1;
         self.work.insert(bank);
     }
 
@@ -721,9 +617,8 @@ impl MigrationEngine {
     /// migration role already occupies one of its banks.
     fn start_blocked(&self, bank: usize) -> bool {
         self.is_busy(bank)
-            || self
-                .queues
-                .front(bank)
+            || self.queues[bank]
+                .front()
                 .and_then(MigrationJob::write_bank)
                 .is_some_and(|db| self.is_busy(db))
     }
@@ -742,11 +637,11 @@ impl MigrationEngine {
     /// candidates. `None` while any of the job's banks is occupied by
     /// another migration role (the occupying job's completion is an
     /// event, so the bound stays exact).
-    pub fn queued_start(&self, bank: usize) -> Option<(u32, RowMode)> {
+    fn queued_start(&self, bank: usize) -> Option<(u32, RowMode)> {
         if self.start_blocked(bank) {
             return None;
         }
-        self.queues.front(bank).map(Self::start_target)
+        self.queues[bank].front().map(Self::start_target)
     }
 
     /// The earliest cycle ≥ `now` at which the rate limiter permits a
@@ -941,103 +836,71 @@ impl MigrationEngine {
         job.state.src_done = true;
         let job = *job;
         self.readout_src[bank] = u32::MAX;
-        match job.kind {
-            JobKind::Couple => {
-                // The couple point: the source row is usable in its new
-                // mode from here; only the destination frame still
-                // blocks — on this bank too, when it lives here.
-                self.row_block[bank] = if job.dest_bank as usize == bank {
-                    job.dest
-                } else {
-                    u32::MAX
-                };
-                MigrationStep::Couple {
-                    row: job.row,
-                    to: job.to,
-                }
-            }
-            JobKind::EvacuateOut => {
-                // Single-sided: the read-out completes the job. The
-                // source row's reservation survives until the system
-                // confirms the landing on the other channel. The
-                // *demand* block is released here, though: row blocks
-                // are tied to in-flight roles, so a demand write landing
-                // in the staging window (before the fill lands and the
-                // remap swap redirects the address) is a known fidelity
-                // approximation of this data-less model — it costs
-                // nothing in timing, and the staging window is bounded by
-                // the pump cadence (see the ROADMAP open item).
-                self.active[bank] = None;
-                self.sync_work(bank);
-                self.row_block[bank] = u32::MAX;
-                self.pending_jobs -= 1;
-                self.placements.push(PlacementEvent {
-                    kind: JobKind::EvacuateOut,
-                    bank: bank as u32,
-                    row: job.row,
-                    dest_bank: u32::MAX,
-                    dest: u32::MAX,
-                });
-                MigrationStep::StagedOut {
-                    bank: bank as u32,
-                    row: job.row,
-                    dispatched_at: job.dispatched_at,
-                }
-            }
-            JobKind::FillIn => unreachable!("fill-ins have no read-out side"),
+        if job.kind != JobKind::Couple {
+            // An evacuate-out has no write-back side: its read-out PRE is
+            // terminal.
+            return self.complete_job(owner);
+        }
+        // The couple point: the source row is usable in its new mode from
+        // here; only the destination frame still blocks — on this bank
+        // too, when it lives here.
+        self.row_block[bank] = if job.dest_bank as usize == bank {
+            job.dest
+        } else {
+            u32::MAX
+        };
+        MigrationStep::Couple {
+            row: job.row,
+            to: job.to,
         }
     }
 
-    /// Finishes the active job owned by `owner`, releasing every role
-    /// and reservation it held and emitting its completion records.
+    /// Finishes the active job owned by `owner` — the terminal step of
+    /// every job kind: releases its roles and reservations and records
+    /// its completion.
     fn complete_job(&mut self, owner: usize) -> MigrationStep {
         let job = self.active[owner].take().expect("completing an active job");
-        self.sync_work(owner);
         self.row_block[owner] = u32::MAX;
         self.readout_src[owner] = u32::MAX;
         if let Some(db) = job.write_bank() {
             self.dest_of[db] = None;
-            self.sync_work(db);
             self.row_block[db] = u32::MAX;
             self.reserved.remove(&(db as u32, job.dest));
+            self.sync_work(db);
         }
+        self.sync_work(owner);
         self.pending_jobs -= 1;
-        self.reserved.remove(&(owner as u32, job.row));
-        match job.kind {
-            JobKind::Couple => {
-                self.completed.push((owner as u32, job.row, job.to));
-                let cross_bank = job.dest_bank as usize != owner;
-                if cross_bank && self.log_couple_placements {
-                    self.placements.push(PlacementEvent {
-                        kind: JobKind::Couple,
-                        bank: owner as u32,
-                        row: job.row,
-                        dest_bank: job.dest_bank,
-                        dest: job.dest,
-                    });
-                }
-                MigrationStep::Complete {
-                    row: job.row,
-                    to: job.to,
-                    cross_bank,
-                    dispatched_at: job.dispatched_at,
-                }
-            }
-            JobKind::FillIn => {
-                self.placements.push(PlacementEvent {
-                    kind: JobKind::FillIn,
-                    bank: owner as u32,
-                    row: job.dest,
-                    dest_bank: job.dest_bank,
-                    dest: job.dest,
-                });
-                MigrationStep::Filled {
-                    bank: job.dest_bank,
-                    row: job.dest,
-                    dispatched_at: job.dispatched_at,
-                }
-            }
-            JobKind::EvacuateOut => unreachable!("evacuate-outs complete at their source PRE"),
+        // An evacuate-out's source row stays reserved until the system
+        // confirms the landing on the other channel. Its *demand* block
+        // is released here, though: row blocks are tied to in-flight
+        // roles, so a demand write landing in the staging window (before
+        // the fill lands and the remap swap redirects the address) is a
+        // known fidelity approximation of this data-less model — it costs
+        // nothing in timing, and the staging window is bounded by the
+        // pump cadence.
+        if job.kind != JobKind::EvacuateOut {
+            self.reserved.remove(&(owner as u32, job.row));
+        }
+        let cross_bank = job.write_bank().is_some_and(|db| db != owner);
+        if job.kind == JobKind::Couple {
+            self.completed.push((owner as u32, job.row, job.to));
+        }
+        // The system pump consumes frame moves; a coupling's event exists
+        // for audits and is recorded only when asked for.
+        if job.kind != JobKind::Couple || (cross_bank && self.log_couple_placements) {
+            self.placements.push(PlacementEvent {
+                kind: job.kind,
+                bank: owner as u32,
+                row: job.row,
+                dest_bank: job.dest_bank,
+                dest: job.dest,
+            });
+        }
+        MigrationStep::Done {
+            kind: job.kind,
+            row: job.row,
+            cross_bank,
+            dispatched_at: job.dispatched_at,
         }
     }
 
@@ -1087,9 +950,8 @@ impl MigrationEngine {
             }
             self.issued_in_window += 1;
         }
-        let job = self
-            .queues
-            .pop_front(bank)
+        let job = self.queues[bank]
+            .pop_front()
             .expect("start requires a queued job");
         if let Some(db) = job.write_bank() {
             self.dest_of[db] = Some(bank);
@@ -1104,7 +966,7 @@ impl MigrationEngine {
     }
 
     fn bump(&mut self, bank: usize) {
-        self.rr_next = (bank + 1) % self.queues.banks().max(1);
+        self.rr_next = (bank + 1) % self.queues.len().max(1);
     }
 }
 
@@ -1191,9 +1053,9 @@ mod tests {
         let step = e.note_pre(1);
         assert_eq!(
             step,
-            MigrationStep::Complete {
+            MigrationStep::Done {
+                kind: JobKind::Couple,
                 row: 7,
-                to: RowMode::HighPerformance,
                 cross_bank: false,
                 dispatched_at: 0,
             }
@@ -1289,9 +1151,9 @@ mod tests {
         assert_eq!(written, 11, "five of 16 bursts were already written");
         assert_eq!(
             e.note_pre(1),
-            MigrationStep::Complete {
+            MigrationStep::Done {
+                kind: JobKind::Couple,
                 row: 7,
-                to: RowMode::HighPerformance,
                 cross_bank: false,
                 dispatched_at: 0,
             }
@@ -1322,7 +1184,7 @@ mod tests {
         for i in 0..16 {
             e.note_column(0, 31 + i);
         }
-        assert!(matches!(e.note_pre(0), MigrationStep::Complete { .. }));
+        assert!(matches!(e.note_pre(0), MigrationStep::Done { .. }));
         assert!(!e.pending_writeback_act(0), "complete");
 
         // Cross-bank coupling 1 → 3: never, on either bank — even with
@@ -1353,7 +1215,7 @@ mod tests {
         for i in 0..15 {
             e.note_column(3, 131 + i);
         }
-        assert!(matches!(e.note_pre(3), MigrationStep::Complete { .. }));
+        assert!(matches!(e.note_pre(3), MigrationStep::Done { .. }));
         assert!(never(&e));
 
         // Fill-in on bank 2: write-back only, never pending either.
@@ -1368,7 +1230,13 @@ mod tests {
         for i in 0..31 {
             e.note_column(2, 211 + i);
         }
-        assert!(matches!(e.note_pre(2), MigrationStep::Filled { .. }));
+        assert!(matches!(
+            e.note_pre(2),
+            MigrationStep::Done {
+                kind: JobKind::FillIn,
+                ..
+            }
+        ));
         assert!(!e.pending_writeback_act(2));
     }
 
@@ -1492,9 +1360,9 @@ mod tests {
         assert_eq!(c.command, Command::Pre);
         assert_eq!(
             e.note_pre(3),
-            MigrationStep::Complete {
+            MigrationStep::Done {
+                kind: JobKind::Couple,
                 row: 7,
-                to: RowMode::HighPerformance,
                 cross_bank: true,
                 dispatched_at: 0,
             }
@@ -1557,19 +1425,21 @@ mod tests {
         let mut e = engine(None);
         // Cross-channel stage 1: read the full row out.
         assert!(e.dispatch_evacuate_out(0, 9, 0));
-        assert_eq!(e.bursts_per_frame_move(), 32);
         let c = e.next_command(0, None).unwrap();
         assert_eq!((c.command, c.row), (Command::Act, 9));
         e.note_act(0, 0);
         for i in 0..32 {
+            let c = e.next_command(0, Some((9, RowMode::MaxCapacity))).unwrap();
+            assert_eq!(c.command, Command::Rd, "burst {i}");
             e.note_column(0, 1 + i);
         }
         let step = e.note_pre(0);
         assert_eq!(
             step,
-            MigrationStep::StagedOut {
-                bank: 0,
+            MigrationStep::Done {
+                kind: JobKind::EvacuateOut,
                 row: 9,
+                cross_bank: false,
                 dispatched_at: 0
             }
         );
@@ -1598,18 +1468,30 @@ mod tests {
         let step = e.note_pre(2);
         assert_eq!(
             step,
-            MigrationStep::Filled {
-                bank: 2,
+            MigrationStep::Done {
+                kind: JobKind::FillIn,
                 row: 17,
+                cross_bank: false,
                 dispatched_at: 60
             }
         );
         assert!(!e.is_row_pending(2, 17));
+        assert_eq!((e.jobs_dispatched(), e.pending_jobs()), (2, 0));
         let mut events = Vec::new();
         e.drain_placements_into(&mut events);
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, JobKind::EvacuateOut);
-        assert_eq!(events[1].kind, JobKind::FillIn);
-        assert_eq!((events[1].dest_bank, events[1].dest), (2, 17));
+        let event = |kind, bank, row, dest_bank, dest| PlacementEvent {
+            kind,
+            bank,
+            row,
+            dest_bank,
+            dest,
+        };
+        assert_eq!(
+            events,
+            [
+                event(JobKind::EvacuateOut, 0, 9, u32::MAX, u32::MAX),
+                event(JobKind::FillIn, 2, 17, 2, 17),
+            ]
+        );
     }
 }

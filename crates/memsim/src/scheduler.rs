@@ -155,7 +155,7 @@ impl Lane {
 /// flux for its job's whole lifetime — except that *reads* stay servable
 /// while the row is listed in `read_ok_rows` (the read-out phase keeps
 /// the source's data intact in the row buffer).
-fn entry_excluded(
+pub(crate) fn entry_excluded(
     blocked_rows: &[u32],
     read_ok_rows: &[u32],
     bank: usize,

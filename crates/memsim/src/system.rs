@@ -1055,9 +1055,20 @@ mod tests {
         cfg.relocation = RelocationConfig::background();
         let g = cfg.geometry.clone();
         let mut sys = MemorySystem::new(cfg.clone());
+        // Every dispatched job is pending or counted once at its end.
+        let accounted = |sys: &MemorySystem, dispatched: u64| {
+            let dispatched_now: u64 = (0..sys.channels())
+                .map(|c| sys.channel(c).migration_jobs_dispatched())
+                .sum();
+            let s = sys.fused_stats();
+            let ended = s.migration_jobs_completed + s.migration_evacuations + s.migration_fills;
+            assert_eq!(dispatched_now, dispatched);
+            assert_eq!(dispatched_now, ended + sys.pending_migrations() as u64);
+        };
         let dest = sys.schedule_row_export(0, 0, 5, 1).expect("frame reserved");
         assert_eq!(dest.channel, 1);
         assert_eq!(sys.moves_in_flight(), 1);
+        accounted(&sys, 1);
         assert!(
             sys.channel(1)
                 .is_row_migrating(dest.bank as usize, dest.row),
@@ -1066,10 +1077,13 @@ mod tests {
         let mut done = Vec::new();
         sys.tick_until(30_000, &mut done);
         assert_eq!(sys.pending_migrations(), 0, "read-out half finished");
+        accounted(&sys, 1);
         sys.pump_placement(); // dispatches the fill on channel 1
         assert_eq!(sys.moves_in_flight(), 1, "fill half in flight");
         assert!(sys.remap_table().is_empty(), "no remap before the landing");
+        accounted(&sys, 2);
         sys.tick_until(60_000, &mut done);
+        accounted(&sys, 2);
         sys.pump_placement(); // fill landed → swap installed
         assert_eq!(sys.moves_in_flight(), 0);
         assert_eq!(sys.remap_table().installs(), 1);

@@ -8,8 +8,7 @@
 //! spatial locality, page-access skew, and write fraction, and a seeded
 //! generator emits an unbounded Ramulator-style trace with those
 //! statistics. The figures bin workloads only by memory intensity and
-//! access pattern, which these axes capture (see DESIGN.md,
-//! "Substitutions").
+//! access pattern, which these axes capture.
 //!
 //! * [`apps`] — the 41-app suite with published-characterisation-derived
 //!   parameters,

@@ -49,8 +49,7 @@ fn circuit_reductions_agree_with_model_constants() {
     let meas_red = [rcd, ras, rp, wr];
     let names = ["tRCD", "tRAS", "tRP", "tWR"];
     // The circuit is an independent calibration; require agreement within
-    // 16 percentage points on every parameter (the shape band recorded in
-    // EXPERIMENTS.md).
+    // 16 percentage points on every parameter.
     for ((name, m), c) in names.iter().zip(model_red).zip(meas_red) {
         assert!(
             (m - c).abs() < 0.16,

@@ -9,7 +9,8 @@
 //! command may touch the row whose content is in flux — the source until
 //! the couple point, the destination until the job completes. On top of
 //! the per-job discipline, the whole log (demand + migration + refresh)
-//! must pass the independent DDR4/CLR protocol checker.
+//! must pass the independent DDR4/CLR protocol checker, and every
+//! dispatched job must stay pending or counted once at its end.
 //!
 //! [`ModeTable`]: clr_dram::arch::mode::ModeTable
 
@@ -105,6 +106,7 @@ fn run_case(seed: u64, demand: usize, couplings: usize) {
         }
         mc.tick(&mut done);
         done.clear();
+        assert_jobs_accounted(&mc);
         cycles += 1;
         assert!(cycles < 10_000_000, "case did not drain");
     }
@@ -123,6 +125,7 @@ fn run_case(seed: u64, demand: usize, couplings: usize) {
         );
     }
     assert_eq!(mc.stats().migration_jobs_completed, requested.len() as u64);
+    assert_eq!(mc.migration_jobs_dispatched(), requested.len() as u64);
     assert_eq!(mc.stats().migration_reads, bursts * requested.len() as u64);
     assert_eq!(mc.stats().migration_writes, bursts * requested.len() as u64);
     assert_eq!(mc.stats().relocation_stall_cycles, 0);
@@ -259,6 +262,19 @@ fn run_case(seed: u64, demand: usize, couplings: usize) {
     );
 }
 
+/// Every dispatched job is pending or counted once, at its terminal
+/// step, by the statistic of its kind.
+fn assert_jobs_accounted(mc: &MemoryController) {
+    let s = mc.stats();
+    let ended = s.migration_jobs_completed + s.migration_evacuations + s.migration_fills;
+    assert_eq!(
+        mc.migration_jobs_dispatched(),
+        ended + mc.pending_migrations() as u64,
+        "dispatched jobs vs ended + pending at cycle {}",
+        mc.cycle()
+    );
+}
+
 /// The source row of the single in-flight job on `bank` during its
 /// write-back phase (jobs are per-bank serial, so it is the unique
 /// started-but-not-completed audit).
@@ -348,6 +364,7 @@ fn run_case_cross_bank(seed: u64, demand: usize, couplings: usize) {
         }
         mc.tick(&mut done);
         done.clear();
+        assert_jobs_accounted(&mc);
         cycles += 1;
         assert!(cycles < 10_000_000, "case did not drain");
     }
@@ -367,6 +384,7 @@ fn run_case_cross_bank(seed: u64, demand: usize, couplings: usize) {
     }
     let n = requested.len() as u64;
     assert_eq!(mc.stats().migration_jobs_completed, n);
+    assert_eq!(mc.migration_jobs_dispatched(), n);
     assert_eq!(
         mc.stats().migration_cross_bank_jobs,
         n,

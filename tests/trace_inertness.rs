@@ -109,6 +109,30 @@ fn chrome_trace_json_is_valid_and_complete() {
 }
 
 #[test]
+fn migration_trace_is_pinned() {
+    // Every migration-category event of the skip-ahead run: the job
+    // spans (dispatch to terminal PRE, named after the job kind) and the
+    // couple-point instants, with their channel, bank, row, start cycle
+    // and duration, hashed in log order.
+    let s = cross_channel();
+    let log = run(&s, Walk::SkipAhead, TRACE).run.trace.as_ref().unwrap();
+    let events: Vec<_> = log
+        .events
+        .iter()
+        .filter(|e| e.category == TraceCategory::Migration)
+        .collect();
+    for name in ["couple", "stage_out", "fill_in", "couple_point"] {
+        assert!(events.iter().any(|e| e.name == name), "no {name} event");
+    }
+    let hash = events.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, e| {
+        let text = format!("{} {} {} {} {:?};", e.name, e.pid, e.ts, e.dur, e.args);
+        text.bytes()
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    });
+    assert_eq!((events.len(), hash), (270, 0x57a9_0f35_93f1_579c));
+}
+
+#[test]
 fn empty_trace_log_serializes_validly() {
     let text = TraceLog::default().to_chrome_json();
     let Json::Object(top) = parse_json(&text).unwrap() else {
