@@ -1,8 +1,8 @@
 //! Fleet-scale batched simulation report (`clr-dram/fleet/v2`).
 //!
 //! Synthesizes a deterministic heterogeneous roster
-//! ([`FleetSpec::synth`]), pushes every instance through one shared
-//! persistent executor as whole-instance jobs, fuses the fleet
+//! ([`FleetSpec::synth`]), runs every instance as one whole-instance
+//! task of a job-parallel batch, fuses the fleet
 //! read-latency distribution / slowdowns / capacity / energy / blame
 //! budgets / skip-ahead profile, and evaluates the relocation-aware
 //! fleet SLO (background instances gated at the doubled fleet

@@ -32,9 +32,7 @@
 //!   (§7.1's 10⁴-iteration methodology, iteration count scalable; the
 //!   samples are drawn serially and measured over the host's cores),
 //! * [`retention`] — cell leakage, the tREFW → initial-charge model, and
-//!   the Figure 11 sweep,
-//! * [`par`] — the workspace's job-grain parallel map (Monte-Carlo
-//!   samples here; figure runs and sweep cells in `clr-sim`).
+//!   the Figure 11 sweep.
 //!
 //! Absolute nanosecond values depend on calibration of the analog
 //! parameters ([`params::CircuitParams`]); the experiments therefore
@@ -49,7 +47,13 @@ pub mod dram;
 pub mod matrix;
 pub mod montecarlo;
 pub mod netlist;
-pub mod par;
+// `clr_core::par`'s source, compiled here by path instead of through a
+// `clr-core` dependency: perfbench's lock file pins this crate's
+// dependencies to `rand` until a benchmark change re-resolves it
+// (ROADMAP item 4). Only `parallel_map` is called here.
+#[allow(dead_code)]
+#[path = "../../core/src/par.rs"]
+mod par;
 pub mod params;
 pub mod retention;
 pub mod scenario;

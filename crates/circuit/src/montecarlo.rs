@@ -57,9 +57,9 @@ fn worst(a: ModeTimings, b: ModeTimings) -> ModeTimings {
 /// Worst-case Table 1 over `iterations` Monte-Carlo samples.
 ///
 /// Every sample is drawn serially from one seeded RNG, the samples are
-/// measured over the host's cores ([`parallel_map`]), and the worst case
-/// is folded in sample order, so the result does not depend on the
-/// worker count.
+/// measured over the host's cores (`clr_core::par::parallel_map`), and
+/// the worst case is folded in sample order, so the result does not
+/// depend on the worker count.
 ///
 /// # Panics
 ///

@@ -27,7 +27,10 @@
 //!   placement policy used by the paper's evaluation,
 //! * [`capacity`] — capacity/area overhead accounting of §6,
 //! * [`refresh`] — heterogeneous refresh planning of §3.6/§5.2,
-//! * [`paper`] — published reference numbers used for comparison output.
+//! * [`paper`] — published reference numbers used for comparison output,
+//! * [`par`] — the workspace's one job-parallel mechanism: Monte-Carlo
+//!   samples, figure runs, sweep cells, fleet instances and the threaded
+//!   channel walk fan out on its scoped loop.
 //!
 //! # Example
 //!
@@ -62,6 +65,7 @@ pub mod iso;
 pub mod mapping;
 pub mod mode;
 pub mod paper;
+pub mod par;
 pub mod refresh;
 pub mod timing;
 

@@ -9,7 +9,7 @@
 //! that mode.
 
 use crate::mode::RowMode;
-use crate::timing::{ClrTimings, TimingParams};
+use crate::timing::ClrTimings;
 
 /// Number of REF commands a DDR4 device needs to cover a full refresh
 /// window (JESD79-4; 8192 for all densities used here).
@@ -69,7 +69,6 @@ impl RefreshStream {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefreshPlan {
     streams: Vec<RefreshStream>,
-    hp_timings: TimingParams,
 }
 
 impl RefreshPlan {
@@ -112,22 +111,13 @@ impl RefreshPlan {
                 row_fraction: fraction_hp,
             });
         }
-        RefreshPlan {
-            streams,
-            hp_timings: hp,
-        }
+        RefreshPlan { streams }
     }
 
     /// The active refresh streams (1 for homogeneous populations, 2 for
     /// mixed).
     pub fn streams(&self) -> &[RefreshStream] {
         &self.streams
-    }
-
-    /// The (possibly latency-degraded) high-performance timings implied by
-    /// the chosen refresh window.
-    pub fn hp_timings(&self) -> &TimingParams {
-        &self.hp_timings
     }
 
     /// Total fraction of time the rank is blocked by refresh.

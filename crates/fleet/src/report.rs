@@ -216,7 +216,7 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// Fuses per-instance results into the fleet report. Skipped jobs
-    /// never happen here ([`clr_memsim::Executor::run_batch`] returns
+    /// never happen here ([`clr_core::par::Executor::run_batch`] returns
     /// every result or propagates the panic), so `instances` is
     /// id-ordered and complete.
     pub fn fuse(

@@ -1,12 +1,12 @@
-//! Batched fleet execution over the persistent executor.
+//! Batched fleet execution on the workspace's job-parallel loop.
 //!
 //! [`run_fleet`] turns every [`InstanceSpec`] into one whole-instance
-//! job on a shared [`Executor`] pool. Jobs are self-contained (each
+//! task of a single [`Executor`] batch. Tasks are self-contained (each
 //! simulates its own system, plus alone-run baselines for multi-tenant
 //! slowdowns) and [`Executor::run_batch`] returns results in task
-//! order, so the fused report is bit-identical for any pool size —
-//! pool threads are a host-speed knob, exactly like the in-run channel
-//! walk's `threads`.
+//! order, so the fused report is bit-identical for any lane count —
+//! lanes are a host-speed knob, exactly like the in-run channel walk's
+//! `threads`.
 
 use clr_memsim::migrate::RelocationConfig;
 use clr_memsim::Executor;
@@ -115,11 +115,11 @@ pub fn run_instance(spec: &InstanceSpec) -> InstanceResult {
     }
 }
 
-/// Runs the whole fleet through one shared pool and fuses the report.
+/// Runs the whole fleet as one batch and fuses the report.
 ///
 /// `pool_threads` is clamped to the host's available parallelism (the
 /// same resolve-time clamp as [`RunConfig::clamp_threads`]) — on a
-/// 1-core host every instance runs inline on the submitting thread.
+/// 1-core host every instance runs inline on the calling thread.
 /// The returned report is byte-for-byte identical for every
 /// `pool_threads` value: jobs are independent and results come back in
 /// instance order.
@@ -129,8 +129,7 @@ pub fn run_fleet(spec: &FleetSpec, pool_threads: usize) -> FleetReport {
     let tasks: Vec<_> = spec
         .instances
         .iter()
-        .cloned()
-        .map(|inst| move || run_instance(&inst))
+        .map(|inst| move || run_instance(inst))
         .collect();
     let instances = pool.run_batch(tasks);
     FleetReport::fuse(spec, instances, pool_threads, lanes)
@@ -142,21 +141,20 @@ mod tests {
     use clr_sim::Scale;
 
     /// The determinism contract at crate level: the fused JSON is
-    /// byte-identical whether instances run inline (1 lane) or through
-    /// parked pool workers. (The root-level `fleet_determinism` test
-    /// covers larger rosters and more pool sizes.)
+    /// byte-identical whether instances run inline (1 lane) or on
+    /// several threads. (The root-level `fleet_determinism` test covers
+    /// larger rosters and more lane counts.)
     #[test]
     fn pool_size_does_not_change_the_report() {
         let spec = FleetSpec::synth(6, 11, Scale::Smoke);
         let a = run_fleet(&spec, 1);
-        // Bypass the host clamp to force real pool hand-off even on a
-        // 1-core host.
+        // Bypass the host clamp to force real threads even on a 1-core
+        // host.
         let pool = Executor::new(3);
         let tasks: Vec<_> = spec
             .instances
             .iter()
-            .cloned()
-            .map(|inst| move || run_instance(&inst))
+            .map(|inst| move || run_instance(inst))
             .collect();
         let b = FleetReport::fuse(&spec, pool.run_batch(tasks), 3, 3);
         assert_eq!(a.to_json(), b.to_json());

@@ -1163,7 +1163,10 @@ impl MemoryController {
     /// tRRD shadow. The entry's candidate lowers that cycle: a candidate
     /// at or before the memo is the new bound itself, and one more than a
     /// shadow after it gates no ACT the memo could be made of, so only a
-    /// candidate in between clears the memo.
+    /// candidate in between clears the memo. Even then a lower
+    /// demand-ready cycle only keeps more ACTs out, which moves the bound
+    /// only when the migration pass alone attains it: the pass folds last
+    /// with a strict `<`, so that is a memo whose source is migration.
     fn note_enqueue_event(&mut self, entry: &QueueEntry, to_writes: bool) {
         let Some(memo) = self.next_event_cache else {
             return;
@@ -1197,7 +1200,11 @@ impl MemoryController {
         } else if selected == to_writes && self.is_priced(entry) {
             let (cmd, target) = Self::demand_command(&self.banks, entry);
             let at = self.engine.earliest(cmd, target).max(self.cycle);
-            if migrating && at > memo && at <= memo.saturating_add(self.migration_act_shadow()) {
+            if migrating
+                && self.next_event_source == EventSource::Migration
+                && at > memo
+                && at <= memo.saturating_add(self.migration_act_shadow())
+            {
                 self.next_event_cache = None;
             } else {
                 self.merge_event_bound(at, EventSource::QueueReady);
@@ -1224,18 +1231,19 @@ impl MemoryController {
 
     /// Whether the scheduling pass prices `entry` once it is queued: not
     /// while a migration blocks its row for it, and on a bank a migration
-    /// holds only as a read hit to the read-out row (see
-    /// [`scheduler::pick_cached`]).
+    /// holds only if the bank serves its command
+    /// ([`scheduler::bank_serves`]).
     fn is_priced(&self, entry: &QueueEntry) -> bool {
         let (bank, row, kind) = (entry.target.bank, entry.decoded.row, entry.request.kind);
         let read_ok = self.migration.read_ok_rows();
-        if scheduler::entry_excluded(self.migration.blocked_rows(), read_ok, bank, row, kind) {
-            return false;
-        }
-        !self.migration.is_mid_phase(bank)
-            || (kind == RequestKind::Read
-                && self.banks[bank].open_row == Some(row)
-                && read_ok[bank] == row)
+        !scheduler::entry_excluded(self.migration.blocked_rows(), read_ok, bank, row, kind)
+            && scheduler::bank_serves(
+                self.migration.held_banks(),
+                read_ok,
+                bank,
+                self.banks[bank].open_row,
+                Self::demand_command(&self.banks, entry).0,
+            )
     }
 
     fn make_entry(&self, request: MemRequest) -> QueueEntry {
@@ -2934,6 +2942,42 @@ mod tests {
         }
         assert!(mc.drains_at(mc.pending_writes()), "a drain started");
         assert_eq!(mc.pending_reads(), 0);
+    }
+
+    #[test]
+    fn a_read_hit_on_a_held_read_out_row_joins_the_memo() {
+        // After a coupling's last read-out burst its next command is the
+        // read-out PRE, which tRTP holds later than the next RD could
+        // issue. A held bank still serves a read hit to its read-out row,
+        // so such a read enqueued then is an earlier candidate than the
+        // migration's PRE, and the memo must take it in.
+        use crate::migrate::RelocationConfig;
+        let mut cfg = MemConfig::tiny_clr(0.0);
+        cfg.refresh_enabled = false;
+        cfg.relocation = RelocationConfig::background();
+        let row_stride = cfg.geometry.capacity_bytes() / cfg.geometry.rows as u64;
+        let mut mc = MemoryController::new(cfg);
+        mc.begin_row_migrations(&[(0, 0, RowMode::HighPerformance)]);
+        let mut done = Vec::new();
+        let next_is_pre = |mc: &MemoryController| {
+            let open = mc.banks[0].open_row.map(|r| (r, mc.banks[0].open_mode));
+            mc.migration
+                .next_command(0, open)
+                .is_some_and(|nc| nc.command == Command::Pre)
+        };
+        while !(mc.migration.is_mid_phase(0) && next_is_pre(&mc)) {
+            mc.tick(&mut done);
+        }
+        // A row conflict on the held bank keeps the queue non-empty
+        // without a priced candidate.
+        mc.try_enqueue(read(0, row_stride, mc.cycle())).unwrap();
+        let pre_at = mc.next_event_cycle();
+        mc.try_enqueue(read(1, 0, mc.cycle())).unwrap();
+        mc.assert_memo_exact("read hit on the held read-out row");
+        assert!(
+            mc.next_event_cycle() < pre_at,
+            "the read hit is the bound, ahead of the PRE at {pre_at}"
+        );
     }
 
     #[test]

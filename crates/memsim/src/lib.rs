@@ -115,7 +115,6 @@ pub mod config;
 pub mod controller;
 pub mod cycletimings;
 pub mod engine;
-pub mod executor;
 pub mod frames;
 pub mod migrate;
 pub mod refresh;
@@ -126,9 +125,12 @@ pub mod system;
 
 pub use config::{ClrModeConfig, MemConfig, SchedulerConfig};
 pub use controller::MemoryController;
-pub use executor::Executor;
 pub use frames::{CapacityRebalancer, DestinationPicker, FrameDirectory, RebalanceConfig};
 pub use migrate::{MigrationRate, RelocationConfig, RelocationMode};
 pub use request::{MemRequest, RequestKind};
 pub use stats::MemStats;
 pub use system::{MemorySystem, RemapTable, RowKey};
+
+// The lane count `MemorySystem`'s threaded walk runs on, re-exported for
+// this crate's callers.
+pub use clr_core::par::Executor;

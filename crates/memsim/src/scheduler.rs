@@ -168,6 +168,20 @@ pub(crate) fn entry_excluded(
     !(kind == RequestKind::Read && read_ok_rows.get(bank).is_some_and(|&r| r == row))
 }
 
+/// Whether bank `bank`, with row `open` open, serves `command`: a bank
+/// in `held` (a migration owns its row buffer) serves only read hits to
+/// its read-out row in `read_ok_rows`; every other bank serves all.
+pub(crate) fn bank_serves(
+    held: BankSet,
+    read_ok_rows: &[u32],
+    bank: usize,
+    open: Option<u32>,
+    command: Command,
+) -> bool {
+    !held.contains(bank)
+        || (command == Command::Rd && open.is_some_and(|r| read_ok_rows.get(bank) == Some(&r)))
+}
+
 /// One candidate of a pass: a lane's oldest entry for one command.
 #[derive(Debug, Clone, Copy)]
 struct Priced {
@@ -401,9 +415,9 @@ impl LaneCache {
 /// never delays the first issuable one, so it does not enter the bound.
 ///
 /// A bank in `held` (a migration owns its row buffer) serves only read
-/// hits to its read-out row in `read_ok_rows`; its other candidates
-/// neither issue nor count toward the bound — the release is itself an
-/// event.
+/// hits to its read-out row in `read_ok_rows` (`bank_serves`); its other
+/// candidates neither issue nor count toward the bound — the release is
+/// itself an event.
 #[allow(clippy::too_many_arguments)]
 pub fn pick_cached(
     entries: &[QueueEntry],
@@ -463,10 +477,6 @@ impl LaneCache {
         for b in self.occupied.iter() {
             let lane = &self.lanes[b];
             let open = banks[b].open_row;
-            let read_hits_only = held.contains(b);
-            if read_hits_only && open.is_none_or(|r| read_ok_rows.get(b) != Some(&r)) {
-                continue;
-            }
             let miss_cmd = if open.is_some() {
                 Command::Pre
             } else {
@@ -478,7 +488,7 @@ impl LaneCache {
                 (lane.miss, miss_cmd),
             ] {
                 let Some(age) = cand else { continue };
-                if read_hits_only && command != Command::Rd {
+                if !bank_serves(held, read_ok_rows, b, open, command) {
                     continue;
                 }
                 let ready = engine.earliest_in_bank(command, b);

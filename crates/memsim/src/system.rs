@@ -37,23 +37,23 @@ use std::collections::HashMap;
 
 use clr_core::addr::{DramAddr, PhysAddr};
 use clr_core::geometry::DramGeometry;
+use clr_core::par::Executor;
 use clr_obs::{SkipProfile, TraceCategory, TraceConfig, TraceLog, TraceSink, SYSTEM_PID};
 
 use crate::config::MemConfig;
 use crate::controller::MemoryController;
-use crate::executor::Executor;
 use crate::migrate::{JobKind, PlacementEvent};
 use crate::request::{Completion, MemRequest};
 use crate::stats::MemStats;
 
 /// Minimum `tick_until` window (in DRAM cycles) worth fanning out to
-/// the worker pool. Fan-out on the persistent [`Executor`] costs a
-/// queue push + condvar wake (~1 µs) instead of the tens of µs a scoped
-/// thread spawn used to cost, so the break-even window is 4× lower than
-/// the old spawn-per-window cutover of 4096. Short windows still run
-/// serially — an invisible cutover, since the serial and pooled walks
-/// are bit-identical.
-pub const PARALLEL_MIN_WINDOW: u64 = 1024;
+/// worker threads, which spawn one scoped thread per channel for each
+/// window. The value is the break-even recorded when the walk last
+/// spawned per window, not re-measured: no binary's windows reach it
+/// (README, "Channel-grain walk"). Short windows run serially — an
+/// invisible cutover, since the serial and threaded walks are
+/// bit-identical.
+pub const PARALLEL_MIN_WINDOW: u64 = 4096;
 
 /// Identity of one DRAM row in the sharded system: channel, channel-local
 /// flat bank, row.
@@ -175,10 +175,6 @@ pub struct MemorySystem {
     /// Parallelism is a host-speed knob only: the threaded walk is
     /// bit-identical to the serial one (see [`MemorySystem::tick_until`]).
     threads: usize,
-    /// The persistent worker pool the threaded walk fans out on —
-    /// created lazily by [`MemorySystem::set_threads`] (threads > 1).
-    /// `None` while the walk is serial.
-    executor: Option<Executor>,
     /// Minimum walk window (DRAM cycles) that fans out to workers;
     /// defaults to [`PARALLEL_MIN_WINDOW`]. A tuning knob: tests drop it
     /// to force the threaded path onto every window, and hosts with
@@ -233,7 +229,6 @@ impl MemorySystem {
             scratch: vec![Vec::new(); n],
             merge_idx: vec![0; n],
             threads: 1,
-            executor: None,
             parallel_cutover: PARALLEL_MIN_WINDOW,
             slice: config.geometry.channel_slice(),
             remap: RemapTable::new(),
@@ -582,25 +577,16 @@ impl MemorySystem {
     }
 
     /// Sets the worker-thread count for [`MemorySystem::tick_until`]'s
-    /// channel walk (clamped to ≥ 1; 1 = the serial path). With
-    /// threads > 1 a persistent [`Executor`] is built once and reused
-    /// across every subsequent window — fan-out is a queue push, not a
-    /// thread spawn. Purely a host-speed knob: thread count never
-    /// changes a simulated outcome.
+    /// channel walk (clamped to ≥ 1; 1 = the serial path). Purely a
+    /// host-speed knob: thread count never changes a simulated outcome.
     pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        self.threads = threads;
-        if threads == 1 {
-            self.executor = None;
-        } else if self.executor.as_ref().map(|e| e.lanes()) != Some(threads) {
-            self.executor = Some(Executor::new(threads));
-        }
+        self.threads = threads.max(1);
     }
 
     /// Overrides the minimum window fanned out to worker threads
     /// (default [`PARALLEL_MIN_WINDOW`]). Purely a host-speed knob —
     /// the cutover is invisible in every simulated outcome — but
-    /// differential tests drop it to `1` so the pooled walk runs
+    /// differential tests drop it to `1` so the threaded walk runs
     /// on every window instead of only the long ones.
     pub fn set_parallel_cutover(&mut self, window: u64) {
         self.parallel_cutover = window.max(1);
@@ -611,58 +597,32 @@ impl MemorySystem {
     /// per-cycle delivery order (`finish_cycle`, then channel index).
     /// Bit-identical to calling [`MemorySystem::tick`] in a loop.
     ///
-    /// With [`MemorySystem::set_threads`] > 1, channels walk as one job
-    /// each on the persistent [`Executor`] — sound because channels
-    /// share no mutable state (each controller owns its mode table,
-    /// refresh streams, migration engine, scheduler lanes, trace sink,
-    /// and skip profile, and is *moved* into its job and back out
-    /// through its result slot, so there is no sharing to reason about
-    /// at all), and bit-identical because results return in channel
-    /// order and the deterministic `(finish_cycle, channel)` merge
-    /// erases completion arrival order. Each channel's completion
-    /// scratch `Vec` rides through its job and back, so steady-state
-    /// windows reallocate nothing. Short windows stay serial: even a
-    /// queue hand-off would dominate a walk of a few cycles, and the
-    /// serial and pooled walks agree exactly, so the cutover is
-    /// invisible.
+    /// With [`MemorySystem::set_threads`] > 1, channels walk as one task
+    /// each on an [`Executor`] of that many lanes — sound because
+    /// channels share no mutable state (each controller owns its mode
+    /// table, refresh streams, migration engine, scheduler lanes, trace
+    /// sink, and skip profile, and each task borrows only its own
+    /// controller and completion scratch), and bit-identical because the
+    /// deterministic `(finish_cycle, channel)` merge erases completion
+    /// arrival order. Short windows stay serial: a thread spawn would
+    /// dominate a walk of a few cycles, and the serial and threaded walks
+    /// agree exactly, so the cutover is invisible.
     pub fn tick_until(&mut self, target: u64, completions: &mut Vec<Completion>) {
         if self.channels.len() == 1 {
             self.channels[0].tick_until(target, completions);
             return;
         }
         let window = target.saturating_sub(self.cycle());
+        let walks = self.channels.iter_mut().zip(&mut self.scratch);
+        let walk = |(ch, out): (&mut MemoryController, &mut Vec<Completion>)| {
+            out.clear();
+            ch.tick_until(target, out);
+        };
         if self.threads > 1 && window >= self.parallel_cutover {
-            let exec = self
-                .executor
-                .get_or_insert_with(|| Executor::new(self.threads));
-            // Move each controller (and its completion scratch) into a
-            // pool job; reinstate both from the in-order result slots.
-            // The outer Vecs are kept and refilled, so the steady state
-            // allocates only the per-job boxes.
-            let mut channels = std::mem::take(&mut self.channels);
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let tasks: Vec<_> = channels
-                .drain(..)
-                .zip(scratch.drain(..))
-                .map(|(mut ch, mut out)| {
-                    move || {
-                        out.clear();
-                        ch.tick_until(target, &mut out);
-                        (ch, out)
-                    }
-                })
-                .collect();
-            for (ch, out) in exec.run_batch(tasks) {
-                channels.push(ch);
-                scratch.push(out);
-            }
-            self.channels = channels;
-            self.scratch = scratch;
+            let tasks: Vec<_> = walks.map(|w| move || walk(w)).collect();
+            Executor::new(self.threads).run_batch(tasks);
         } else {
-            for (ch, out) in self.channels.iter_mut().zip(&mut self.scratch) {
-                out.clear();
-                ch.tick_until(target, out);
-            }
+            walks.for_each(walk);
         }
         // K-way merge on (finish_cycle, channel): each channel's stream
         // is already nondecreasing in finish_cycle, and the per-cycle
@@ -991,19 +951,6 @@ mod tests {
             );
             assert_eq!(serial.4, threaded.4);
         }
-    }
-
-    #[test]
-    fn parallel_cutover_default_is_at_most_1024() {
-        // The persistent pool makes fan-out cheap enough to engage on
-        // epoch-sized windows; the issue pins the ceiling.
-        const { assert!(PARALLEL_MIN_WINDOW <= 1024) };
-        let mut sys = MemorySystem::new(two_channel_cfg());
-        sys.set_threads(2);
-        assert_eq!(sys.threads, 2);
-        assert!(sys.executor.is_some());
-        sys.set_threads(1);
-        assert!(sys.executor.is_none(), "serial walk drops the pool");
     }
 
     #[test]

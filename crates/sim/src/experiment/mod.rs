@@ -9,7 +9,7 @@ pub mod single;
 pub mod sysconfig;
 pub mod workloads;
 
-use clr_circuit::par::parallel_map;
+use clr_core::par::parallel_map;
 use clr_memsim::config::MemConfig;
 use clr_power::EnergyBreakdown;
 use clr_trace::workload::Workload;

@@ -22,8 +22,8 @@
 //! instruction budgets. Relative orderings, not absolute numbers, are the
 //! output.
 
-use clr_circuit::par::parallel_map;
 use clr_core::geometry::DramGeometry;
+use clr_core::par::parallel_map;
 use clr_cpu::cache::CacheConfig;
 use clr_cpu::cluster::ClusterConfig;
 use clr_memsim::config::{ClrModeConfig, MemConfig};
@@ -389,8 +389,8 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64, skip_ahead: bool) -> Polic
             interval_cycles: epoch_cycles(scale),
             capacity: 4_096,
         }),
-        // Cells already fan out over the job-parallel helper; a channel
-        // walk pool per cell would oversubscribe the host.
+        // Cells already fan out over the job-parallel loop; threading
+        // each cell's channel walk too would oversubscribe the host.
         threads: 1,
         clamp_threads: true,
         // Wait-cause attribution rides along: the blame ledger is inert

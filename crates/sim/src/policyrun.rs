@@ -32,9 +32,7 @@
 use clr_core::mode::RowMode;
 use clr_memsim::frames::{CapacityRebalancer, DestinationPicker, RebalanceConfig};
 use clr_memsim::system::MemorySystem;
-use clr_obs::{
-    LatencyHistogram, SeriesCounters, SeriesGauges, TimeSeries, TraceCategory, WindowSummary,
-};
+use clr_obs::TraceCategory;
 use clr_policy::budget::BudgetSplit;
 use clr_policy::policy::{PolicyConstraints, PolicySpec};
 use clr_policy::reloc::{DestinationSpread, RelocationEngine, RelocationParams};
@@ -111,19 +109,6 @@ pub struct PolicyRunResult {
     /// rebalancer over the run (0 outside
     /// [`DestinationPicker::CrossChannel`]).
     pub rows_remapped: u64,
-    /// Host wall-clock seconds spent inside epoch-boundary policy work
-    /// (telemetry drain, decision pass, batch dispatch, rebalancing) —
-    /// the "policy" slice of the run's host-time breakdown, a subset of
-    /// [`RunResult::host_loop_s`].
-    pub host_policy_s: f64,
-    /// Per-epoch policy telemetry (present only when
-    /// [`RunConfig::metrics`] enabled continuous telemetry): one window
-    /// per epoch boundary recording transitions applied
-    /// (`counters.mode_transitions`), the system hp fraction, and the
-    /// mean channel budget — the policy-decision series next to the
-    /// run's per-channel traffic series in
-    /// [`RunResult::metrics`](crate::system::RunMetrics).
-    pub policy_series: Option<TimeSeries>,
 }
 
 impl PolicyRunResult {
@@ -173,13 +158,6 @@ struct EpochDriver {
     changes_scratch: Vec<(usize, u32, RowMode)>,
     completed_scratch: Vec<(u32, u32, RowMode)>,
     dispatched_scratch: Vec<(u32, u32)>,
-    /// Host nanoseconds spent in epoch-boundary work (the per-tick
-    /// early-out is excluded; boundaries are rare, so the two `Instant`
-    /// reads per epoch are noise).
-    policy_ns: u64,
-    /// Per-epoch decision series (present when the base run enabled
-    /// continuous telemetry).
-    policy_series: Option<TimeSeries>,
 }
 
 impl RunObserver for EpochDriver {
@@ -200,7 +178,6 @@ impl RunObserver for EpochDriver {
         if now < self.next_epoch {
             return;
         }
-        let epoch_start = std::time::Instant::now();
         let channels = self.runtimes.len();
         let epoch_len = now - self.last_epoch_cycle;
 
@@ -346,38 +323,8 @@ impl RunObserver for EpochDriver {
             }
         }
 
-        // Per-epoch decision window: what the policy pass did, anchored
-        // to the same exact boundary cycle in every walk.
-        if let Some(series) = self.policy_series.as_mut() {
-            let budget_permille: u64 = self
-                .channel_budgets
-                .iter()
-                .map(|b| (*b * 1000.0).round() as u64)
-                .sum::<u64>()
-                / channels as u64;
-            let index = series.len() as u64 + series.evicted_windows();
-            series.push(WindowSummary {
-                index,
-                start_cycle: self.last_epoch_cycle,
-                end_cycle: now,
-                sources: 1,
-                counters: SeriesCounters {
-                    mode_transitions: applied_total,
-                    ..SeriesCounters::default()
-                },
-                gauges: SeriesGauges {
-                    hp_permille: (self.final_hp_fraction * 1000.0).round() as u64,
-                    budget_permille,
-                    ..SeriesGauges::default()
-                },
-                read_latency: LatencyHistogram::new(),
-                read_blame: Default::default(),
-            });
-        }
-
         self.last_epoch_cycle = now;
         self.next_epoch = now + self.epoch_dram_cycles;
-        self.policy_ns += epoch_start.elapsed().as_nanos() as u64;
     }
 
     /// Epoch boundaries must fire at exact cycles even under skip-ahead:
@@ -439,12 +386,6 @@ pub fn run_policy_workloads(workloads: &[Workload], cfg: &PolicyRunConfig) -> Po
         changes_scratch: Vec::new(),
         completed_scratch: Vec::new(),
         dispatched_scratch: Vec::new(),
-        policy_ns: 0,
-        policy_series: cfg
-            .base
-            .metrics
-            .as_ref()
-            .map(|m| TimeSeries::new(m.capacity)),
     };
     let run = run_workloads_observed(workloads, &cfg.base, &mut driver);
     let policy = driver.runtimes[0].policy_name();
@@ -461,8 +402,6 @@ pub fn run_policy_workloads(workloads: &[Workload], cfg: &PolicyRunConfig) -> Po
         final_hp_fraction: driver.final_hp_fraction,
         final_channel_budgets: driver.channel_budgets,
         rows_remapped: driver.remap_installs,
-        host_policy_s: driver.policy_ns as f64 / 1e9,
-        policy_series: driver.policy_series,
     }
 }
 

@@ -108,8 +108,8 @@ pub struct RunConfig {
     /// [`std::thread::available_parallelism`] when the run resolves its
     /// effective thread count (the default, and what every production
     /// caller wants: two threads on a 1-core host must not fan out —
-    /// parked workers on one core only add hand-off latency).
-    /// Differential tests set `false` so the pooled walk is exercised
+    /// threads sharing one core only add spawn and hand-off latency).
+    /// Differential tests set `false` so the threaded walk is exercised
     /// even on 1-core hosts; the clamp can never change a simulated
     /// outcome either way. The resolved counts are recorded in
     /// [`RunResult::threads_requested`] / [`RunResult::threads_effective`].
@@ -148,7 +148,7 @@ impl RunConfig {
 /// The host's available hardware parallelism (1 if unknown) — the
 /// ceiling [`RunConfig::clamp_threads`] holds effective worker threads
 /// to and the worker count of every job-grain batch.
-pub use clr_circuit::par::host_parallelism;
+pub use clr_core::par::host_parallelism;
 
 /// Results of one run (measurement window only; warmup excluded).
 #[derive(Debug, Clone)]

@@ -1,11 +1,11 @@
 //! The fleet determinism contract, enforced end to end: the
 //! `clr-dram/fleet/v2` JSON is a pure function of `(roster, seed,
-//! scale)` — **byte-identical** for every executor pool size, because
-//! instances are independent whole-instance jobs whose results come
+//! scale)` — **byte-identical** for every executor lane count, because
+//! instances are independent whole-instance tasks whose results come
 //! back in roster order and the JSON carries no host wall-clock.
 //!
-//! Pool sizes above 1 are driven through the real persistent pool
-//! (parked workers + condvar hand-off), bypassing the host-parallelism
+//! Lane counts above 1 run on real threads (the caller plus scoped
+//! threads claiming tasks in order), bypassing the host-parallelism
 //! clamp so the contract is exercised even on 1-core CI hosts — the
 //! fleet analogue of `tests/skip_ahead_differential.rs`'s threaded
 //! lanes.
@@ -14,8 +14,8 @@ use clr_dram::fleet::{run_fleet, run_instance, FleetReport, FleetSpec};
 use clr_dram::memsim::Executor;
 use clr_dram::sim::Scale;
 
-/// Runs `spec` through a pool of exactly `lanes` workers, without the
-/// host-parallelism clamp [`run_fleet`] applies.
+/// Runs `spec` on exactly `lanes` lanes, without the host-parallelism
+/// clamp [`run_fleet`] applies.
 fn run_with_forced_lanes(spec: &FleetSpec, lanes: usize) -> FleetReport {
     let pool = Executor::new(lanes);
     let tasks: Vec<_> = spec

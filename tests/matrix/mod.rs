@@ -495,8 +495,6 @@ pub fn run_config(s: &RunScenario, cfg: RunConfig) -> PolicyRunResult {
             final_hp_fraction: 0.0,
             final_channel_budgets: Vec::new(),
             rows_remapped: 0,
-            host_policy_s: 0.0,
-            policy_series: None,
         };
     };
     let cfg = PolicyRunConfig::new(cfg, p.spec, PolicyConstraints::with_budget(0.25), EPOCH)
@@ -584,10 +582,6 @@ fn assert_same_observations(a: &PolicyRunResult, b: &PolicyRunResult, what: &str
             .map(|m| (m.interval_cycles, m.per_channel.clone()))
     };
     assert!(series(x) == series(y), "{what}: metrics series diverge");
-    assert!(
-        a.policy_series == b.policy_series,
-        "{what}: policy series diverge"
-    );
     let budgets = |r: &RunResult| {
         let all = std::iter::once(&r.mem).chain(&r.mem_per_channel);
         all.map(|m| (m.read_blame.clone(), m.write_blame.clone()))
@@ -612,7 +606,6 @@ pub fn assert_inert(s: &RunScenario, obs: Observers, walks: &[Walk]) {
         assert_same_simulation(reference, r, &what);
         assert_eq!(r.run.trace.is_some(), obs.trace, "{what}");
         assert_eq!(r.run.metrics.is_some(), obs.metrics, "{what}");
-        assert_eq!(r.policy_series.is_some(), obs.metrics && s.policy.is_some());
         assert_eq!(!r.run.mem.read_blame.is_empty(), obs.blame, "{what}");
         assert!(obs.blame || r.run.mem.write_blame.is_empty());
         let p = &r.run.skip_profile;
@@ -752,18 +745,6 @@ pub fn check_windows(s: &RunScenario, r: &PolicyRunResult) {
     assert!(total(&system, |w| w.counters.reads) >= r.run.mem.reads);
     assert!(total(&system, |w| w.counters.migration_jobs) >= r.run.mem.migration_jobs_completed);
     assert!(total(&system, |w| w.read_latency.count()) > 0);
-
-    if let Some(ps) = &r.policy_series {
-        // The epoch windows account for every applied transition.
-        assert_eq!(ps.evicted_windows(), 0);
-        assert_eq!(
-            total(ps, |w| w.counters.mode_transitions),
-            r.policy_stats.transitions_applied
-        );
-        for w in ps.windows() {
-            assert_eq!(w.end_cycle % EPOCH, 0, "epoch off-boundary");
-        }
-    }
 }
 
 /// A hard zero-stall objective passes exactly when no window stalled,
