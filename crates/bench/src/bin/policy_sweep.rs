@@ -5,8 +5,9 @@
 //!
 //! The final stdout block is machine-readable JSON
 //! (`clr-dram/policy-sweep/v7`) so successive PRs can track the
-//! performance trajectory of the policies. The process's peak RSS goes
-//! to stderr, after the checks pass, leaving that block last on stdout.
+//! performance trajectory of the policies; a full run (no `CLR_SWEEP`)
+//! also writes it to `BENCH_policy_sweep.json`. Notes and the process's
+//! peak RSS go to stderr, leaving that block last on stdout.
 //!
 //! Set `CLR_SWEEP=contention` to run only the contention sweep (the CI
 //! smoke cell exercising the channel-sharded path), or
@@ -181,8 +182,12 @@ fn sweep() {
     print_contention(&report);
     print_placement(&report);
 
+    let json = report.to_json();
     println!("\n--- machine-readable (clr-dram/policy-sweep/v7) ---");
-    print!("{}", report.to_json());
+    print!("{json}");
+    if let Err(e) = std::fs::write("BENCH_policy_sweep.json", &json) {
+        eprintln!("policy_sweep: could not write BENCH_policy_sweep.json: {e}");
+    }
     sanity_check_contention(&report, scale);
     sanity_check_placement(&report);
 }

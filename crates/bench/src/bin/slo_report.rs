@@ -13,7 +13,6 @@
 //! (`clr-dram/slo/v1`) to `BENCH_slo_report.json`. Exits nonzero if the
 //! cell misses its SLO.
 
-use clr_bench::threads_from_env;
 use clr_obs::{Json, MetricsConfig, ScalarObjective, SloReport};
 use clr_policy::budget::BudgetSplit;
 use clr_policy::policy::{PolicyConstraints, PolicySpec};
@@ -49,7 +48,7 @@ fn run(scale: Scale, metrics: Option<MetricsConfig>, blame: bool) -> PolicyRunRe
         skip_ahead: std::env::var("CLR_FORCE_PER_CYCLE").is_err(),
         trace: None,
         metrics,
-        threads: threads_from_env(),
+        threads: 1,
         clamp_threads: true,
         blame,
     };

@@ -18,8 +18,8 @@
 
 use clr_memsim::stats::MemStats;
 use clr_obs::{
-    BlameSet, EventSource, Json, LatencyHistogram, ScalarObjective, SeriesCounters, SeriesGauges,
-    SkipProfile, SloReport, SloSpec, TimeSeries, WindowMetric, WindowSummary, WindowedObjective,
+    BlameSet, EventSource, Json, LatencyHistogram, ScalarObjective, SeriesGauges, SkipProfile,
+    SloReport, SloSpec, TimeSeries, WindowMetric, WindowSummary, WindowedObjective,
 };
 use clr_sim::experiment::policies::{SLO_MAX_SLOWDOWN_MILLI, SLO_READ_P99_CYCLES};
 use clr_sim::geomean;
@@ -97,16 +97,7 @@ pub fn fleet_series(instances: &[InstanceResult]) -> TimeSeries {
             start_cycle: i as u64,
             end_cycle: i as u64 + 1,
             sources: 1,
-            counters: SeriesCounters {
-                acts: m.acts_max_capacity + m.acts_high_performance,
-                reads: m.reads,
-                writes: m.writes,
-                mode_transitions: m.mode_transitions,
-                migration_jobs: m.migration_jobs_completed,
-                frames_moved: m.migration_fills,
-                stall_cycles: m.relocation_stall_cycles,
-                migration_slot_cycles: m.migration_slot_cycles,
-            },
+            counters: m.series_counters(),
             gauges: SeriesGauges {
                 hp_permille: (inst.final_hp_fraction * 1000.0) as u64,
                 ..SeriesGauges::default()

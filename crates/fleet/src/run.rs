@@ -8,6 +8,7 @@
 //! lanes are a host-speed knob, exactly like the in-run channel walk's
 //! `threads`.
 
+use clr_core::capacity::capacity_loss_fraction;
 use clr_memsim::migrate::RelocationConfig;
 use clr_memsim::Executor;
 use clr_policy::policy::PolicyConstraints;
@@ -76,7 +77,8 @@ pub fn run_instance(spec: &InstanceSpec) -> InstanceResult {
             let r = run_workloads(tenants, &instance_run_config(spec, spec.budget_insts, seed));
             // A static layout forfeits half of each high-performance
             // row's capacity for the whole run.
-            (r, spec.fraction_hp / 2.0, spec.fraction_hp)
+            let loss = capacity_loss_fraction(spec.fraction_hp);
+            (r, loss, spec.fraction_hp)
         }
     };
 

@@ -1,7 +1,7 @@
 //! Memory-system statistics consumed by the metrics and power models.
 
 use clr_core::mode::RowMode;
-use clr_obs::{BlameSet, LatencyHistogram};
+use clr_obs::{BlameSet, LatencyHistogram, SeriesCounters};
 
 /// Counters accumulated by the controller over a run.
 ///
@@ -119,6 +119,21 @@ impl MemStats {
     /// Total ACT commands.
     pub fn acts(&self) -> u64 {
         self.acts_max_capacity + self.acts_high_performance
+    }
+
+    /// The counters a telemetry window reports, read off these
+    /// statistics (a window's delta, or a whole run's totals).
+    pub fn series_counters(&self) -> SeriesCounters {
+        SeriesCounters {
+            acts: self.acts(),
+            reads: self.reads,
+            writes: self.writes,
+            mode_transitions: self.mode_transitions,
+            migration_jobs: self.migration_jobs_completed,
+            frames_moved: self.migration_fills,
+            stall_cycles: self.relocation_stall_cycles,
+            migration_slot_cycles: self.migration_slot_cycles,
+        }
     }
 
     /// Total PRE commands.

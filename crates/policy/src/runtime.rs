@@ -12,6 +12,7 @@
 //!    table (the runtime never mutates controller state directly, so
 //!    there is exactly one owner of the mode table).
 
+use clr_core::capacity::capacity_loss_fraction;
 use clr_core::mode::{ModeTable, RowMode};
 
 use crate::policy::{ModePolicy, PolicyConstraints, PolicyContext, RowTransition};
@@ -70,7 +71,7 @@ impl RuntimeStats {
     /// Time-averaged fraction of device capacity forfeited (each HP row
     /// costs half its capacity).
     pub fn avg_capacity_loss(&self) -> f64 {
-        self.avg_hp_fraction() / 2.0
+        capacity_loss_fraction(self.avg_hp_fraction())
     }
 
     /// Counter-wise sum `self + other` — fusing per-channel runtimes of a

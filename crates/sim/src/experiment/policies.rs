@@ -22,6 +22,7 @@
 //! instruction budgets. Relative orderings, not absolute numbers, are the
 //! output.
 
+use clr_core::capacity::capacity_loss_fraction;
 use clr_core::geometry::DramGeometry;
 use clr_core::par::parallel_map;
 use clr_cpu::cache::CacheConfig;
@@ -36,9 +37,10 @@ use clr_trace::phase::PhaseShiftSpec;
 use clr_trace::synthetic::{SyntheticKind, SyntheticSpec};
 use clr_trace::workload::Workload;
 
+use crate::metrics::{max_slowdown, weighted_speedup};
 use crate::policyrun::{run_policy_workloads, PolicyRunConfig};
 use crate::scale::Scale;
-use crate::system::RunConfig;
+use crate::system::{per_core_seed, RunConfig};
 
 /// The capacity budget every dynamic policy runs under.
 pub const DYNAMIC_BUDGET: f64 = 0.25;
@@ -220,30 +222,35 @@ pub fn policy_cluster() -> ClusterConfig {
     }
 }
 
-/// The phase-shifting workload sized so roughly eight phases fit in the
-/// scale's instruction budget.
-pub fn phase_workload(scale: Scale) -> Workload {
+/// The drifting hot-set spec, sized so roughly eight phases fit in the
+/// scale's instruction budget, and its zero-drift twin.
+fn phase_specs(scale: Scale) -> (PhaseShiftSpec, PhaseShiftSpec) {
     let spec = PhaseShiftSpec::paper_default();
     let phases = 8;
     let accesses_per_phase =
         (scale.budget_insts() as f64 / (spec.bubbles as f64 + 1.0) / phases as f64) as u64;
-    Workload::PhaseShift(PhaseShiftSpec {
+    let drifting = PhaseShiftSpec {
         accesses_per_phase: accesses_per_phase.max(500),
         ..spec
-    })
+    };
+    let stable = PhaseShiftSpec {
+        drift_fraction: 0.0,
+        ..drifting
+    };
+    (drifting, stable)
+}
+
+/// The phase-shifting workload sized so roughly eight phases fit in the
+/// scale's instruction budget.
+pub fn phase_workload(scale: Scale) -> Workload {
+    Workload::PhaseShift(phase_specs(scale).0)
 }
 
 /// The stable-hot contrast workload: the phase workload's hot window with
 /// zero drift, so the time-averaged heat map equals the instantaneous one
 /// and static placement is as informed as any telemetry-driven policy.
 pub fn stable_hot_workload(scale: Scale) -> Workload {
-    let Workload::PhaseShift(spec) = phase_workload(scale) else {
-        unreachable!("phase_workload returns PhaseShift");
-    };
-    Workload::PhaseShift(PhaseShiftSpec {
-        drift_fraction: 0.0,
-        ..spec
-    })
+    Workload::PhaseShift(phase_specs(scale).1)
 }
 
 /// The uniform-random contrast workload: no persistent hot rows at all, so
@@ -291,12 +298,9 @@ pub fn policy_roster() -> Vec<(PolicySpec, f64)> {
 /// per workload phase — long enough for per-row counts to clear the
 /// migration-payoff thresholds, short enough to react within a phase.
 pub fn epoch_cycles(scale: Scale) -> u64 {
-    let Workload::PhaseShift(spec) = phase_workload(scale) else {
-        unreachable!("phase_workload returns PhaseShift");
-    };
     // ~10 DRAM cycles per trace access on this system (measured; LLC
     // hits keep many accesses off the bus).
-    (spec.accesses_per_phase * 10 / 4).max(2_000)
+    (phase_specs(scale).0.accesses_per_phase * 10 / 4).max(2_000)
 }
 
 /// The relocation models a policy is swept across: dynamic policies run
@@ -322,41 +326,45 @@ pub fn reloc_label(cfg: &RelocationConfig) -> &'static str {
     }
 }
 
-/// One sweep job: a policy driving one or more cores' workloads under a
-/// relocation model on a (possibly multi-channel) memory system.
-#[derive(Debug, Clone)]
+/// One simulation: a policy driving one or more cores' workloads under a
+/// relocation model on a (possibly multi-channel) memory system. Equal
+/// specs at one trace seed simulate the same run, so the sweep runs it
+/// once for every cell that uses it.
+#[derive(Debug, Clone, PartialEq)]
 struct CellSpec {
     policy: PolicySpec,
     budget: f64,
     workloads: Vec<Workload>,
     reloc: RelocationConfig,
-    workload_label: String,
     channels: u32,
     split: BudgetSplit,
     placement: DestinationPicker,
 }
 
 impl CellSpec {
-    /// A single-channel cell with the even (trivial) budget split — the
-    /// classic sweep shape.
-    fn single_channel(
-        policy: PolicySpec,
-        budget: f64,
-        workloads: Vec<Workload>,
-        reloc: RelocationConfig,
-        workload_label: String,
-    ) -> Self {
+    /// A dynamic policy under [`DYNAMIC_BUDGET`] with background-paced
+    /// relocation on one channel, with the even split and same-bank
+    /// placement: the shape every sweep cell varies.
+    fn new(policy: PolicySpec, workloads: Vec<Workload>) -> Self {
         CellSpec {
             policy,
-            budget,
+            budget: DYNAMIC_BUDGET,
             workloads,
-            reloc,
-            workload_label,
+            reloc: RelocationConfig::background_paced(),
             channels: 1,
             split: BudgetSplit::EvenSplit,
             placement: DestinationPicker::SameBank,
         }
     }
+}
+
+/// One reported cell: what it simulates, the workload label it reports,
+/// and whether it is scored against per-core alone baselines.
+#[derive(Debug, Clone)]
+struct SweepCell {
+    spec: CellSpec,
+    label: String,
+    fairness: bool,
 }
 
 fn run_cell(spec: &CellSpec, scale: Scale, seed: u64, skip_ahead: bool) -> PolicyCell {
@@ -419,7 +427,7 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64, skip_ahead: bool) -> Polic
         .unwrap_or(0);
     PolicyCell {
         policy: spec.policy.label(),
-        workload: spec.workload_label.clone(),
+        workload: String::new(), // labelled by `run_cells`
         reloc: reloc_label(&spec.reloc).to_string(),
         cores: spec.workloads.len(),
         channels: spec.channels,
@@ -435,7 +443,7 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64, skip_ahead: bool) -> Polic
         avg_capacity_loss: if matches!(spec.policy, PolicySpec::StaticSplit { .. }) {
             // A static split forfeits its fraction's capacity for the
             // whole run, independent of epoch accounting.
-            initial_fraction / 2.0
+            capacity_loss_fraction(initial_fraction)
         } else {
             r.avg_capacity_loss()
         },
@@ -457,24 +465,6 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64, skip_ahead: bool) -> Polic
     }
 }
 
-/// The 2-core shared-fast-row-budget contention cell: two cores — a
-/// drifting hot set and a stable hot set — compete for one controller's
-/// capacity budget under the hysteresis policy with background
-/// relocation. The per-core IPC column shows who wins the shared fast
-/// rows (first step on the multi-core contention roadmap item).
-fn multicore_cell(scale: Scale) -> CellSpec {
-    let w0 = phase_workload(scale);
-    let w1 = stable_hot_workload(scale);
-    let workload_label = format!("2core:{}+{}", w0.name(), w1.name());
-    CellSpec::single_channel(
-        PolicySpec::Hysteresis,
-        DYNAMIC_BUDGET,
-        vec![w0, w1],
-        RelocationConfig::background_paced(),
-        workload_label,
-    )
-}
-
 /// One contention-sweep configuration: how many cores compete for how
 /// many channels, under which policy and cross-channel budget split.
 #[derive(Debug, Clone, Copy)]
@@ -491,17 +481,11 @@ pub struct ContentionSpec {
 
 impl ContentionSpec {
     fn label(&self, workloads: &[Workload]) -> String {
-        let mix = workloads
-            .iter()
-            .map(|w| {
-                // First component of the workload name ("phase",
-                // "stablehot", "random") keeps the label readable.
-                let name = w.name();
-                name.split('_').next().unwrap_or("w").to_string()
-            })
-            .collect::<Vec<_>>()
-            .join("+");
-        format!("{}core/{}ch:{mix}", self.cores, self.channels)
+        // First component of each workload name ("phase", "stablehot",
+        // "random") keeps the label readable.
+        let names: Vec<String> = workloads.iter().map(Workload::name).collect();
+        let mix: Vec<&str> = names.iter().filter_map(|n| n.split('_').next()).collect();
+        format!("{}core/{}ch:{}", self.cores, self.channels, mix.join("+"))
     }
 }
 
@@ -573,132 +557,31 @@ pub fn contention_workloads(scale: Scale, cores: usize) -> Vec<Workload> {
     (0..cores).map(|i| roster[i % roster.len()]).collect()
 }
 
-/// Identity of one alone-baseline run: `(workload, trace seed,
-/// channels, policy, split)`. Cells in the same (policy, channels,
-/// split) group share baselines for the cores they have in common, so
-/// each distinct configuration is simulated exactly once per sweep.
-type AloneKey = (String, u64, u32, String, &'static str);
-
-fn alone_key(spec: &ContentionSpec, w: &Workload, alone_seed: u64) -> AloneKey {
-    (
-        w.name(),
-        alone_seed,
-        spec.channels,
-        spec.policy.label(),
-        spec.split.label(),
-    )
-}
-
-fn alone_cell_spec(spec: &ContentionSpec, w: Workload) -> CellSpec {
-    CellSpec {
-        policy: spec.policy,
-        budget: DYNAMIC_BUDGET,
-        workloads: vec![w],
-        reloc: RelocationConfig::background_paced(),
-        workload_label: String::new(),
-        channels: spec.channels,
-        split: spec.split,
-        placement: DestinationPicker::SameBank,
-    }
-}
-
-/// Runs one contention cell, filling in weighted speedup and max
-/// slowdown against the precomputed per-core alone baselines (each
-/// core's workload alone on the identical memory system, replaying the
-/// exact per-core trace seed).
-fn run_contention_cell(
-    spec: &ContentionSpec,
-    scale: Scale,
-    seed: u64,
-    skip_ahead: bool,
-    baselines: &std::collections::HashMap<AloneKey, PolicyCell>,
-) -> PolicyCell {
-    let workloads = contention_workloads(scale, spec.cores);
-    let cell_spec = CellSpec {
-        policy: spec.policy,
-        budget: DYNAMIC_BUDGET,
-        workloads: workloads.clone(),
-        reloc: RelocationConfig::background_paced(),
-        workload_label: spec.label(&workloads),
-        channels: spec.channels,
-        split: spec.split,
-        placement: DestinationPicker::SameBank,
-    };
-    // A 1-core cell *is* an alone run (per_core_seed(seed, 0) == seed):
-    // when its group's core-0 baseline already exists, relabel it
-    // instead of re-simulating the identical configuration; its
-    // fairness metrics are exactly 1.0 by construction either way.
-    if spec.cores == 1 {
-        let mut cell = match baselines.get(&alone_key(spec, &workloads[0], seed)) {
-            Some(baseline) => baseline.clone(),
-            None => run_cell(&cell_spec, scale, seed, skip_ahead),
-        };
-        cell.workload = cell_spec.workload_label;
-        cell.weighted_speedup = Some(1.0);
-        cell.max_slowdown = Some(1.0);
-        return cell;
-    }
-    let mut cell = run_cell(&cell_spec, scale, seed, skip_ahead);
-    let alone: Vec<f64> = workloads
+/// The contention sweep's cells: each [`contention_roster`] entry's
+/// workload mix under background relocation, scored against per-core
+/// alone baselines.
+fn contention_cells(scale: Scale) -> Vec<SweepCell> {
+    contention_roster(scale)
         .iter()
-        .enumerate()
-        .map(|(core, w)| {
-            let alone_seed = crate::system::per_core_seed(seed, core);
-            baselines[&alone_key(spec, w, alone_seed)].ipc
-        })
-        .collect();
-    cell.weighted_speedup = Some(crate::metrics::weighted_speedup(&cell.ipc_per_core, &alone));
-    cell.max_slowdown = Some(crate::metrics::max_slowdown(&cell.ipc_per_core, &alone));
-    apply_slowdown_slo(&mut cell);
-    cell
-}
-
-/// Folds the fairness ceiling into a cell's SLO verdict: once a
-/// contention/placement cell's max slowdown is known, it must also stay
-/// under [`SLO_MAX_SLOWDOWN_MILLI`] (a scalar objective the windowed
-/// series cannot see — it needs the alone baselines).
-fn apply_slowdown_slo(cell: &mut PolicyCell) {
-    if let Some(ms) = cell.max_slowdown {
-        let milli = (ms * 1000.0).round() as u64;
-        if milli > SLO_MAX_SLOWDOWN_MILLI {
-            cell.slo_pass = false;
-            cell.slo_violations += 1;
-        }
-    }
-}
-
-/// Runs the contention sweep (see [`contention_roster`]): first every
-/// *distinct* alone-baseline configuration (deduplicated across cells
-/// — a 4-core cell shares its first two baselines with the 2-core and
-/// 1-core cells of the same policy/channels/split group), then every
-/// contention cell, all distributed over worker threads.
-pub fn run_contention(scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
-    let specs = contention_roster(scale);
-    let mut wanted: Vec<(AloneKey, CellSpec, u64)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for spec in &specs {
-        if spec.cores == 1 {
-            continue; // reuses its group's core-0 baseline (or runs once)
-        }
-        for (core, w) in contention_workloads(scale, spec.cores).iter().enumerate() {
-            let alone_seed = crate::system::per_core_seed(seed, core);
-            let key = alone_key(spec, w, alone_seed);
-            if seen.insert(key.clone()) {
-                wanted.push((key, alone_cell_spec(spec, *w), alone_seed));
+        .map(|c| {
+            let workloads = contention_workloads(scale, c.cores);
+            SweepCell {
+                label: c.label(&workloads),
+                spec: CellSpec {
+                    channels: c.channels,
+                    split: c.split,
+                    ..CellSpec::new(c.policy, workloads)
+                },
+                fairness: true,
             }
-        }
-    }
-    let cells = parallel_map(wanted.len(), |i| {
-        run_cell(&wanted[i].1, scale, wanted[i].2, skip_ahead)
-    });
-    let baselines: std::collections::HashMap<AloneKey, PolicyCell> = wanted
-        .into_iter()
-        .zip(cells)
-        .map(|((key, _, _), cell)| (key, cell))
-        .collect();
-    parallel_map(specs.len(), |i| {
-        run_contention_cell(&specs[i], scale, seed, skip_ahead, &baselines)
-    })
+        })
+        .collect()
+}
+
+/// Runs the contention sweep (see [`contention_roster`]), each cell
+/// scored against per-core alone baselines.
+pub fn run_contention(scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
+    run_cells(&contention_cells(scale), scale, seed, skip_ahead)
 }
 
 /// The placement sweep's workload mix: the drifting and stable hot sets
@@ -706,12 +589,7 @@ pub fn run_contention(scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCe
 /// saturated channel next to a mostly idle one, the regime where moving
 /// *frames* (not just budget) across channels pays.
 pub fn skewed_workloads(scale: Scale) -> Vec<Workload> {
-    let Workload::PhaseShift(drifting) = phase_workload(scale) else {
-        unreachable!("phase_workload returns PhaseShift");
-    };
-    let Workload::PhaseShift(stable) = stable_hot_workload(scale) else {
-        unreachable!("stable_hot_workload returns PhaseShift");
-    };
+    let (drifting, stable) = phase_specs(scale);
     vec![
         Workload::PhaseShift(drifting.with_channel_skew(2, 0)),
         Workload::PhaseShift(stable.with_channel_skew(2, 0)),
@@ -734,100 +612,158 @@ pub fn placement_roster(scale: Scale) -> Vec<DestinationPicker> {
     ]
 }
 
-fn placement_cell_spec(
-    placement: DestinationPicker,
-    workloads: Vec<Workload>,
-    label: String,
-) -> CellSpec {
-    CellSpec {
-        // Util-threshold promotes eagerly even at smoke budgets, so the
-        // placement machinery is exercised on every CI push.
-        policy: PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
-        budget: DYNAMIC_BUDGET,
-        workloads,
-        reloc: RelocationConfig::background_paced(),
-        workload_label: label,
-        channels: 2,
-        // Demand-proportional budget on every cell: the same-bank column
-        // is then exactly "budget-only rebalancing", so the placement
-        // axis is isolated.
-        split: BudgetSplit::demand_proportional(),
-        placement,
-    }
-}
-
-/// Runs the placement sweep: each placement mode drives the 2-core
-/// channel-skewed mix on a 2-channel system, with weighted speedup and
-/// max slowdown computed against per-core alone baselines run under the
-/// *same* placement mode (exact per-core trace seeds, as in the
-/// contention sweep).
-pub fn run_placement(scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
-    let placements = placement_roster(scale);
+/// The placement sweep's cells: each placement mode drives the
+/// channel-skewed mix on a 2-channel system. Util-threshold promotes
+/// eagerly even at smoke budgets, so the placement machinery is
+/// exercised on every CI push. Every cell splits the budget
+/// demand-proportionally, so the same-bank column is exactly
+/// "budget-only rebalancing" and the placement axis is isolated.
+fn placement_cells(scale: Scale) -> Vec<SweepCell> {
     let workloads = skewed_workloads(scale);
-    let per = workloads.len() + 1;
-    let mut jobs: Vec<(CellSpec, u64)> = Vec::new();
-    for &p in &placements {
-        for (core, w) in workloads.iter().enumerate() {
-            jobs.push((
-                placement_cell_spec(p, vec![*w], String::new()),
-                crate::system::per_core_seed(seed, core),
-            ));
-        }
-        let label = format!("2core/2ch:skewed:{}", p.label());
-        jobs.push((placement_cell_spec(p, workloads.clone(), label), seed));
-    }
-    let cells = parallel_map(jobs.len(), |i| {
-        run_cell(&jobs[i].0, scale, jobs[i].1, skip_ahead)
-    });
-    cells
-        .chunks(per)
-        .map(|chunk| {
-            let alone: Vec<f64> = chunk[..per - 1].iter().map(|c| c.ipc).collect();
-            let mut cell = chunk[per - 1].clone();
-            cell.weighted_speedup =
-                Some(crate::metrics::weighted_speedup(&cell.ipc_per_core, &alone));
-            cell.max_slowdown = Some(crate::metrics::max_slowdown(&cell.ipc_per_core, &alone));
-            apply_slowdown_slo(&mut cell);
-            cell
+    let policy = PolicySpec::UtilizationThreshold { hot: 4, cold: 1 };
+    placement_roster(scale)
+        .into_iter()
+        .map(|placement| SweepCell {
+            spec: CellSpec {
+                channels: 2,
+                split: BudgetSplit::demand_proportional(),
+                placement,
+                ..CellSpec::new(policy, workloads.clone())
+            },
+            label: format!("2core/2ch:skewed:{}", placement.label()),
+            fairness: true,
         })
         .collect()
 }
 
+/// Runs the placement sweep (see [`placement_roster`]), each cell scored
+/// against per-core alone baselines run under its own placement mode.
+pub fn run_placement(scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
+    run_cells(&placement_cells(scale), scale, seed, skip_ahead)
+}
+
+/// The sweep's three cell lists in report order: the policy × workload
+/// roster closed by the 2-core shared-budget cell, the contention cells
+/// and the placement cells.
+fn sweep_cells(scale: Scale) -> [Vec<SweepCell>; 3] {
+    let mut roster = Vec::new();
+    for w in workload_roster(scale) {
+        for (policy, budget) in policy_roster() {
+            for reloc in reloc_axis(policy) {
+                let spec = CellSpec {
+                    budget,
+                    reloc,
+                    ..CellSpec::new(policy, vec![w])
+                };
+                roster.push(SweepCell {
+                    spec,
+                    label: w.name(),
+                    fairness: false,
+                });
+            }
+        }
+    }
+    // The 2-core shared-fast-row-budget cell: a drifting and a stable hot
+    // set compete for one controller's capacity budget under hysteresis;
+    // the per-core IPC column shows who wins the shared fast rows.
+    let (w0, w1) = (phase_workload(scale), stable_hot_workload(scale));
+    roster.push(SweepCell {
+        spec: CellSpec::new(PolicySpec::Hysteresis, vec![w0, w1]),
+        label: format!("2core:{}+{}", w0.name(), w1.name()),
+        fairness: false,
+    });
+    [roster, contention_cells(scale), placement_cells(scale)]
+}
+
 /// Runs the sweep: every roster policy × every roster workload
 /// (drifting-hot, stable-hot, uniform-random) × the policy's relocation
-/// axis (stall vs background for dynamic policies), plus the 2-core
-/// shared-budget cell and the contention sweep (core counts × channel
-/// counts × budget splits; see [`contention_roster`]); cells are
-/// distributed over worker threads. Cells are workload-major with the
-/// drifting-hot-set column, the headline workload, first.
+/// axis (stall vs background for dynamic policies), the 2-core
+/// shared-budget cell, the contention sweep (see [`contention_roster`])
+/// and the placement sweep, as one batch of distinct simulations over
+/// worker threads. Cells are workload-major, the headline column first.
 ///
 /// `skip_ahead` picks the walk every cell runs (see
 /// [`RunConfig::skip_ahead`]); the sweep is bit-identical either way.
 pub fn run(scale: Scale, seed: u64, skip_ahead: bool) -> PolicySweepReport {
-    let mut jobs: Vec<CellSpec> = Vec::new();
-    for w in workload_roster(scale) {
-        for (spec, budget) in policy_roster() {
-            for reloc in reloc_axis(spec) {
-                jobs.push(CellSpec::single_channel(
-                    spec,
-                    budget,
-                    vec![w],
-                    reloc,
-                    w.name(),
-                ));
-            }
-        }
-    }
-    jobs.push(multicore_cell(scale));
-    let cells = parallel_map(jobs.len(), |i| run_cell(&jobs[i], scale, seed, skip_ahead));
-    let contention = run_contention(scale, seed, skip_ahead);
-    let placement = run_placement(scale, seed, skip_ahead);
+    let lists = sweep_cells(scale);
+    let mut runs = run_cells(&lists.concat(), scale, seed, skip_ahead).into_iter();
+    let [cells, contention, placement] = lists.map(|list| runs.by_ref().take(list.len()).collect());
     PolicySweepReport {
         cells,
         contention,
         placement,
         scale,
     }
+}
+
+/// The distinct simulations a cell list needs, as (spec, trace seed)
+/// pairs, and for each cell the indices of its own run and of its
+/// per-core alone baselines.
+struct Plan {
+    sims: Vec<(CellSpec, u64)>,
+    uses: Vec<(usize, Vec<usize>)>,
+}
+
+/// Plans `cells` at trace seed `seed`. Core `i` of a fairness cell is
+/// scored against the cell's own configuration with only core `i`'s
+/// workload, at core `i`'s trace seed. Each distinct (spec, seed) pair
+/// is one simulation, so a 1-core cell is its own baseline.
+fn plan(cells: &[SweepCell], seed: u64) -> Plan {
+    let mut sims: Vec<(CellSpec, u64)> = Vec::new();
+    let mut sim = |spec: CellSpec, seed: u64| {
+        let found = sims.iter().position(|(s, t)| *s == spec && *t == seed);
+        found.unwrap_or_else(|| {
+            sims.push((spec, seed));
+            sims.len() - 1
+        })
+    };
+    let uses = cells
+        .iter()
+        .map(|c| {
+            let own = sim(c.spec.clone(), seed);
+            let mut alone = Vec::new();
+            if c.fairness {
+                for (core, &w) in c.spec.workloads.iter().enumerate() {
+                    let mut spec = c.spec.clone();
+                    spec.workloads = vec![w];
+                    alone.push(sim(spec, per_core_seed(seed, core)));
+                }
+            }
+            (own, alone)
+        })
+        .collect();
+    Plan { sims, uses }
+}
+
+/// Runs every distinct simulation `cells` need in one [`parallel_map`],
+/// then labels each cell and scores each fairness cell: weighted
+/// speedup, max slowdown, and the [`SLO_MAX_SLOWDOWN_MILLI`] ceiling
+/// folded into its SLO verdict (a scalar objective the windowed series
+/// cannot see: it needs the alone baselines).
+fn run_cells(cells: &[SweepCell], scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
+    let Plan { sims, uses } = plan(cells, seed);
+    let runs = parallel_map(sims.len(), |i| {
+        run_cell(&sims[i].0, scale, sims[i].1, skip_ahead)
+    });
+    cells
+        .iter()
+        .zip(uses)
+        .map(|(c, (own, alone))| {
+            let mut cell = runs[own].clone();
+            cell.workload = c.label.clone();
+            if c.fairness {
+                let alone: Vec<f64> = alone.iter().map(|&i| runs[i].ipc).collect();
+                let slowdown = max_slowdown(&cell.ipc_per_core, &alone);
+                if (slowdown * 1000.0).round() as u64 > SLO_MAX_SLOWDOWN_MILLI {
+                    cell.slo_pass = false;
+                    cell.slo_violations += 1;
+                }
+                cell.weighted_speedup = Some(weighted_speedup(&cell.ipc_per_core, &alone));
+                cell.max_slowdown = Some(slowdown);
+            }
+            cell
+        })
+        .collect()
 }
 
 impl PolicySweepReport {
@@ -1268,6 +1204,55 @@ mod tests {
         assert_eq!(ws.len(), 4);
         assert_eq!(ws[0].name(), ws[3].name());
         assert_ne!(ws[0].name(), ws[1].name());
+    }
+
+    #[test]
+    fn the_sweep_is_one_batch_of_distinct_simulations() {
+        // Planned apart, the three lists would run 73 simulations at
+        // default scale: the roster's 2-core cell is the 2core/1ch
+        // hysteresis contention cell, and its hysteresis and
+        // util-threshold background cells on the phase workload are the
+        // 1-channel contention groups' core-0 baselines. Smoke shares
+        // none. Update these counts when a roster changes.
+        for (scale, sims, apart) in [(Scale::Default, 70, 73), (Scale::Smoke, 48, 48)] {
+            let lists = sweep_cells(scale);
+            let batch = plan(&lists.concat(), 42);
+            for (i, sim) in batch.sims.iter().enumerate() {
+                assert!(!batch.sims[..i].contains(sim), "{scale:?}: run {i} repeats");
+            }
+            assert_eq!(batch.sims.len(), sims, "{scale:?}");
+            let planned_apart: usize = lists.iter().map(|l| plan(l, 42).sims.len()).sum();
+            assert_eq!(planned_apart, apart, "{scale:?}");
+        }
+    }
+
+    #[test]
+    fn fairness_baselines_are_each_core_alone_at_its_trace_seed() {
+        let seed = 42;
+        let cells = sweep_cells(Scale::Default).concat();
+        let batch = plan(&cells, seed);
+        let mut one_core_cells = 0;
+        for (c, (own, alone)) in cells.iter().zip(&batch.uses) {
+            assert_eq!(batch.sims[*own], (c.spec.clone(), seed), "{}", c.label);
+            if !c.fairness {
+                assert!(alone.is_empty(), "{}", c.label);
+                continue;
+            }
+            assert_eq!(alone.len(), c.spec.workloads.len(), "{}", c.label);
+            for (core, &i) in alone.iter().enumerate() {
+                let mut expected = c.spec.clone();
+                expected.workloads = vec![c.spec.workloads[core]];
+                assert_eq!(batch.sims[i], (expected, per_core_seed(seed, core)));
+            }
+            if c.spec.workloads.len() == 1 {
+                // per_core_seed(seed, 0) == seed: the cell is its own
+                // baseline, so its fairness scores are exactly 1.0.
+                assert_eq!(alone, &vec![*own], "{}", c.label);
+                one_core_cells += 1;
+            }
+        }
+        // 2 policies × {1ch even, 2ch even, 2ch demand}.
+        assert_eq!(one_core_cells, 6);
     }
 
     #[test]

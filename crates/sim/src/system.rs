@@ -52,8 +52,8 @@ use clr_memsim::request::{Completion, MemRequest, RequestKind};
 use clr_memsim::stats::MemStats;
 use clr_memsim::system::MemorySystem;
 use clr_obs::{
-    ChannelSample, MetricsConfig, MetricsRecorder, SeriesCounters, SeriesGauges, SkipProfile,
-    TimeSeries, TraceCategory, TraceConfig, TraceLog, SYSTEM_PID,
+    ChannelSample, MetricsConfig, MetricsRecorder, SeriesGauges, SkipProfile, TimeSeries,
+    TraceCategory, TraceConfig, TraceLog, SYSTEM_PID,
 };
 use clr_power::{energy_of_run, EnergyBreakdown, IddParams};
 use clr_trace::workload::Workload;
@@ -318,16 +318,7 @@ impl MetricsSampler {
                 let delta = mem.channel_stats(ch).delta_since(&self.prev[ch]);
                 let mc = mem.channel(ch);
                 ChannelSample {
-                    counters: SeriesCounters {
-                        acts: delta.acts(),
-                        reads: delta.reads,
-                        writes: delta.writes,
-                        mode_transitions: delta.mode_transitions,
-                        migration_jobs: delta.migration_jobs_completed,
-                        frames_moved: delta.migration_fills,
-                        stall_cycles: delta.relocation_stall_cycles,
-                        migration_slot_cycles: delta.migration_slot_cycles,
-                    },
+                    counters: delta.series_counters(),
                     gauges: SeriesGauges {
                         queue_depth: (mc.pending_reads() + mc.pending_writes()) as u64,
                         in_flight_migrations: mc.pending_migrations() as u64,
