@@ -5,17 +5,12 @@
 //!
 //! The final stdout block is machine-readable JSON
 //! (`clr-dram/policy-sweep/v7`) so successive PRs can track the
-//! performance trajectory of the policies; a full run (no `CLR_SWEEP`)
-//! also writes it to `BENCH_policy_sweep.json`. Notes and the process's
-//! peak RSS go to stderr, leaving that block last on stdout.
+//! performance trajectory of the policies; the run also writes it to
+//! `BENCH_policy_sweep.json`. Notes and the process's peak RSS go to
+//! stderr, leaving that block last on stdout.
 //!
-//! Set `CLR_SWEEP=contention` to run only the contention sweep (the CI
-//! smoke cell exercising the channel-sharded path), or
-//! `CLR_SWEEP=placement` to run only the placement sweep (same-bank vs
-//! cross-bank vs cross-channel destination placement on the
-//! channel-skewed hot-set mix). `CLR_FORCE_PER_CYCLE=1` runs every cell
-//! on the per-cycle reference walk instead of skip-ahead; the output is
-//! bit-identical, only slower.
+//! `CLR_FORCE_PER_CYCLE=1` runs every cell on the per-cycle reference
+//! walk instead of skip-ahead; the output is bit-identical, only slower.
 
 use clr_sim::experiment::policies;
 use clr_sim::scale::Scale;
@@ -66,53 +61,11 @@ fn print_placement(report: &policies::PolicySweepReport) {
 }
 
 fn main() {
-    sweep();
-    if let Some(mib) = clr_bench::peak_rss_mib() {
-        eprintln!("policy_sweep: host peak RSS: {mib:.1} MiB");
-    }
-}
-
-/// Runs the sweep `CLR_SWEEP` selects, prints it and checks it.
-fn sweep() {
     let scale = clr_bench::startup("policy sweep (dynamic capacity-latency trade-off, §6)");
     // Skip-ahead is bit-identical to per-cycle stepping; the escape hatch
     // forces the reference walk for A/B timing and for bisecting a
     // suspected divergence without a rebuild.
     let skip_ahead = std::env::var("CLR_FORCE_PER_CYCLE").is_err();
-    match std::env::var("CLR_SWEEP").as_deref() {
-        Ok("contention") => {
-            // Contention-only mode: the CI smoke step driving the sharded
-            // 2-channel path on every push without the full roster.
-            let report = policies::PolicySweepReport {
-                cells: Vec::new(),
-                contention: policies::run_contention(scale, 42, skip_ahead),
-                placement: Vec::new(),
-                scale,
-            };
-            print_contention(&report);
-            println!("\n--- machine-readable (clr-dram/policy-sweep/v7) ---");
-            print!("{}", report.to_json());
-            sanity_check_contention(&report, scale);
-            return;
-        }
-        Ok("placement") => {
-            // Placement-only mode: the CI smoke step driving cross-channel
-            // frame rebalancing (staged evacuate/fill jobs, remap installs)
-            // on every push.
-            let report = policies::PolicySweepReport {
-                cells: Vec::new(),
-                contention: Vec::new(),
-                placement: policies::run_placement(scale, 42, skip_ahead),
-                scale,
-            };
-            print_placement(&report);
-            println!("\n--- machine-readable (clr-dram/policy-sweep/v7) ---");
-            print!("{}", report.to_json());
-            sanity_check_placement(&report);
-            return;
-        }
-        _ => {}
-    }
     let report = policies::run(scale, 42, skip_ahead);
     print!("{}", report.render());
 
@@ -190,6 +143,9 @@ fn sweep() {
     }
     sanity_check_contention(&report, scale);
     sanity_check_placement(&report);
+    if let Some(mib) = clr_bench::peak_rss_mib() {
+        eprintln!("policy_sweep: host peak RSS: {mib:.1} MiB");
+    }
 }
 
 /// Hard acceptance checks on the placement sweep: every cell runs under

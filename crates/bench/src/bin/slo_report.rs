@@ -1,68 +1,51 @@
 //! SLO verdict for the CI smoke contention cell, with the telemetry
 //! inertness contract re-proven on the way.
 //!
-//! Runs the 2-core × 2-channel util-threshold contention cell (the same
-//! shape the smoke `policy_sweep` roster drives through the sharded
-//! channel path) twice — once with continuous telemetry off, once on —
-//! and asserts the simulated outcome is bit-identical (the telemetry
-//! run also attributes wait causes, so the same differential proves the
-//! blame ledger inert after zeroing its own fields). Then evaluates
-//! the cell's [`cell_slo_spec`] against the fused system series, plus a
-//! scalar objective holding the final high-performance fraction under
-//! the policy budget, and writes the machine-checkable verdict
-//! (`clr-dram/slo/v1`) to `BENCH_slo_report.json`. Exits nonzero if the
-//! cell misses its SLO.
+//! Runs the policy sweep's own 2-core × 2-channel util-threshold
+//! contention cell (the even-split entry of its contention roster, as
+//! `contention_cell` builds it for the sweep) twice — once with
+//! continuous telemetry off, once on — and asserts the simulated
+//! outcome is bit-identical (the telemetry run also attributes wait
+//! causes, so the same differential proves the blame ledger inert after
+//! zeroing its own fields). Then evaluates the cell's [`cell_slo_spec`]
+//! against the fused system series, plus a scalar objective holding the
+//! final high-performance fraction under the policy budget, and writes
+//! the machine-checkable verdict (`clr-dram/slo/v1`) to
+//! `BENCH_slo_report.json`. Exits nonzero if the roster lacks the cell
+//! or the cell misses its SLO.
 
-use clr_obs::{Json, MetricsConfig, ScalarObjective, SloReport};
+use clr_memsim::MemStats;
+use clr_obs::{Json, ScalarObjective, SloReport};
 use clr_policy::budget::BudgetSplit;
-use clr_policy::policy::{PolicyConstraints, PolicySpec};
-use clr_sim::experiment::policies::{
-    cell_slo_spec, contention_workloads, epoch_cycles, policy_cluster, policy_mem_config,
-    DYNAMIC_BUDGET,
-};
-use clr_sim::policyrun::{run_policy_workloads, PolicyRunConfig, PolicyRunResult};
+use clr_policy::policy::PolicySpec;
+use clr_sim::experiment::policies::{cell_slo_spec, contention_cell, contention_roster, CellSpec};
+use clr_sim::policyrun::{run_policy_workloads, PolicyRunResult};
 use clr_sim::scale::Scale;
-use clr_sim::system::RunConfig;
-use memsim::frames::DestinationPicker;
-use memsim::migrate::RelocationConfig;
-
-use clr_memsim as memsim;
 
 const SEED: u64 = 42;
 
-/// The smoke contention cell's exact shape: two cores (drifting +
-/// stable hot sets) over two channels, util-threshold policy,
-/// even budget split, background-paced relocation.
-fn run(scale: Scale, metrics: Option<MetricsConfig>, blame: bool) -> PolicyRunResult {
-    let mut mem = policy_mem_config(0.0);
-    mem.geometry.channels = 2;
-    mem.refresh_enabled = true;
-    mem.relocation = RelocationConfig::background_paced();
-    mem.placement = DestinationPicker::SameBank;
-    let base = RunConfig {
-        mem,
-        cluster: policy_cluster(),
-        budget_insts: scale.budget_insts(),
-        warmup_insts: scale.warmup_insts(),
-        seed: SEED,
-        skip_ahead: std::env::var("CLR_FORCE_PER_CYCLE").is_err(),
-        trace: None,
-        metrics,
-        threads: 1,
-        clamp_threads: true,
-        blame,
-    };
-    let cfg = PolicyRunConfig::new(
-        base,
-        PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
-        PolicyConstraints {
-            max_hp_fraction: DYNAMIC_BUDGET,
-            max_transitions_per_epoch: 512,
-        },
-        epoch_cycles(scale),
-    )
-    .with_budget_split(BudgetSplit::EvenSplit);
-    run_policy_workloads(&contention_workloads(scale, 2), &cfg)
+/// The certified cell and its sweep label: the 2-core × 2-channel
+/// util-threshold even-split entry of the sweep's contention roster.
+fn certified_cell(scale: Scale) -> Option<(String, CellSpec)> {
+    contention_roster(scale)
+        .iter()
+        .find(|c| {
+            c.cores == 2
+                && c.channels == 2
+                && c.split == BudgetSplit::EvenSplit
+                && matches!(c.policy, PolicySpec::UtilizationThreshold { .. })
+        })
+        .map(|c| contention_cell(scale, c))
+}
+
+/// Runs `cell` at the report's seed, with continuous telemetry over the
+/// sweep's window and wait-cause attribution both on or both off.
+fn run(cell: &CellSpec, observed: bool) -> PolicyRunResult {
+    let skip_ahead = std::env::var("CLR_FORCE_PER_CYCLE").is_err();
+    let mut cfg = cell.run_config(SEED, skip_ahead);
+    cfg.base.metrics = observed.then(|| cell.metrics_window());
+    cfg.base.blame = observed;
+    run_policy_workloads(&cell.workloads, &cfg)
 }
 
 /// Panics if the two runs' simulated outcomes differ anywhere — the
@@ -89,12 +72,12 @@ fn assert_inert(off: &PolicyRunResult, on: &PolicyRunResult) {
     assert!(off.run.metrics.is_none() && on.run.metrics.is_some());
 }
 
-fn emit_json(scale: Scale, workload: &str, report: &SloReport, mem: &clr_memsim::MemStats) {
+fn emit_json(scale: Scale, cell: &CellSpec, workload: &str, report: &SloReport, mem: &MemStats) {
     let blame = mem.read_blame.summary_json(mem.read_latency_hist.sum());
     let doc = Json::Obj(vec![
         ("schema", "clr-dram/slo/v1".into()),
         ("scale", scale.label().into()),
-        ("policy", "util-threshold".into()),
+        ("policy", cell.policy.label().as_str().into()),
         ("workload", workload.into()),
         ("blame", blame),
         ("report", report.json()),
@@ -113,17 +96,14 @@ fn emit_json(scale: Scale, workload: &str, report: &SloReport, mem: &clr_memsim:
 fn main() {
     let scale =
         clr_bench::startup("SLO report (continuous telemetry on the smoke contention cell)");
+    let Some((workload, cell)) = certified_cell(scale) else {
+        eprintln!("slo_report: no 2core/2ch util-threshold even-split contention cell");
+        std::process::exit(1);
+    };
 
     println!("running the 2core/2ch util-threshold cell, metrics off vs on ...");
-    let off = run(scale, None, false);
-    let on = run(
-        scale,
-        Some(MetricsConfig {
-            interval_cycles: epoch_cycles(scale),
-            capacity: 4_096,
-        }),
-        true,
-    );
+    let off = run(&cell, false);
+    let on = run(&cell, true);
     assert_inert(&off, &on);
     println!("inertness: outcomes bit-identical with telemetry + attribution enabled");
 
@@ -153,23 +133,15 @@ fn main() {
     }
 
     let system = on.run.metrics.as_ref().expect("metrics enabled").system();
-    let mut spec = cell_slo_spec(true);
+    let mut spec = cell_slo_spec(cell.reloc.is_background());
     spec.scalars.push(ScalarObjective {
         name: "final_hp_fraction_milli",
         value: (on.final_hp_fraction * 1000.0).round() as u64,
-        max: (DYNAMIC_BUDGET * 1000.0).round() as u64,
+        max: (cell.budget * 1000.0).round() as u64,
         expected_fail: false,
     });
     let report = spec.evaluate(&system);
 
-    let workload = {
-        let names = contention_workloads(scale, 2)
-            .iter()
-            .map(|w| w.name().split('_').next().unwrap_or("w").to_string())
-            .collect::<Vec<_>>()
-            .join("+");
-        format!("2core/2ch:{names}")
-    };
     println!("\ncell {workload}: {} windows evaluated", report.windows);
     for o in &report.objectives {
         println!(
@@ -205,7 +177,7 @@ fn main() {
         );
     }
 
-    emit_json(scale, &workload, &report, mem);
+    emit_json(scale, &cell, &workload, &report, mem);
 
     assert!(
         report.pass(),

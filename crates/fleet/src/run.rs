@@ -9,89 +9,46 @@
 //! `threads`.
 
 use clr_core::capacity::capacity_loss_fraction;
-use clr_memsim::migrate::RelocationConfig;
 use clr_memsim::Executor;
-use clr_policy::policy::PolicyConstraints;
-use clr_sim::experiment::policies::{policy_cluster, policy_mem_config};
-use clr_sim::{
-    host_parallelism, per_core_seed, run_policy_workloads, run_workloads, PolicyRunConfig,
-    RunConfig,
-};
+use clr_sim::experiment::policies::CellSpec;
+use clr_sim::{host_parallelism, run_policy_workloads, run_workloads};
 
 use crate::report::{FleetReport, InstanceResult};
 use crate::spec::{FleetSpec, InstanceSpec};
 
-/// The base run configuration for one instance: the policy sweep's
-/// 16 MiB small-system cell, widened to the instance's channel count.
-fn instance_run_config(spec: &InstanceSpec, tenant_budget: u64, seed: u64) -> RunConfig {
-    let mut mem = policy_mem_config(spec.fraction_hp);
-    mem.geometry.channels = spec.channels;
-    mem.placement = spec.placement;
-    if spec.background_relocation {
-        mem.relocation = RelocationConfig::background();
-    }
-    RunConfig {
-        mem,
-        cluster: policy_cluster(),
-        budget_insts: tenant_budget,
-        warmup_insts: spec.warmup_insts,
-        seed,
-        skip_ahead: true,
-        trace: None,
-        metrics: None,
-        // Instances are the unit of parallelism here; their internal
-        // channel walk stays serial (1–2 channels, tiny windows).
-        threads: 1,
-        clamp_threads: true,
-        // Attribution on for every instance: the fleet report fuses
-        // per-cause blame distributions across the whole roster.
-        blame: true,
-    }
-}
-
-/// Runs one instance to completion: the shared run, then — for
-/// multi-tenant instances — one alone run per tenant (same system,
-/// seeded with [`per_core_seed`] so each tenant replays the identical
-/// trace it saw in the shared run) to price contention as
-/// `alone_ipc / shared_ipc` slowdowns.
+/// Runs one instance to completion: the shared run of its
+/// [`InstanceSpec::cell`], then — for multi-tenant instances — each
+/// tenant's [`CellSpec::alone`] baseline, to price contention as
+/// `alone_ipc / shared_ipc` slowdowns. Every run attributes wait
+/// causes, which the fleet report fuses across the roster; instances
+/// are the unit of parallelism here, so each run's channel walk stays
+/// serial.
 pub fn run_instance(spec: &InstanceSpec) -> InstanceResult {
-    let run_one = |tenants: &[clr_trace::workload::Workload], seed: u64| match &spec.policy {
-        Some(policy) => {
-            let cfg = PolicyRunConfig::new(
-                instance_run_config(spec, spec.budget_insts, seed),
-                *policy,
-                // 512 matches the smoke contention cell: enough for
-                // real adaptation, but one epoch's stall batch stays
-                // bounded on churny policies.
-                PolicyConstraints {
-                    max_hp_fraction: spec.capacity_budget,
-                    max_transitions_per_epoch: 512,
-                },
-                spec.epoch_dram_cycles,
-            );
-            let r = run_policy_workloads(tenants, &cfg);
-            let (loss, hp) = (r.avg_capacity_loss(), r.final_hp_fraction);
-            (r.run, loss, hp)
-        }
-        None => {
-            let r = run_workloads(tenants, &instance_run_config(spec, spec.budget_insts, seed));
-            // A static layout forfeits half of each high-performance
-            // row's capacity for the whole run.
-            let loss = capacity_loss_fraction(spec.fraction_hp);
-            (r, loss, spec.fraction_hp)
+    let run_one = |cell: &CellSpec, seed: u64| {
+        let cfg = cell.run_config(seed, true);
+        match spec.policy {
+            Some(_) => {
+                let r = run_policy_workloads(&cell.workloads, &cfg);
+                let (loss, hp) = (r.avg_capacity_loss(), r.final_hp_fraction);
+                (r.run, loss, hp)
+            }
+            // A static layout runs without a policy runtime and forfeits
+            // half of each high-performance row's capacity for the whole
+            // run.
+            None => {
+                let r = run_workloads(&cell.workloads, &cfg.base);
+                let loss = capacity_loss_fraction(spec.fraction_hp);
+                (r, loss, spec.fraction_hp)
+            }
         }
     };
 
-    let (shared, capacity_forfeited, final_hp_fraction) = run_one(&spec.tenants, spec.seed);
+    let cell = spec.cell();
+    let (shared, capacity_forfeited, final_hp_fraction) = run_one(&cell, spec.seed);
     let slowdowns: Vec<f64> = if spec.tenants.len() > 1 {
-        spec.tenants
-            .iter()
+        cell.alone(spec.seed)
             .enumerate()
-            .map(|(core, w)| {
-                let (alone, _, _) =
-                    run_one(std::slice::from_ref(w), per_core_seed(spec.seed, core));
-                alone.ipc[0] / shared.ipc[core]
-            })
+            .map(|(core, (alone, seed))| run_one(&alone, seed).0.ipc[0] / shared.ipc[core])
             .collect()
     } else {
         vec![1.0]
@@ -120,7 +77,8 @@ pub fn run_instance(spec: &InstanceSpec) -> InstanceResult {
 /// Runs the whole fleet as one batch and fuses the report.
 ///
 /// `pool_threads` is clamped to the host's available parallelism (the
-/// same resolve-time clamp as [`RunConfig::clamp_threads`]) — on a
+/// same resolve-time clamp as
+/// [`RunConfig::clamp_threads`](clr_sim::RunConfig::clamp_threads)) — on a
 /// 1-core host every instance runs inline on the calling thread.
 /// The returned report is byte-for-byte identical for every
 /// `pool_threads` value: jobs are independent and results come back in

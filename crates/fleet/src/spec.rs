@@ -11,8 +11,10 @@
 //! [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 
 use clr_memsim::frames::DestinationPicker;
+use clr_memsim::migrate::RelocationConfig;
+use clr_policy::budget::BudgetSplit;
 use clr_policy::policy::PolicySpec;
-use clr_sim::experiment::policies::DYNAMIC_BUDGET;
+use clr_sim::experiment::policies::{CellSpec, DYNAMIC_BUDGET};
 use clr_sim::Scale;
 use clr_trace::phase::PhaseShiftSpec;
 use clr_trace::synthetic::{SyntheticKind, SyntheticSpec};
@@ -69,6 +71,34 @@ impl InstanceSpec {
             "background"
         } else {
             "stall"
+        }
+    }
+
+    /// The instance's shared run on the policy sweep's small system. A
+    /// static layout names itself a static split at
+    /// [`InstanceSpec::fraction_hp`] so that its cell starts at that
+    /// fraction, but that policy is never run:
+    /// [`run_instance`](crate::run_instance) runs the layout without a
+    /// policy runtime, while a `static-NN` policy instance with the same
+    /// draws runs one and so the same cell simulates differently. Fleet
+    /// runs must not be deduplicated by [`CellSpec`].
+    pub fn cell(&self) -> CellSpec {
+        let fraction = self.fraction_hp;
+        CellSpec {
+            policy: self.policy.unwrap_or(PolicySpec::StaticSplit { fraction }),
+            budget: self.capacity_budget,
+            workloads: self.tenants.clone(),
+            reloc: if self.background_relocation {
+                RelocationConfig::background()
+            } else {
+                RelocationConfig::default()
+            },
+            channels: self.channels,
+            split: BudgetSplit::EvenSplit,
+            placement: self.placement,
+            budget_insts: self.budget_insts,
+            warmup_insts: self.warmup_insts,
+            epoch_cycles: self.epoch_dram_cycles,
         }
     }
 }
@@ -257,6 +287,25 @@ mod tests {
         );
         // Budgets are jittered per instance.
         assert!(distinct(&|i| i.budget_insts.to_string()).len() >= 16);
+    }
+
+    #[test]
+    fn every_instance_runs_its_own_cell() {
+        for inst in FleetSpec::synth(64, 11, Scale::Smoke).instances {
+            let cell = inst.cell();
+            assert_eq!(cell.workloads, inst.tenants);
+            assert_eq!(cell.channels, inst.channels);
+            assert_eq!(cell.placement, inst.placement);
+            assert_eq!(cell.fraction_hp(), inst.fraction_hp);
+            assert_eq!(cell.budget, inst.capacity_budget);
+            assert_eq!(cell.epoch_cycles, inst.epoch_dram_cycles);
+            assert_eq!(cell.budget_insts, inst.budget_insts);
+            assert_eq!(cell.warmup_insts, inst.warmup_insts);
+            assert_eq!(cell.reloc.is_background(), inst.background_relocation);
+            let fraction = inst.fraction_hp;
+            let policy = inst.policy.unwrap_or(PolicySpec::StaticSplit { fraction });
+            assert_eq!(cell.policy, policy);
+        }
     }
 
     #[test]

@@ -45,11 +45,12 @@ pub fn mem_config(fraction: Option<f64>, hp_refw_ms: f64) -> MemConfig {
 }
 
 /// The memory configurations Figures 12–14 run per workload: the
-/// baseline DDR4 system, then every [`FRACTIONS`] point.
-pub(crate) fn baseline_and_fractions(hp_refw_ms: f64) -> impl Iterator<Item = MemConfig> {
+/// baseline DDR4 system, then every [`FRACTIONS`] point at the 64 ms
+/// high-performance refresh window.
+pub(crate) fn baseline_and_fractions() -> impl Iterator<Item = MemConfig> {
     std::iter::once(None)
         .chain(FRACTIONS.map(Some))
-        .map(move |f| mem_config(f, hp_refw_ms))
+        .map(|f| mem_config(f, 64.0))
 }
 
 /// What the figure folds read from one run. A figure batch holds

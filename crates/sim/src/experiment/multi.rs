@@ -78,16 +78,10 @@ impl MultiReport {
 /// speedup comparable across them).
 type AloneKey = String;
 
-/// Runs the Figure 13 sweep at the given scale.
+/// Runs the Figure 13 sweep at the given scale. Two batches spread over
+/// the host's cores: every distinct app alone on the baseline, then
+/// every mix under every configuration.
 pub fn run(scale: Scale, seed: u64) -> MultiReport {
-    run_with_refw(scale, seed, 64.0)
-}
-
-/// Runs the sweep with an explicit high-performance refresh window
-/// (reused by the Figure 15 experiment). Two batches spread over the
-/// host's cores: every distinct app alone on the baseline, then every
-/// mix under every configuration.
-pub fn run_with_refw(scale: Scale, seed: u64, hp_refw_ms: f64) -> MultiReport {
     let mixes: Vec<(MixGroup, Vec<Workload>)> = MixGroup::ALL
         .iter()
         .flat_map(|&group| build_mixes(group, scale.mixes_per_group(), seed))
@@ -122,7 +116,7 @@ pub fn run_with_refw(scale: Scale, seed: u64, hp_refw_ms: f64) -> MultiReport {
     // One job per (mix, configuration), mix-major.
     let jobs: Vec<(&[Workload], MemConfig)> = mixes
         .iter()
-        .flat_map(|(_, ws)| baseline_and_fractions(hp_refw_ms).map(move |mem| (ws.as_slice(), mem)))
+        .flat_map(|(_, ws)| baseline_and_fractions().map(move |mem| (ws.as_slice(), mem)))
         .collect();
     let runs = run_batch(&jobs, scale, seed);
     let evaluated: Vec<(MixGroup, MixNorms)> = mixes

@@ -38,7 +38,7 @@ use clr_trace::synthetic::{SyntheticKind, SyntheticSpec};
 use clr_trace::workload::Workload;
 
 use crate::metrics::{max_slowdown, weighted_speedup};
-use crate::policyrun::{run_policy_workloads, PolicyRunConfig};
+use crate::policyrun::{run_policy_workloads, PolicyRunConfig, PolicyRunResult};
 use crate::scale::Scale;
 use crate::system::{per_core_seed, RunConfig};
 
@@ -326,26 +326,42 @@ pub fn reloc_label(cfg: &RelocationConfig) -> &'static str {
     }
 }
 
-/// One simulation: a policy driving one or more cores' workloads under a
-/// relocation model on a (possibly multi-channel) memory system. Equal
-/// specs at one trace seed simulate the same run, so the sweep runs it
-/// once for every cell that uses it.
+/// One policy-system run: a policy driving one or more cores' workloads
+/// under a relocation model on a (possibly multi-channel) memory system
+/// of the sweep's small device. The sweep, `slo_report`, the fleet and
+/// the policy examples build every policy run from one. Equal specs at
+/// one trace seed simulate the same [`run_policy_workloads`] run, so the
+/// sweep runs it once for every cell that uses it.
 #[derive(Debug, Clone, PartialEq)]
-struct CellSpec {
-    policy: PolicySpec,
-    budget: f64,
-    workloads: Vec<Workload>,
-    reloc: RelocationConfig,
-    channels: u32,
-    split: BudgetSplit,
-    placement: DestinationPicker,
+pub struct CellSpec {
+    /// The mode-management policy; it also sets the initial
+    /// high-performance fraction ([`CellSpec::fraction_hp`]).
+    pub policy: PolicySpec,
+    /// Global capacity budget the policy runs under.
+    pub budget: f64,
+    /// One workload per core.
+    pub workloads: Vec<Workload>,
+    /// How transition batches land (stall or background migration).
+    pub reloc: RelocationConfig,
+    /// Memory channels.
+    pub channels: u32,
+    /// How the budget splits across channels.
+    pub split: BudgetSplit,
+    /// Where a coupling's displaced data is placed.
+    pub placement: DestinationPicker,
+    /// Instructions each core retires in the measurement window.
+    pub budget_insts: u64,
+    /// Warmup instructions per core.
+    pub warmup_insts: u64,
+    /// Policy epoch length in DRAM cycles.
+    pub epoch_cycles: u64,
 }
 
 impl CellSpec {
-    /// A dynamic policy under [`DYNAMIC_BUDGET`] with background-paced
-    /// relocation on one channel, with the even split and same-bank
-    /// placement: the shape every sweep cell varies.
-    fn new(policy: PolicySpec, workloads: Vec<Workload>) -> Self {
+    /// The sweep's defaults at `scale`: [`DYNAMIC_BUDGET`], background-paced
+    /// relocation on one channel, the even split, same-bank placement and
+    /// the scale's instruction counts and [`epoch_cycles`].
+    pub fn new(policy: PolicySpec, workloads: Vec<Workload>, scale: Scale) -> Self {
         CellSpec {
             policy,
             budget: DYNAMIC_BUDGET,
@@ -354,7 +370,79 @@ impl CellSpec {
             channels: 1,
             split: BudgetSplit::EvenSplit,
             placement: DestinationPicker::SameBank,
+            budget_insts: scale.budget_insts(),
+            warmup_insts: scale.warmup_insts(),
+            epoch_cycles: epoch_cycles(scale),
         }
+    }
+
+    /// Initial high-performance row fraction of the mode table: a static
+    /// split starts (and stays) at its fraction; a dynamic policy starts
+    /// all-max-capacity and earns its fast rows.
+    pub fn fraction_hp(&self) -> f64 {
+        match self.policy {
+            PolicySpec::StaticSplit { fraction } => fraction,
+            _ => 0.0,
+        }
+    }
+
+    /// Time-averaged fraction of device capacity run `r` of this cell
+    /// forfeited. A static split forfeits its fraction's capacity for the
+    /// whole run, independent of epoch accounting.
+    pub fn capacity_loss(&self, r: &PolicyRunResult) -> f64 {
+        match self.policy {
+            PolicySpec::StaticSplit { fraction } => capacity_loss_fraction(fraction),
+            _ => r.avg_capacity_loss(),
+        }
+    }
+
+    /// The telemetry window the sweep samples every cell with and
+    /// evaluates its SLO verdict over: one window per policy epoch aligns
+    /// the sampling grid with the decision grid.
+    pub fn metrics_window(&self) -> MetricsConfig {
+        MetricsConfig {
+            interval_cycles: self.epoch_cycles,
+            capacity: 4_096,
+        }
+    }
+
+    /// The run's configuration at trace seed `seed`: the small system of
+    /// [`policy_mem_config`] and [`policy_cluster`] with wait-cause
+    /// attribution on, metrics and tracing off, a serial channel walk
+    /// (callers fan out whole runs), and at most 512 transitions per
+    /// epoch, enough for real adaptation while one epoch's stall batch
+    /// stays bounded on churny policies.
+    pub fn run_config(&self, seed: u64, skip_ahead: bool) -> PolicyRunConfig {
+        let mut mem = policy_mem_config(self.fraction_hp());
+        mem.geometry.channels = self.channels;
+        mem.relocation = self.reloc;
+        mem.placement = self.placement;
+        let base = RunConfig {
+            cluster: policy_cluster(),
+            skip_ahead,
+            blame: true,
+            ..RunConfig::paper(mem, self.budget_insts, self.warmup_insts, seed)
+        };
+        let constraints = PolicyConstraints {
+            max_hp_fraction: self.budget,
+            max_transitions_per_epoch: 512,
+        };
+        PolicyRunConfig::new(base, self.policy, constraints, self.epoch_cycles)
+            .with_budget_split(self.split)
+    }
+
+    /// The alone baselines a shared run at trace seed `seed` is scored
+    /// against: core `i`'s workload alone on the same configuration, at
+    /// [`per_core_seed`]`(seed, i)`, the trace core `i` replays in the
+    /// shared run.
+    pub fn alone(&self, seed: u64) -> impl Iterator<Item = (CellSpec, u64)> + '_ {
+        self.workloads.iter().enumerate().map(move |(core, &w)| {
+            let spec = CellSpec {
+                workloads: vec![w],
+                ..self.clone()
+            };
+            (spec, per_core_seed(seed, core))
+        })
     }
 }
 
@@ -367,55 +455,12 @@ struct SweepCell {
     fairness: bool,
 }
 
-fn run_cell(spec: &CellSpec, scale: Scale, seed: u64, skip_ahead: bool) -> PolicyCell {
-    let initial_fraction = match spec.policy {
-        // Static splits start (and stay) at their configured layout; the
-        // profile-guided placement sees the same fraction.
-        PolicySpec::StaticSplit { fraction } => fraction,
-        // Dynamic policies start all-max-capacity and earn their fast rows.
-        _ => 0.0,
-    };
-    let mut mem = policy_mem_config(initial_fraction);
-    mem.geometry.channels = spec.channels;
-    mem.refresh_enabled = true;
-    mem.relocation = spec.reloc;
-    mem.placement = spec.placement;
-    let base = RunConfig {
-        mem,
-        cluster: policy_cluster(),
-        budget_insts: scale.budget_insts(),
-        warmup_insts: scale.warmup_insts(),
-        seed,
-        skip_ahead,
-        trace: None,
-        // Every cell runs with continuous telemetry on — metrics are
-        // inert (proven by the workspace differential test), and the
-        // windowed series is what the SLO verdict evaluates. One window
-        // per policy epoch aligns the sampling grid with the decision
-        // grid.
-        metrics: Some(MetricsConfig {
-            interval_cycles: epoch_cycles(scale),
-            capacity: 4_096,
-        }),
-        // Cells already fan out over the job-parallel loop; threading
-        // each cell's channel walk too would oversubscribe the host.
-        threads: 1,
-        clamp_threads: true,
-        // Wait-cause attribution rides along: the blame ledger is inert
-        // (differential-tested) and the sweep schema reports per-cause
-        // latency fractions for every cell.
-        blame: true,
-    };
-    let cfg = PolicyRunConfig::new(
-        base,
-        spec.policy,
-        PolicyConstraints {
-            max_hp_fraction: spec.budget,
-            max_transitions_per_epoch: 512,
-        },
-        epoch_cycles(scale),
-    )
-    .with_budget_split(spec.split);
+fn run_cell(spec: &CellSpec, seed: u64, skip_ahead: bool) -> PolicyCell {
+    let mut cfg = spec.run_config(seed, skip_ahead);
+    // Every cell runs with continuous telemetry on — metrics are inert
+    // (proven by the workspace differential test), and the windowed
+    // series is what the SLO verdict evaluates.
+    cfg.base.metrics = Some(spec.metrics_window());
     let r = run_policy_workloads(&spec.workloads, &cfg);
     let (read_p50, read_p95, read_p99) = r.run.mem.read_latency_percentiles();
     let system_series = r.run.metrics.as_ref().expect("metrics enabled").system();
@@ -440,13 +485,7 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64, skip_ahead: bool) -> Polic
         ipc: r.run.ipc.iter().sum::<f64>() / r.run.ipc.len() as f64,
         ipc_per_core: r.run.ipc.clone(),
         energy_j: r.run.energy.total_j(),
-        avg_capacity_loss: if matches!(spec.policy, PolicySpec::StaticSplit { .. }) {
-            // A static split forfeits its fraction's capacity for the
-            // whole run, independent of epoch accounting.
-            capacity_loss_fraction(initial_fraction)
-        } else {
-            r.avg_capacity_loss()
-        },
+        avg_capacity_loss: spec.capacity_loss(&r),
         final_hp_fraction: r.final_hp_fraction,
         transitions: r.policy_stats.transitions_applied,
         relocation_stall_cycles: r.run.mem.relocation_stall_cycles,
@@ -557,31 +596,35 @@ pub fn contention_workloads(scale: Scale, cores: usize) -> Vec<Workload> {
     (0..cores).map(|i| roster[i % roster.len()]).collect()
 }
 
-/// The contention sweep's cells: each [`contention_roster`] entry's
-/// workload mix under background relocation, scored against per-core
-/// alone baselines.
+/// One [`contention_roster`] entry's cell and its report label: the
+/// entry's workload mix under background relocation. The sweep's
+/// contention cells and `slo_report`'s certified cell both come from
+/// here.
+pub fn contention_cell(scale: Scale, c: &ContentionSpec) -> (String, CellSpec) {
+    let workloads = contention_workloads(scale, c.cores);
+    let label = c.label(&workloads);
+    let spec = CellSpec {
+        channels: c.channels,
+        split: c.split,
+        ..CellSpec::new(c.policy, workloads, scale)
+    };
+    (label, spec)
+}
+
+/// The contention sweep's cells, each scored against per-core alone
+/// baselines.
 fn contention_cells(scale: Scale) -> Vec<SweepCell> {
     contention_roster(scale)
         .iter()
         .map(|c| {
-            let workloads = contention_workloads(scale, c.cores);
+            let (label, spec) = contention_cell(scale, c);
             SweepCell {
-                label: c.label(&workloads),
-                spec: CellSpec {
-                    channels: c.channels,
-                    split: c.split,
-                    ..CellSpec::new(c.policy, workloads)
-                },
+                spec,
+                label,
                 fairness: true,
             }
         })
         .collect()
-}
-
-/// Runs the contention sweep (see [`contention_roster`]), each cell
-/// scored against per-core alone baselines.
-pub fn run_contention(scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
-    run_cells(&contention_cells(scale), scale, seed, skip_ahead)
 }
 
 /// The placement sweep's workload mix: the drifting and stable hot sets
@@ -628,18 +671,12 @@ fn placement_cells(scale: Scale) -> Vec<SweepCell> {
                 channels: 2,
                 split: BudgetSplit::demand_proportional(),
                 placement,
-                ..CellSpec::new(policy, workloads.clone())
+                ..CellSpec::new(policy, workloads.clone(), scale)
             },
             label: format!("2core/2ch:skewed:{}", placement.label()),
             fairness: true,
         })
         .collect()
-}
-
-/// Runs the placement sweep (see [`placement_roster`]), each cell scored
-/// against per-core alone baselines run under its own placement mode.
-pub fn run_placement(scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
-    run_cells(&placement_cells(scale), scale, seed, skip_ahead)
 }
 
 /// The sweep's three cell lists in report order: the policy × workload
@@ -653,7 +690,7 @@ fn sweep_cells(scale: Scale) -> [Vec<SweepCell>; 3] {
                 let spec = CellSpec {
                     budget,
                     reloc,
-                    ..CellSpec::new(policy, vec![w])
+                    ..CellSpec::new(policy, vec![w], scale)
                 };
                 roster.push(SweepCell {
                     spec,
@@ -668,7 +705,7 @@ fn sweep_cells(scale: Scale) -> [Vec<SweepCell>; 3] {
     // the per-core IPC column shows who wins the shared fast rows.
     let (w0, w1) = (phase_workload(scale), stable_hot_workload(scale));
     roster.push(SweepCell {
-        spec: CellSpec::new(PolicySpec::Hysteresis, vec![w0, w1]),
+        spec: CellSpec::new(PolicySpec::Hysteresis, vec![w0, w1], scale),
         label: format!("2core:{}+{}", w0.name(), w1.name()),
         fairness: false,
     });
@@ -686,7 +723,7 @@ fn sweep_cells(scale: Scale) -> [Vec<SweepCell>; 3] {
 /// [`RunConfig::skip_ahead`]); the sweep is bit-identical either way.
 pub fn run(scale: Scale, seed: u64, skip_ahead: bool) -> PolicySweepReport {
     let lists = sweep_cells(scale);
-    let mut runs = run_cells(&lists.concat(), scale, seed, skip_ahead).into_iter();
+    let mut runs = run_cells(&lists.concat(), seed, skip_ahead).into_iter();
     let [cells, contention, placement] = lists.map(|list| runs.by_ref().take(list.len()).collect());
     PolicySweepReport {
         cells,
@@ -704,10 +741,9 @@ struct Plan {
     uses: Vec<(usize, Vec<usize>)>,
 }
 
-/// Plans `cells` at trace seed `seed`. Core `i` of a fairness cell is
-/// scored against the cell's own configuration with only core `i`'s
-/// workload, at core `i`'s trace seed. Each distinct (spec, seed) pair
-/// is one simulation, so a 1-core cell is its own baseline.
+/// Plans `cells` at trace seed `seed`. A fairness cell is scored
+/// against [`CellSpec::alone`]. Each distinct (spec, seed) pair is one
+/// simulation, so a 1-core cell is its own baseline.
 fn plan(cells: &[SweepCell], seed: u64) -> Plan {
     let mut sims: Vec<(CellSpec, u64)> = Vec::new();
     let mut sim = |spec: CellSpec, seed: u64| {
@@ -721,14 +757,11 @@ fn plan(cells: &[SweepCell], seed: u64) -> Plan {
         .iter()
         .map(|c| {
             let own = sim(c.spec.clone(), seed);
-            let mut alone = Vec::new();
-            if c.fairness {
-                for (core, &w) in c.spec.workloads.iter().enumerate() {
-                    let mut spec = c.spec.clone();
-                    spec.workloads = vec![w];
-                    alone.push(sim(spec, per_core_seed(seed, core)));
-                }
-            }
+            let alone = if c.fairness {
+                c.spec.alone(seed).map(|(s, t)| sim(s, t)).collect()
+            } else {
+                Vec::new()
+            };
             (own, alone)
         })
         .collect();
@@ -740,11 +773,9 @@ fn plan(cells: &[SweepCell], seed: u64) -> Plan {
 /// speedup, max slowdown, and the [`SLO_MAX_SLOWDOWN_MILLI`] ceiling
 /// folded into its SLO verdict (a scalar objective the windowed series
 /// cannot see: it needs the alone baselines).
-fn run_cells(cells: &[SweepCell], scale: Scale, seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
+fn run_cells(cells: &[SweepCell], seed: u64, skip_ahead: bool) -> Vec<PolicyCell> {
     let Plan { sims, uses } = plan(cells, seed);
-    let runs = parallel_map(sims.len(), |i| {
-        run_cell(&sims[i].0, scale, sims[i].1, skip_ahead)
-    });
+    let runs = parallel_map(sims.len(), |i| run_cell(&sims[i].0, sims[i].1, skip_ahead));
     cells
         .iter()
         .zip(uses)
@@ -1204,6 +1235,67 @@ mod tests {
         assert_eq!(ws.len(), 4);
         assert_eq!(ws[0].name(), ws[3].name());
         assert_ne!(ws[0].name(), ws[1].name());
+        // `slo_report` certifies the 2-core × 2-channel util-threshold
+        // even-split cell, so every scale's roster must hold it.
+        for scale in [Scale::Smoke, Scale::Default, Scale::Full] {
+            assert!(
+                contention_roster(scale).iter().any(|c| c.cores == 2
+                    && c.channels == 2
+                    && c.split == BudgetSplit::EvenSplit
+                    && matches!(c.policy, PolicySpec::UtilizationThreshold { .. })),
+                "{scale:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_config_is_the_small_system_template() {
+        let scale = Scale::Smoke;
+        let cell = CellSpec {
+            channels: 2,
+            split: BudgetSplit::demand_proportional(),
+            placement: DestinationPicker::CrossBank,
+            ..CellSpec::new(PolicySpec::Hysteresis, skewed_workloads(scale), scale)
+        };
+        let cfg = cell.run_config(7, false);
+        let base = &cfg.base;
+        let mut mem = policy_mem_config(0.0);
+        mem.geometry.channels = 2;
+        mem.relocation = RelocationConfig::background_paced();
+        mem.placement = DestinationPicker::CrossBank;
+        assert_eq!(base.mem, mem);
+        assert_eq!(base.cluster, policy_cluster());
+        assert_eq!(
+            (
+                base.budget_insts,
+                base.warmup_insts,
+                base.seed,
+                base.skip_ahead
+            ),
+            (scale.budget_insts(), scale.warmup_insts(), 7, false)
+        );
+        assert!(cell.run_config(7, true).base.skip_ahead);
+        assert!(base.blame && base.metrics.is_none() && base.trace.is_none());
+        assert_eq!(base.threads, 1, "the walk is serial");
+        assert_eq!(cfg.policy, PolicySpec::Hysteresis);
+        assert_eq!(
+            cfg.constraints,
+            PolicyConstraints {
+                max_hp_fraction: DYNAMIC_BUDGET,
+                max_transitions_per_epoch: 512,
+            }
+        );
+        assert_eq!(cfg.epoch_dram_cycles, epoch_cycles(scale));
+        assert_eq!(cfg.budget_split, BudgetSplit::demand_proportional());
+        // The policy sets the initial fraction: a static split starts at
+        // its own, whatever cell it overrides.
+        let split = CellSpec {
+            policy: PolicySpec::StaticSplit { fraction: 0.25 },
+            ..cell
+        };
+        assert_eq!(split.fraction_hp(), 0.25);
+        let mem = split.run_config(7, false).base.mem;
+        assert_eq!(mem.clr, policy_mem_config(0.25).clr);
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub fn run(scale: Scale, seed: u64) -> SingleReport {
     // One job per (workload, configuration), workload-major.
     let jobs: Vec<(&[Workload], MemConfig)> = workloads
         .iter()
-        .flat_map(|w| baseline_and_fractions(64.0).map(move |mem| (std::slice::from_ref(w), mem)))
+        .flat_map(|w| baseline_and_fractions().map(move |mem| (std::slice::from_ref(w), mem)))
         .collect();
     let runs = run_batch(&jobs, scale, seed);
 

@@ -14,45 +14,23 @@
 //! Run with `cargo run --release --example capacity_rebalance`.
 
 use clr_dram::memsim::frames::DestinationPicker;
-use clr_dram::memsim::migrate::RelocationConfig;
 use clr_dram::policy::budget::BudgetSplit;
-use clr_dram::policy::policy::{PolicyConstraints, PolicySpec};
-use clr_dram::sim::experiment::policies::{
-    epoch_cycles, policy_cluster, policy_mem_config, skewed_workloads,
-};
-use clr_dram::sim::policyrun::{run_policy_workloads, PolicyRunConfig, PolicyRunResult};
-use clr_dram::sim::system::RunConfig;
+use clr_dram::policy::policy::PolicySpec;
+use clr_dram::sim::experiment::policies::{skewed_workloads, CellSpec};
+use clr_dram::sim::policyrun::{run_policy_workloads, PolicyRunResult};
 use clr_dram::sim::Scale;
 
 fn run(placement: DestinationPicker, scale: Scale) -> PolicyRunResult {
-    let mut mem = policy_mem_config(0.0);
-    mem.geometry.channels = 2;
-    mem.relocation = RelocationConfig::background_paced();
-    mem.placement = placement;
-    let base = RunConfig {
-        mem,
-        cluster: policy_cluster(),
-        budget_insts: scale.budget_insts(),
-        warmup_insts: scale.warmup_insts(),
-        seed: 42,
-        skip_ahead: true,
-        trace: None,
-        metrics: None,
-        threads: 1,
-        clamp_threads: true,
-        blame: false,
+    let policy = PolicySpec::UtilizationThreshold { hot: 4, cold: 1 };
+    let cell = CellSpec {
+        channels: 2,
+        split: BudgetSplit::demand_proportional(),
+        placement,
+        ..CellSpec::new(policy, skewed_workloads(scale), scale)
     };
-    let cfg = PolicyRunConfig::new(
-        base,
-        PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
-        PolicyConstraints {
-            max_hp_fraction: 0.25,
-            max_transitions_per_epoch: 512,
-        },
-        epoch_cycles(scale),
-    )
-    .with_budget_split(BudgetSplit::demand_proportional());
-    run_policy_workloads(&skewed_workloads(scale), &cfg)
+    let mut cfg = cell.run_config(42, true);
+    cfg.base.blame = false;
+    run_policy_workloads(&cell.workloads, &cfg)
 }
 
 fn report(label: &str, r: &PolicyRunResult) {

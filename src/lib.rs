@@ -212,9 +212,8 @@
 //! hysteresis-style payoff thresholds match the measured overlapped
 //! behavior. The `policy_sweep` binary's placement sweep compares
 //! same-bank (budget-only rebalancing) vs cross-bank vs cross-channel on
-//! a channel-skewed hot-set mix (`CLR_SWEEP=placement` for the fast
-//! local mode); `examples/capacity_rebalance.rs` is the runnable
-//! before/after demonstration.
+//! a channel-skewed hot-set mix; `examples/capacity_rebalance.rs` is the
+//! runnable before/after demonstration.
 //!
 //! # Simulation speed
 //!

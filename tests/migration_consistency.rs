@@ -23,7 +23,8 @@ use clr_dram::memsim::command::{Command, IssuedCommand};
 use clr_dram::memsim::config::MemConfig;
 use clr_dram::memsim::controller::MemoryController;
 use clr_dram::memsim::cycletimings::CycleTimings;
-use clr_dram::memsim::migrate::RelocationConfig;
+use clr_dram::memsim::frames::DestinationPicker;
+use clr_dram::memsim::migrate::{JobKind, RelocationConfig};
 use clr_dram::memsim::request::{MemRequest, RequestKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -42,10 +43,30 @@ struct JobAudit {
     saw_dest_act: bool,
 }
 
-fn run_case(seed: u64, demand: usize, couplings: usize) {
+/// A case driven to quiescence, with what its audits need.
+struct Driven {
+    mc: MemoryController,
+    /// The promoted (bank, row) pairs, distinct, in dispatch order.
+    requested: Vec<(usize, u32)>,
+    /// Bursts in a half-row: what each coupling reads and writes.
+    bursts: u64,
+    banks: usize,
+    banks_per_group: usize,
+    timings: CycleTimings,
+}
+
+/// Drives one case: a tiny CLR controller with refresh on, background
+/// relocation and `placement` takes `couplings` distinct promotions in
+/// random batches at random times while `demand` random reads and
+/// writes arrive, all drawn from `StdRng::seed_from_u64(rng_seed)`.
+/// Every tick checks that each dispatched job is pending or counted
+/// once; once every job has ended, 5,000 more ticks let the queues
+/// drain so the log ends quiescent.
+fn drive(placement: DestinationPicker, rng_seed: u64, demand: usize, couplings: usize) -> Driven {
     let mut cfg = MemConfig::tiny_clr(0.0);
     cfg.refresh_enabled = true;
     cfg.relocation = RelocationConfig::background();
+    cfg.placement = placement;
     let geometry = cfg.geometry.clone();
     let bursts = geometry.row_bytes() / 2 / geometry.burst_bytes();
     let banks =
@@ -58,8 +79,10 @@ fn run_case(seed: u64, demand: usize, couplings: usize) {
     );
     let mut mc = MemoryController::new(cfg);
     mc.enable_command_log();
+    // Records cross-bank couplings only: a same-bank case logs nothing.
+    mc.enable_couple_placement_log();
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(rng_seed);
     // Distinct promotion targets (each row migrates at most once, so the
     // expected final table is simply "every requested row is HP").
     let mut requested: Vec<(usize, u32)> = Vec::new();
@@ -110,14 +133,39 @@ fn run_case(seed: u64, demand: usize, couplings: usize) {
         cycles += 1;
         assert!(cycles < 10_000_000, "case did not drain");
     }
-    // Let the queues drain so the log ends quiescent.
     for _ in 0..5_000 {
         mc.tick(&mut done);
     }
+    Driven {
+        mc,
+        requested,
+        bursts,
+        banks,
+        banks_per_group: geometry.banks_per_group as usize,
+        timings,
+    }
+}
+
+/// The whole interleaved stream (demand + migration + refresh) is
+/// protocol-clean under the independent checker.
+fn assert_protocol_clean(d: &Driven, log: &[IssuedCommand]) {
+    let banks_per_group = d.banks_per_group;
+    let violations = check(log, &d.timings, d.banks, |b| b / banks_per_group);
+    assert!(
+        violations.is_empty(),
+        "protocol violations: {:?} (showing up to 5 of {})",
+        &violations[..violations.len().min(5)],
+        violations.len()
+    );
+}
+
+fn run_case(seed: u64, demand: usize, couplings: usize) {
+    let d = drive(DestinationPicker::SameBank, seed, demand, couplings);
+    let (mc, requested, bursts) = (&d.mc, &d.requested, d.bursts);
 
     // 1. Every requested coupling landed in the mode table.
     assert_eq!(mc.pending_migrations(), 0);
-    for &(bank, row) in &requested {
+    for &(bank, row) in requested {
         assert_eq!(
             mc.mode_of_row(bank, row),
             RowMode::HighPerformance,
@@ -252,14 +300,7 @@ fn run_case(seed: u64, demand: usize, couplings: usize) {
 
     // 3. The whole interleaved stream is protocol-clean under the
     // independent checker.
-    let banks_per_group = geometry.banks_per_group as usize;
-    let violations = check(&log, &timings, banks, |b| b / banks_per_group);
-    assert!(
-        violations.is_empty(),
-        "protocol violations: {:?} (showing up to 5 of {})",
-        &violations[..violations.len().min(5)],
-        violations.len()
-    );
+    assert_protocol_clean(&d, &log);
 }
 
 /// Every dispatched job is pending or counted once, at its terminal
@@ -300,82 +341,18 @@ fn dest_src(
 /// mode table must agree with the requested couplings, and the whole
 /// interleaved stream must pass the protocol checker.
 fn run_case_cross_bank(seed: u64, demand: usize, couplings: usize) {
-    use clr_dram::memsim::frames::DestinationPicker;
-    use clr_dram::memsim::migrate::JobKind;
-
-    let mut cfg = MemConfig::tiny_clr(0.0);
-    cfg.refresh_enabled = true;
-    cfg.relocation = RelocationConfig::background();
-    cfg.placement = DestinationPicker::CrossBank;
-    let geometry = cfg.geometry.clone();
-    let bursts = geometry.row_bytes() / 2 / geometry.burst_bytes();
-    let banks =
-        (geometry.channels * geometry.ranks * geometry.bank_groups * geometry.banks_per_group)
-            as usize;
-    let timings = CycleTimings::new(
-        &cfg.timings,
-        &cfg.clr.hp_params(&cfg.timings),
-        &cfg.interface,
+    let mut d = drive(
+        DestinationPicker::CrossBank,
+        seed ^ 0xC0DE,
+        demand,
+        couplings,
     );
-    let mut mc = MemoryController::new(cfg);
-    mc.enable_command_log();
-    mc.enable_couple_placement_log();
-
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE);
-    let mut requested: Vec<(usize, u32)> = Vec::new();
-    for k in 0..couplings {
-        let bank = k % banks.min(3);
-        let row = (2 * k / banks.min(3)) as u32;
-        requested.push((bank, row));
-    }
-
-    let mut done = Vec::new();
-    let mut sent = 0usize;
-    let mut next_batch = 0usize;
-    let mut cycles = 0u64;
-    while sent < demand || next_batch < requested.len() || mc.pending_migrations() > 0 {
-        if next_batch < requested.len() && rng.gen_bool(0.02) {
-            let take = (1 + rng.gen_range(0..3usize)).min(requested.len() - next_batch);
-            let changes: Vec<(usize, u32, RowMode)> = requested[next_batch..next_batch + take]
-                .iter()
-                .map(|&(b, r)| (b, r, RowMode::HighPerformance))
-                .collect();
-            mc.begin_row_migrations(&changes);
-            next_batch += take;
-        }
-        if sent < demand && rng.gen_bool(0.4) {
-            let addr = rng.gen_range(0..geometry.capacity_bytes()) & !63;
-            let kind = if rng.gen_bool(0.3) {
-                RequestKind::Write
-            } else {
-                RequestKind::Read
-            };
-            if mc
-                .try_enqueue(MemRequest::new(
-                    sent as u64,
-                    PhysAddr(addr),
-                    kind,
-                    mc.cycle(),
-                ))
-                .is_ok()
-            {
-                sent += 1;
-            }
-        }
-        mc.tick(&mut done);
-        done.clear();
-        assert_jobs_accounted(&mc);
-        cycles += 1;
-        assert!(cycles < 10_000_000, "case did not drain");
-    }
-    for _ in 0..5_000 {
-        mc.tick(&mut done);
-    }
+    let (mc, requested, bursts) = (&mut d.mc, &d.requested, d.bursts);
 
     // 1. Every requested coupling landed, cross-bank, and the burst
     // accounting balances.
     assert_eq!(mc.pending_migrations(), 0);
-    for &(bank, row) in &requested {
+    for &(bank, row) in requested {
         assert_eq!(
             mc.mode_of_row(bank, row),
             RowMode::HighPerformance,
@@ -486,14 +463,7 @@ fn run_case_cross_bank(seed: u64, demand: usize, couplings: usize) {
     );
 
     // 3. The whole interleaved stream is protocol-clean.
-    let banks_per_group = geometry.banks_per_group as usize;
-    let violations = check(&log, &timings, banks, |b| b / banks_per_group);
-    assert!(
-        violations.is_empty(),
-        "protocol violations: {:?} (showing up to 5 of {})",
-        &violations[..violations.len().min(5)],
-        violations.len()
-    );
+    assert_protocol_clean(&d, &log);
 }
 
 proptest! {
